@@ -42,9 +42,11 @@ __all__ = [
     "compute_gram",
     "compute_g_vector",
     "solve_coefficients",
+    "solve_aggregation",
     "aggregate_predict",
     "empirical_risk",
     "importance_weighted_risk",
+    "model_risks",
     "run_aggregation",
     "oracle_aggregate",
     "make_risk_report",
@@ -308,6 +310,14 @@ def importance_weighted_risk(preds, labels, beta) -> float:
     return _weighted_sq_risk(preds, labels, beta)
 
 
+def model_risks(preds, labels, weights=None) -> np.ndarray:
+    """Per-model risks, shape ``(m,)``, each bitwise equal to
+    :func:`empirical_risk` (``weights=None``) or :func:`importance_weighted_risk`."""
+    return np.array(
+        [_weighted_sq_risk(p, labels, weights) for p in _as_pred_tensor(preds)]
+    )
+
+
 def make_risk_report(
     preds_tensor: np.ndarray,
     labels: np.ndarray,
@@ -318,7 +328,7 @@ def make_risk_report(
     """Risk table for every model plus the aggregated predictor."""
     p = _as_pred_tensor(preds_tensor)
     weights = None if risk_kind != "importance_weighted" else beta
-    per_model = [_weighted_sq_risk(p[k], labels, weights) for k in range(p.shape[0])]
+    per_model = model_risks(p, labels, weights).tolist()
     agg = aggregate_predict(p, coefficients)
     agg_risk = _weighted_sq_risk(agg, labels, weights)
     idx = min(range(len(per_model)), key=per_model.__getitem__)
@@ -361,33 +371,22 @@ def resolve_beta(bundle: PredictionBundle, ratio) -> tuple[np.ndarray, float | N
     return beta, None
 
 
-def run_aggregation(
-    bundle: PredictionBundle,
-    ratio,
-    lam: float | None = None,
-) -> AggregationResult:
-    """Full pipeline: weights, Gram matrix, moment vector, solve.
+def solve_aggregation(G, g, lam: float | None = None) -> AggregationResult:
+    """Solve ``(G + lam*I) c = g`` under the regularization policy.
 
-    ``ratio`` is a :class:`RatioModel` (evaluated on the source features)
-    or a precomputed weight vector. ``lam=None`` applies the default
-    ``1e-8 * trace(G)/m`` and escalates it tenfold (up to ``1e-2 *
-    trace(G)/m``) whenever the solve is refused; an explicit ``lam`` --
-    including 0 -- is used exactly as given.
+    ``lam=None`` applies the default ``1e-8 * trace(G)/m`` and escalates it
+    tenfold (up to ``1e-2 * trace(G)/m``) whenever the solve is refused; an
+    explicit ``lam`` -- including 0 -- is used exactly as given, and its
+    refusal propagates unchanged. The diagnostics record the policy, the
+    escalation count, the condition estimate and the final residual.
     """
-    beta, saturation = resolve_beta(bundle, ratio)
-    G = compute_gram(bundle.target_preds)
-    g = compute_g_vector(bundle.source_preds, bundle.source.labels, beta)
-
-    m = bundle.model_count
-    scale = float(np.trace(G)) / m
     if lam is not None:
         attempts = [float(lam)]
         policy = "explicit"
     else:
-        base = LAMBDA_BASE_FACTOR * scale
-        cap = LAMBDA_CAP_FACTOR * scale
-        attempts = [base]
-        while attempts[-1] * 10.0 <= cap:
+        scale = float(np.trace(G)) / len(G)
+        attempts = [LAMBDA_BASE_FACTOR * scale]
+        while attempts[-1] * 10.0 <= LAMBDA_CAP_FACTOR * scale:
             attempts.append(attempts[-1] * 10.0)
         policy = "auto"
 
@@ -396,28 +395,49 @@ def run_aggregation(
         try:
             c, cond, resid = _solve_spd(G, g, lam_try)
         except IllConditioned as exc:
+            if policy == "explicit":
+                raise
             last_exc = exc
             continue
-        diagnostics = {
-            "lambda_policy": policy,
-            "lambda_escalations": escalations,
-            "condition_estimate": cond,
-            "residual_inf": resid,
-            "beta_mean": float(np.mean(beta)),
-            "beta_max": float(np.max(beta)),
-            "beta_saturation_fraction": saturation,
-        }
         return AggregationResult(
             coefficients=c,
             gram=G,
             moment=g,
             tikhonov=lam_try,
             condition_estimate=cond,
-            diagnostics=diagnostics,
+            diagnostics={
+                "lambda_policy": policy,
+                "lambda_escalations": escalations,
+                "condition_estimate": cond,
+                "residual_inf": resid,
+            },
         )
     raise IllConditioned(
         f"solve failed for every candidate regularizer {attempts!r}: {last_exc}"
     )
+
+
+def run_aggregation(
+    bundle: PredictionBundle,
+    ratio,
+    lam: float | None = None,
+) -> AggregationResult:
+    """Full pipeline: weights, Gram matrix, moment vector, solve.
+
+    ``ratio`` is a :class:`RatioModel` (evaluated on the source features)
+    or a precomputed weight vector; ``lam`` follows the policy of
+    :func:`solve_aggregation`.
+    """
+    beta, saturation = resolve_beta(bundle, ratio)
+    G = compute_gram(bundle.target_preds)
+    g = compute_g_vector(bundle.source_preds, bundle.source.labels, beta)
+    result = solve_aggregation(G, g, lam)
+    result.diagnostics.update(
+        beta_mean=float(np.mean(beta)),
+        beta_max=float(np.max(beta)),
+        beta_saturation_fraction=saturation,
+    )
+    return result
 
 
 def oracle_aggregate(bundle: PredictionBundle, lam: float = 0.0) -> AggregationResult:
@@ -434,21 +454,11 @@ def oracle_aggregate(bundle: PredictionBundle, lam: float = 0.0) -> AggregationR
     # Weighting by exactly 1.0 makes this the plain averaged inner product.
     ones = np.ones(bundle.target.n_samples)
     g = compute_g_vector(bundle.target_preds, bundle.target.oracle_labels, ones)
-    c, cond, resid = _solve_spd(G, g, lam)
-    diagnostics = {
-        "lambda_policy": "oracle",
-        "lambda_escalations": 0,
-        "condition_estimate": cond,
-        "residual_inf": resid,
-        "beta_mean": 1.0,
-        "beta_max": 1.0,
-        "beta_saturation_fraction": None,
-    }
-    return AggregationResult(
-        coefficients=c,
-        gram=G,
-        moment=g,
-        tikhonov=float(lam),
-        condition_estimate=cond,
-        diagnostics=diagnostics,
+    result = solve_aggregation(G, g, lam)
+    result.diagnostics.update(
+        lambda_policy="oracle",
+        beta_mean=1.0,
+        beta_max=1.0,
+        beta_saturation_fraction=None,
     )
+    return result

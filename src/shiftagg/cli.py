@@ -17,9 +17,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import aggregation, probe, ratio, selection, synth
+from .data import _load_table, _parse_numeric
 from .data import load_bundle, load_embeddings, write_bundle
 from .errors import ConfigInvalid, IoFailure, NumericalError, ValidationError
-from .serialize import read_csv, read_json, write_csv, write_json
+from .serialize import config_from_dict, read_json, write_csv, write_json
 
 SATURATION_WARN_LEVEL = 0.5
 
@@ -104,14 +105,17 @@ def _ensure_outdir(path: str) -> str:
 
 
 def _load_beta_csv(path, n_expected: int) -> np.ndarray:
-    header, rows = read_csv(path)
-    if header[:2] != ["id", "beta"]:
+    header, rows = _load_table(path, 2)
+    if header != ["id", "beta"]:
         raise ConfigInvalid(f"{path}: expected header 'id,beta'")
     if len(rows) != n_expected:
         raise ConfigInvalid(
             f"{path}: {len(rows)} weights for {n_expected} source samples"
         )
-    return np.asarray([float(r[1]) for r in rows], dtype=np.float64)
+    ids = _parse_numeric(path, rows, 1, 0)[:, 0]
+    if not np.array_equal(ids, np.arange(n_expected)):
+        raise ConfigInvalid(f"{path}: ids must run 0..{n_expected - 1} in order")
+    return _parse_numeric(path, rows, 1, 1)[:, 0]
 
 
 def _resolve_ratio_arg(args, bundle):
@@ -148,7 +152,7 @@ def cmd_estimate_ratio(args) -> int:
             "ratio estimation needs features on both samples: " + "; ".join(missing)
         )
     cfg = (
-        ratio.RatioFitConfig.from_json_dict(read_json(args.config))
+        config_from_dict(ratio.RatioFitConfig, read_json(args.config))
         if args.config
         else ratio.RatioFitConfig()
     )
@@ -255,9 +259,12 @@ def cmd_bench(args) -> int:
     doc = read_json(args.config) if args.config else {}
     if not isinstance(doc, dict):
         raise ConfigInvalid("suite config must be a JSON object")
-    cfg = synth.SuiteConfig.from_json_dict(doc)
-    trials = args.trials if args.trials is not None else doc.get("trials", 100)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    # trials and seed sit beside the suite config's fields in the same file.
+    doc = dict(doc)
+    trials, seed = doc.pop("trials", 100), doc.pop("seed", 0)
+    cfg = config_from_dict(synth.SuiteConfig, doc)
+    trials = args.trials if args.trials is not None else trials
+    seed = args.seed if args.seed is not None else seed
     try:
         trials = int(trials)
         seed = int(seed)

@@ -449,7 +449,7 @@ def _load_table(path, expect_cols: int):
             raise DimensionMismatch(
                 f"{path}: row {i} has {len(row)} cells, expected {expect_cols}"
             )
-    return rows
+    return header, rows
 
 
 def _require(path) -> str:
@@ -476,7 +476,7 @@ def load_bundle(path) -> PredictionBundle:
 
     src_path = _require(os.path.join(path, "source.csv"))
     n_src_cols = 1 + (d1 if has_sx else 0) + d2
-    src_rows = _load_table(src_path, n_src_cols)
+    _, src_rows = _load_table(src_path, n_src_cols)
     if not src_rows:
         raise DimensionMismatch(f"{src_path}: no data rows")
     src_x = _parse_numeric(src_path, src_rows, d1, 1) if has_sx else None
@@ -484,7 +484,7 @@ def load_bundle(path) -> PredictionBundle:
 
     tgt_path = _require(os.path.join(path, "target.csv"))
     n_tgt_cols = 1 + (d1 if has_tx else 0) + (d2 if has_ty else 0)
-    tgt_rows = _load_table(tgt_path, n_tgt_cols)
+    _, tgt_rows = _load_table(tgt_path, n_tgt_cols)
     if not tgt_rows:
         raise DimensionMismatch(f"{tgt_path}: no data rows")
     tgt_x = _parse_numeric(tgt_path, tgt_rows, d1, 1) if has_tx else None
@@ -503,7 +503,7 @@ def load_bundle(path) -> PredictionBundle:
     for k, name in enumerate(names):
         for which, n_rows, dest in (("source", n_s, sp), ("target", n_t, tp)):
             fpath = _require(os.path.join(path, f"model_{name}_{which}.csv"))
-            rows = _load_table(fpath, 1 + d2)
+            _, rows = _load_table(fpath, 1 + d2)
             if len(rows) != n_rows:
                 raise DimensionMismatch(
                     f"{fpath}: {len(rows)} rows, expected {n_rows} to match "

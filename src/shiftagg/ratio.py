@@ -157,22 +157,6 @@ class RatioFitConfig:
         if not self.bound > 0:
             raise ConfigInvalid("bound must be positive")
 
-    @staticmethod
-    def from_json_dict(doc: dict) -> "RatioFitConfig":
-        try:
-            kw = doc.get("kernel_widths")
-            return RatioFitConfig(
-                estimator=doc.get("estimator", "ulsif"),
-                kernel_widths=None if kw is None else tuple(kw),
-                ridge_strengths=tuple(doc.get("ridge_strengths", DEFAULT_RIDGE_GRID)),
-                n_centers=doc.get("n_centers"),
-                cv_folds=int(doc.get("cv_folds", 5)),
-                bound=float(doc.get("bound", DEFAULT_BOUND)),
-                seed=int(doc.get("seed", 0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"bad ratio config: {exc}") from exc
-
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))

@@ -10,18 +10,20 @@ against the aggregation and its oracle variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .aggregation import (
-    _weighted_sq_risk,
     aggregate_predict,
+    compute_g_vector,
+    compute_gram,
     empirical_risk,
     importance_weighted_risk,
-    oracle_aggregate,
+    model_risks,
     resolve_beta,
-    run_aggregation,
+    run_aggregation,  # noqa: F401  re-exported: perfbench's tracer rebinds it here
+    solve_aggregation,
 )
 from .data import PredictionBundle
 from .errors import ConfigInvalid, IllConditioned
@@ -73,37 +75,27 @@ class SelectionOutcome:
         }
 
 
-def _argmin_tie(scores: list[float]) -> tuple[int, bool]:
+def _select(method: str, risks: np.ndarray) -> SelectionOutcome:
+    scores = risks.tolist()
     idx = min(range(len(scores)), key=scores.__getitem__)
     tie = any(scores[j] == scores[idx] for j in range(len(scores)) if j != idx)
-    return idx, tie
+    return SelectionOutcome(
+        method=method, selected_index=idx, scores=tuple(scores), tie_broken=tie
+    )
 
 
 def select_source_risk(bundle: PredictionBundle) -> SelectionOutcome:
     """Pick the model with the lowest plain source risk (naive baseline)."""
-    scores = [
-        empirical_risk(bundle.source_preds[k], bundle.source.labels)
-        for k in range(bundle.model_count)
-    ]
-    idx, tie = _argmin_tie(scores)
-    return SelectionOutcome(
-        method="source_risk", selected_index=idx, scores=tuple(scores), tie_broken=tie
+    return _select(
+        "source_risk", model_risks(bundle.source_preds, bundle.source.labels)
     )
 
 
 def select_iwv(bundle: PredictionBundle, beta) -> SelectionOutcome:
     """Importance-weighted validation: argmin of ratio-weighted source risk."""
-    beta = np.asarray(beta, dtype=np.float64)
-    scores = [
-        importance_weighted_risk(bundle.source_preds[k], bundle.source.labels, beta)
-        for k in range(bundle.model_count)
-    ]
-    idx, tie = _argmin_tie(scores)
-    return SelectionOutcome(
-        method="importance_weighted",
-        selected_index=idx,
-        scores=tuple(scores),
-        tie_broken=tie,
+    return _select(
+        "importance_weighted",
+        model_risks(bundle.source_preds, bundle.source.labels, beta),
     )
 
 
@@ -159,12 +151,6 @@ class ComparisonReport:
         )
 
 
-def _true_risk(bundle: PredictionBundle, preds: np.ndarray) -> float | None:
-    if bundle.target.oracle_labels is None:
-        return None
-    return _weighted_sq_risk(preds, bundle.target.oracle_labels, None)
-
-
 def build_method_rows(
     bundle: PredictionBundle,
     beta_by_name: dict[str, object],
@@ -174,39 +160,52 @@ def build_method_rows(
 
     ``beta_by_name`` maps a suffix (e.g. ``"analytic"``, ``"ulsif"`` or
     ``""`` for unsuffixed rows) to a ratio model or weight vector; each
-    entry yields one IWV row and one aggregation row.
+    entry yields one IWV row and one aggregation row. The target Gram
+    matrix and the per-model risks are computed once and shared by every
+    row that needs them.
     """
-    rows: list[MethodRow] = []
-    oracle_true: float | None = None
+    labels_t = bundle.target.oracle_labels
+    sel = select_source_risk(bundle)
+    true_risks = (
+        [None] * bundle.model_count
+        if labels_t is None
+        else model_risks(bundle.target_preds, labels_t).tolist()
+    )
+    needs_gram = labels_t is not None or beta_by_name
+    G = compute_gram(bundle.target_preds) if needs_gram else None
 
-    for k, name in enumerate(bundle.model_names):
-        rows.append(
-            MethodRow(
-                method=f"model:{name}",
-                estimated_score=empirical_risk(
-                    bundle.source_preds[k], bundle.source.labels
-                ),
-                true_target_risk=_true_risk(bundle, bundle.target_preds[k]),
-            )
+    def true_risk_of(coefficients) -> float | None:
+        if labels_t is None:
+            return None
+        return empirical_risk(
+            aggregate_predict(bundle.target_preds, coefficients), labels_t
         )
 
-    sel = select_source_risk(bundle)
+    rows = [
+        MethodRow(
+            method=f"model:{name}",
+            estimated_score=sel.scores[k],
+            true_target_risk=true_risks[k],
+        )
+        for k, name in enumerate(bundle.model_names)
+    ]
     rows.append(
         MethodRow(
             method="select_source",
             estimated_score=sel.scores[sel.selected_index],
-            true_target_risk=_true_risk(
-                bundle, bundle.target_preds[sel.selected_index]
-            ),
+            true_target_risk=true_risks[sel.selected_index],
             detail={"selected_index": sel.selected_index, "tie_broken": sel.tie_broken},
         )
     )
 
-    if bundle.target.oracle_labels is not None:
+    oracle_true: float | None = None
+    if labels_t is not None:
+        # Weighting by exactly 1.0 makes this the plain averaged inner product.
+        ones = np.ones(bundle.target.n_samples)
+        g_oracle = compute_g_vector(bundle.target_preds, labels_t, ones)
         try:
-            ores = oracle_aggregate(bundle)
-            agg = aggregate_predict(bundle.target_preds, ores.coefficients)
-            oracle_true = _true_risk(bundle, agg)
+            ores = solve_aggregation(G, g_oracle, 0.0)
+            oracle_true = true_risk_of(ores.coefficients)
             rows.append(
                 MethodRow(
                     method="aggregate_oracle",
@@ -231,17 +230,15 @@ def build_method_rows(
             MethodRow(
                 method=f"select_iwv{tag}",
                 estimated_score=sel_iwv.scores[sel_iwv.selected_index],
-                true_target_risk=_true_risk(
-                    bundle, bundle.target_preds[sel_iwv.selected_index]
-                ),
+                true_target_risk=true_risks[sel_iwv.selected_index],
                 detail={
                     "selected_index": sel_iwv.selected_index,
                     "tie_broken": sel_iwv.tie_broken,
                 },
             )
         )
-        result = run_aggregation(bundle, beta, lam)
-        agg_t = aggregate_predict(bundle.target_preds, result.coefficients)
+        g = compute_g_vector(bundle.source_preds, bundle.source.labels, beta)
+        result = solve_aggregation(G, g, lam)
         est = importance_weighted_risk(
             aggregate_predict(bundle.source_preds, result.coefficients),
             bundle.source.labels,
@@ -251,7 +248,7 @@ def build_method_rows(
             MethodRow(
                 method=f"aggregate{tag}",
                 estimated_score=est,
-                true_target_risk=_true_risk(bundle, agg_t),
+                true_target_risk=true_risk_of(result.coefficients),
                 detail={
                     "coefficients": list(result.coefficients),
                     "tikhonov": result.tikhonov,
@@ -264,16 +261,13 @@ def build_method_rows(
     rows.sort(key=lambda r: r.method)
     if oracle_true is not None and oracle_true > 0:
         rows = [
-            MethodRow(
-                method=r.method,
-                estimated_score=r.estimated_score,
-                true_target_risk=r.true_target_risk,
+            replace(
+                r,
                 risk_ratio_vs_oracle=(
                     None
                     if r.true_target_risk is None
                     else r.true_target_risk / oracle_true
                 ),
-                detail=r.detail,
             )
             for r in rows
         ]

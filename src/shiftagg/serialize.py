@@ -8,13 +8,15 @@ hash-dependent formatting is used.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import typing
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import IoFailure, MalformedFile, MissingFile
+from .errors import ConfigInvalid, IoFailure, MalformedFile, MissingFile
 
 __all__ = [
     "fmt_float",
@@ -24,6 +26,8 @@ __all__ = [
     "write_csv",
     "read_csv",
     "aligned_table",
+    "config_to_dict",
+    "config_from_dict",
 ]
 
 
@@ -150,3 +154,56 @@ def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     lines = [fmt_row(list(headers)), fmt_row(["-" * w for w in widths])]
     lines.extend(fmt_row(list(r)) for r in rows)
     return "\n".join(lines) + "\n"
+
+
+# --- config dataclasses <-> JSON objects ------------------------------------
+
+
+def config_to_dict(cfg) -> dict:
+    """JSON object of a config dataclass, keys in field order; a field's
+    metadata may rename its key with ``json_key``."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        v = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(v):
+            v = config_to_dict(v)
+        out[f.metadata.get("json_key", f.name)] = list(v) if isinstance(v, tuple) else v
+    return out
+
+
+def _decode(tp, value, path: str):
+    if type(None) in typing.get_args(tp):
+        if value is None:
+            return None
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if dataclasses.is_dataclass(tp):
+        return config_from_dict(tp, value, path)
+    if typing.get_origin(tp) is tuple and isinstance(value, list):
+        return tuple(_decode(typing.get_args(tp)[0], v, path) for v in value)
+    if number and (tp is float or tp is int and float(value).is_integer()):
+        return tp(value)
+    if tp is str and isinstance(value, str):
+        return value
+    raise ConfigInvalid(f"config key {path!r}: {value!r} is not a valid {tp.__name__}")
+
+
+def config_from_dict(cls, doc, path: str = ""):
+    """Inverse of :func:`config_to_dict`; absent keys take field defaults.
+    A wrong JSON type, a non-integral number for an integer field, or an
+    unknown key raises :class:`ConfigInvalid`."""
+    if not isinstance(doc, dict):
+        where = f"config key {path!r}" if path else "config"
+        raise ConfigInvalid(f"{where} must be a JSON object, got {doc!r}")
+    types = typing.get_type_hints(cls)
+    fields = {f.metadata.get("json_key", f.name): f for f in dataclasses.fields(cls)}
+    prefix = f"{path}." if path else ""
+    unknown = [prefix + k for k in doc if k not in fields]
+    if unknown:
+        raise ConfigInvalid(f"unknown config keys {unknown!r}")
+    kwargs = {
+        f.name: _decode(types[f.name], doc[k], prefix + k)
+        for k, f in fields.items()
+        if k in doc
+    }
+    return cls(**kwargs)

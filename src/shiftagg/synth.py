@@ -15,18 +15,18 @@ config seed; identical configs produce bitwise-identical tasks.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
-from .aggregation import empirical_risk
+from .aggregation import empirical_risk, model_risks
 from .data import PredictionBundle, SourceDataset, TargetDataset
 from .errors import ConfigInvalid, SingularFit
 from .ratio import DEFAULT_BOUND, RatioFitConfig, RatioModel, analytic_gaussian_ratio
 from .ratio import evaluate_ratio, fit_ratio
 from .selection import MethodRow, build_method_rows
-from .serialize import aligned_table, fmt_float
+from .serialize import aligned_table, config_to_dict, fmt_float
 
 __all__ = [
     "SynthTaskConfig",
@@ -102,40 +102,6 @@ class SynthTaskConfig:
             if any(v <= 0 for v in grid):
                 raise ConfigInvalid("ridge_grid values must be positive")
             object.__setattr__(self, "ridge_grid", grid)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d1": self.d1,
-            "d2": self.d2,
-            "n_s": self.n_s,
-            "n_t": self.n_t,
-            "source_mean": list(self.source_mean),
-            "target_mean": list(self.target_mean),
-            "shared_cov_scale": self.shared_cov_scale,
-            "noise_std": self.noise_std,
-            "bayes_kind": self.bayes_kind,
-            "model_family": self.model_family,
-            "family_size": self.family_size,
-            "ridge_grid": None if self.ridge_grid is None else list(self.ridge_grid),
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "SynthTaskConfig":
-        try:
-            kwargs = {}
-            for key in (
-                "d1", "d2", "n_s", "n_t", "shared_cov_scale", "noise_std",
-                "bayes_kind", "model_family", "family_size", "seed",
-            ):
-                if key in doc:
-                    kwargs[key] = doc[key]
-            for key in ("source_mean", "target_mean", "ridge_grid"):
-                if doc.get(key) is not None:
-                    kwargs[key] = tuple(doc[key])
-            return SynthTaskConfig(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"bad task config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -308,16 +274,13 @@ def generate_task(cfg: SynthTaskConfig) -> SynthTask:
         target=TargetDataset(features=xt, oracle_labels=yt),
         provenance=f"synthetic task seed={cfg.seed}",
     )
-    true_risks = tuple(
-        empirical_risk(target_preds[k], yt) for k in range(cfg.family_size)
-    )
     return SynthTask(
         bundle=bundle,
         analytic_ratio=analytic_gaussian_ratio(
             cfg.source_mean, cfg.target_mean, cfg.shared_cov_scale, DEFAULT_BOUND
         ),
         bayes_target_risk=empirical_risk(bayes.predict(xt), yt),
-        true_model_risks=true_risks,
+        true_model_risks=model_risks(target_preds, yt),
         predictors=predictors,
         bayes_model=bayes,
         config=cfg,
@@ -329,48 +292,29 @@ def generate_task(cfg: SynthTaskConfig) -> SynthTask:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Task template plus ratio-estimation settings for a trial suite."""
+    """Task template plus ratio-estimation settings for a trial suite.
+
+    ``ratio.estimator`` takes the value of ``estimator``; a ratio config
+    that names the non-default estimator against it is a conflict.
+    """
 
     task: SynthTaskConfig = SynthTaskConfig()
     estimator: str | None = "ulsif"
     ratio: RatioFitConfig = RatioFitConfig()
-    lam: float | None = None
+    lam: float | None = field(default=None, metadata={"json_key": "lambda"})
 
     def __post_init__(self):
         if self.estimator not in (None, "ulsif", "logistic"):
             raise ConfigInvalid(f"unknown estimator {self.estimator!r}")
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "SuiteConfig":
-        task = SynthTaskConfig.from_json_dict(doc.get("task", {}))
-        ratio = RatioFitConfig.from_json_dict(doc.get("ratio", {}))
-        lam = doc.get("lambda")
-        return SuiteConfig(
-            task=task,
-            estimator=doc.get("estimator", "ulsif"),
-            ratio=ratio,
-            lam=None if lam is None else float(lam),
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "task": self.task.to_json_dict(),
-            "estimator": self.estimator,
-            "ratio": {
-                "estimator": self.ratio.estimator,
-                "kernel_widths": (
-                    None
-                    if self.ratio.kernel_widths is None
-                    else list(self.ratio.kernel_widths)
-                ),
-                "ridge_strengths": list(self.ratio.ridge_strengths),
-                "n_centers": self.ratio.n_centers,
-                "cv_folds": self.ratio.cv_folds,
-                "bound": self.ratio.bound,
-                "seed": self.ratio.seed,
-            },
-            "lambda": self.lam,
-        }
+        if self.estimator is not None and self.ratio.estimator != self.estimator:
+            if self.ratio.estimator != RatioFitConfig.estimator:
+                raise ConfigInvalid(
+                    f"ratio.estimator {self.ratio.estimator!r} conflicts with "
+                    f"estimator {self.estimator!r}"
+                )
+            object.__setattr__(
+                self, "ratio", replace(self.ratio, estimator=self.estimator)
+            )
 
 
 @dataclass(frozen=True)
@@ -406,7 +350,7 @@ class SuiteReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": self.config.to_json_dict(),
+            "config": config_to_dict(self.config),
             "trials": self.trials,
             "aggregate": self.aggregate,
             "per_trial": [t.to_json_dict() for t in self.per_trial],
@@ -443,9 +387,10 @@ def _run_trial(cfg: SuiteConfig, trial: int, task_seed: int, ratio_seed: int):
     task = generate_task(replace(cfg.task, seed=task_seed))
     betas: dict[str, object] = {"analytic": task.analytic_ratio}
     if cfg.estimator is not None:
-        rcfg = replace(cfg.ratio, estimator=cfg.estimator, seed=ratio_seed)
         betas[cfg.estimator] = fit_ratio(
-            task.bundle.source.features, task.bundle.target.features, rcfg
+            task.bundle.source.features,
+            task.bundle.target.features,
+            replace(cfg.ratio, seed=ratio_seed),
         )
     rows = build_method_rows(task.bundle, betas, cfg.lam)
     return TrialRecord(

@@ -9,6 +9,7 @@ from shiftagg.aggregation import (
     compute_gram,
     empirical_risk,
     importance_weighted_risk,
+    model_risks,
     oracle_aggregate,
     run_aggregation,
     solve_coefficients,
@@ -224,6 +225,19 @@ class TestRisks:
             importance_weighted_risk(preds, labels, beta)
             - risk_loop(preds, labels, beta)
         ) <= 1e-14
+
+    @pytest.mark.parametrize("d2", [1, 3])
+    def test_model_risks_equal_single_model_evaluators(self, d2):
+        rng = np.random.Generator(np.random.Philox(21))
+        preds = rng.standard_normal((4, 25, d2))
+        labels = rng.standard_normal((25, d2))
+        beta = rng.uniform(0, 3, 25)
+        plain = model_risks(preds, labels)
+        weighted = model_risks(preds, labels, beta)
+        assert plain.shape == weighted.shape == (4,)
+        for k in range(4):
+            assert plain[k] == empirical_risk(preds[k], labels)
+            assert weighted[k] == importance_weighted_risk(preds[k], labels, beta)
 
 
 class TestRunAggregation:

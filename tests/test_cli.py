@@ -101,6 +101,22 @@ class TestAggregate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "body",
+        ["0,1.0\n1,abc\n2,1.0\n", "0,1.0\n1\n2,1.0\n", "1,1.0\n0,2.0\n2,1.0\n"],
+        ids=["non_numeric_cell", "one_cell_row", "shuffled_ids"],
+    )
+    def test_malformed_beta_file_exit_2(self, body, tmp_path, capsys):
+        write_bundle(build_bundle(m=2, n_s=3, seed=62), tmp_path / "b")
+        beta = tmp_path / "beta.csv"
+        beta.write_text("id,beta\n" + body)
+        code = main(
+            ["aggregate", "--input", str(tmp_path / "b"), "--output",
+             str(tmp_path / "out"), "--beta", str(beta)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_duplicate_models_lambda_zero_exit_3(self, tmp_path):
         base = build_bundle(m=1, n_s=10, n_t=10, seed=61)
         dup = PredictionBundle(
@@ -196,6 +212,20 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--output",
                      str(tmp_path / "out")]) == 2
 
+    def test_estimator_recorded_in_ratio_config(self, tmp_path):
+        cfg = tmp_path / "suite.json"
+        write_json(
+            cfg,
+            {"estimator": "logistic", "task": {"n_s": 60, "n_t": 60, "family_size": 3}},
+        )
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--output", str(out),
+                     "--trials", "1"]) == 0
+        doc = json.loads((out / "suite.json").read_text())
+        assert doc["config"]["ratio"]["estimator"] == "logistic"
+        methods = {r["method"] for r in doc["per_trial"][0]["rows"]}
+        assert "aggregate_logistic" in methods and "aggregate_ulsif" not in methods
+
     def test_dump_tasks_round_trips_through_pipeline(self, tmp_path):
         cfg = self._cfg(tmp_path, trials=2)
         out = tmp_path / "out"
@@ -205,6 +235,30 @@ class TestBench:
         assert (task_dir / "manifest.json").is_file()
         assert main(["aggregate", "--input", str(task_dir), "--output",
                      str(tmp_path / "agg"), "--analytic"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("bench", {"ratio": {"n_centers": 2.5}}),
+        ("bench", {"lambda": "x"}),
+        ("bench", {"task": [1]}),
+        ("bench", {"task": {"famly_size": 3}}),
+        ("bench", {"ratio": {"estimator": "logistic"}}),
+        ("estimate-ratio", {"n_centers": 2.5}),
+        ("estimate-ratio", [1, 2]),
+        ("estimate-ratio", {"estimater": "logistic"}),
+        ("estimate-ratio", {"seed": 1.7}),
+    ],
+)
+def test_bad_config_exit_2(command, doc, task_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    args = [command, "--config", str(cfg), "--output", str(tmp_path / "out")]
+    args += ["--trials", "1"] if command == "bench" else ["--input", str(task_dir)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestProbe:

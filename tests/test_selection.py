@@ -2,16 +2,18 @@
 
 import numpy as np
 
+from shiftagg import aggregation, selection
 from shiftagg.aggregation import empirical_risk
 from shiftagg.data import PredictionBundle, SourceDataset, TargetDataset
-from shiftagg.ratio import evaluate_ratio
+from shiftagg.ratio import RatioFitConfig, evaluate_ratio
 from shiftagg.selection import (
     RESERVED_METHOD_NAMES,
+    build_method_rows,
     compare_methods,
     select_iwv,
     select_source_risk,
 )
-from shiftagg.synth import SynthTaskConfig, generate_task
+from shiftagg.synth import SuiteConfig, SynthTaskConfig, generate_task, run_suite
 
 from conftest import build_bundle
 
@@ -179,3 +181,31 @@ class TestCompareMethods:
         bundle = build_bundle(m=2, with_oracle=True, seed=43)
         table = compare_methods(bundle, np.ones(3)).format_table()
         assert "method" in table and "select_source" in table
+
+
+def test_target_gram_is_built_once_per_comparison(monkeypatch):
+    calls = []
+    real = aggregation.compute_gram
+
+    def counting(preds):
+        calls.append(1)
+        return real(preds)
+
+    for module in (aggregation, selection):
+        monkeypatch.setattr(module, "compute_gram", counting)
+    bundle = build_bundle(m=3, n_s=6, n_t=5, with_oracle=True, seed=44)
+    rows = build_method_rows(
+        bundle, {"a": np.ones(6), "b": np.linspace(0.5, 1.5, 6)}, None
+    )
+    assert {"aggregate_oracle", "aggregate_a", "aggregate_b"} <= {
+        r.method for r in rows
+    }
+    assert len(calls) == 1
+
+    calls.clear()
+    cfg = SuiteConfig(
+        task=SynthTaskConfig(n_s=60, n_t=60, family_size=3),
+        ratio=RatioFitConfig(n_centers=20, cv_folds=2),
+    )
+    run_suite(cfg, trials=1, seeds=0)
+    assert len(calls) == 1
