@@ -20,7 +20,8 @@ from . import aggregation, probe, ratio, selection, synth
 from .data import _load_table, _parse_numeric
 from .data import load_bundle, load_embeddings, write_bundle
 from .errors import ConfigInvalid, IoFailure, NumericalError, ValidationError
-from .serialize import config_from_dict, read_json, write_csv, write_json
+from .serialize import config_from_dict, decode_value, read_json
+from .serialize import write_csv, write_json
 
 SATURATION_WARN_LEVEL = 0.5
 
@@ -181,6 +182,14 @@ def cmd_estimate_ratio(args) -> int:
             f"{SATURATION_WARN_LEVEL}; the bound B may be too small",
             file=sys.stderr,
         )
+    if model.cv is not None and model.cv["on_grid_edge"]:
+        print(
+            f"warning: cross-validation chose kernel width "
+            f"{model.kernel_width:.6g} and ridge "
+            f"{model.cv['ridges'][model.cv['ridge_index']]:g}, on the edge of "
+            "the grid; the optimum may lie outside it",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -261,15 +270,11 @@ def cmd_bench(args) -> int:
         raise ConfigInvalid("suite config must be a JSON object")
     # trials and seed sit beside the suite config's fields in the same file.
     doc = dict(doc)
-    trials, seed = doc.pop("trials", 100), doc.pop("seed", 0)
+    trials = decode_value(int, doc.pop("trials", 100), "trials")
+    seed = decode_value(int, doc.pop("seed", 0), "seed")
     cfg = config_from_dict(synth.SuiteConfig, doc)
     trials = args.trials if args.trials is not None else trials
     seed = args.seed if args.seed is not None else seed
-    try:
-        trials = int(trials)
-        seed = int(seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad trials/seed: {exc}") from exc
     threads = max(1, args.threads)
 
     report = synth.run_suite(cfg, trials, seed, threads=threads)

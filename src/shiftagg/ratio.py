@@ -68,7 +68,11 @@ class RatioModel:
     ``ulsif`` uses ``centers``/``alpha``/``kernel_width``; ``logistic``
     uses ``classifier_weights`` (length ``d1 + 1``, bias last) and
     ``ns_over_nt``; ``analytic`` uses ``params`` (isotropic-Gaussian pair:
-    ``source_mean``, ``target_mean``, ``cov_scale``).
+    ``source_mean``, ``target_mean``, ``cov_scale``). A fitted ``ulsif``
+    model also carries ``cv``, its cross-validation record: the ``widths``
+    and ``ridges`` grids, the ``scores`` grid (``None`` where a cell was
+    refused), the chosen ``width_index`` and ``ridge_index``, and
+    ``on_grid_edge``, true when either index is first or last in its grid.
     """
 
     kind: str
@@ -79,6 +83,7 @@ class RatioModel:
     classifier_weights: np.ndarray | None = None
     ns_over_nt: float | None = None
     params: dict | None = None
+    cv: dict | None = None
 
     def __post_init__(self):
         if self.kind not in ("ulsif", "logistic", "analytic"):
@@ -231,63 +236,95 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     squared-loss objective is refit on all data; the returned ``alpha`` is
     the exact solution of ``(H + lam*I) alpha = h`` (possibly with negative
     entries, which only evaluation clamps away).
+
+    ``H`` and ``h`` are sums over samples, so each training fold's system is
+    the whole sample's sum minus that fold's part; it is built once per
+    width and solved for every ridge. The returned model's ``cv`` block
+    holds the score grid and the chosen cell.
     """
     xs, xt = _check_xy(source_x, target_x)
     rng = _rng(cfg.seed)
     widths, n_c = _resolve_grid(xs, xt, cfg, rng)
     centers = xt[np.sort(rng.choice(xt.shape[0], n_c, replace=False))]
 
-    folds = cfg.cv_folds
-    fold_s = _fold_ids(xs.shape[0], folds, rng)
-    fold_t = _fold_ids(xt.shape[0], folds, rng)
+    fold_s = _fold_ids(xs.shape[0], cfg.cv_folds, rng)
+    fold_t = _fold_ids(xt.shape[0], cfg.cv_folds, rng)
+    folds = []
+    for f in range(cfg.cv_folds):
+        va_s, va_t = fold_s == f, fold_t == f
+        # A fold is scored only if it leaves samples of both domains on both sides.
+        if 0 < va_s.sum() < len(va_s) and 0 < va_t.sum() < len(va_t):
+            folds.append((va_s, va_t))
+    if not folds:
+        raise ConfigInvalid(
+            f"no cross-validation fold can be scored with n_s={xs.shape[0]}, "
+            f"n_t={xt.shape[0]} and cv_folds={cfg.cv_folds}; each domain needs "
+            "at least two samples"
+        )
 
-    best = None  # (score, width, ridge)
-    for width in widths:
+    ridges = cfg.ridge_strengths
+    scores = np.full((len(widths), len(ridges)), np.nan)
+    for i, width in enumerate(widths):
         K_s = _gaussian_kernel(xs, centers, width)
         K_t = _gaussian_kernel(xt, centers, width)
-        for ridge in cfg.ridge_strengths:
-            scores = []
-            for f in range(folds):
-                tr_s, va_s = K_s[fold_s != f], K_s[fold_s == f]
-                tr_t, va_t = K_t[fold_t != f], K_t[fold_t == f]
-                if min(len(tr_s), len(va_s), len(tr_t), len(va_t)) == 0:
-                    continue
-                try:
-                    alpha = _ulsif_solve(tr_s, tr_t, ridge)
-                except SingularSystem:
-                    scores = None
-                    break
-                b_s = np.clip(va_s @ alpha, 0.0, cfg.bound)
-                b_t = np.clip(va_t @ alpha, 0.0, cfg.bound)
-                scores.append(0.5 * float(np.mean(b_s * b_s)) - float(np.mean(b_t)))
-            if not scores:
-                continue
-            score = float(np.mean(scores))
-            if best is None or score < best[0]:
-                best = (score, width, ridge)
-    if best is None:
+        H_tot, h_tot = K_s.T @ K_s, K_t.sum(axis=0)
+        systems = []
+        for va_s, va_t in folds:
+            V_s, V_t = K_s[va_s], K_t[va_t]
+            H = (H_tot - V_s.T @ V_s) / (len(K_s) - len(V_s))
+            h = (h_tot - V_t.sum(axis=0)) / (len(K_t) - len(V_t))
+            systems.append((H, h, V_s, V_t))
+        for j, ridge in enumerate(ridges):
+            fold_scores = []
+            try:
+                for H, h, V_s, V_t in systems:
+                    alpha = _cho_solve_ridge(H, h, ridge)
+                    b_s = np.clip(V_s @ alpha, 0.0, cfg.bound)
+                    b_t = np.clip(V_t @ alpha, 0.0, cfg.bound)
+                    fold_scores.append(
+                        0.5 * float(np.mean(b_s * b_s)) - float(np.mean(b_t))
+                    )
+            except SingularSystem:
+                continue  # a refusal on any fold drops this ridge for this width
+            scores[i, j] = float(np.mean(fold_scores))
+    if np.isnan(scores).all():
         raise SingularSystem(
             "every (width, ridge) grid cell failed to factorize; enlarge the "
             "ridge grid"
         )
-    _, width, ridge = best
+    i, j = np.unravel_index(np.nanargmin(scores), scores.shape)
+    width, ridge = widths[i], ridges[j]
     alpha = _ulsif_solve(
         _gaussian_kernel(xs, centers, width),
         _gaussian_kernel(xt, centers, width),
         ridge,
     )
+    cv = {
+        "widths": [float(w) for w in widths],
+        "ridges": list(ridges),
+        "scores": [
+            [None if np.isnan(s) else s for s in row] for row in scores.tolist()
+        ],
+        "width_index": int(i),
+        "ridge_index": int(j),
+        "on_grid_edge": i in (0, len(widths) - 1) or j in (0, len(ridges) - 1),
+    }
     return RatioModel(
         kind="ulsif",
         bound=cfg.bound,
         centers=centers,
         alpha=alpha,
         kernel_width=float(width),
+        cv=cv,
     )
 
 
 def _ulsif_solve(K_s: np.ndarray, K_t: np.ndarray, ridge: float) -> np.ndarray:
     H = (K_s.T @ K_s) / K_s.shape[0]
-    h = np.mean(K_t, axis=0)
+    return _cho_solve_ridge(H, np.mean(K_t, axis=0), ridge)
+
+
+def _cho_solve_ridge(H: np.ndarray, h: np.ndarray, ridge: float) -> np.ndarray:
     A = H + ridge * np.eye(H.shape[0])
     try:
         cf = scipy.linalg.cho_factor(A, lower=True)
@@ -482,6 +519,8 @@ def ratio_model_to_dict(model: RatioModel) -> dict:
         doc["kernel_width"] = model.kernel_width
         doc["centers"] = model.centers
         doc["alpha"] = model.alpha
+        if model.cv is not None:
+            doc["cv"] = model.cv
     elif model.kind == "logistic":
         doc["classifier_weights"] = model.classifier_weights
         doc["ns_over_nt"] = model.ns_over_nt
@@ -495,12 +534,16 @@ def ratio_model_from_dict(doc: dict) -> RatioModel:
         kind = doc["kind"]
         bound = float(doc["bound"])
         if kind == "ulsif":
+            cv = doc.get("cv")
+            if cv is not None and not isinstance(cv, dict):
+                raise TypeError(f"cv block must be an object, got {cv!r}")
             return RatioModel(
                 kind=kind,
                 bound=bound,
                 centers=np.asarray(doc["centers"], dtype=np.float64),
                 alpha=np.asarray(doc["alpha"], dtype=np.float64),
                 kernel_width=float(doc["kernel_width"]),
+                cv=cv,
             )
         if kind == "logistic":
             return RatioModel(

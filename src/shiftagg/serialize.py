@@ -28,6 +28,7 @@ __all__ = [
     "aligned_table",
     "config_to_dict",
     "config_from_dict",
+    "decode_value",
 ]
 
 
@@ -171,7 +172,9 @@ def config_to_dict(cfg) -> dict:
     return out
 
 
-def _decode(tp, value, path: str):
+def decode_value(tp, value, path: str):
+    """Decode one JSON value as type ``tp`` by the rules of
+    :func:`config_from_dict`; ``path`` names the key in the error."""
     if type(None) in typing.get_args(tp):
         if value is None:
             return None
@@ -180,7 +183,7 @@ def _decode(tp, value, path: str):
     if dataclasses.is_dataclass(tp):
         return config_from_dict(tp, value, path)
     if typing.get_origin(tp) is tuple and isinstance(value, list):
-        return tuple(_decode(typing.get_args(tp)[0], v, path) for v in value)
+        return tuple(decode_value(typing.get_args(tp)[0], v, path) for v in value)
     if number and (tp is float or tp is int and float(value).is_integer()):
         return tp(value)
     if tp is str and isinstance(value, str):
@@ -202,7 +205,7 @@ def config_from_dict(cls, doc, path: str = ""):
     if unknown:
         raise ConfigInvalid(f"unknown config keys {unknown!r}")
     kwargs = {
-        f.name: _decode(types[f.name], doc[k], prefix + k)
+        f.name: decode_value(types[f.name], doc[k], prefix + k)
         for k, f in fields.items()
         if k in doc
     }

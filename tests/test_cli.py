@@ -74,6 +74,28 @@ class TestEstimateRatio:
         assert code == 0
         assert "beta saturation" in capsys.readouterr().err
 
+    def test_grid_edge_warning(self, task_dir, tmp_path, capsys):
+        cfg = tmp_path / "ratio_cfg.json"
+        # Widths far below the data scale: the widest one wins, on the edge.
+        write_json(cfg, {"kernel_widths": [1e-4, 2e-4], "seed": 1})
+        code = main(
+            ["estimate-ratio", "--input", str(task_dir), "--output",
+             str(tmp_path / "out"), "--config", str(cfg)]
+        )
+        assert code == 0
+        assert "edge of the grid" in capsys.readouterr().err
+        cv = json.loads((tmp_path / "out" / "ratio.json").read_text())["cv"]
+        assert cv["widths"] == [1e-4, 2e-4] and cv["on_grid_edge"] is True
+
+    def test_one_source_row_exit_2(self, tmp_path, capsys):
+        write_bundle(build_bundle(n_s=1, n_t=4), tmp_path / "b")
+        code = main(
+            ["estimate-ratio", "--input", str(tmp_path / "b"), "--output",
+             str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "n_s=1" in capsys.readouterr().err
+
 
 class TestAggregate:
     def test_analytic_flag(self, task_dir, tmp_path):
@@ -245,6 +267,8 @@ class TestBench:
         ("bench", {"task": [1]}),
         ("bench", {"task": {"famly_size": 3}}),
         ("bench", {"ratio": {"estimator": "logistic"}}),
+        ("bench", {"seed": True, "trials": 1}),
+        ("bench", {"seed": 1.7, "trials": 1}),
         ("estimate-ratio", {"n_centers": 2.5}),
         ("estimate-ratio", [1, 2]),
         ("estimate-ratio", {"estimater": "logistic"}),

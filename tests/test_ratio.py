@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftagg import ratio
 from shiftagg.errors import (
     AllZeroWeights,
     ConfigInvalid,
     DimensionMismatch,
     EmptyInput,
+    MalformedFile,
     NonConvergence,
+    SingularSystem,
 )
 from shiftagg.ratio import (
     RatioFitConfig,
@@ -20,9 +23,12 @@ from shiftagg.ratio import (
     fit_logistic_ratio,
     fit_ulsif,
     load_ratio_model,
+    ratio_model_from_dict,
+    ratio_model_to_dict,
     save_ratio_model,
     self_normalize,
 )
+from shiftagg.synth import SynthTaskConfig, generate_task
 
 
 def gaussian_pair(n=2000, shift=0.5, seed=99):
@@ -102,6 +108,166 @@ class TestUlsif:
         fwd = evaluate_ratio(fit_ulsif(xs, xt, RatioFitConfig(seed=3)), GRID)
         bwd = evaluate_ratio(fit_ulsif(xt, xs, RatioFitConfig(seed=3)), GRID)
         assert abs(float(np.median(fwd * bwd)) - 1.0) < 0.15
+
+
+def reference_fit_ulsif(xs, xt, cfg):
+    """The per-cell cross-validation loop that the fold-sum one replaced.
+
+    Every (width, ridge, fold) cell builds its training system from the
+    training rows directly. Returns the chosen grid indices, the refit
+    ``alpha`` and the score grid (NaN where a cell was refused).
+    """
+    rng = ratio._rng(cfg.seed)
+    widths, n_c = ratio._resolve_grid(xs, xt, cfg, rng)
+    centers = xt[np.sort(rng.choice(xt.shape[0], n_c, replace=False))]
+    folds = cfg.cv_folds
+    fold_s = ratio._fold_ids(xs.shape[0], folds, rng)
+    fold_t = ratio._fold_ids(xt.shape[0], folds, rng)
+    grid = np.full((len(widths), len(cfg.ridge_strengths)), np.nan)
+    best = None  # (score, width index, ridge index)
+    for i, width in enumerate(widths):
+        K_s = ratio._gaussian_kernel(xs, centers, width)
+        K_t = ratio._gaussian_kernel(xt, centers, width)
+        for j, ridge in enumerate(cfg.ridge_strengths):
+            scores = []
+            for f in range(folds):
+                tr_s, va_s = K_s[fold_s != f], K_s[fold_s == f]
+                tr_t, va_t = K_t[fold_t != f], K_t[fold_t == f]
+                if min(len(tr_s), len(va_s), len(tr_t), len(va_t)) == 0:
+                    continue
+                try:
+                    alpha = ratio._ulsif_solve(tr_s, tr_t, ridge)
+                except SingularSystem:
+                    scores = None
+                    break
+                b_s = np.clip(va_s @ alpha, 0.0, cfg.bound)
+                b_t = np.clip(va_t @ alpha, 0.0, cfg.bound)
+                scores.append(0.5 * float(np.mean(b_s * b_s)) - float(np.mean(b_t)))
+            if not scores:
+                continue
+            grid[i, j] = float(np.mean(scores))
+            if best is None or grid[i, j] < best[0]:
+                best = (grid[i, j], i, j)
+    if best is None:
+        raise SingularSystem("every (width, ridge) grid cell failed")
+    _, i, j = best
+    alpha = ratio._ulsif_solve(
+        ratio._gaussian_kernel(xs, centers, widths[i]),
+        ratio._gaussian_kernel(xt, centers, widths[i]),
+        cfg.ridge_strengths[j],
+    )
+    return (i, j), alpha, grid
+
+
+def suite_task_features(seed, n=500):
+    task = generate_task(SynthTaskConfig(n_s=n, n_t=n, seed=seed))
+    return task.bundle.source.features, task.bundle.target.features
+
+
+def assert_matches_reference(xs, xt, cfg):
+    model = fit_ulsif(xs, xt, cfg)
+    chosen, alpha, grid = reference_fit_ulsif(xs, xt, cfg)
+    cv = model.cv
+    assert (cv["width_index"], cv["ridge_index"]) == chosen
+    assert model.kernel_width == cv["widths"][chosen[0]]
+    assert np.array_equal(model.alpha, alpha)
+    scores = np.array(cv["scores"], dtype=float)
+    assert np.array_equal(np.isnan(scores), np.isnan(grid))
+    ok = ~np.isnan(grid)
+    np.testing.assert_allclose(scores[ok], grid[ok], rtol=1e-12, atol=0)
+    return model
+
+
+class TestUlsifFoldSums:
+    """The fold-sum cross-validation against the per-cell reference loop."""
+
+    def test_suite_size_tasks(self):
+        edges = set()
+        for seed in range(50):
+            xs, xt = suite_task_features(seed)
+            model = assert_matches_reference(xs, xt, RatioFitConfig(seed=seed + 100))
+            edges.add(model.cv["on_grid_edge"])
+        assert edges == {True, False}
+
+    def test_large_task(self):
+        xs, xt = suite_task_features(3, n=5000)
+        assert_matches_reference(xs, xt, RatioFitConfig(seed=4))
+
+    def test_one_dimensional_task(self):
+        xs, xt = gaussian_pair(n=400, seed=13)
+        assert_matches_reference(xs, xt, RatioFitConfig(seed=5))
+
+    def test_fewer_source_samples_than_folds(self):
+        rng = np.random.Generator(np.random.Philox(14))
+        xs, xt = rng.standard_normal((3, 2)), rng.normal(0.3, 1.0, (40, 2))
+        model = assert_matches_reference(xs, xt, RatioFitConfig(seed=6))
+        assert not np.isnan(np.array(model.cv["scores"], dtype=float)).any()
+
+    @staticmethod
+    def _refusing_solver(monkeypatch, refuse):
+        """Route every Cholesky solve through ``refuse(ridge, nth call at
+        that ridge)``; returns the list of ridges solved for."""
+        solve, calls = ratio._cho_solve_ridge, []
+
+        def fake(H, h, ridge):
+            calls.append(ridge)
+            if refuse(ridge, calls.count(ridge)):
+                raise SingularSystem(f"refused ridge={ridge!r}")
+            return solve(H, h, ridge)
+
+        monkeypatch.setattr(ratio, "_cho_solve_ridge", fake)
+        return calls
+
+    @pytest.mark.parametrize("last_fold_only", [False, True])
+    def test_refused_ridge_dropped_for_every_width(self, monkeypatch, last_fold_only):
+        xs, xt = suite_task_features(21)
+        cfg = RatioFitConfig(seed=22)
+        widths = len(ratio.DEFAULT_WIDTH_SCALES)
+        ridges, folds = len(cfg.ridge_strengths), cfg.cv_folds
+        bad = cfg.ridge_strengths[0]
+
+        def refuse(ridge, nth):
+            return ridge == bad and (nth % folds == 0 or not last_fold_only)
+
+        calls = self._refusing_solver(monkeypatch, refuse)
+        model = fit_ulsif(xs, xt, cfg)
+        assert [row[0] for row in model.cv["scores"]] == [None] * widths
+        assert all(s is not None for row in model.cv["scores"] for s in row[1:])
+        assert model.cv["ridge_index"] != 0
+        # Solves for the refused ridge stop at the refusing fold.
+        per_width = folds if last_fold_only else 1
+        assert calls.count(bad) == widths * per_width
+        assert len(calls) == widths * ((ridges - 1) * folds + per_width) + 1
+        calls.clear()
+        assert_matches_reference(xs, xt, cfg)
+
+    def test_refusing_every_ridge_raises(self, monkeypatch):
+        self._refusing_solver(monkeypatch, lambda ridge, nth: True)
+        xs, xt = gaussian_pair(n=100)
+        with pytest.raises(SingularSystem, match="every"):
+            fit_ulsif(xs, xt, RatioFitConfig(seed=1))
+
+    @pytest.mark.parametrize("n_s, n_t", [(1, 3), (3, 1), (1, 1)])
+    def test_too_few_samples_for_cv_is_config_invalid(self, n_s, n_t):
+        with pytest.raises(ConfigInvalid, match=f"n_s={n_s}, n_t={n_t}.*cv_folds=5"):
+            fit_ulsif(np.zeros((n_s, 2)), np.ones((n_t, 2)), RatioFitConfig())
+
+    def test_cv_block_grid_edge_flag(self):
+        xs, xt = gaussian_pair()
+        # Widths far below the data scale: the widest one wins, on the edge.
+        widths = (1e-3, 2e-3, 4e-3)
+        model = fit_ulsif(xs, xt, RatioFitConfig(kernel_widths=widths, seed=3))
+        cv = model.cv
+        assert cv["widths"] == list(widths)
+        assert cv["ridges"] == list(RatioFitConfig().ridge_strengths)
+        assert cv["width_index"] == 2 and cv["on_grid_edge"] is True
+        # A suite task whose choice lies inside both grids.
+        xs, xt = suite_task_features(6)
+        cv = fit_ulsif(xs, xt, RatioFitConfig(seed=6)).cv
+        assert 0 < cv["width_index"] < 4 and 0 < cv["ridge_index"] < 3
+        assert cv["on_grid_edge"] is False
+        scores = np.array(cv["scores"], dtype=float)
+        assert scores[cv["width_index"], cv["ridge_index"]] == scores.min()
 
 
 class TestLogistic:
@@ -246,8 +412,18 @@ class TestModelSerialization:
         assert np.array_equal(loaded.alpha, model.alpha)
         assert np.array_equal(loaded.centers, model.centers)
         assert loaded.kernel_width == model.kernel_width
+        assert loaded.cv == model.cv
         x = xs[:17]
         assert np.array_equal(evaluate_ratio(loaded, x), evaluate_ratio(model, x))
+
+    def test_model_without_cv_block_loads(self):
+        xs, xt = gaussian_pair(n=200)
+        doc = ratio_model_to_dict(fit_ulsif(xs, xt, RatioFitConfig(n_centers=20)))
+        del doc["cv"]
+        assert ratio_model_from_dict(doc).cv is None
+        doc["cv"] = [1, 2]
+        with pytest.raises(MalformedFile, match="cv block"):
+            ratio_model_from_dict(doc)
 
     def test_analytic_round_trip(self, tmp_path):
         model = analytic_gaussian_ratio([0.0, 1.0], [0.5, 1.0], 2.0, bound=7.0)
