@@ -267,12 +267,12 @@ class TestBench:
         ("bench", {"task": [1]}),
         ("bench", {"task": {"famly_size": 3}}),
         ("bench", {"ratio": {"estimator": "logistic"}}),
-        ("bench", {"seed": True, "trials": 1}),
-        ("bench", {"seed": 1.7, "trials": 1}),
         ("estimate-ratio", {"n_centers": 2.5}),
         ("estimate-ratio", [1, 2]),
         ("estimate-ratio", {"estimater": "logistic"}),
         ("estimate-ratio", {"seed": 1.7}),
+        ("bench", {"seed": True, "trials": 1}),
+        ("bench", {"seed": 1.7, "trials": 1}),
     ],
 )
 def test_bad_config_exit_2(command, doc, task_dir, tmp_path, capsys):
