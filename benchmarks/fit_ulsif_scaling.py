@@ -1,12 +1,13 @@
 """Scaling curve of ``shiftagg.ratio.fit_ulsif`` with the default config.
 
 Times one default-config fit (5 widths x 4 ridges x 5 folds, 100 centers)
-at each sample size on seeded synthetic inputs: source ``N(0, I)`` and
-target ``N((0.5, 0, ...), I)`` in 5 dimensions, ``n_s = n_t = n``, as in
-the default bench suite. Each size is timed ``--repeats`` times after one
-untimed warm-up fit; the JSON output holds every time, the median, the CPU
-count and the numpy/BLAS build. Uses the standard library besides numpy
-and shiftagg itself.
+at each size in ``SIZES`` on seeded synthetic inputs: source ``N(0, I)``
+and target ``N((0.5, 0, ...), I)`` in 5 dimensions, ``n_s = n_t = n``, as
+in the default bench suite. Each size is timed ``REPEATS`` times after one
+untimed warm-up fit, with BLAS pinned to one thread (set before numpy
+loads, as in ``perfbench/run.py``); the JSON output holds every time, the
+median, the CPU count and the numpy/BLAS build. Uses the standard library
+besides numpy and shiftagg itself.
 
     PYTHONPATH=src python3 benchmarks/fit_ulsif_scaling.py --output BENCH_3.json
 """
@@ -21,17 +22,23 @@ import statistics
 import sys
 import time
 
-import numpy as np
+BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_ENV:
+    os.environ[_var] = "1"
 
-from shiftagg.ratio import RatioFitConfig, fit_ulsif
+import numpy as np  # noqa: E402  (after the BLAS thread pin)
 
+from shiftagg.ratio import RatioFitConfig, fit_ulsif  # noqa: E402
+
+SIZES = (500, 5000, 20000)
+REPEATS = 5
+SEED = 0
 DIM = 5
 SHIFT = 0.5
-BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _inputs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.Generator(np.random.Philox(seed))
+def _inputs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.Generator(np.random.Philox(SEED))
     xs = rng.standard_normal((n, DIM))
     xt = rng.standard_normal((n, DIM))
     xt[:, 0] += SHIFT
@@ -39,10 +46,7 @@ def _inputs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _blas_build() -> dict:
-    try:
-        deps = np.show_config(mode="dicts")["Build Dependencies"]
-    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
-        return {}
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
     return {
         k: {f: deps[k].get(f) for f in ("name", "version", "openblas configuration")}
         for k in ("blas", "lapack")
@@ -50,12 +54,12 @@ def _blas_build() -> dict:
     }
 
 
-def time_fits(n: int, repeats: int, seed: int) -> dict:
-    xs, xt = _inputs(n, seed)
-    cfg = RatioFitConfig(seed=seed)
-    fit_ulsif(xs, xt, cfg)  # warm-up: imports, allocator, BLAS threads
+def time_fits(n: int) -> dict:
+    xs, xt = _inputs(n)
+    cfg = RatioFitConfig(seed=SEED)
+    fit_ulsif(xs, xt, cfg)  # warm-up: imports, allocator
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fit_ulsif(xs, xt, cfg)
         times.append(time.perf_counter() - t0)
@@ -65,23 +69,17 @@ def time_fits(n: int, repeats: int, seed: int) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--output", required=True, help="JSON file to write")
-    p.add_argument("--sizes", default="500,5000,20000", help="comma-separated n")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
-    if args.repeats < 3:
-        p.error("--repeats must be at least 3")
-    sizes = [int(v) for v in args.sizes.split(",")]
 
     curve = []
-    for n in sizes:
-        row = time_fits(n, args.repeats, args.seed)
+    for n in SIZES:
+        row = time_fits(n)
         print(f"fit_ulsif n={n}: median {row['median_s']:.4f} s", file=sys.stderr)
         curve.append(row)
     doc = {
         "benchmark": "fit_ulsif default config",
-        "inputs": {"dim": DIM, "shift": SHIFT, "seed": args.seed},
-        "repeats": args.repeats,
+        "inputs": {"dim": DIM, "shift": SHIFT, "seed": SEED},
+        "repeats": REPEATS,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "machine": platform.machine(),
