@@ -17,11 +17,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import aggregation, probe, ratio, selection, synth
-from .data import _load_table, _parse_numeric
 from .data import load_bundle, load_embeddings, write_bundle
 from .errors import ConfigInvalid, IoFailure, NumericalError, ValidationError
 from .serialize import config_from_dict, decode_value, read_json
-from .serialize import write_csv, write_json
+from .serialize import read_csv, write_csv, write_json, write_text
 
 SATURATION_WARN_LEVEL = 0.5
 
@@ -106,17 +105,14 @@ def _ensure_outdir(path: str) -> str:
 
 
 def _load_beta_csv(path, n_expected: int) -> np.ndarray:
-    header, rows = _load_table(path, 2)
+    header, beta = read_csv(path, 2)
     if header != ["id", "beta"]:
         raise ConfigInvalid(f"{path}: expected header 'id,beta'")
-    if len(rows) != n_expected:
+    if len(beta) != n_expected:
         raise ConfigInvalid(
-            f"{path}: {len(rows)} weights for {n_expected} source samples"
+            f"{path}: {len(beta)} weights for {n_expected} source samples"
         )
-    ids = _parse_numeric(path, rows, 1, 0)[:, 0]
-    if not np.array_equal(ids, np.arange(n_expected)):
-        raise ConfigInvalid(f"{path}: ids must run 0..{n_expected - 1} in order")
-    return _parse_numeric(path, rows, 1, 1)[:, 0]
+    return beta[:, 0]
 
 
 def _resolve_ratio_arg(args, bundle):
@@ -169,7 +165,7 @@ def cmd_estimate_ratio(args) -> int:
     write_csv(
         os.path.join(outdir, "beta.csv"),
         ["id", "beta"],
-        ([i, b] for i, b in enumerate(beta)),
+        beta[:, None],
     )
     print(
         f"estimate-ratio: kind={model.kind} bound={model.bound:g} "
@@ -220,7 +216,7 @@ def cmd_aggregate(args) -> int:
     write_csv(
         os.path.join(outdir, "aggregated_predictions.csv"),
         ["id"] + [f"f_{j + 1}" for j in range(d2)],
-        ([i] + list(row) for i, row in enumerate(agg_target)),
+        agg_target,
     )
 
     doc = result.to_json_dict()
@@ -283,13 +279,7 @@ def cmd_bench(args) -> int:
     doc_out["seed"] = seed
     write_json(os.path.join(outdir, "suite.json"), doc_out)
     table = report.format_table()
-    try:
-        with open(
-            os.path.join(outdir, "suite.txt"), "w", encoding="utf-8", newline="\n"
-        ) as fh:
-            fh.write(table)
-    except OSError as exc:
-        raise IoFailure(f"cannot write suite.txt: {exc}") from exc
+    write_text(os.path.join(outdir, "suite.txt"), table)
     sys.stdout.write(table)
 
     for i in range(min(args.dump_tasks, trials)):

@@ -29,7 +29,6 @@ from .errors import (
     EmptyLayer,
     IoFailure,
     MalformedFile,
-    MissingFile,
     NonFiniteValue,
 )
 from .serialize import read_csv, read_json, write_csv, write_json
@@ -358,6 +357,7 @@ class LayerEmbeddingSet:
 # source.csv     id,x_1..x_d1,y_1..y_d2      (x columns optional)
 # target.csv     id,x_1..x_d1[,y_1..y_d2]    (both optional)
 # model_<name>_source.csv / model_<name>_target.csv   id,f_1..f_d2
+# Every CSV's id column runs 0..n-1 in order; load_bundle rejects any other.
 
 
 def write_bundle(bundle: PredictionBundle, path) -> None:
@@ -380,87 +380,26 @@ def write_bundle(bundle: PredictionBundle, path) -> None:
     }
     write_json(os.path.join(path, "manifest.json"), manifest)
 
-    def table(*blocks):
-        cols = [b for b in blocks if b is not None]
-        n = cols[0].shape[0] if cols else 0
-        for i in range(n):
-            yield [i] + [v for b in cols for v in b[i]]
+    def table(name, n, *blocks):
+        present = [(a, prefix) for a, prefix in blocks if a is not None]
+        header = ["id"] + [
+            f"{prefix}_{j + 1}" for a, prefix in present for j in range(a.shape[1])
+        ]
+        values = np.hstack([np.empty((n, 0))] + [a for a, _ in present])
+        write_csv(os.path.join(path, name), header, values)
 
-    d2 = bundle.label_dim
-    src_header = ["id"]
-    if bundle.source.features is not None:
-        src_header += [f"x_{j + 1}" for j in range(d1)]
-    src_header += [f"y_{j + 1}" for j in range(d2)]
-    write_csv(
-        os.path.join(path, "source.csv"),
-        src_header,
-        table(bundle.source.features, bundle.source.labels),
-    )
-
-    tgt_header = ["id"]
-    if bundle.target.features is not None:
-        tgt_header += [f"x_{j + 1}" for j in range(bundle.target.features.shape[1])]
-    if bundle.target.oracle_labels is not None:
-        tgt_header += [f"y_{j + 1}" for j in range(d2)]
-    tgt_rows = table(bundle.target.features, bundle.target.oracle_labels)
-    if bundle.target.features is None and bundle.target.oracle_labels is None:
-        tgt_rows = ([i] for i in range(bundle.target.n_samples))
-    write_csv(os.path.join(path, "target.csv"), tgt_header, tgt_rows)
-
-    pred_header = ["id"] + [f"f_{j + 1}" for j in range(d2)]
+    src, tgt = bundle.source, bundle.target
+    n_s, n_t = src.n_samples, tgt.n_samples
+    table("source.csv", n_s, (src.features, "x"), (src.labels, "y"))
+    table("target.csv", n_t, (tgt.features, "x"), (tgt.oracle_labels, "y"))
     for k, name in enumerate(bundle.model_names):
-        write_csv(
-            os.path.join(path, f"model_{name}_source.csv"),
-            pred_header,
-            table(bundle.source_preds[k]),
-        )
-        write_csv(
-            os.path.join(path, f"model_{name}_target.csv"),
-            pred_header,
-            table(bundle.target_preds[k]),
-        )
-
-
-def _parse_numeric(path, rows, n_cols: int, offset: int) -> np.ndarray:
-    out = np.empty((len(rows), n_cols), dtype=np.float64)
-    for i, row in enumerate(rows):
-        for j in range(n_cols):
-            cell = row[offset + j]
-            try:
-                v = float(cell)
-            except ValueError as exc:
-                raise MalformedFile(
-                    f"{path}: row {i}: cannot parse {cell!r} as a number"
-                ) from exc
-            if not np.isfinite(v):
-                raise NonFiniteValue(f"{path}: non-finite value at row {i}")
-            out[i, j] = v
-    return out
-
-
-def _load_table(path, expect_cols: int):
-    header, rows = read_csv(path)
-    if len(header) != expect_cols:
-        raise DimensionMismatch(
-            f"{path}: header has {len(header)} columns, expected {expect_cols}"
-        )
-    for i, row in enumerate(rows):
-        if len(row) != expect_cols:
-            raise DimensionMismatch(
-                f"{path}: row {i} has {len(row)} cells, expected {expect_cols}"
-            )
-    return header, rows
-
-
-def _require(path) -> str:
-    if not os.path.isfile(path):
-        raise MissingFile(f"missing required file {path}")
-    return path
+        table(f"model_{name}_source.csv", n_s, (bundle.source_preds[k], "f"))
+        table(f"model_{name}_target.csv", n_t, (bundle.target_preds[k], "f"))
 
 
 def load_bundle(path) -> PredictionBundle:
     """Load and fully validate a bundle directory."""
-    manifest = read_json(_require(os.path.join(path, "manifest.json")))
+    manifest = read_json(os.path.join(path, "manifest.json"))
     try:
         names = [str(n) for n in manifest["model_names"]]
         d1 = manifest["d1"]
@@ -473,43 +412,36 @@ def load_bundle(path) -> PredictionBundle:
         raise MalformedFile(f"{path}/manifest.json: {exc!r}") from exc
     if (has_sx or has_tx) and not isinstance(d1, int):
         raise MalformedFile(f"{path}/manifest.json: features declared but d1 missing")
+    if d2 < 1 or (has_sx or has_tx) and d1 < 1:
+        raise MalformedFile(f"{path}/manifest.json: d1 and d2 must be positive")
+    n_sx = d1 if has_sx else 0
+    n_tx = d1 if has_tx else 0
 
-    src_path = _require(os.path.join(path, "source.csv"))
-    n_src_cols = 1 + (d1 if has_sx else 0) + d2
-    _, src_rows = _load_table(src_path, n_src_cols)
-    if not src_rows:
-        raise DimensionMismatch(f"{src_path}: no data rows")
-    src_x = _parse_numeric(src_path, src_rows, d1, 1) if has_sx else None
-    src_y = _parse_numeric(src_path, src_rows, d2, 1 + (d1 if has_sx else 0))
-
-    tgt_path = _require(os.path.join(path, "target.csv"))
-    n_tgt_cols = 1 + (d1 if has_tx else 0) + (d2 if has_ty else 0)
-    _, tgt_rows = _load_table(tgt_path, n_tgt_cols)
-    if not tgt_rows:
-        raise DimensionMismatch(f"{tgt_path}: no data rows")
-    tgt_x = _parse_numeric(tgt_path, tgt_rows, d1, 1) if has_tx else None
-    tgt_y = (
-        _parse_numeric(tgt_path, tgt_rows, d2, 1 + (d1 if has_tx else 0))
-        if has_ty
-        else None
+    _, src = read_csv(os.path.join(path, "source.csv"), 1 + n_sx + d2)
+    tgt_width = 1 + n_tx + (d2 if has_ty else 0)
+    _, tgt = read_csv(os.path.join(path, "target.csv"), tgt_width)
+    n_s, n_t = len(src), len(tgt)
+    source = SourceDataset(
+        labels=src[:, n_sx:], features=src[:, :n_sx] if has_sx else None
     )
-
-    n_s, n_t = len(src_rows), len(tgt_rows)
-    source = SourceDataset(labels=src_y, features=src_x)
-    target = TargetDataset(features=tgt_x, oracle_labels=tgt_y, n_samples_hint=n_t)
+    target = TargetDataset(
+        features=tgt[:, :n_tx] if has_tx else None,
+        oracle_labels=tgt[:, n_tx:] if has_ty else None,
+        n_samples_hint=n_t,
+    )
 
     sp = np.empty((len(names), n_s, d2))
     tp = np.empty((len(names), n_t, d2))
     for k, name in enumerate(names):
         for which, n_rows, dest in (("source", n_s, sp), ("target", n_t, tp)):
-            fpath = _require(os.path.join(path, f"model_{name}_{which}.csv"))
-            _, rows = _load_table(fpath, 1 + d2)
-            if len(rows) != n_rows:
+            fpath = os.path.join(path, f"model_{name}_{which}.csv")
+            _, preds = read_csv(fpath, 1 + d2)
+            if len(preds) != n_rows:
                 raise DimensionMismatch(
-                    f"{fpath}: {len(rows)} rows, expected {n_rows} to match "
+                    f"{fpath}: {len(preds)} rows, expected {n_rows} to match "
                     f"{which}.csv"
                 )
-            dest[k] = _parse_numeric(fpath, rows, d2, 1)
+            dest[k] = preds
 
     return PredictionBundle(
         model_names=tuple(names),

@@ -12,15 +12,17 @@ import dataclasses
 import json
 import math
 import typing
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import ConfigInvalid, IoFailure, MalformedFile, MissingFile
+from .errors import ConfigInvalid, DimensionMismatch, IoFailure, MalformedFile
+from .errors import MissingFile, NonFiniteValue
 
 __all__ = [
     "fmt_float",
     "dumps_canonical",
+    "write_text",
     "write_json",
     "read_json",
     "write_csv",
@@ -90,57 +92,124 @@ def dumps_canonical(obj: Any, indent: int = 2) -> str:
     return "".join(out)
 
 
-def write_json(path, obj: Any) -> None:
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 with ``\\n`` line endings."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(dumps_canonical(obj))
+            fh.write(text)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _read_text(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise MissingFile(f"missing file {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def write_json(path, obj: Any) -> None:
+    write_text(path, dumps_canonical(obj))
 
 
 def read_json(path) -> Any:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError as exc:
-        raise MissingFile(f"missing JSON file {path}") from exc
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a comma-separated table; floats at 17 significant digits."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                cells = []
-                for v in row:
-                    if isinstance(v, (float, np.floating)):
-                        cells.append(fmt_float(float(v)))
-                    else:
-                        cells.append(str(v))
-                fh.write(",".join(cells) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write a comma-separated table, formatted with one ``%`` operation.
+
+    ``rows`` is a 2-D float array, written after an ``id`` column 0..n-1
+    (``%d``), or a sequence of equal-length rows. A column whose first cell
+    is a float is written at 17 significant digits (``%.17g``, exact round
+    trip; a non-finite value raises ``ValueError``), any other with ``%s``.
+    """
+    if isinstance(rows, np.ndarray):
+        columns = [range(len(rows))] + [c.tolist() for c in rows.T]
+        formats = ["%d"] + ["%.17g"] * rows.shape[1]
+    else:
+        columns = list(zip(*rows))
+        formats = [
+            "%.17g" if isinstance(c[0], (float, np.floating)) else "%s"
+            for c in columns
+        ]
+    for col, f in zip(columns, formats):
+        if f == "%.17g" and not np.isfinite(col).all():
+            raise ValueError("refusing to serialize non-finite float")
+    n = len(columns[0]) if columns else 0
+    cells = [None] * (n * len(columns))
+    for j, col in enumerate(columns):
+        cells[j :: len(columns)] = col
+    row = ",".join(formats) + "\n"
+    write_text(path, ",".join(header) + "\n" + row * n % tuple(cells))
 
 
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Read a comma-separated table; returns (header, rows of raw strings)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+def read_csv(path, width: int | None = None):
+    """Read a comma-separated table; returns ``(header, rows)``.
+
+    Without ``width`` the rows are lists of raw strings. With ``width`` the
+    table must be one :func:`write_csv` writes from an array: ``width``
+    cells in the header and in every row, at least one row, ids 0..n-1 in
+    order, and finite numbers as ``float`` reads them. ``rows`` is then the
+    ``(n, width - 1)`` float64 matrix after the ids, parsed in one NumPy
+    call.
+    """
+    lines = _read_text(path).splitlines()
     if not lines:
         raise MalformedFile(f"{path}: empty file")
     header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:] if line != ""]
-    return header, rows
+    lines = list(filter(None, lines[1:]))
+    if width is None:
+        return header, [line.split(",") for line in lines]
+    if len(header) != width:
+        raise DimensionMismatch(
+            f"{path}: header has {len(header)} columns, expected {width}"
+        )
+    n = len(lines)
+    if n == 0:
+        raise DimensionMismatch(f"{path}: no data rows")
+    # Rows are joined with a "\n" cell between them, which no cell can
+    # contain; every row has ``width`` cells exactly when these separators
+    # fall every ``width + 1`` cells.
+    cells = ",\n,".join(lines).split(",")
+    separators = cells[width :: width + 1]
+    if len(cells) != n * (width + 1) - 1 or separators.count("\n") != n - 1:
+        i = next(i for i, line in enumerate(lines) if line.count(",") != width - 1)
+        raise DimensionMismatch(
+            f"{path}: row {i} has {lines[i].count(',') + 1} cells, expected {width}"
+        )
+    del cells[width :: width + 1]
+    try:
+        table = np.array(cells, np.float64).reshape(n, width)
+    except ValueError:
+        for i, line in enumerate(lines):
+            for cell in line.split(","):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise MalformedFile(
+                        f"{path}: row {i}: cannot parse {cell!r} as a number"
+                    ) from None
+        raise
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise NonFiniteValue(f"{path}: non-finite value at row {np.argmin(finite)}")
+    misplaced = np.flatnonzero(table[:, 0] != np.arange(n))
+    if misplaced.size:
+        i = misplaced[0]
+        raise MalformedFile(
+            f"{path}: row {i} has id {lines[i].split(',', 1)[0]!r}; ids must "
+            f"run 0..{n - 1} in order"
+        )
+    return header, np.ascontiguousarray(table[:, 1:])
 
 
 def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -1,0 +1,256 @@
+"""Whole-table CSV codec against the per-cell writer and parser it replaced.
+
+``reference_write_csv`` and ``reference_parse`` are the pre-codec
+``serialize.write_csv`` and ``data._parse_numeric``, kept verbatim as the
+test reference: the codec must write the same bytes, load the same bits,
+and reject the same cells with the same error types.
+"""
+
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from shiftagg.data import (
+    PredictionBundle,
+    SourceDataset,
+    TargetDataset,
+    load_bundle,
+    write_bundle,
+)
+from shiftagg.errors import (
+    DimensionMismatch,
+    MalformedFile,
+    NonFiniteValue,
+    ShiftAggError,
+)
+from shiftagg.serialize import fmt_float, read_csv, write_csv
+
+from conftest import build_bundle
+
+
+def reference_write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = []
+            for v in row:
+                if isinstance(v, (float, np.floating)):
+                    cells.append(fmt_float(float(v)))
+                else:
+                    cells.append(str(v))
+            fh.write(",".join(cells) + "\n")
+
+
+def reference_parse(path, rows, n_cols: int, offset: int) -> np.ndarray:
+    out = np.empty((len(rows), n_cols), dtype=np.float64)
+    for i, row in enumerate(rows):
+        for j in range(n_cols):
+            cell = row[offset + j]
+            try:
+                v = float(cell)
+            except ValueError as exc:
+                raise MalformedFile(
+                    f"{path}: row {i}: cannot parse {cell!r} as a number"
+                ) from exc
+            if not np.isfinite(v):
+                raise NonFiniteValue(f"{path}: non-finite value at row {i}")
+            out[i, j] = v
+    return out
+
+
+def reference_bundle_tables(bundle):
+    """``(file name, header, rows)`` of each CSV the per-cell writer wrote."""
+
+    def table(*blocks):
+        cols = [b for b in blocks if b is not None]
+        n = cols[0].shape[0] if cols else 0
+        for i in range(n):
+            yield [i] + [v for b in cols for v in b[i]]
+
+    src, tgt = bundle.source, bundle.target
+    d2 = bundle.label_dim
+    src_header = ["id"]
+    if src.features is not None:
+        src_header += [f"x_{j + 1}" for j in range(src.features.shape[1])]
+    src_header += [f"y_{j + 1}" for j in range(d2)]
+    yield "source.csv", src_header, table(src.features, src.labels)
+    tgt_header = ["id"]
+    if tgt.features is not None:
+        tgt_header += [f"x_{j + 1}" for j in range(tgt.features.shape[1])]
+    if tgt.oracle_labels is not None:
+        tgt_header += [f"y_{j + 1}" for j in range(d2)]
+    tgt_rows = table(tgt.features, tgt.oracle_labels)
+    if tgt.features is None and tgt.oracle_labels is None:
+        tgt_rows = ([i] for i in range(tgt.n_samples))
+    yield "target.csv", tgt_header, tgt_rows
+    pred_header = ["id"] + [f"f_{j + 1}" for j in range(d2)]
+    for k, name in enumerate(bundle.model_names):
+        yield f"model_{name}_source.csv", pred_header, table(bundle.source_preds[k])
+        yield f"model_{name}_target.csv", pred_header, table(bundle.target_preds[k])
+
+
+_SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+    1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, 0.1, 1e16, 1e17,
+]
+_doubles = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-300, 300)),
+)
+
+
+@st.composite
+def _bundles(draw):
+    m, n_s, n_t, d1 = (draw(st.integers(1, k)) for k in (3, 6, 6, 3))
+    d2 = draw(st.sampled_from([1, 3]))
+
+    def block(*shape):
+        return draw(arrays(np.float64, shape, elements=_doubles))
+
+    def maybe(*shape):
+        return block(*shape) if draw(st.booleans()) else None
+
+    return PredictionBundle(
+        model_names=tuple(f"m{k}" for k in range(m)),
+        source_preds=block(m, n_s, d2),
+        target_preds=block(m, n_t, d2),
+        source=SourceDataset(labels=block(n_s, d2), features=maybe(n_s, d1)),
+        target=TargetDataset(
+            features=maybe(n_t, d1), oracle_labels=maybe(n_t, d2), n_samples_hint=n_t
+        ),
+    )
+
+
+def _bits(arr):
+    return None if arr is None else (arr.shape, arr.tobytes())
+
+
+@given(_bundles())
+@settings(max_examples=150, deadline=None)
+def test_bundle_bytes_and_bits_match_the_reference(tmp_path_factory, bundle):
+    root = tmp_path_factory.mktemp("bundle")
+    write_bundle(bundle, root / "new")
+    os.makedirs(root / "ref")
+    tables = list(reference_bundle_tables(bundle))
+    assert sorted(p for p in os.listdir(root / "new") if p.endswith(".csv")) == sorted(
+        name for name, _, _ in tables
+    )
+    for name, header, rows in tables:
+        reference_write_csv(root / "ref" / name, header, rows)
+        new_path = root / "new" / name
+        assert new_path.read_bytes() == (root / "ref" / name).read_bytes(), name
+        _, cells = read_csv(new_path)
+        expected = reference_parse(new_path, cells, len(header) - 1, 1)
+        assert _bits(read_csv(new_path, len(header))[1]) == _bits(expected), name
+
+    loaded = load_bundle(root / "new")
+    for got, want in [
+        (loaded.source_preds, bundle.source_preds),
+        (loaded.target_preds, bundle.target_preds),
+        (loaded.source.labels, bundle.source.labels),
+        (loaded.source.features, bundle.source.features),
+        (loaded.target.features, bundle.target.features),
+        (loaded.target.oracle_labels, bundle.target.oracle_labels),
+    ]:
+        assert _bits(got) == _bits(want)
+    assert loaded.target.n_samples == bundle.target.n_samples
+
+
+_CELLS = [
+    "", " ", "nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400",
+    "1e-400", "0x10", "1_000", "1__0", "_1", "1_", " 1.5 ", "\t2", "+1", "1.",
+    ".5", "5e", "e5", "--1", "1 2", "0.1e+00", "١٢", "１２",
+    "x", "\x00", "1\x00",
+]
+_cell = st.one_of(
+    st.sampled_from(_CELLS), st.text("0123456789.eE+-_ xnaif٣\t", max_size=6)
+)
+
+
+@given(_cell, st.integers(0, 2), st.integers(1, 2))
+@settings(max_examples=400, deadline=None)
+def test_cell_parses_like_the_reference(tmp_path_factory, cell, row, col):
+    rows = [[str(i), "1.5", "-2.5e-3"] for i in range(3)]
+    rows[row][col] = cell
+    path = tmp_path_factory.mktemp("cell") / "t.csv"
+    path.write_text("id,a,b\n" + "".join(",".join(r) + "\n" for r in rows))
+
+    def outcome(parse):
+        try:
+            return _bits(parse())
+        except ShiftAggError as exc:
+            return type(exc)
+
+    expected = outcome(lambda: reference_parse(path, read_csv(path)[1], 2, 1))
+    assert outcome(lambda: read_csv(path, 3)[1]) == expected
+
+
+def _rewrite_ids(path, ids):
+    lines = path.read_text().splitlines()
+    body = [f"{i}," + line.split(",", 1)[1] for i, line in zip(ids, lines[1:])]
+    path.write_text("\n".join([lines[0]] + body) + "\n")
+
+
+@pytest.mark.parametrize(
+    "fname", ["source.csv", "target.csv", "model_m1_source.csv", "model_m0_target.csv"]
+)
+@pytest.mark.parametrize(
+    "ids, bad_row",
+    [([0, 1, 3, 4], 2), ([0, 1, 1, 3], 2), ([1, 0, 2, 3], 0), ([0, 1, 2, 4], 3)],
+    ids=["gap", "duplicate", "swapped", "last"],
+)
+def test_ids_out_of_order_are_malformed(tmp_path, fname, ids, bad_row):
+    write_bundle(build_bundle(m=2, n_s=4, n_t=4, with_oracle=True), tmp_path / "b")
+    _rewrite_ids(tmp_path / "b" / fname, ids)
+    with pytest.raises(MalformedFile, match=rf"{fname}: row {bad_row} has id"):
+        load_bundle(tmp_path / "b")
+
+
+@pytest.mark.parametrize(
+    "rows", [np.array([[1.0], [np.nan]]), [[0, 1.0], [1, float("inf")]]],
+    ids=["array", "rows"],
+)
+def test_writer_refuses_non_finite(tmp_path, rows):
+    with pytest.raises(ValueError, match="non-finite"):
+        write_csv(tmp_path / "t.csv", ["id", "v"], rows)
+
+
+def test_rows_that_balance_each_others_widths_are_rejected(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("id,a,b\n0,1,2,3\n1,4\n2,5,6\n")
+    with pytest.raises(DimensionMismatch, match="row 0 has 4 cells, expected 3"):
+        read_csv(path, 3)
+
+
+def test_crlf_blank_lines_and_loose_cells_load(tmp_path):
+    bundle = build_bundle(m=1, n_s=3, n_t=2, with_features=False)
+    write_bundle(bundle, tmp_path / "b")
+    path = tmp_path / "b" / "model_m0_target.csv"
+    header, *rows = path.read_text().splitlines()
+    rows[1] = "1.0, " + rows[1].split(",")[1] + " "
+    path.write_bytes(("\r\n".join([header, "", *rows, ""]) + "\r\n").encode())
+    assert load_bundle(tmp_path / "b") == bundle
+
+
+@pytest.mark.parametrize(
+    "d1, d2", [(2, 0), (2, -1), (-1, 1), (0, 1)], ids=["d2=0", "d2<0", "d1<0", "d1=0"]
+)
+def test_nonpositive_manifest_dims_are_malformed(tmp_path, d1, d2):
+    write_bundle(build_bundle(m=1), tmp_path / "b")
+    manifest = tmp_path / "b" / "manifest.json"
+    text = manifest.read_text().replace('"d1": 2', f'"d1": {d1}')
+    manifest.write_text(text.replace('"d2": 1', f'"d2": {d2}'))
+    with pytest.raises(MalformedFile, match="positive"):
+        load_bundle(tmp_path / "b")
+
+
+def test_non_utf8_csv_is_malformed(tmp_path):
+    write_bundle(build_bundle(m=1), tmp_path / "b")
+    (tmp_path / "b" / "source.csv").write_bytes(b"id,x_1,x_2,y_1\n0,\xff,1,2\n")
+    with pytest.raises(MalformedFile, match="UTF-8"):
+        load_bundle(tmp_path / "b")

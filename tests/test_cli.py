@@ -1,9 +1,17 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
+import functools
+import io
 import json
+import os
+import pathlib
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftagg.cli import main
 from shiftagg.data import (
@@ -13,7 +21,7 @@ from shiftagg.data import (
     LayerEmbeddings,
     LayerEmbeddingSet,
 )
-from shiftagg.serialize import read_csv, write_json
+from shiftagg.serialize import read_csv, write_csv, write_json
 from shiftagg.synth import SynthTaskConfig, generate_task
 from shiftagg.ratio import save_ratio_model
 
@@ -139,6 +147,15 @@ class TestAggregate:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_missing_beta_file_exit_2(self, tmp_path, capsys):
+        write_bundle(build_bundle(m=2, n_s=3, seed=62), tmp_path / "b")
+        code = main(
+            ["aggregate", "--input", str(tmp_path / "b"), "--output",
+             str(tmp_path / "out"), "--beta", str(tmp_path / "absent.csv")]
+        )
+        assert code == 2
+        assert "missing file" in capsys.readouterr().err
+
     def test_duplicate_models_lambda_zero_exit_3(self, tmp_path):
         base = build_bundle(m=1, n_s=10, n_t=10, seed=61)
         dup = PredictionBundle(
@@ -188,6 +205,91 @@ class TestSelect:
         assert (out / "comparison.json").is_file()
         stdout = capsys.readouterr().out
         assert "select_source" in stdout and "aggregate_oracle" in stdout
+
+    def test_swapped_model_rows_exit_2(self, task_dir, tmp_path, capsys):
+        path = task_dir / "model_m01_target.csv"
+        lines = path.read_text().splitlines()
+        lines[5], lines[6] = lines[6], lines[5]
+        path.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["select", "--input", str(task_dir), "--output", str(tmp_path / "out"),
+             "--analytic"]
+        )
+        assert code == 2
+        assert "model_m01_target.csv: row 4 has id '5'" in capsys.readouterr().err
+
+
+@functools.lru_cache(maxsize=1)
+def _fuzz_seed_files() -> dict:
+    """File name -> text of a small bundle and its beta.csv."""
+    with tempfile.TemporaryDirectory() as d:
+        write_bundle(build_bundle(m=2, n_s=5, n_t=4, with_oracle=True, seed=3), d)
+        write_csv(os.path.join(d, "beta.csv"), ["id", "beta"], np.ones((5, 1)))
+        return {p.name: p.read_text() for p in pathlib.Path(d).iterdir()}
+
+
+_FUZZ_KINDS = [
+    "cell", "drop_comma", "add_comma", "delete_line", "duplicate_line",
+    "swap_lines", "truncate", "empty", "crlf",
+]
+
+
+def _mutate(draw, text: str, kind: str) -> str:
+    lines = text.splitlines()
+    pick = st.integers(0, len(lines) - 1)
+    if kind == "cell":
+        i = draw(st.integers(1, len(lines) - 1))
+        cells = lines[i].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(
+            st.sampled_from(["x", "", "nan", "1e400"])
+        )
+        lines[i] = ",".join(cells)
+    elif kind in ("drop_comma", "add_comma"):
+        i = draw(pick)
+        line = lines[i]
+        if kind == "add_comma":
+            at = draw(st.integers(0, len(line)))
+            lines[i] = line[:at] + "," + line[at:]
+        elif "," in line:
+            at = draw(st.sampled_from([k for k, c in enumerate(line) if c == ","]))
+            lines[i] = line[:at] + line[at + 1:]
+    elif kind == "delete_line":
+        del lines[draw(pick)]
+    elif kind == "duplicate_line":
+        i = draw(pick)
+        lines.insert(i, lines[i])
+    elif kind == "swap_lines":
+        i, j = draw(pick), draw(pick)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    elif kind == "empty":
+        return ""
+    else:
+        return text.replace("\n", "\r\n")
+    return "\n".join(lines) + "\n"
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_bundle_and_beta_exit_0_2_or_4(data):
+    files = dict(_fuzz_seed_files())
+    name = data.draw(st.sampled_from(sorted(n for n in files if n.endswith(".csv"))))
+    kind = data.draw(st.sampled_from(_FUZZ_KINDS))
+    files[name] = _mutate(data.draw, files[name], kind)
+    with tempfile.TemporaryDirectory() as d:
+        bundle_dir = os.path.join(d, "b")
+        os.makedirs(bundle_dir)
+        for fname, text in files.items():
+            with open(os.path.join(bundle_dir, fname), "w", newline="") as fh:
+                fh.write(text)
+        argv = ["select", "--input", bundle_dir, "--output", os.path.join(d, "out"),
+                "--beta", os.path.join(bundle_dir, "beta.csv")]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    assert code in (0, 2, 4), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
 
 
 class TestBench:
