@@ -14,8 +14,10 @@ supports Tikhonov regularization ``(G + lam*I) c = g`` with an automatic
 escalation policy, and every successful solve is held to the residual
 contract ``||(G + lam*I) c - g||_inf <= 1e-8 * max(1, ||g||_inf)``.
 
-All reductions use fixed-order, non-parallel summation so results are
-bitwise reproducible across runs and thread counts.
+``G`` and ``g`` are one BLAS product each (``syrk`` and ``gemv``). Their
+bits depend on the BLAS build and its thread count, not on the run or on
+how many Python threads call in, so outputs are byte-identical across runs
+and ``--threads`` values for a fixed BLAS build and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -159,20 +161,15 @@ def _as_pred_tensor(preds) -> np.ndarray:
 def compute_gram(target_preds) -> np.ndarray:
     """Averaged inner products of model predictions on the target sample.
 
-    Entry ``(k, u)`` is ``(1/n_t) * sum_i <f_k(x'_i), f_u(x'_i)>``. The sum
-    runs over samples in index order; the upper triangle is computed once
-    and mirrored, so the result is exactly symmetric.
+    Entry ``(k, u)`` is ``(1/n_t) * sum_i <f_k(x'_i), f_u(x'_i)>``, built
+    with one ``flat @ flat.T`` product. NumPy hands that product to BLAS
+    ``syrk`` and mirrors the triangle it computes, so the result is exactly
+    symmetric; its last bits depend on the BLAS thread count.
     """
     p = _as_pred_tensor(target_preds)
     m, n, _ = p.shape
     flat = p.reshape(m, -1)
-    G = np.empty((m, m))
-    for k in range(m):
-        for u in range(k, m):
-            v = float(np.sum(flat[k] * flat[u])) / n
-            G[k, u] = v
-            G[u, k] = v
-    return G
+    return flat @ flat.T / n
 
 
 def compute_g_vector(source_preds, source_labels, beta) -> np.ndarray:
@@ -187,11 +184,7 @@ def compute_g_vector(source_preds, source_labels, beta) -> np.ndarray:
         raise DimensionMismatch(f"beta has shape {b.shape}, expected ({n},)")
     if np.any(b < 0):
         raise NegativeWeight("beta contains negative entries")
-    g = np.empty(m)
-    for k in range(m):
-        inner = np.einsum("nd,nd->n", y, p[k], optimize=False)
-        g[k] = float(np.sum(b * inner)) / n
-    return g
+    return p.reshape(m, -1) @ (b[:, None] * y).ravel() / n
 
 
 def solve_coefficients(G, g, lam: float = 0.0) -> np.ndarray:

@@ -4,7 +4,7 @@ Exit codes are a stable scripting contract: 0 success, 2 input or config
 error, 3 numerical failure, 4 I/O failure. Randomness comes only from
 explicit ``--seed`` flags or config files, never from the environment, and
 fixed seeds plus fixed inputs produce byte-identical output files for any
-``--threads`` value.
+``--threads`` value on a fixed BLAS build and BLAS thread count.
 """
 
 from __future__ import annotations

@@ -25,13 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigInvalid,
     DimensionMismatch,
     EmptyLayer,
     IoFailure,
     MalformedFile,
     NonFiniteValue,
 )
-from .serialize import read_csv, read_json, write_csv, write_json
+from .serialize import decode_value, read_csv, read_json, write_csv, write_json
 
 __all__ = [
     "SourceDataset",
@@ -400,17 +401,21 @@ def write_bundle(bundle: PredictionBundle, path) -> None:
 def load_bundle(path) -> PredictionBundle:
     """Load and fully validate a bundle directory."""
     manifest = read_json(os.path.join(path, "manifest.json"))
+
+    def field(tp, key):
+        return decode_value(tp, manifest[key], key)
+
     try:
-        names = [str(n) for n in manifest["model_names"]]
-        d1 = manifest["d1"]
-        d2 = int(manifest["d2"])
-        has_sx = bool(manifest["has_source_features"])
-        has_tx = bool(manifest["has_target_features"])
-        has_ty = bool(manifest["has_target_labels"])
-        provenance = str(manifest.get("provenance", ""))
-    except (KeyError, TypeError, ValueError) as exc:
+        names = field(tuple[str, ...], "model_names")
+        d1 = field(int | None, "d1")
+        d2 = field(int, "d2")
+        has_sx = field(bool, "has_source_features")
+        has_tx = field(bool, "has_target_features")
+        has_ty = field(bool, "has_target_labels")
+        provenance = decode_value(str, manifest.get("provenance", ""), "provenance")
+    except (KeyError, TypeError, ConfigInvalid) as exc:
         raise MalformedFile(f"{path}/manifest.json: {exc!r}") from exc
-    if (has_sx or has_tx) and not isinstance(d1, int):
+    if (has_sx or has_tx) and d1 is None:
         raise MalformedFile(f"{path}/manifest.json: features declared but d1 missing")
     if d2 < 1 or (has_sx or has_tx) and d1 < 1:
         raise MalformedFile(f"{path}/manifest.json: d1 and d2 must be positive")

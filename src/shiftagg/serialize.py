@@ -255,7 +255,7 @@ def decode_value(tp, value, path: str):
         return tuple(decode_value(typing.get_args(tp)[0], v, path) for v in value)
     if number and (tp is float or tp is int and float(value).is_integer()):
         return tp(value)
-    if tp is str and isinstance(value, str):
+    if tp in (str, bool) and isinstance(value, tp):
         return value
     raise ConfigInvalid(f"config key {path!r}: {value!r} is not a valid {tp.__name__}")
 

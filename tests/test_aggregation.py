@@ -1,5 +1,7 @@
 """Aggregation core against brute-force and dense linear-algebra oracles."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,53 @@ def g_loop(preds, labels, beta):
     return g
 
 
+def reference_compute_gram(preds):
+    """The pre-BLAS ``compute_gram``: one pairwise-summed inner product per
+    upper-triangle entry, mirrored."""
+    m, n, _ = preds.shape
+    flat = preds.reshape(m, -1)
+    G = np.empty((m, m))
+    for k in range(m):
+        for u in range(k, m):
+            v = float(np.sum(flat[k] * flat[u])) / n
+            G[k, u] = v
+            G[u, k] = v
+    return G
+
+
+def reference_compute_g_vector(preds, labels, beta):
+    """The pre-BLAS ``compute_g_vector``: one pairwise sum per model."""
+    m, n, _ = preds.shape
+    g = np.empty(m)
+    for k in range(m):
+        inner = np.einsum("nd,nd->n", labels, preds[k], optimize=False)
+        g[k] = float(np.sum(beta * inner)) / n
+    return g
+
+
+# Shapes where BLAS blocks and threads its products, as (m, n, d2, scale);
+# the 1e150 cases keep every Gram entry finite (at most ~1e305).
+BLAS_CASES = [
+    (m, n, d2, 1.0) for m in (1, 57, 300) for n in (1, 3001, 10_000) for d2 in (1, 3)
+] + [(57, 3001, 3, 1e150), (300, 10_000, 1, 1e150)]
+
+
+def blas_inputs(m, n, d2, scale, seed=0):
+    """Seeded predictions (one all-zero model when m > 1), labels and beta."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    preds = rng.standard_normal((m, n, d2)) * scale
+    if m > 1:
+        preds[m // 2] = 0.0
+    labels = rng.standard_normal((n, d2)) * scale
+    return preds, labels, rng.uniform(0.0, 3.0, n)
+
+
+def assert_close_to_max(actual, reference):
+    """Agreement within 1e-12 of the largest reference magnitude."""
+    err = float(np.max(np.abs(actual - reference)))
+    assert err <= 1e-12 * float(np.max(np.abs(reference)))
+
+
 def risk_loop(preds, labels, beta=None):
     n, d2 = preds.shape
     acc = 0.0
@@ -83,6 +132,12 @@ class TestComputeGram:
             np.testing.assert_allclose(
                 compute_gram(preds), gram_loop(preds), rtol=0, atol=1e-12
             )
+        for m, n, d2, scale in BLAS_CASES:
+            preds, _, _ = blas_inputs(m, n, d2, scale)
+            G = compute_gram(preds)
+            # Exact symmetry: a fall-back from syrk to gemm would break it.
+            assert np.array_equal(G, G.T), (m, n, d2, scale)
+            assert_close_to_max(G, reference_compute_gram(preds))
 
     def test_symmetry_and_psd(self):
         rng = np.random.Generator(np.random.Philox(11))
@@ -121,10 +176,29 @@ class TestComputeGVector:
             compute_g_vector(preds, y, beta), g_loop(preds, y, beta),
             rtol=0, atol=1e-14,
         )
+        for m, n, d2, scale in BLAS_CASES:
+            preds, y, beta = blas_inputs(m, n, d2, scale)
+            assert_close_to_max(
+                compute_g_vector(preds, y, beta),
+                reference_compute_g_vector(preds, y, beta),
+            )
 
     def test_negative_beta_rejected(self):
         with pytest.raises(NegativeWeight):
             compute_g_vector(np.zeros((1, 2, 1)), np.zeros((2, 1)), [-0.1, 1.0])
+
+
+def test_moments_are_byte_identical_under_concurrent_calls():
+    inputs = [blas_inputs(300, 10_000, 1, 1.0, seed=s) for s in range(4)]
+
+    def moments(args):
+        preds, y, beta = args
+        return compute_gram(preds).tobytes(), compute_g_vector(preds, y, beta).tobytes()
+
+    serial = [moments(args) for args in inputs]
+    for workers in (2, 4, 8):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            assert list(pool.map(moments, inputs, timeout=120)) == serial, workers
 
 
 class TestSolveCoefficients:

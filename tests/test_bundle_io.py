@@ -6,6 +6,7 @@ test reference: the codec must write the same bytes, load the same bits,
 and reject the same cells with the same error types.
 """
 
+import json
 import os
 
 import numpy as np
@@ -238,14 +239,24 @@ def test_crlf_blank_lines_and_loose_cells_load(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "d1, d2", [(2, 0), (2, -1), (-1, 1), (0, 1)], ids=["d2=0", "d2<0", "d1<0", "d1=0"]
+    "edits, match",
+    [
+        ({"d2": 0}, "positive"),
+        ({"d2": -1}, "positive"),
+        ({"d1": -1}, "positive"),
+        ({"d1": 0}, "positive"),
+        ({"has_target_labels": "no"}, "has_target_labels"),
+        ({"d2": 1.7}, "'d2'"),
+        ({"model_names": "m0"}, "model_names"),
+        ({"d1": True}, "'d1'"),
+    ],
+    ids=["d2=0", "d2<0", "d1<0", "d1=0", "labels=no", "d2=1.7", "names=str", "d1=true"],
 )
-def test_nonpositive_manifest_dims_are_malformed(tmp_path, d1, d2):
+def test_nonpositive_manifest_dims_are_malformed(tmp_path, edits, match):
     write_bundle(build_bundle(m=1), tmp_path / "b")
-    manifest = tmp_path / "b" / "manifest.json"
-    text = manifest.read_text().replace('"d1": 2', f'"d1": {d1}')
-    manifest.write_text(text.replace('"d2": 1', f'"d2": {d2}'))
-    with pytest.raises(MalformedFile, match="positive"):
+    path = tmp_path / "b" / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edits}))
+    with pytest.raises(MalformedFile, match=match):
         load_bundle(tmp_path / "b")
 
 
