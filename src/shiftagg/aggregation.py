@@ -37,6 +37,7 @@ from .errors import (
     NonSymmetric,
 )
 from .ratio import RatioModel, evaluate_ratio
+from .serialize import config_to_dict
 
 __all__ = [
     "AggregationResult",
@@ -102,15 +103,7 @@ class AggregationResult:
     def model_count(self) -> int:
         return self.coefficients.shape[0]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "coefficients": self.coefficients,
-            "gram": self.gram,
-            "moment": self.moment,
-            "tikhonov": self.tikhonov,
-            "condition_estimate": self.condition_estimate,
-            "diagnostics": self.diagnostics,
-        }
+    to_json_dict = config_to_dict
 
 
 @dataclass(frozen=True)
@@ -122,11 +115,11 @@ class RiskReport:
     (``source``), or ratio-weighted source risks (``importance_weighted``).
     """
 
+    risk_kind: str
     per_model_risk: tuple[float, ...]
     aggregated_risk: float
     selected_index: int
     selected_risk: float
-    risk_kind: str
 
     def __post_init__(self):
         if self.risk_kind not in ("target_oracle", "source", "importance_weighted"):
@@ -138,14 +131,7 @@ class RiskReport:
             raise ConfigInvalid("selected_index must be the lowest-index argmin")
         object.__setattr__(self, "per_model_risk", risks)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "risk_kind": self.risk_kind,
-            "per_model_risk": list(self.per_model_risk),
-            "aggregated_risk": self.aggregated_risk,
-            "selected_index": self.selected_index,
-            "selected_risk": self.selected_risk,
-        }
+    to_json_dict = config_to_dict
 
 
 # --- estimator pieces ---------------------------------------------------
@@ -341,7 +327,8 @@ def resolve_beta(bundle: PredictionBundle, ratio) -> tuple[np.ndarray, float | N
     """Materialize source-sample weights from a ratio model or a vector.
 
     Returns ``(beta, saturation_fraction)``; the fraction is ``None`` when
-    the truncation bound is unknown (precomputed weight vectors).
+    the truncation bound is unknown (precomputed weight vectors). Either
+    way ``beta`` must be finite and nonnegative.
     """
     if isinstance(ratio, RatioModel):
         if bundle.source.features is None:
@@ -351,17 +338,18 @@ def resolve_beta(bundle: PredictionBundle, ratio) -> tuple[np.ndarray, float | N
             )
         beta = evaluate_ratio(ratio, bundle.source.features)
         saturation = float(np.mean(beta >= ratio.bound))
-        return beta, saturation
-    beta = np.asarray(ratio, dtype=np.float64)
-    if beta.shape != (bundle.source.n_samples,):
-        raise DimensionMismatch(
-            f"beta has shape {beta.shape}, expected ({bundle.source.n_samples},)"
-        )
+    else:
+        beta = np.asarray(ratio, dtype=np.float64)
+        saturation = None
+        if beta.shape != (bundle.source.n_samples,):
+            raise DimensionMismatch(
+                f"beta has shape {beta.shape}, expected ({bundle.source.n_samples},)"
+            )
     if not np.isfinite(beta).all():
         raise ConfigInvalid("beta contains non-finite entries")
     if np.any(beta < 0):
         raise NegativeWeight("beta contains negative entries")
-    return beta, None
+    return beta, saturation
 
 
 def solve_aggregation(G, g, lam: float | None = None) -> AggregationResult:

@@ -157,8 +157,7 @@ def cmd_estimate_ratio(args) -> int:
         cfg = replace(cfg, seed=args.seed)
 
     model = ratio.fit_ratio(bundle.source.features, bundle.target.features, cfg)
-    beta = ratio.evaluate_ratio(model, bundle.source.features)
-    saturation = float(np.mean(beta >= model.bound))
+    beta, saturation = aggregation.resolve_beta(bundle, model)
 
     outdir = _ensure_outdir(args.output)
     ratio.save_ratio_model(model, os.path.join(outdir, "ratio.json"))

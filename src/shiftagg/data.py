@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,6 +61,21 @@ def as_label_matrix(arr) -> np.ndarray:
     if out.ndim == 1:
         out = out[:, None]
     return out
+
+
+def _fields_equal(a, b) -> bool:
+    """Field-wise equality of two containers of one class: arrays compare
+    by value with ``np.array_equal``, and ``None`` equals only ``None``."""
+    if type(a) is not type(b):
+        return NotImplemented
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if x is None or y is None or not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
 
 
 def _check_matrix(arr: np.ndarray, what: str) -> None:
@@ -107,12 +122,7 @@ class SourceDataset:
     def label_dim(self) -> int:
         return self.labels.shape[1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SourceDataset):
-            return NotImplemented
-        return _opt_eq(self.features, other.features) and np.array_equal(
-            self.labels, other.labels
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,20 +173,7 @@ class TargetDataset:
     def has_oracle_labels(self) -> bool:
         return self.oracle_labels is not None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TargetDataset):
-            return NotImplemented
-        return (
-            self.n_samples == other.n_samples
-            and _opt_eq(self.features, other.features)
-            and _opt_eq(self.oracle_labels, other.oracle_labels)
-        )
-
-
-def _opt_eq(a: np.ndarray | None, b: np.ndarray | None) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return np.array_equal(a, b)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,17 +245,7 @@ class PredictionBundle:
     def label_dim(self) -> int:
         return self.source.label_dim
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PredictionBundle):
-            return NotImplemented
-        return (
-            self.model_names == other.model_names
-            and np.array_equal(self.source_preds, other.source_preds)
-            and np.array_equal(self.target_preds, other.target_preds)
-            and self.source == other.source
-            and self.target == other.target
-            and self.provenance == other.provenance
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,14 +272,7 @@ class LayerEmbeddings:
         object.__setattr__(self, "source_vecs", _freeze(p))
         object.__setattr__(self, "target_vecs", _freeze(q))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LayerEmbeddings):
-            return NotImplemented
-        return (
-            self.layer_index == other.layer_index
-            and np.array_equal(self.source_vecs, other.source_vecs)
-            and np.array_equal(self.target_vecs, other.target_vecs)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,14 +320,7 @@ class LayerEmbeddingSet:
     def layer_indices(self) -> tuple[int, ...]:
         return tuple(L.layer_index for L in self.layers)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LayerEmbeddingSet):
-            return NotImplemented
-        return (
-            self.layers == other.layers
-            and self.pairing == other.pairing
-            and self.provenance == other.provenance
-        )
+    __eq__ = _fields_equal
 
 
 # --- bundle directory format ----------------------------------------------

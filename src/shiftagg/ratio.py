@@ -239,7 +239,8 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
 
     ``H`` and ``h`` are sums over samples, so each training fold's system is
     the whole sample's sum minus that fold's part; it is built once per
-    width and solved for every ridge. The returned model's ``cv`` block
+    width and solved for every ridge, and the refit solves the chosen
+    width's whole sums. The returned model's ``cv`` block
     holds the score grid and the chosen cell.
     """
     xs, xt = _check_xy(source_x, target_x)
@@ -264,10 +265,12 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
 
     ridges = cfg.ridge_strengths
     scores = np.full((len(widths), len(ridges)), np.nan)
+    sums = []  # per width: the whole sample's (H_tot, h_tot), kept for the refit
     for i, width in enumerate(widths):
         K_s = _gaussian_kernel(xs, centers, width)
         K_t = _gaussian_kernel(xt, centers, width)
         H_tot, h_tot = K_s.T @ K_s, K_t.sum(axis=0)
+        sums.append((H_tot, h_tot))
         systems = []
         for va_s, va_t in folds:
             V_s, V_t = K_s[va_s], K_t[va_t]
@@ -293,12 +296,8 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
             "ridge grid"
         )
     i, j = np.unravel_index(np.nanargmin(scores), scores.shape)
-    width, ridge = widths[i], ridges[j]
-    alpha = _ulsif_solve(
-        _gaussian_kernel(xs, centers, width),
-        _gaussian_kernel(xt, centers, width),
-        ridge,
-    )
+    H_tot, h_tot = sums[i]
+    alpha = _cho_solve_ridge(H_tot / len(xs), h_tot / len(xt), ridges[j])
     cv = {
         "widths": [float(w) for w in widths],
         "ridges": list(ridges),
@@ -314,14 +313,9 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
         bound=cfg.bound,
         centers=centers,
         alpha=alpha,
-        kernel_width=float(width),
+        kernel_width=float(widths[i]),
         cv=cv,
     )
-
-
-def _ulsif_solve(K_s: np.ndarray, K_t: np.ndarray, ridge: float) -> np.ndarray:
-    H = (K_s.T @ K_s) / K_s.shape[0]
-    return _cho_solve_ridge(H, np.mean(K_t, axis=0), ridge)
 
 
 def _cho_solve_ridge(H: np.ndarray, h: np.ndarray, ridge: float) -> np.ndarray:

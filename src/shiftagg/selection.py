@@ -27,7 +27,7 @@ from .aggregation import (
 )
 from .data import PredictionBundle
 from .errors import ConfigInvalid, IllConditioned
-from .serialize import aligned_table, fmt_float
+from .serialize import aligned_table, config_to_dict, fmt_float
 
 __all__ = [
     "SelectionOutcome",
@@ -66,13 +66,7 @@ class SelectionOutcome:
         if idx != self.selected_index:
             raise ConfigInvalid("selected_index must be the lowest-index argmin")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "selected_index": self.selected_index,
-            "scores": list(self.scores),
-            "tie_broken": self.tie_broken,
-        }
+    to_json_dict = config_to_dict
 
 
 def _select(method: str, risks: np.ndarray) -> SelectionOutcome:
@@ -109,14 +103,7 @@ class MethodRow:
     risk_ratio_vs_oracle: float | None = None
     detail: dict | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "estimated_score": self.estimated_score,
-            "true_target_risk": self.true_target_risk,
-            "risk_ratio_vs_oracle": self.risk_ratio_vs_oracle,
-            "detail": self.detail,
-        }
+    to_json_dict = config_to_dict
 
 
 @dataclass(frozen=True)
@@ -134,8 +121,7 @@ class ComparisonReport:
     def method_names(self) -> tuple[str, ...]:
         return tuple(r.method for r in self.rows)
 
-    def to_json_dict(self) -> dict:
-        return {"rows": [r.to_json_dict() for r in self.rows]}
+    to_json_dict = config_to_dict
 
     def format_table(self) -> str:
         def cell(v):

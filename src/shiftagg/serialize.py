@@ -226,19 +226,25 @@ def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- config dataclasses <-> JSON objects ------------------------------------
+# --- dataclasses <-> JSON objects -------------------------------------------
 
 
 def config_to_dict(cfg) -> dict:
-    """JSON object of a config dataclass, keys in field order; a field's
-    metadata may rename its key with ``json_key``."""
-    out = {}
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        if dataclasses.is_dataclass(v):
-            v = config_to_dict(v)
-        out[f.metadata.get("json_key", f.name)] = list(v) if isinstance(v, tuple) else v
-    return out
+    """JSON object of a dataclass (a config or an output record), keys in
+    field order; a field's metadata may rename its key with ``json_key``.
+    Nested dataclasses, also inside tuples, become objects and tuples lists."""
+    return {
+        f.metadata.get("json_key", f.name): _to_json(getattr(cfg, f.name))
+        for f in dataclasses.fields(cfg)
+    }
+
+
+def _to_json(v):
+    if dataclasses.is_dataclass(v):
+        return config_to_dict(v)
+    if isinstance(v, tuple):
+        return [_to_json(x) for x in v]
+    return v
 
 
 def decode_value(tp, value, path: str):

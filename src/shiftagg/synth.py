@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -24,7 +25,7 @@ from .aggregation import empirical_risk, model_risks
 from .data import PredictionBundle, SourceDataset, TargetDataset
 from .errors import ConfigInvalid, SingularFit
 from .ratio import DEFAULT_BOUND, RatioFitConfig, RatioModel, analytic_gaussian_ratio
-from .ratio import evaluate_ratio, fit_ratio
+from .ratio import fit_ratio
 from .selection import MethodRow, build_method_rows
 from .serialize import aligned_table, config_to_dict, fmt_float
 
@@ -140,25 +141,25 @@ class SynthTask:
     bundle: PredictionBundle
     analytic_ratio: RatioModel
     bayes_target_risk: float
-    true_model_risks: tuple[float, ...]
     predictors: tuple
     bayes_model: object
     config: SynthTaskConfig
 
     def __post_init__(self):
-        beta = evaluate_ratio(self.analytic_ratio, self.bundle.source.features)
-        if not np.isfinite(beta).all():
-            raise ConfigInvalid("analytic ratio non-finite on source sample")
-        risks = tuple(float(r) for r in self.true_model_risks)
-        object.__setattr__(self, "true_model_risks", risks)
         # Under label noise a family model can beat the labeling function on
         # a finite sample, so dominance is only checkable noiselessly.
-        if self.config.noise_std == 0 and risks:
-            if self.bayes_target_risk > min(risks) + 1e-12:
+        if self.config.noise_std == 0:
+            if self.bayes_target_risk > min(self.true_model_risks) + 1e-12:
                 raise ConfigInvalid(
                     "labeling function risk exceeds a family model risk on the "
                     "noiseless oracle sample"
                 )
+
+    @cached_property
+    def true_model_risks(self) -> tuple[float, ...]:
+        """Each model's risk on the oracle-labeled target sample."""
+        b = self.bundle
+        return tuple(model_risks(b.target_preds, b.target.oracle_labels).tolist())
 
 
 def _ridge_solve(F: np.ndarray, y: np.ndarray, reg: float) -> np.ndarray:
@@ -280,7 +281,6 @@ def generate_task(cfg: SynthTaskConfig) -> SynthTask:
             cfg.source_mean, cfg.target_mean, cfg.shared_cov_scale, DEFAULT_BOUND
         ),
         bayes_target_risk=empirical_risk(bayes.predict(xt), yt),
-        true_model_risks=model_risks(target_preds, yt),
         predictors=predictors,
         bayes_model=bayes,
         config=cfg,
@@ -330,13 +330,7 @@ class TrialRecord:
                 return r
         raise KeyError(method)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "task_seed": self.task_seed,
-            "bayes_target_risk": self.bayes_target_risk,
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
+    to_json_dict = config_to_dict
 
 
 @dataclass(frozen=True)
@@ -345,16 +339,10 @@ class SuiteReport:
 
     config: SuiteConfig
     trials: int
-    per_trial: tuple[TrialRecord, ...]
     aggregate: dict
+    per_trial: tuple[TrialRecord, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "config": config_to_dict(self.config),
-            "trials": self.trials,
-            "aggregate": self.aggregate,
-            "per_trial": [t.to_json_dict() for t in self.per_trial],
-        }
+    to_json_dict = config_to_dict
 
     def format_table(self) -> str:
         rows = [

@@ -13,16 +13,19 @@ from shiftagg.aggregation import (
     importance_weighted_risk,
     model_risks,
     oracle_aggregate,
+    resolve_beta,
     run_aggregation,
     solve_coefficients,
 )
 from shiftagg.data import PredictionBundle, SourceDataset, TargetDataset
 from shiftagg.errors import (
+    ConfigInvalid,
     IllConditioned,
     MissingOracleLabels,
     NegativeWeight,
     NonSymmetric,
 )
+from shiftagg.ratio import RatioModel
 
 from conftest import build_bundle
 
@@ -385,6 +388,20 @@ class TestRunAggregation:
             aggregate_predict(bundle.target_preds, res.coefficients),
             rtol=1e-8,
         )
+
+    def test_nan_ratio_model_is_rejected(self):
+        bundle = build_bundle(m=2, n_s=6, n_t=6, seed=9)
+        alpha = np.ones(6)
+        alpha[2] = np.nan
+        model = RatioModel(
+            kind="ulsif",
+            bound=20.0,
+            centers=bundle.target.features,
+            alpha=alpha,
+            kernel_width=1.0,
+        )
+        with pytest.raises(ConfigInvalid, match="non-finite"):
+            resolve_beta(bundle, model)
 
     def test_diagnostics_populated(self):
         bundle = build_bundle(m=2, n_s=10, n_t=10, seed=8)

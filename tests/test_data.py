@@ -1,5 +1,7 @@
 """Bundle and embedding container validation plus exact file round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,34 @@ class TestBundleValidation:
         ds = SourceDataset(labels=[1.0, 2.0, 3.0])
         assert ds.labels.shape == (3, 1)
         assert ds.n_samples == 3
+
+
+_Y = np.arange(3.0)[:, None]
+_X = np.arange(6.0).reshape(3, 2)
+
+
+class TestEquality:
+    @pytest.mark.parametrize(
+        "bare, full",
+        [
+            (SourceDataset(labels=_Y), SourceDataset(labels=_Y, features=_X)),
+            (TargetDataset(features=_X), TargetDataset(features=_X, oracle_labels=_Y)),
+            (TargetDataset(oracle_labels=_Y), TargetDataset(features=_X, oracle_labels=_Y)),
+        ],
+        ids=["source-features", "target-labels", "target-features"],
+    )
+    def test_none_field_is_unequal_to_an_array(self, bare, full):
+        for a, b in ((bare, full), (full, bare)):
+            assert not a == b
+            assert a != b
+        assert bare == replace(bare) and full == replace(full)
+
+    def test_equal_values_in_distinct_arrays(self):
+        assert SourceDataset(labels=_Y, features=_X) == SourceDataset(
+            labels=_Y.copy(), features=_X.copy()
+        )
+        assert SourceDataset(labels=_Y) != SourceDataset(labels=_Y + 1.0)
+        assert SourceDataset(labels=_Y) != TargetDataset(oracle_labels=_Y)
 
 
 class TestEmbeddingDump:

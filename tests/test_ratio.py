@@ -110,6 +110,12 @@ class TestUlsif:
         assert abs(float(np.median(fwd * bwd)) - 1.0) < 0.15
 
 
+def ulsif_solve(K_s, K_t, ridge):
+    """Solve ``(K_s^T K_s / n_s + ridge*I) alpha = mean(K_t)`` from the kernels."""
+    H = (K_s.T @ K_s) / K_s.shape[0]
+    return ratio._cho_solve_ridge(H, np.mean(K_t, axis=0), ridge)
+
+
 def reference_fit_ulsif(xs, xt, cfg):
     """The per-cell cross-validation loop that the fold-sum one replaced.
 
@@ -136,7 +142,7 @@ def reference_fit_ulsif(xs, xt, cfg):
                 if min(len(tr_s), len(va_s), len(tr_t), len(va_t)) == 0:
                     continue
                 try:
-                    alpha = ratio._ulsif_solve(tr_s, tr_t, ridge)
+                    alpha = ulsif_solve(tr_s, tr_t, ridge)
                 except SingularSystem:
                     scores = None
                     break
@@ -151,7 +157,7 @@ def reference_fit_ulsif(xs, xt, cfg):
     if best is None:
         raise SingularSystem("every (width, ridge) grid cell failed")
     _, i, j = best
-    alpha = ratio._ulsif_solve(
+    alpha = ulsif_solve(
         ratio._gaussian_kernel(xs, centers, widths[i]),
         ratio._gaussian_kernel(xt, centers, widths[i]),
         cfg.ridge_strengths[j],

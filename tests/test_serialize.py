@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftagg.aggregation import make_risk_report, run_aggregation
 from shiftagg.ratio import RatioFitConfig
+from shiftagg.selection import compare_methods, select_source_risk
 from shiftagg.serialize import (
     aligned_table,
     config_from_dict,
@@ -17,7 +19,9 @@ from shiftagg.serialize import (
     read_csv,
     write_csv,
 )
-from shiftagg.synth import SuiteConfig, SynthTaskConfig
+from shiftagg.synth import SuiteConfig, SynthTaskConfig, run_suite
+
+from conftest import build_bundle
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -117,3 +121,54 @@ def _suite_configs(draw):
 def test_config_dict_round_trip(cfg):
     doc = json.loads(dumps_canonical(config_to_dict(cfg)))
     assert config_from_dict(type(cfg), doc) == cfg
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of every output record, keyed by class name."""
+    bundle = build_bundle(m=3, n_s=20, n_t=20, seed=1, with_oracle=True)
+    beta = np.ones(20)
+    result = run_aggregation(bundle, beta)
+    comparison = compare_methods(bundle, beta)
+    suite = run_suite(
+        SuiteConfig(task=SynthTaskConfig(n_s=30, n_t=30, family_size=2)), 1, 0
+    )
+    out = {
+        "AggregationResult": result,
+        "RiskReport": make_risk_report(
+            bundle.source_preds, bundle.source.labels, result.coefficients, "source"
+        ),
+        "SelectionOutcome": select_source_risk(bundle),
+        "MethodRow": comparison.rows[0],
+        "ComparisonReport": comparison,
+        "TrialRecord": suite.per_trial[0],
+        "SuiteReport": suite,
+    }
+    assert all(type(r).__name__ == name for name, r in out.items())
+    return out
+
+
+RECORD_KEYS = {
+    "AggregationResult": [
+        "coefficients", "gram", "moment", "tikhonov", "condition_estimate",
+        "diagnostics",
+    ],
+    "RiskReport": [
+        "risk_kind", "per_model_risk", "aggregated_risk", "selected_index",
+        "selected_risk",
+    ],
+    "SelectionOutcome": ["method", "selected_index", "scores", "tie_broken"],
+    "MethodRow": [
+        "method", "estimated_score", "true_target_risk", "risk_ratio_vs_oracle",
+        "detail",
+    ],
+    "ComparisonReport": ["rows"],
+    "TrialRecord": ["trial", "task_seed", "bayes_target_risk", "rows"],
+    "SuiteReport": ["config", "trials", "aggregate", "per_trial"],
+}
+
+
+@pytest.mark.parametrize("record", list(RECORD_KEYS))
+def test_record_json_key_order(records, record):
+    doc = json.loads(dumps_canonical(records[record].to_json_dict()))
+    assert list(doc) == RECORD_KEYS[record]
