@@ -204,8 +204,11 @@ def cmd_aggregate(args) -> int:
             raise ConfigInvalid(
                 "aggregate needs one of --beta, --ratio, --analytic, or --oracle"
             )
-        beta, _ = aggregation.resolve_beta(bundle, weight_source)
+        # Evaluate a ratio model once; run_aggregation sees only the vector,
+        # so the saturation comes from this call.
+        beta, saturation = aggregation.resolve_beta(bundle, weight_source)
         result = aggregation.run_aggregation(bundle, beta, args.lam)
+        result.diagnostics["beta_saturation_fraction"] = saturation
         mode = "importance_weighted"
 
     agg_target = aggregation.aggregate_predict(

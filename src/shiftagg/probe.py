@@ -18,6 +18,7 @@ that paired final-layer vectors share their argmax index.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .errors import (
     MissingPairing,
     NonPositiveConstant,
 )
+from .serialize import config_to_dict
 
 __all__ = [
     "ProbeReport",
@@ -41,22 +43,33 @@ __all__ = [
 ]
 
 
+class _LayerDistance(NamedTuple):
+    l: int
+    max_dist: float
+    in_definition_range: bool
+
+
+class _CrossDistance(NamedTuple):
+    l: int
+    max_dist: float
+
+
 @dataclass(frozen=True)
 class ProbeReport:
     """Semantic-distance summary plus optional closeness diagnostics.
 
-    ``per_layer_max_dist`` holds ``(layer_index, max_pair_distance,
-    in_definition_range)`` triples; the range flag marks layers above the
-    encoder output (index > 1), which the distance definition ranges over.
-    Encoder-level entries still participate in the minimum but are flagged
-    so they cannot be misread.
+    ``per_layer_max_dist`` holds ``(l, max_dist, in_definition_range)``
+    named triples; the range flag marks layers above the encoder output
+    (index > 1), which the distance definition ranges over. Encoder-level
+    entries still participate in the minimum but are flagged so they cannot
+    be misread.
     """
 
     d_sem: float
     argmin_layer: int
-    per_layer_max_dist: tuple[tuple[int, float, bool], ...]
     mode: str  # "paired" | "cross_product"
-    per_layer_max_dist_cross: tuple[tuple[int, float], ...] | None = None
+    per_layer_max_dist: tuple[_LayerDistance, ...]
+    per_layer_max_dist_cross: tuple[_CrossDistance, ...] | None = None
     epsilon: float | None = None
     is_epsilon_close: bool | None = None
     lipschitz_constants: tuple[float, ...] | None = None
@@ -70,33 +83,7 @@ class ProbeReport:
         if not vals or abs(self.d_sem - min(vals)) > 0:
             raise ConfigInvalid("d_sem must equal the minimum per-layer distance")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d_sem": self.d_sem,
-            "argmin_layer": self.argmin_layer,
-            "mode": self.mode,
-            "per_layer_max_dist": [
-                {"l": l, "max_dist": v, "in_definition_range": flag}
-                for (l, v, flag) in self.per_layer_max_dist
-            ],
-            "per_layer_max_dist_cross": (
-                None
-                if self.per_layer_max_dist_cross is None
-                else [
-                    {"l": l, "max_dist": v}
-                    for (l, v) in self.per_layer_max_dist_cross
-                ]
-            ),
-            "epsilon": self.epsilon,
-            "is_epsilon_close": self.is_epsilon_close,
-            "lipschitz_constants": (
-                None
-                if self.lipschitz_constants is None
-                else list(self.lipschitz_constants)
-            ),
-            "propagated_bound": self.propagated_bound,
-            "provenance": self.provenance,
-        }
+    to_json_dict = config_to_dict
 
 
 def _max_pair_distance(p: np.ndarray, q: np.ndarray, pairing) -> float:
@@ -126,12 +113,12 @@ def semantic_distance(emb: LayerEmbeddingSet) -> ProbeReport:
     per_layer_cross = []
     for L in emb.layers:
         cross = _max_pair_distance(L.source_vecs, L.target_vecs, None)
-        per_layer_cross.append((L.layer_index, cross))
+        per_layer_cross.append(_CrossDistance(L.layer_index, cross))
         if paired:
             dist = _max_pair_distance(L.source_vecs, L.target_vecs, emb.pairing)
         else:
             dist = cross
-        per_layer.append((L.layer_index, dist, L.layer_index > 1))
+        per_layer.append(_LayerDistance(L.layer_index, dist, L.layer_index > 1))
 
     d_sem = min(v for (_, v, _) in per_layer)
     argmin_layer = next(l for (l, v, _) in per_layer if v == d_sem)

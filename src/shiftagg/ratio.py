@@ -23,6 +23,8 @@ coefficients stay exactly what the closed form / optimizer produced.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,7 @@ from .errors import (
     NonConvergence,
     NonFiniteValue,
     SingularSystem,
+    ValidationError,
 )
 from .serialize import read_json, write_json
 
@@ -58,6 +61,10 @@ __all__ = [
 DEFAULT_BOUND = 20.0
 DEFAULT_RIDGE_GRID = (1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_WIDTH_SCALES = (0.1, 0.3, 1.0, 3.0, 10.0)
+
+
+def _finite_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -114,8 +121,18 @@ class RatioModel:
             w.setflags(write=False)
             object.__setattr__(self, "classifier_weights", w)
         else:
-            if self.params is None:
-                raise ConfigInvalid("analytic model needs params")
+            p = self.params if isinstance(self.params, dict) else {}
+            mu_p, mu_q, s = (p.get(k) for k in ("source_mean", "target_mean", "cov_scale"))
+            means_ok = all(
+                isinstance(v, (list, tuple)) and v and all(map(_finite_number, v))
+                for v in (mu_p, mu_q)
+            )
+            if not (means_ok and len(mu_p) == len(mu_q) and _finite_number(s) and s > 0):
+                raise ConfigInvalid(
+                    "analytic params need source_mean and target_mean, non-empty "
+                    "lists of finite numbers of equal length, and a finite "
+                    f"cov_scale > 0; got {self.params!r}"
+                )
 
     @property
     def feature_dim(self) -> int:
@@ -523,10 +540,22 @@ def ratio_model_to_dict(model: RatioModel) -> dict:
     return doc
 
 
+def _float_array(v) -> np.ndarray:
+    return np.asarray(v, dtype=np.float64)
+
+
+def _finite(doc: dict, key: str, convert=float):
+    """``convert(doc[key])``, refused if it holds a NaN or an infinity."""
+    v = convert(doc[key])
+    if not np.isfinite(v).all():
+        raise NonFiniteValue(f"{key!r} holds a non-finite value")
+    return v
+
+
 def ratio_model_from_dict(doc: dict) -> RatioModel:
     try:
         kind = doc["kind"]
-        bound = float(doc["bound"])
+        bound = _finite(doc, "bound")
         if kind == "ulsif":
             cv = doc.get("cv")
             if cv is not None and not isinstance(cv, dict):
@@ -534,22 +563,20 @@ def ratio_model_from_dict(doc: dict) -> RatioModel:
             return RatioModel(
                 kind=kind,
                 bound=bound,
-                centers=np.asarray(doc["centers"], dtype=np.float64),
-                alpha=np.asarray(doc["alpha"], dtype=np.float64),
-                kernel_width=float(doc["kernel_width"]),
+                centers=_finite(doc, "centers", _float_array),
+                alpha=_finite(doc, "alpha", _float_array),
+                kernel_width=_finite(doc, "kernel_width"),
                 cv=cv,
             )
         if kind == "logistic":
             return RatioModel(
                 kind=kind,
                 bound=bound,
-                classifier_weights=np.asarray(
-                    doc["classifier_weights"], dtype=np.float64
-                ),
-                ns_over_nt=float(doc["ns_over_nt"]),
+                classifier_weights=_finite(doc, "classifier_weights", _float_array),
+                ns_over_nt=_finite(doc, "ns_over_nt"),
             )
         if kind == "analytic":
-            return RatioModel(kind=kind, bound=bound, params=dict(doc["params"]))
+            return RatioModel(kind=kind, bound=bound, params=doc["params"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(f"bad ratio model document: {exc!r}") from exc
     raise MalformedFile(f"bad ratio model kind {doc.get('kind')!r}")
@@ -560,4 +587,8 @@ def save_ratio_model(model: RatioModel, path) -> None:
 
 
 def load_ratio_model(path) -> RatioModel:
-    return ratio_model_from_dict(read_json(path))
+    doc = read_json(path)
+    try:
+        return ratio_model_from_dict(doc)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

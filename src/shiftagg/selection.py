@@ -10,7 +10,7 @@ against the aggregation and its oracle variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .aggregation import (
     empirical_risk,
     importance_weighted_risk,
     model_risks,
+    oracle_aggregate,
     resolve_beta,
     run_aggregation,  # noqa: F401  re-exported: perfbench's tracer rebinds it here
     solve_aggregation,
@@ -137,6 +138,14 @@ class ComparisonReport:
         )
 
 
+def _solve_detail(result) -> dict:
+    return {
+        "coefficients": list(result.coefficients),
+        "tikhonov": result.tikhonov,
+        "condition_estimate": result.condition_estimate,
+    }
+
+
 def build_method_rows(
     bundle: PredictionBundle,
     beta_by_name: dict[str, object],
@@ -148,7 +157,8 @@ def build_method_rows(
     ``""`` for unsuffixed rows) to a ratio model or weight vector; each
     entry yields one IWV row and one aggregation row. The target Gram
     matrix and the per-model risks are computed once and shared by every
-    row that needs them.
+    row that needs them; the oracle solve, when labels allow one, is made
+    first so its risk can scale every row as it is built.
     """
     labels_t = bundle.target.oracle_labels
     sel = select_source_risk(bundle)
@@ -157,8 +167,6 @@ def build_method_rows(
         if labels_t is None
         else model_risks(bundle.target_preds, labels_t).tolist()
     )
-    needs_gram = labels_t is not None or beta_by_name
-    G = compute_gram(bundle.target_preds) if needs_gram else None
 
     def true_risk_of(coefficients) -> float | None:
         if labels_t is None:
@@ -167,62 +175,53 @@ def build_method_rows(
             aggregate_predict(bundle.target_preds, coefficients), labels_t
         )
 
-    rows = [
-        MethodRow(
-            method=f"model:{name}",
-            estimated_score=sel.scores[k],
-            true_target_risk=true_risks[k],
+    G = oracle_true = oracle_detail = None
+    if labels_t is not None:
+        try:
+            oracle = oracle_aggregate(bundle)
+        except IllConditioned as exc:
+            oracle_detail = {"error": str(exc)}
+        else:
+            G = oracle.gram
+            oracle_true = true_risk_of(oracle.coefficients)
+            oracle_detail = _solve_detail(oracle)
+    if G is None and beta_by_name:
+        G = compute_gram(bundle.target_preds)
+
+    def row(method, true_target_risk, **fields) -> MethodRow:
+        scaled = (
+            true_target_risk is not None
+            and oracle_true is not None
+            and oracle_true > 0
         )
+        return MethodRow(
+            method=method,
+            true_target_risk=true_target_risk,
+            risk_ratio_vs_oracle=true_target_risk / oracle_true if scaled else None,
+            **fields,
+        )
+
+    def pick_row(method, outcome: SelectionOutcome) -> MethodRow:
+        k = outcome.selected_index
+        return row(
+            method,
+            true_risks[k],
+            estimated_score=outcome.scores[k],
+            detail={"selected_index": k, "tie_broken": outcome.tie_broken},
+        )
+
+    rows = [
+        row(f"model:{name}", true_risks[k], estimated_score=sel.scores[k])
         for k, name in enumerate(bundle.model_names)
     ]
-    rows.append(
-        MethodRow(
-            method="select_source",
-            estimated_score=sel.scores[sel.selected_index],
-            true_target_risk=true_risks[sel.selected_index],
-            detail={"selected_index": sel.selected_index, "tie_broken": sel.tie_broken},
-        )
-    )
-
-    oracle_true: float | None = None
-    if labels_t is not None:
-        # Weighting by exactly 1.0 makes this the plain averaged inner product.
-        ones = np.ones(bundle.target.n_samples)
-        g_oracle = compute_g_vector(bundle.target_preds, labels_t, ones)
-        try:
-            ores = solve_aggregation(G, g_oracle, 0.0)
-            oracle_true = true_risk_of(ores.coefficients)
-            rows.append(
-                MethodRow(
-                    method="aggregate_oracle",
-                    true_target_risk=oracle_true,
-                    detail={
-                        "coefficients": list(ores.coefficients),
-                        "tikhonov": ores.tikhonov,
-                        "condition_estimate": ores.condition_estimate,
-                    },
-                )
-            )
-        except IllConditioned as exc:
-            rows.append(
-                MethodRow(method="aggregate_oracle", detail={"error": str(exc)})
-            )
+    rows.append(pick_row("select_source", sel))
+    if oracle_detail is not None:
+        rows.append(row("aggregate_oracle", oracle_true, detail=oracle_detail))
 
     for suffix, ratio in beta_by_name.items():
         tag = f"_{suffix}" if suffix else ""
         beta, _ = resolve_beta(bundle, ratio)
-        sel_iwv = select_iwv(bundle, beta)
-        rows.append(
-            MethodRow(
-                method=f"select_iwv{tag}",
-                estimated_score=sel_iwv.scores[sel_iwv.selected_index],
-                true_target_risk=true_risks[sel_iwv.selected_index],
-                detail={
-                    "selected_index": sel_iwv.selected_index,
-                    "tie_broken": sel_iwv.tie_broken,
-                },
-            )
-        )
+        rows.append(pick_row(f"select_iwv{tag}", select_iwv(bundle, beta)))
         g = compute_g_vector(bundle.source_preds, bundle.source.labels, beta)
         result = solve_aggregation(G, g, lam)
         est = importance_weighted_risk(
@@ -231,32 +230,18 @@ def build_method_rows(
             beta,
         )
         rows.append(
-            MethodRow(
-                method=f"aggregate{tag}",
+            row(
+                f"aggregate{tag}",
+                true_risk_of(result.coefficients),
                 estimated_score=est,
-                true_target_risk=true_risk_of(result.coefficients),
                 detail={
-                    "coefficients": list(result.coefficients),
-                    "tikhonov": result.tikhonov,
-                    "condition_estimate": result.condition_estimate,
+                    **_solve_detail(result),
                     "lambda_escalations": result.diagnostics["lambda_escalations"],
                 },
             )
         )
 
     rows.sort(key=lambda r: r.method)
-    if oracle_true is not None and oracle_true > 0:
-        rows = [
-            replace(
-                r,
-                risk_ratio_vs_oracle=(
-                    None
-                    if r.true_target_risk is None
-                    else r.true_target_risk / oracle_true
-                ),
-            )
-            for r in rows
-        ]
     return rows
 
 

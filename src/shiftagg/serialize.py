@@ -232,7 +232,8 @@ def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 def config_to_dict(cfg) -> dict:
     """JSON object of a dataclass (a config or an output record), keys in
     field order; a field's metadata may rename its key with ``json_key``.
-    Nested dataclasses, also inside tuples, become objects and tuples lists."""
+    Nested dataclasses and named tuples, also inside tuples, become objects
+    and other tuples lists."""
     return {
         f.metadata.get("json_key", f.name): _to_json(getattr(cfg, f.name))
         for f in dataclasses.fields(cfg)
@@ -242,6 +243,8 @@ def config_to_dict(cfg) -> dict:
 def _to_json(v):
     if dataclasses.is_dataclass(v):
         return config_to_dict(v)
+    if isinstance(v, tuple) and hasattr(v, "_fields"):
+        return {k: _to_json(x) for k, x in zip(v._fields, v)}
     if isinstance(v, tuple):
         return [_to_json(x) for x in v]
     return v

@@ -418,54 +418,35 @@ def run_suite(cfg: SuiteConfig, trials: int, seeds, threads: int = 1) -> SuiteRe
 
 
 def _aggregate_stats(records: list[TrialRecord]) -> dict:
-    methods = [r.method for r in records[0].rows]
-    true_by_method: dict[str, list[float]] = {m: [] for m in methods}
-    for rec in records:
-        for row in rec.rows:
-            if row.true_target_risk is not None:
-                true_by_method[row.method].append(row.true_target_risk)
+    risks = [{r.method: r.true_target_risk for r in rec.rows} for rec in records]
+    methods = list(risks[0])
 
     mean = {}
     median = {}
     for m in methods:
-        vals = true_by_method[m]
+        vals = [r[m] for r in risks if r.get(m) is not None]
         if vals:
             mean[m] = float(np.mean(vals))
             median[m] = float(np.median(vals))
 
-    def true_risk(rec: TrialRecord, method: str) -> float | None:
-        try:
-            return rec.row(method).true_target_risk
-        except KeyError:
-            return None
-
-    win_counts: dict[str, int] = {}
     model_methods = [m for m in methods if m.startswith("model:")]
-    oracle_wins = 0
-    for rec in records:
-        oracle = true_risk(rec, "aggregate_oracle")
-        best = min(true_risk(rec, m) for m in model_methods)
-        if oracle is not None and oracle <= best + 1e-9:
-            oracle_wins += 1
-    win_counts["aggregate_oracle_le_best_model"] = oracle_wins
-
-    for suffix in ("analytic", "ulsif", "logistic"):
-        agg_m, iwv_m = f"aggregate_{suffix}", f"select_iwv_{suffix}"
-        if agg_m not in methods:
-            continue
-        wins = sum(
+    win_counts = {
+        "aggregate_oracle_le_best_model": sum(
             1
-            for rec in records
-            if true_risk(rec, agg_m) is not None
-            and true_risk(rec, agg_m) <= true_risk(rec, iwv_m)
+            for r in risks
+            if r.get("aggregate_oracle") is not None
+            and r["aggregate_oracle"] <= min(r[m] for m in model_methods) + 1e-9
         )
-        win_counts[f"{agg_m}_le_{iwv_m}"] = wins
-        src_wins = sum(
-            1
-            for rec in records
-            if true_risk(rec, iwv_m) <= true_risk(rec, "select_source")
+    }
+    # Each weight source wrote a select_iwv<tag> row and an aggregate<tag> row.
+    for iwv_m in (m for m in methods if m.startswith("select_iwv")):
+        agg_m = "aggregate" + iwv_m.removeprefix("select_iwv")
+        win_counts[f"{agg_m}_le_{iwv_m}"] = sum(
+            1 for r in risks if r[agg_m] is not None and r[agg_m] <= r[iwv_m]
         )
-        win_counts[f"{iwv_m}_le_select_source"] = src_wins
+        win_counts[f"{iwv_m}_le_select_source"] = sum(
+            1 for r in risks if r[iwv_m] <= r["select_source"]
+        )
 
     return {
         "n_trials": len(records),

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftagg import aggregation
 from shiftagg.cli import main
 from shiftagg.data import (
     PredictionBundle,
@@ -23,7 +24,7 @@ from shiftagg.data import (
 )
 from shiftagg.serialize import read_csv, write_csv, write_json
 from shiftagg.synth import SynthTaskConfig, generate_task
-from shiftagg.ratio import save_ratio_model
+from shiftagg.ratio import analytic_gaussian_ratio, save_ratio_model
 
 from conftest import build_bundle
 
@@ -183,6 +184,34 @@ class TestAggregate:
         assert code == 0
         doc = json.loads((out / "result.json").read_text())
         assert doc["mode"] == "oracle"
+
+    @pytest.mark.parametrize("flag", ["--analytic", "--ratio"])
+    def test_ratio_saturation_recorded(self, flag, task_dir, tmp_path, monkeypatch):
+        # A bound of 1 puts part of the analytic weights on the bound.
+        model = analytic_gaussian_ratio((0.0,) * 5, (0.5,) + (0.0,) * 4, 1.0, 1.0)
+        save_ratio_model(model, task_dir / "analytic_ratio.json")
+        calls = []
+        real = aggregation.evaluate_ratio
+        monkeypatch.setattr(
+            aggregation,
+            "evaluate_ratio",
+            lambda *a: calls.append(1) or real(*a),
+        )
+        out = tmp_path / "out"
+        args = ["aggregate", "--input", str(task_dir), "--output", str(out)]
+        args += (
+            [flag] if flag == "--analytic"
+            else [flag, str(task_dir / "analytic_ratio.json")]
+        )
+        assert main(args) == 0
+        assert len(calls) == 1
+        fraction = json.loads((out / "result.json").read_text())["diagnostics"][
+            "beta_saturation_fraction"
+        ]
+        task = generate_task(SynthTaskConfig(n_s=80, n_t=80, family_size=3, seed=60))
+        beta = real(model, task.bundle.source.features)
+        assert fraction == float(np.mean(beta >= 1.0))
+        assert 0.0 < fraction < 1.0
 
     def test_output_under_file_exit_4(self, task_dir, tmp_path):
         blocker = tmp_path / "f.txt"
@@ -419,3 +448,60 @@ class TestProbe:
     def test_malformed_dump_exit_2(self, tmp_path):
         (tmp_path / "emb.json").write_text("{not json")
         assert main(["probe", "--input", str(tmp_path / "emb.json")]) == 2
+
+
+_MU_P, _MU_Q = [0.0] * 5, [0.5] + [0.0] * 4
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {},
+        [],
+        {"source_mean": _MU_P, "target_mean": _MU_Q, "cov_scale": "x"},
+        {"source_mean": _MU_P, "target_mean": _MU_Q, "cov_scale": -1},
+        {"source_mean": _MU_P, "target_mean": _MU_Q, "cov_scale": float("nan")},
+        {"source_mean": _MU_P, "target_mean": _MU_Q[:4], "cov_scale": 1.0},
+        {"source_mean": _MU_P, "target_mean": ["a"] * 5, "cov_scale": 1.0},
+        {"source_mean": [float("nan")] * 5, "target_mean": _MU_Q, "cov_scale": 1.0},
+        {"source_mean": 0.0, "target_mean": 0.5, "cov_scale": 1.0},
+    ],
+    ids=[
+        "empty_object", "list", "string_scale", "negative_scale", "nan_scale",
+        "length_mismatch", "string_mean", "nan_mean", "scalar_means",
+    ],
+)
+def test_bad_analytic_params_exit_2(params, task_dir, tmp_path, capsys):
+    path = tmp_path / "ratio.json"
+    path.write_text(json.dumps({"kind": "analytic", "bound": 20.0, "params": params}))
+    code = main(["aggregate", "--input", str(task_dir), "--output",
+                 str(tmp_path / "out"), "--ratio", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key", ["alpha", "centers", "classifier_weights", "ns_over_nt"]
+)
+@pytest.mark.parametrize("command", ["aggregate", "select"])
+def test_non_finite_ratio_model_exit_2(key, command, task_dir, tmp_path, capsys):
+    kind = "ulsif" if key in ("alpha", "centers") else "logistic"
+    doc = {"kind": kind, "bound": 20.0}
+    if kind == "ulsif":
+        doc.update(centers=[[0.0] * 5, [1.0] * 5], alpha=[0.5, 0.5], kernel_width=1.0)
+    else:
+        doc.update(classifier_weights=[0.1] * 6, ns_over_nt=1.0)
+    value = doc[key]
+    if isinstance(value, list):
+        inner = value[0] if isinstance(value[0], list) else value
+        inner[0] = float("nan")
+    else:
+        doc[key] = float("nan")
+    path = tmp_path / "ratio.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, "--input", str(task_dir), "--output",
+                 str(tmp_path / "out"), "--ratio", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and key in err

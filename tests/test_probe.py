@@ -70,6 +70,27 @@ class TestSemanticDistance:
         assert paired.d_sem == 9.0
         assert paired.per_layer_max_dist_cross[0][1] == 10.0
 
+    def test_report_json_layout(self):
+        p = [[0.0], [10.0]]
+        q = [[0.0], [1.0]]
+        emb = embset([layer(1, p, q), layer(2, p, p)], pairing=((0, 0), (1, 1)))
+        report = with_lipschitz(with_epsilon(semantic_distance(emb), 1.0), [2.0])
+        doc = report.to_json_dict()
+        assert list(doc) == [
+            "d_sem", "argmin_layer", "mode", "per_layer_max_dist",
+            "per_layer_max_dist_cross", "epsilon", "is_epsilon_close",
+            "lipschitz_constants", "propagated_bound", "provenance",
+        ]
+        assert doc["per_layer_max_dist"] == [
+            {"l": 1, "max_dist": 9.0, "in_definition_range": False},
+            {"l": 2, "max_dist": 0.0, "in_definition_range": True},
+        ]
+        assert doc["per_layer_max_dist_cross"] == [
+            {"l": 1, "max_dist": 10.0},
+            {"l": 2, "max_dist": 10.0},
+        ]
+        assert doc["lipschitz_constants"] == [2.0]
+
     def test_symmetry_under_domain_swap(self):
         rng = np.random.Generator(np.random.Philox(50))
         p1, q1 = rng.standard_normal((4, 3)), rng.standard_normal((6, 3))

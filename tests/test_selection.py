@@ -1,18 +1,33 @@
 """Selection baselines and the method comparison report."""
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 from shiftagg import aggregation, selection
-from shiftagg.aggregation import empirical_risk
+from shiftagg.aggregation import (
+    aggregate_predict,
+    compute_g_vector,
+    compute_gram,
+    empirical_risk,
+    importance_weighted_risk,
+    model_risks,
+    resolve_beta,
+    solve_aggregation,
+)
 from shiftagg.data import PredictionBundle, SourceDataset, TargetDataset
-from shiftagg.ratio import RatioFitConfig, evaluate_ratio
+from shiftagg.errors import IllConditioned
+from shiftagg.ratio import RatioFitConfig, evaluate_ratio, fit_ratio
 from shiftagg.selection import (
     RESERVED_METHOD_NAMES,
+    MethodRow,
     build_method_rows,
     compare_methods,
     select_iwv,
     select_source_risk,
 )
+from shiftagg.serialize import dumps_canonical
 from shiftagg.synth import SuiteConfig, SynthTaskConfig, generate_task, run_suite
 
 from conftest import build_bundle
@@ -209,3 +224,167 @@ def test_target_gram_is_built_once_per_comparison(monkeypatch):
     )
     run_suite(cfg, trials=1, seeds=0)
     assert len(calls) == 1
+
+
+def reference_build_method_rows(bundle, beta_by_name, lam):
+    """Two-pass table builder: its own ones-weighted oracle solve, then a
+    second pass over every row to set the oracle ratio."""
+    labels_t = bundle.target.oracle_labels
+    sel = select_source_risk(bundle)
+    true_risks = (
+        [None] * bundle.model_count
+        if labels_t is None
+        else model_risks(bundle.target_preds, labels_t).tolist()
+    )
+    needs_gram = labels_t is not None or beta_by_name
+    G = compute_gram(bundle.target_preds) if needs_gram else None
+
+    def true_risk_of(coefficients):
+        if labels_t is None:
+            return None
+        return empirical_risk(
+            aggregate_predict(bundle.target_preds, coefficients), labels_t
+        )
+
+    rows = [
+        MethodRow(
+            method=f"model:{name}",
+            estimated_score=sel.scores[k],
+            true_target_risk=true_risks[k],
+        )
+        for k, name in enumerate(bundle.model_names)
+    ]
+    rows.append(
+        MethodRow(
+            method="select_source",
+            estimated_score=sel.scores[sel.selected_index],
+            true_target_risk=true_risks[sel.selected_index],
+            detail={"selected_index": sel.selected_index, "tie_broken": sel.tie_broken},
+        )
+    )
+
+    oracle_true = None
+    if labels_t is not None:
+        ones = np.ones(bundle.target.n_samples)
+        g_oracle = compute_g_vector(bundle.target_preds, labels_t, ones)
+        try:
+            ores = solve_aggregation(G, g_oracle, 0.0)
+            oracle_true = true_risk_of(ores.coefficients)
+            rows.append(
+                MethodRow(
+                    method="aggregate_oracle",
+                    true_target_risk=oracle_true,
+                    detail={
+                        "coefficients": list(ores.coefficients),
+                        "tikhonov": ores.tikhonov,
+                        "condition_estimate": ores.condition_estimate,
+                    },
+                )
+            )
+        except IllConditioned as exc:
+            rows.append(
+                MethodRow(method="aggregate_oracle", detail={"error": str(exc)})
+            )
+
+    for suffix, ratio in beta_by_name.items():
+        tag = f"_{suffix}" if suffix else ""
+        beta, _ = resolve_beta(bundle, ratio)
+        sel_iwv = select_iwv(bundle, beta)
+        rows.append(
+            MethodRow(
+                method=f"select_iwv{tag}",
+                estimated_score=sel_iwv.scores[sel_iwv.selected_index],
+                true_target_risk=true_risks[sel_iwv.selected_index],
+                detail={
+                    "selected_index": sel_iwv.selected_index,
+                    "tie_broken": sel_iwv.tie_broken,
+                },
+            )
+        )
+        g = compute_g_vector(bundle.source_preds, bundle.source.labels, beta)
+        result = solve_aggregation(G, g, lam)
+        est = importance_weighted_risk(
+            aggregate_predict(bundle.source_preds, result.coefficients),
+            bundle.source.labels,
+            beta,
+        )
+        rows.append(
+            MethodRow(
+                method=f"aggregate{tag}",
+                estimated_score=est,
+                true_target_risk=true_risk_of(result.coefficients),
+                detail={
+                    "coefficients": list(result.coefficients),
+                    "tikhonov": result.tikhonov,
+                    "condition_estimate": result.condition_estimate,
+                    "lambda_escalations": result.diagnostics["lambda_escalations"],
+                },
+            )
+        )
+
+    rows.sort(key=lambda r: r.method)
+    if oracle_true is not None and oracle_true > 0:
+        rows = [
+            replace(
+                r,
+                risk_ratio_vs_oracle=(
+                    None
+                    if r.true_target_risk is None
+                    else r.true_target_risk / oracle_true
+                ),
+            )
+            for r in rows
+        ]
+    return rows
+
+
+def _table_text(rows):
+    return dumps_canonical([r.to_json_dict() for r in rows])
+
+
+class TestMatchesReferenceBuilder:
+    @pytest.mark.parametrize("estimator", ["ulsif", "logistic"])
+    def test_synth_task_with_fitted_ratio(self, estimator):
+        task = generate_task(SynthTaskConfig(n_s=80, n_t=80, family_size=4, seed=45))
+        fitted = fit_ratio(
+            task.bundle.source.features,
+            task.bundle.target.features,
+            RatioFitConfig(estimator=estimator, n_centers=20, cv_folds=2, seed=3),
+        )
+        betas = {"analytic": task.analytic_ratio, estimator: fitted}
+        for lam in (None, 1e-6):
+            rows = build_method_rows(task.bundle, betas, lam)
+            assert {f"aggregate_{estimator}", "aggregate_oracle"} <= {
+                r.method for r in rows
+            }
+            assert _table_text(rows) == _table_text(
+                reference_build_method_rows(task.bundle, betas, lam)
+            )
+
+    def test_bundle_without_oracle_labels(self):
+        bundle = build_bundle(m=3, n_s=8, n_t=6, seed=46)
+        for betas in ({}, {"": np.linspace(0.5, 1.5, 8)}):
+            rows = build_method_rows(bundle, betas, None)
+            assert all(r.risk_ratio_vs_oracle is None for r in rows)
+            assert _table_text(rows) == _table_text(
+                reference_build_method_rows(bundle, betas, None)
+            )
+
+    def test_refused_oracle_keeps_error_row(self):
+        base = build_bundle(m=1, n_s=8, n_t=6, with_oracle=True, seed=47)
+        dup = PredictionBundle(
+            model_names=("a", "b"),
+            source_preds=np.repeat(base.source_preds, 2, axis=0),
+            target_preds=np.repeat(base.target_preds, 2, axis=0),
+            source=base.source,
+            target=base.target,
+        )
+        betas = {"": np.linspace(0.5, 1.5, 8)}
+        rows = build_method_rows(dup, betas, None)
+        oracle = next(r for r in rows if r.method == "aggregate_oracle")
+        assert "lam=0.0" in oracle.detail["error"]
+        assert oracle.true_target_risk is None
+        assert all(r.risk_ratio_vs_oracle is None for r in rows)
+        assert _table_text(rows) == _table_text(
+            reference_build_method_rows(dup, betas, None)
+        )
