@@ -177,14 +177,21 @@ def cmd_estimate_ratio(args) -> int:
             f"{SATURATION_WARN_LEVEL}; the bound B may be too small",
             file=sys.stderr,
         )
-    if model.cv is not None and model.cv["on_grid_edge"]:
-        print(
-            f"warning: cross-validation chose kernel width "
-            f"{model.kernel_width:.6g} and ridge "
-            f"{model.cv['ridges'][model.cv['ridge_index']]:g}, on the edge of "
-            "the grid; the optimum may lie outside it",
-            file=sys.stderr,
-        )
+    if model.cv is not None:
+        # The lowest ridge winning is the common case and says little; a
+        # width on either edge or the largest ridge may miss the optimum.
+        ridge = model.cv["ridges"][model.cv["ridge_index"]]
+        edges = []
+        if model.cv["width_on_edge"]:
+            edges.append(f"kernel width {model.kernel_width:.6g}")
+        if ridge == max(model.cv["ridges"]):
+            edges.append(f"ridge {ridge:g}, the largest")
+        if edges:
+            print(
+                f"warning: cross-validation chose {' and '.join(edges)}, on the "
+                "edge of the grid; the optimum may lie outside it",
+                file=sys.stderr,
+            )
     return 0
 
 

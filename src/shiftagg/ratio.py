@@ -40,6 +40,7 @@ from .errors import (
     NegativeWeight,
     NonConvergence,
     NonFiniteValue,
+    NumericalError,
     SingularSystem,
     ValidationError,
 )
@@ -61,6 +62,8 @@ __all__ = [
 DEFAULT_BOUND = 20.0
 DEFAULT_RIDGE_GRID = (1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_WIDTH_SCALES = (0.1, 0.3, 1.0, 3.0, 10.0)
+# The LAPACK Cholesky routines behind scipy.linalg.cho_factor/cho_solve.
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def _finite_number(v) -> bool:
@@ -78,8 +81,9 @@ class RatioModel:
     ``source_mean``, ``target_mean``, ``cov_scale``). A fitted ``ulsif``
     model also carries ``cv``, its cross-validation record: the ``widths``
     and ``ridges`` grids, the ``scores`` grid (``None`` where a cell was
-    refused), the chosen ``width_index`` and ``ridge_index``, and
-    ``on_grid_edge``, true when either index is first or last in its grid.
+    refused), the chosen ``width_index`` and ``ridge_index``,
+    ``width_on_edge`` and ``ridge_on_edge``, true when that index is first
+    or last in its grid, and ``on_grid_edge``, their OR.
     """
 
     kind: str
@@ -195,8 +199,15 @@ def _check_xy(source_x, target_x) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(
             f"source has {xs.shape[1]} feature columns, target has {xt.shape[1]}"
         )
-    if not (np.isfinite(xs).all() and np.isfinite(xt).all()):
-        raise NonFiniteValue("feature arrays contain non-finite values")
+    # A finite squared row norm bounds every squared distance the kernels
+    # take, so this also refuses features whose squares overflow (1e200).
+    with np.errstate(over="ignore"):
+        finite = all(np.isfinite(np.sum(x * x, axis=1)).all() for x in (xs, xt))
+    if not finite:
+        raise NonFiniteValue(
+            "feature arrays contain non-finite values, or a row whose squared "
+            "norm overflows"
+        )
     return xs, xt
 
 
@@ -204,7 +215,8 @@ def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, shape (len(x), len(c))."""
     x2 = np.sum(x * x, axis=1)[:, None]
     c2 = np.sum(c * c, axis=1)[None, :]
-    d2 = x2 + c2 - 2.0 * x @ c.T
+    d2 = x2 + c2
+    d2 -= 2.0 * x @ c.T
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -218,11 +230,16 @@ def _median_pairwise_distance(x: np.ndarray, rng: np.random.Generator) -> float:
     if n > 1000:
         x = x[rng.choice(n, 1000, replace=False)]
     d2 = _sq_dists(x, x)
-    vals = d2[np.triu_indices(len(x), k=1)]
-    vals = vals[vals > 0]
+    idx = np.arange(len(x))
+    vals = d2[(idx[:, None] < idx) & (d2 > 0)]  # distinct pairs, upper triangle
     if vals.size == 0:
         return 1.0
-    return float(np.sqrt(np.median(vals)))
+    # np.median's value from one partition: the k-th order statistic is unique,
+    # and for an even count the lower middle value is the largest below it.
+    k = vals.size // 2
+    p = np.partition(vals, k)
+    med = p[k] if vals.size % 2 else (p[:k].max() + p[k]) / 2.0
+    return float(np.sqrt(med))
 
 
 def _fold_ids(n: int, folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -254,11 +271,15 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     the exact solution of ``(H + lam*I) alpha = h`` (possibly with negative
     entries, which only evaluation clamps away).
 
-    ``H`` and ``h`` are sums over samples, so each training fold's system is
-    the whole sample's sum minus that fold's part; it is built once per
-    width and solved for every ridge, and the refit solves the chosen
-    width's whole sums. The returned model's ``cv`` block
-    holds the score grid and the chosen cell.
+    The default width grid scales the median pairwise distance, found with
+    one partition. The distances to the centers are computed once per fit,
+    and each width refills two kernel buffers from them in place. ``H`` and
+    ``h`` are sums over samples, so each training fold's system is the
+    whole sample's sum minus that fold's part; it is built once per width
+    and solved for every ridge by LAPACK ``potrf``/``potrs`` directly, and
+    the refit solves the chosen width's whole sums. The returned model's
+    ``cv`` block holds the score grid, the chosen cell and which of its
+    grids' edges that cell lies on.
     """
     xs, xt = _check_xy(source_x, target_x)
     rng = _rng(cfg.seed)
@@ -283,9 +304,15 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     ridges = cfg.ridge_strengths
     scores = np.full((len(widths), len(ridges)), np.nan)
     sums = []  # per width: the whole sample's (H_tot, h_tot), kept for the refit
+    # Distances to the centers do not depend on the width: compute them once
+    # and refill two kernel buffers in place per width, with the same ufuncs
+    # on the same operands as _gaussian_kernel.
+    D_s, D_t = _sq_dists(xs, centers), _sq_dists(xt, centers)
+    K_s, K_t = np.empty_like(D_s), np.empty_like(D_t)
     for i, width in enumerate(widths):
-        K_s = _gaussian_kernel(xs, centers, width)
-        K_t = _gaussian_kernel(xt, centers, width)
+        for D, K in ((D_s, K_s), (D_t, K_t)):
+            np.divide(D, -2.0 * width * width, out=K)
+            np.exp(K, out=K)
         H_tot, h_tot = K_s.T @ K_s, K_t.sum(axis=0)
         sums.append((H_tot, h_tot))
         systems = []
@@ -323,8 +350,10 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
         ],
         "width_index": int(i),
         "ridge_index": int(j),
-        "on_grid_edge": i in (0, len(widths) - 1) or j in (0, len(ridges) - 1),
+        "width_on_edge": i in (0, len(widths) - 1),
+        "ridge_on_edge": j in (0, len(ridges) - 1),
     }
+    cv["on_grid_edge"] = cv["width_on_edge"] or cv["ridge_on_edge"]
     return RatioModel(
         kind="ulsif",
         bound=cfg.bound,
@@ -336,14 +365,28 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
 
 
 def _cho_solve_ridge(H: np.ndarray, h: np.ndarray, ridge: float) -> np.ndarray:
+    """Solve ``(H + ridge*I) x = h`` by Cholesky.
+
+    Calls LAPACK ``potrf``/``potrs`` as ``scipy.linalg.cho_factor(lower=True)``
+    and ``cho_solve`` do, with the same checks, minus their per-call wrapper
+    cost; every failure is a shiftagg error.
+    """
     A = H + ridge * np.eye(H.shape[0])
-    try:
-        cf = scipy.linalg.cho_factor(A, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+    if not (np.isfinite(A).all() and np.isfinite(h).all()):
+        raise NonFiniteValue(f"kernel system is not finite at ridge={ridge!r}")
+    c, info = _POTRF(A, lower=1, overwrite_a=0, clean=0)
+    if info > 0:
         raise SingularSystem(
-            f"kernel Gram matrix not factorizable at ridge={ridge!r}"
-        ) from exc
-    return scipy.linalg.cho_solve(cf, h)
+            f"kernel Gram matrix not factorizable at ridge={ridge!r}: its "
+            f"{info}-th leading minor is not positive definite"
+        )
+    if info == 0:
+        x, info = _POTRS(c, h, lower=1, overwrite_b=0)
+    if info != 0:
+        raise NumericalError(
+            f"LAPACK Cholesky rejected argument {-info} at ridge={ridge!r}"
+        )
+    return x
 
 
 def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
@@ -544,8 +587,23 @@ def _float_array(v) -> np.ndarray:
     return np.asarray(v, dtype=np.float64)
 
 
+def _all_numbers(v) -> bool:
+    """True if ``v`` is a JSON number or a nested list of them; a boolean, a
+    string or a null is not one."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.kind in "iuf"
+    if isinstance(v, (list, tuple)):
+        return all(map(_all_numbers, v))
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _finite(doc: dict, key: str, convert=float):
-    """``convert(doc[key])``, refused if it holds a NaN or an infinity."""
+    """``convert(doc[key])``, refused if it holds anything but numbers, or a
+    NaN or an infinity."""
+    if not _all_numbers(doc[key]):
+        raise MalformedFile(
+            f"{key!r} must hold only numbers, not booleans, strings or nulls"
+        )
     v = convert(doc[key])
     if not np.isfinite(v).all():
         raise NonFiniteValue(f"{key!r} holds a non-finite value")

@@ -6,7 +6,9 @@ import json
 import os
 import pathlib
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,6 +97,56 @@ class TestEstimateRatio:
         assert "edge of the grid" in capsys.readouterr().err
         cv = json.loads((tmp_path / "out" / "ratio.json").read_text())["cv"]
         assert cv["widths"] == [1e-4, 2e-4] and cv["on_grid_edge"] is True
+        assert cv["width_on_edge"] is True
+
+    def _edge_run(self, task_dir, tmp_path, capsys, doc):
+        cfg = tmp_path / "ratio_cfg.json"
+        write_json(cfg, doc)
+        code = main(
+            ["estimate-ratio", "--input", str(task_dir), "--output",
+             str(tmp_path / "out"), "--config", str(cfg)]
+        )
+        assert code == 0
+        cv = json.loads((tmp_path / "out" / "ratio.json").read_text())["cv"]
+        return cv, capsys.readouterr().err
+
+    def test_lowest_ridge_is_silent(self, task_dir, tmp_path, capsys):
+        # The default grid on this task and seed picks an inner width and the
+        # lowest ridge: on the ridge grid's edge, but no warning.
+        cv, err = self._edge_run(task_dir, tmp_path, capsys, {"seed": 11})
+        assert (cv["width_index"], cv["ridge_index"]) == (3, 0)
+        assert cv["width_on_edge"] is False and cv["ridge_on_edge"] is True
+        assert cv["on_grid_edge"] is True
+        assert "edge of the grid" not in err
+
+    def test_largest_ridge_warns(self, task_dir, tmp_path, capsys):
+        # The default grid's best cell at this seed has ridge 1e-2; cut the
+        # grid there and that cell is the largest ridge's.
+        cv, err = self._edge_run(
+            task_dir, tmp_path, capsys, {"ridge_strengths": [1e-3, 1e-2], "seed": 0}
+        )
+        assert (cv["width_index"], cv["ridge_index"]) == (3, 1)
+        assert cv["width_on_edge"] is False and cv["ridge_on_edge"] is True
+        assert "ridge 0.01, the largest, on the edge of the grid" in err
+        assert "kernel width" not in err
+
+    @pytest.mark.parametrize("domain", ["source", "target"])
+    def test_feature_whose_square_overflows_exit_2(self, domain, tmp_path, capsys):
+        bundle = build_bundle(n_s=20, n_t=20)
+        data = getattr(bundle, domain)
+        features = data.features.copy()
+        features[3, 1] = 1e200  # finite, but its square is not
+        bundle = replace(bundle, **{domain: replace(data, features=features)})
+        write_bundle(bundle, tmp_path / "b")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["estimate-ratio", "--input", str(tmp_path / "b"), "--output",
+                 str(tmp_path / "out")]
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "squared norm overflows" in err
 
     def test_one_source_row_exit_2(self, tmp_path, capsys):
         write_bundle(build_bundle(n_s=1, n_t=4), tmp_path / "b")
@@ -505,3 +557,35 @@ def test_non_finite_ratio_model_exit_2(key, command, task_dir, tmp_path, capsys)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and key in err
+
+
+_ANALYTIC = {"kind": "analytic", "bound": 20.0,
+             "params": {"source_mean": _MU_P, "target_mean": _MU_Q, "cov_scale": 1.0}}
+_ULSIF = {"kind": "ulsif", "bound": 20.0, "centers": [[0.0] * 5, [1.0] * 5],
+          "alpha": [0.5, 0.5], "kernel_width": 1.0}
+_LOGISTIC = {"kind": "logistic", "bound": 20.0, "classifier_weights": [0.1] * 6,
+             "ns_over_nt": 1.0}
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({**_ANALYTIC, "bound": True}, "bound"),
+        ({**_ANALYTIC, "bound": "3"}, "bound"),
+        ({**_LOGISTIC, "ns_over_nt": False}, "ns_over_nt"),
+        ({**_ULSIF, "kernel_width": "0.5"}, "kernel_width"),
+        ({**_ULSIF, "alpha": [True, "2"]}, "alpha"),
+        ({**_ULSIF, "centers": [[0.0] * 5, [1.0] * 4 + [None]]}, "centers"),
+    ],
+    ids=["bool_bound", "string_bound", "bool_ns_over_nt", "string_kernel_width",
+         "bool_and_string_alpha", "null_center"],
+)
+def test_wrong_typed_ratio_model_exit_2(doc, key, task_dir, tmp_path, capsys):
+    path = tmp_path / "ratio.json"
+    path.write_text(json.dumps(doc))
+    code = main(["aggregate", "--input", str(task_dir), "--output",
+                 str(tmp_path / "out"), "--ratio", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and repr(key) in err
+    assert "numbers" in err and "Traceback" not in err

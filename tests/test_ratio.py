@@ -1,7 +1,10 @@
 """Density-ratio estimators against the closed-form Gaussian oracle."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +16,8 @@ from shiftagg.errors import (
     EmptyInput,
     MalformedFile,
     NonConvergence,
+    NonFiniteValue,
+    NumericalError,
     SingularSystem,
 )
 from shiftagg.ratio import (
@@ -70,6 +75,14 @@ class TestUlsif:
                 RatioFitConfig(estimator="logistic"),
             )
 
+    @pytest.mark.parametrize("estimator", ["ulsif", "logistic"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_feature_whose_square_overflows_is_refused(self, estimator, side):
+        x = [np.zeros((20, 2)), np.ones((20, 2))]
+        x[side][5, 0] = -1e200
+        with pytest.raises(NonFiniteValue, match="squared norm overflows"):
+            ratio.fit_ratio(x[0], x[1], RatioFitConfig(estimator=estimator))
+
     def test_solve_matches_dense_oracle(self):
         # Rebuild the kernel system by brute force and solve it generically;
         # the fitted alpha must match to near machine precision.
@@ -110,21 +123,64 @@ class TestUlsif:
         assert abs(float(np.median(fwd * bwd)) - 1.0) < 0.15
 
 
-def ulsif_solve(K_s, K_t, ridge):
+def reference_sq_dists(x, c):
+    return np.maximum(
+        np.sum(x * x, axis=1)[:, None] + np.sum(c * c, axis=1)[None, :]
+        - 2.0 * x @ c.T,
+        0.0,
+    )
+
+
+def reference_kernel(x, c, width):
+    return np.exp(reference_sq_dists(x, c) / (-2.0 * width * width))
+
+
+def reference_median_pairwise_distance(x, rng):
+    """The width heuristic as a gather of the upper triangle and ``np.median``."""
+    n = x.shape[0]
+    if n > 1000:
+        x = x[rng.choice(n, 1000, replace=False)]
+    vals = reference_sq_dists(x, x)[np.triu_indices(len(x), k=1)]
+    vals = vals[vals > 0]
+    if vals.size == 0:
+        return 1.0
+    return float(np.sqrt(np.median(vals)))
+
+
+def reference_widths(xs, xt, cfg, rng):
+    if cfg.kernel_widths is not None:
+        return cfg.kernel_widths
+    med = reference_median_pairwise_distance(np.vstack([xs, xt]), rng)
+    med = max(med, np.finfo(float).tiny)
+    return tuple(s * med for s in ratio.DEFAULT_WIDTH_SCALES)
+
+
+def reference_cho_solve(H, h, ridge):
+    """``(H + ridge*I)^-1 h`` through scipy's Cholesky wrappers."""
+    try:
+        cf = scipy.linalg.cho_factor(H + ridge * np.eye(H.shape[0]), lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularSystem(f"refused ridge={ridge!r}") from exc
+    return scipy.linalg.cho_solve(cf, h)
+
+
+def ulsif_solve(K_s, K_t, ridge, solve):
     """Solve ``(K_s^T K_s / n_s + ridge*I) alpha = mean(K_t)`` from the kernels."""
     H = (K_s.T @ K_s) / K_s.shape[0]
-    return ratio._cho_solve_ridge(H, np.mean(K_t, axis=0), ridge)
+    return solve(H, np.mean(K_t, axis=0), ridge)
 
 
-def reference_fit_ulsif(xs, xt, cfg):
+def reference_fit_ulsif(xs, xt, cfg, solve=reference_cho_solve):
     """The per-cell cross-validation loop that the fold-sum one replaced.
 
-    Every (width, ridge, fold) cell builds its training system from the
-    training rows directly. Returns the chosen grid indices, the refit
-    ``alpha`` and the score grid (NaN where a cell was refused).
+    Every (width, ridge, fold) cell builds its kernels and its training
+    system from the training rows directly, with no code of ``ratio`` but
+    its seeded draws. Returns the chosen grid indices, the refit ``alpha``
+    and the score grid (NaN where a cell was refused).
     """
     rng = ratio._rng(cfg.seed)
-    widths, n_c = ratio._resolve_grid(xs, xt, cfg, rng)
+    widths = reference_widths(xs, xt, cfg, rng)
+    n_c = cfg.n_centers if cfg.n_centers is not None else min(100, xt.shape[0])
     centers = xt[np.sort(rng.choice(xt.shape[0], n_c, replace=False))]
     folds = cfg.cv_folds
     fold_s = ratio._fold_ids(xs.shape[0], folds, rng)
@@ -132,8 +188,8 @@ def reference_fit_ulsif(xs, xt, cfg):
     grid = np.full((len(widths), len(cfg.ridge_strengths)), np.nan)
     best = None  # (score, width index, ridge index)
     for i, width in enumerate(widths):
-        K_s = ratio._gaussian_kernel(xs, centers, width)
-        K_t = ratio._gaussian_kernel(xt, centers, width)
+        K_s = reference_kernel(xs, centers, width)
+        K_t = reference_kernel(xt, centers, width)
         for j, ridge in enumerate(cfg.ridge_strengths):
             scores = []
             for f in range(folds):
@@ -142,7 +198,7 @@ def reference_fit_ulsif(xs, xt, cfg):
                 if min(len(tr_s), len(va_s), len(tr_t), len(va_t)) == 0:
                     continue
                 try:
-                    alpha = ulsif_solve(tr_s, tr_t, ridge)
+                    alpha = ulsif_solve(tr_s, tr_t, ridge, solve)
                 except SingularSystem:
                     scores = None
                     break
@@ -158,9 +214,10 @@ def reference_fit_ulsif(xs, xt, cfg):
         raise SingularSystem("every (width, ridge) grid cell failed")
     _, i, j = best
     alpha = ulsif_solve(
-        ratio._gaussian_kernel(xs, centers, widths[i]),
-        ratio._gaussian_kernel(xt, centers, widths[i]),
+        reference_kernel(xs, centers, widths[i]),
+        reference_kernel(xt, centers, widths[i]),
         cfg.ridge_strengths[j],
+        solve,
     )
     return (i, j), alpha, grid
 
@@ -170,11 +227,15 @@ def suite_task_features(seed, n=500):
     return task.bundle.source.features, task.bundle.target.features
 
 
-def assert_matches_reference(xs, xt, cfg):
+def assert_matches_reference(xs, xt, cfg, solve=reference_cho_solve):
     model = fit_ulsif(xs, xt, cfg)
-    chosen, alpha, grid = reference_fit_ulsif(xs, xt, cfg)
+    chosen, alpha, grid = reference_fit_ulsif(xs, xt, cfg, solve)
     cv = model.cv
     assert (cv["width_index"], cv["ridge_index"]) == chosen
+    widths, ridges = len(cv["widths"]), len(cv["ridges"])
+    assert cv["width_on_edge"] == (chosen[0] in (0, widths - 1))
+    assert cv["ridge_on_edge"] == (chosen[1] in (0, ridges - 1))
+    assert cv["on_grid_edge"] == (cv["width_on_edge"] or cv["ridge_on_edge"])
     assert model.kernel_width == cv["widths"][chosen[0]]
     assert np.array_equal(model.alpha, alpha)
     scores = np.array(cv["scores"], dtype=float)
@@ -211,18 +272,22 @@ class TestUlsifFoldSums:
 
     @staticmethod
     def _refusing_solver(monkeypatch, refuse):
-        """Route every Cholesky solve through ``refuse(ridge, nth call at
-        that ridge)``; returns the list of ridges solved for."""
-        solve, calls = ratio._cho_solve_ridge, []
+        """Route every Cholesky solve of ``fit_ulsif`` through ``refuse(ridge,
+        nth call at that ridge)``. Returns the list of ridges solved for and
+        the reference solver wrapped the same way, counting into that list."""
+        calls = []
 
-        def fake(H, h, ridge):
-            calls.append(ridge)
-            if refuse(ridge, calls.count(ridge)):
-                raise SingularSystem(f"refused ridge={ridge!r}")
-            return solve(H, h, ridge)
+        def refusing(solve):
+            def fake(H, h, ridge):
+                calls.append(ridge)
+                if refuse(ridge, calls.count(ridge)):
+                    raise SingularSystem(f"refused ridge={ridge!r}")
+                return solve(H, h, ridge)
 
-        monkeypatch.setattr(ratio, "_cho_solve_ridge", fake)
-        return calls
+            return fake
+
+        monkeypatch.setattr(ratio, "_cho_solve_ridge", refusing(ratio._cho_solve_ridge))
+        return calls, refusing(reference_cho_solve)
 
     @pytest.mark.parametrize("last_fold_only", [False, True])
     def test_refused_ridge_dropped_for_every_width(self, monkeypatch, last_fold_only):
@@ -235,7 +300,7 @@ class TestUlsifFoldSums:
         def refuse(ridge, nth):
             return ridge == bad and (nth % folds == 0 or not last_fold_only)
 
-        calls = self._refusing_solver(monkeypatch, refuse)
+        calls, reference_solve = self._refusing_solver(monkeypatch, refuse)
         model = fit_ulsif(xs, xt, cfg)
         assert [row[0] for row in model.cv["scores"]] == [None] * widths
         assert all(s is not None for row in model.cv["scores"] for s in row[1:])
@@ -245,7 +310,7 @@ class TestUlsifFoldSums:
         assert calls.count(bad) == widths * per_width
         assert len(calls) == widths * ((ridges - 1) * folds + per_width) + 1
         calls.clear()
-        assert_matches_reference(xs, xt, cfg)
+        assert_matches_reference(xs, xt, cfg, reference_solve)
 
     def test_refusing_every_ridge_raises(self, monkeypatch):
         self._refusing_solver(monkeypatch, lambda ridge, nth: True)
@@ -267,13 +332,111 @@ class TestUlsifFoldSums:
         assert cv["widths"] == list(widths)
         assert cv["ridges"] == list(RatioFitConfig().ridge_strengths)
         assert cv["width_index"] == 2 and cv["on_grid_edge"] is True
+        assert cv["width_on_edge"] is True
         # A suite task whose choice lies inside both grids.
         xs, xt = suite_task_features(6)
         cv = fit_ulsif(xs, xt, RatioFitConfig(seed=6)).cv
         assert 0 < cv["width_index"] < 4 and 0 < cv["ridge_index"] < 3
         assert cv["on_grid_edge"] is False
+        assert cv["width_on_edge"] is False and cv["ridge_on_edge"] is False
         scores = np.array(cv["scores"], dtype=float)
         assert scores[cv["width_index"], cv["ridge_index"]] == scores.min()
+
+
+def _points(min_rows, max_rows):
+    """Small point clouds with repeated coordinates, so some pairs coincide."""
+    coord = st.one_of(st.sampled_from([0.0, 1.0, -2.5]), st.floats(-1e3, 1e3))
+    return st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.lists(coord, min_size=d, max_size=d),
+            min_size=min_rows,
+            max_size=max_rows,
+        )
+    )
+
+
+class TestWidthHeuristic:
+    """``_median_pairwise_distance`` is bitwise the ``np.median`` body."""
+
+    @staticmethod
+    def assert_bitwise(x, seed=0):
+        new_rng, old_rng = ratio._rng(seed), ratio._rng(seed)
+        got = ratio._median_pairwise_distance(x, new_rng)
+        want = reference_median_pairwise_distance(x, old_rng)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # The same draws were consumed.
+        assert new_rng.integers(2**62) == old_rng.integers(2**62)
+        return got
+
+    @given(_points(2, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_median(self, rows):
+        self.assert_bitwise(np.array(rows, dtype=np.float64))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_odd_and_even_pair_counts(self, n):
+        # n points in general position give n(n-1)/2 distinct pairs:
+        # 6, 10, 15, 21 -- both parities.
+        x = np.random.Generator(np.random.Philox(n)).standard_normal((n, 2))
+        self.assert_bitwise(x)
+
+    def test_duplicates_drop_zero_distances(self):
+        x = np.array([[0.0], [0.0], [3.0], [3.0], [7.0]])
+        # Nonzero squared distances: 9 (x4), 16 (x2), 49 (x2); the two zero
+        # ones are dropped, so the median of the eight is (9 + 16) / 2.
+        assert self.assert_bitwise(x) == math.sqrt(12.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_identical_points_give_one(self, n):
+        assert self.assert_bitwise(np.full((n, 3), 4.25)) == 1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subsampled_above_1000_rows(self, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        x = rng.standard_normal((1001 + 97 * seed, 5))
+        x[::7] = x[1::7][: len(x[::7])]  # some duplicate rows
+        self.assert_bitwise(x, seed)
+
+
+class TestCholeskySolve:
+    def test_matches_scipy_bitwise(self):
+        rng = np.random.Generator(np.random.Philox(41))
+        K = np.exp(-rng.uniform(0.0, 4.0, (300, 60)))
+        H, h = K.T @ K / 300, K.mean(axis=0)
+        for ridge in (1e-3, 1e-2, 1.0):
+            got = ratio._cho_solve_ridge(H, h, ridge)
+            assert np.array_equal(got, reference_cho_solve(H, h, ridge))
+
+    def test_not_positive_definite_is_singular_system(self):
+        H = -np.eye(4)
+        with pytest.raises(SingularSystem, match="ridge=0.5"):
+            ratio._cho_solve_ridge(H, np.ones(4), 0.5)
+
+    def test_rank_deficient_cells_are_dropped(self):
+        # Identical source rows make every training system rank one, so the
+        # tiny ridge is refused by LAPACK on every width; the fit goes on.
+        rng = np.random.Generator(np.random.Philox(42))
+        xs = np.tile(rng.standard_normal((1, 2)), (60, 1))
+        xt = rng.standard_normal((60, 2))
+        cfg = RatioFitConfig(ridge_strengths=(1e-300, 0.1), n_centers=30, seed=3)
+        model = fit_ulsif(xs, xt, cfg)
+        assert [row[0] for row in model.cv["scores"]] == [None] * 5
+        assert model.cv["ridge_index"] == 1
+        assert_matches_reference(xs, xt, cfg)
+
+    def test_non_finite_system_is_refused(self):
+        with pytest.raises(NonFiniteValue):
+            ratio._cho_solve_ridge(np.eye(3), np.array([1.0, np.nan, 0.0]), 0.1)
+        H = np.eye(3)
+        H[2, 1] = np.inf
+        with pytest.raises(NonFiniteValue):
+            ratio._cho_solve_ridge(H, np.ones(3), 0.1)
+
+    def test_illegal_argument_is_a_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(ratio, "_POTRF", lambda A, **kw: (A, -4))
+        with pytest.raises(NumericalError, match="argument 4"):
+            ratio._cho_solve_ridge(np.eye(3), np.ones(3), 0.1)
 
 
 class TestLogistic:
