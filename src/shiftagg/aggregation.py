@@ -204,8 +204,8 @@ def _solve_spd(G, g, lam: float) -> tuple[np.ndarray, float, float]:
     ):
         raise NonSymmetric("gram matrix is not symmetric")
     lam = float(lam)
-    if lam < 0:
-        raise ConfigInvalid("tikhonov value must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ConfigInvalid(f"tikhonov value must be finite and nonnegative, got {lam}")
 
     A = G + lam * np.eye(m)
     try:

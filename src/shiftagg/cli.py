@@ -271,18 +271,15 @@ def cmd_select(args) -> int:
 
 def cmd_bench(args) -> int:
     doc = read_json(args.config) if args.config else {}
-    if not isinstance(doc, dict):
-        raise ConfigInvalid("suite config must be a JSON object")
     # trials and seed sit beside the suite config's fields in the same file.
-    doc = dict(doc)
+    doc = dict(decode_value(dict, doc, "suite config"))
     trials = decode_value(int, doc.pop("trials", 100), "trials")
     seed = decode_value(int, doc.pop("seed", 0), "seed")
     cfg = config_from_dict(synth.SuiteConfig, doc)
     trials = args.trials if args.trials is not None else trials
     seed = args.seed if args.seed is not None else seed
-    threads = max(1, args.threads)
 
-    report = synth.run_suite(cfg, trials, seed, threads=threads)
+    report = synth.run_suite(cfg, trials, seed, threads=args.threads)
     outdir = _ensure_outdir(args.output)
     doc_out = report.to_json_dict()
     doc_out["seed"] = seed

@@ -25,14 +25,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (
-    ConfigInvalid,
     DimensionMismatch,
     EmptyLayer,
     IoFailure,
     MalformedFile,
     NonFiniteValue,
 )
-from .serialize import decode_value, read_csv, read_json, write_csv, write_json
+from .serialize import decode_object, read_csv, read_json, write_csv, write_json
 
 __all__ = [
     "SourceDataset",
@@ -333,6 +332,16 @@ class LayerEmbeddingSet:
 # model_<name>_source.csv / model_<name>_target.csv   id,f_1..f_d2
 # Every CSV's id column runs 0..n-1 in order; load_bundle rejects any other.
 
+_MANIFEST_KEYS = {
+    "model_names": tuple[str, ...],
+    "d1": int | None,
+    "d2": int,
+    "has_source_features": bool,
+    "has_target_features": bool,
+    "has_target_labels": bool,
+    "provenance": str,
+}
+
 
 def write_bundle(bundle: PredictionBundle, path) -> None:
     """Write a bundle directory; ``load_bundle`` reproduces it exactly."""
@@ -373,25 +382,17 @@ def write_bundle(bundle: PredictionBundle, path) -> None:
 
 def load_bundle(path) -> PredictionBundle:
     """Load and fully validate a bundle directory."""
-    manifest = read_json(os.path.join(path, "manifest.json"))
-
-    def field(tp, key):
-        return decode_value(tp, manifest[key], key)
-
-    try:
-        names = field(tuple[str, ...], "model_names")
-        d1 = field(int | None, "d1")
-        d2 = field(int, "d2")
-        has_sx = field(bool, "has_source_features")
-        has_tx = field(bool, "has_target_features")
-        has_ty = field(bool, "has_target_labels")
-        provenance = decode_value(str, manifest.get("provenance", ""), "provenance")
-    except (KeyError, TypeError, ConfigInvalid) as exc:
-        raise MalformedFile(f"{path}/manifest.json: {exc!r}") from exc
+    where = os.path.join(path, "manifest.json")
+    manifest = read_json(where)
+    manifest = decode_object(_MANIFEST_KEYS, manifest, where, {"provenance": ""})
+    names, d1, d2 = manifest["model_names"], manifest["d1"], manifest["d2"]
+    has_sx = manifest["has_source_features"]
+    has_tx = manifest["has_target_features"]
+    has_ty = manifest["has_target_labels"]
     if (has_sx or has_tx) and d1 is None:
-        raise MalformedFile(f"{path}/manifest.json: features declared but d1 missing")
+        raise MalformedFile(f"{where}: features declared but d1 missing")
     if d2 < 1 or (has_sx or has_tx) and d1 < 1:
-        raise MalformedFile(f"{path}/manifest.json: d1 and d2 must be positive")
+        raise MalformedFile(f"{where}: d1 and d2 must be positive")
     n_sx = d1 if has_sx else 0
     n_tx = d1 if has_tx else 0
 
@@ -427,7 +428,7 @@ def load_bundle(path) -> PredictionBundle:
         target_preds=tp,
         source=source,
         target=target,
-        provenance=provenance,
+        provenance=manifest["provenance"],
     )
 
 
@@ -438,50 +439,25 @@ def load_bundle(path) -> PredictionBundle:
 #  "provenance": "..."}               (optional)
 
 
+_DUMP_KEYS = {
+    "layers": tuple[dict, ...],
+    "pairing": tuple[tuple[int, int], ...] | None,
+    "provenance": str,
+}
+_LAYER_KEYS = {"l": int, "p": np.ndarray, "q": np.ndarray}
+
+
 def load_embeddings(path) -> LayerEmbeddingSet:
     """Load an embedding dump; layers come back sorted by layer index."""
-    doc = read_json(path)
-    if not isinstance(doc, dict) or "layers" not in doc:
-        raise MalformedFile(f"{path}: expected an object with a 'layers' list")
-    raw_layers = doc["layers"]
-    if not isinstance(raw_layers, list) or not raw_layers:
-        raise MalformedFile(f"{path}: 'layers' must be a non-empty list")
+    doc = decode_object(
+        _DUMP_KEYS, read_json(path), str(path), {"pairing": None, "provenance": ""}
+    )
     layers = []
-    for entry in raw_layers:
-        try:
-            l = int(entry["l"])
-            p = entry["p"]
-            q = entry["q"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedFile(f"{path}: bad layer entry: {exc!r}") from exc
-        for side, block in (("p", p), ("q", q)):
-            if not isinstance(block, list) or not block:
-                raise MalformedFile(f"{path}: layer {l}: '{side}' must be non-empty")
-            widths = {len(r) for r in block}
-            if len(widths) != 1:
-                raise DimensionMismatch(
-                    f"{path}: layer {l}: ragged '{side}' rows (widths {sorted(widths)})"
-                )
-        try:
-            layers.append(
-                LayerEmbeddings(
-                    layer_index=l,
-                    source_vecs=np.asarray(p, dtype=np.float64),
-                    target_vecs=np.asarray(q, dtype=np.float64),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedFile(f"{path}: layer {l}: {exc!r}") from exc
-    pairing = None
-    if doc.get("pairing") is not None:
-        try:
-            pairing = tuple((int(i), int(j)) for i, j in doc["pairing"])
-        except (TypeError, ValueError) as exc:
-            raise MalformedFile(f"{path}: bad pairing entry: {exc!r}") from exc
+    for i, entry in enumerate(doc["layers"]):
+        layer = decode_object(_LAYER_KEYS, entry, f"{path}: layer entry {i}")
+        layers.append(LayerEmbeddings(layer["l"], layer["p"], layer["q"]))
     return LayerEmbeddingSet(
-        layers=tuple(layers),
-        pairing=pairing,
-        provenance=str(doc.get("provenance", "")),
+        layers=tuple(layers), pairing=doc["pairing"], provenance=doc["provenance"]
     )
 
 

@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     EmptyLayer,
     MissingPairing,
+    NonFiniteValue,
     NonPositiveConstant,
 )
 from .serialize import config_to_dict
@@ -134,22 +135,26 @@ def semantic_distance(emb: LayerEmbeddingSet) -> ProbeReport:
 
 def epsilon_close(report: ProbeReport, epsilon: float) -> bool:
     """True iff the domains are epsilon-close: ``d_sem <= epsilon``."""
-    if epsilon < 0:
-        raise ConfigInvalid("epsilon must be nonnegative")
+    if not 0 <= epsilon < np.inf:
+        raise ConfigInvalid(f"epsilon must be finite and nonnegative, got {epsilon}")
     return report.d_sem <= epsilon
 
 
 def lipschitz_propagated_bound(epsilon: float, constants) -> float:
     """Worst-case last-layer gap ``epsilon * prod(K)`` (empty product = 1)."""
-    if epsilon < 0:
-        raise ConfigInvalid("epsilon must be nonnegative")
+    if not 0 <= epsilon < np.inf:
+        raise ConfigInvalid(f"epsilon must be finite and nonnegative, got {epsilon}")
     ks = [float(k) for k in constants]
     for k in ks:
-        if not k > 0:
-            raise NonPositiveConstant(f"Lipschitz constant {k!r} must be positive")
+        if not 0 < k < np.inf:
+            raise NonPositiveConstant(
+                f"Lipschitz constant {k!r} must be finite and positive"
+            )
     bound = float(epsilon)
     for k in ks:
         bound *= k
+    if bound == np.inf:
+        raise NonFiniteValue(f"epsilon * prod(K) is not finite: {epsilon} * {ks}")
     return bound
 
 

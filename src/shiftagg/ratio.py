@@ -23,8 +23,6 @@ coefficients stay exactly what the closed form / optimizer produced.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +42,7 @@ from .errors import (
     SingularSystem,
     ValidationError,
 )
-from .serialize import read_json, write_json
+from .serialize import decode_object, decode_value, read_json, write_json
 
 __all__ = [
     "RatioModel",
@@ -64,10 +62,23 @@ DEFAULT_RIDGE_GRID = (1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_WIDTH_SCALES = (0.1, 0.3, 1.0, 3.0, 10.0)
 # The LAPACK Cholesky routines behind scipy.linalg.cho_factor/cho_solve.
 _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-
-
-def _finite_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+# The parameters of an analytic model, and the keys of each kind of
+# ratio.json besides "kind" and "bound", with the types they decode to.
+_ANALYTIC_PARAMS = {
+    "source_mean": tuple[float, ...],
+    "target_mean": tuple[float, ...],
+    "cov_scale": float,
+}
+_DOC_KEYS = {
+    "ulsif": {
+        "centers": np.ndarray,
+        "alpha": np.ndarray,
+        "kernel_width": float,
+        "cv": dict | None,
+    },
+    "logistic": {"classifier_weights": np.ndarray, "ns_over_nt": float},
+    "analytic": {"params": dict},
+}
 
 
 @dataclass(frozen=True)
@@ -125,18 +136,18 @@ class RatioModel:
             w.setflags(write=False)
             object.__setattr__(self, "classifier_weights", w)
         else:
-            p = self.params if isinstance(self.params, dict) else {}
-            mu_p, mu_q, s = (p.get(k) for k in ("source_mean", "target_mean", "cov_scale"))
-            means_ok = all(
-                isinstance(v, (list, tuple)) and v and all(map(_finite_number, v))
-                for v in (mu_p, mu_q)
-            )
-            if not (means_ok and len(mu_p) == len(mu_q) and _finite_number(s) and s > 0):
+            p = decode_value(dict, self.params, "params")
+            p = {
+                k: decode_value(tp, p.get(k), f"params.{k}")
+                for k, tp in _ANALYTIC_PARAMS.items()
+            }
+            mu_p, mu_q = p["source_mean"], p["target_mean"]
+            if not (mu_p and len(mu_p) == len(mu_q) and p["cov_scale"] > 0):
                 raise ConfigInvalid(
-                    "analytic params need source_mean and target_mean, non-empty "
-                    "lists of finite numbers of equal length, and a finite "
-                    f"cov_scale > 0; got {self.params!r}"
+                    "analytic params need equal, non-zero mean lengths and "
+                    f"cov_scale > 0; got {p}"
                 )
+            object.__setattr__(self, "params", p)
 
     @property
     def feature_dim(self) -> int:
@@ -182,6 +193,8 @@ class RatioFitConfig:
             raise ConfigInvalid("cv_folds must be >= 2")
         if not self.bound > 0:
             raise ConfigInvalid("bound must be positive")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -547,21 +560,8 @@ def analytic_gaussian_ratio(
     Equal isotropic covariances make the ratio a single exponential:
     ``beta(x) = exp((||x - mu_p||^2 - ||x - mu_q||^2) / (2 s))``.
     """
-    mu_p = np.asarray(source_mean, dtype=np.float64).ravel()
-    mu_q = np.asarray(target_mean, dtype=np.float64).ravel()
-    if mu_p.shape != mu_q.shape:
-        raise DimensionMismatch("mean vectors differ in length")
-    if not cov_scale > 0:
-        raise ConfigInvalid("covariance scale must be positive")
-    return RatioModel(
-        kind="analytic",
-        bound=bound,
-        params={
-            "source_mean": [float(v) for v in mu_p],
-            "target_mean": [float(v) for v in mu_q],
-            "cov_scale": float(cov_scale),
-        },
-    )
+    params = dict(source_mean=source_mean, target_mean=target_mean, cov_scale=cov_scale)
+    return RatioModel(kind="analytic", bound=bound, params=params)
 
 
 # --- model (de)serialization -------------------------------------------------
@@ -583,61 +583,13 @@ def ratio_model_to_dict(model: RatioModel) -> dict:
     return doc
 
 
-def _float_array(v) -> np.ndarray:
-    return np.asarray(v, dtype=np.float64)
-
-
-def _all_numbers(v) -> bool:
-    """True if ``v`` is a JSON number or a nested list of them; a boolean, a
-    string or a null is not one."""
-    if isinstance(v, np.ndarray):
-        return v.dtype.kind in "iuf"
-    if isinstance(v, (list, tuple)):
-        return all(map(_all_numbers, v))
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _finite(doc: dict, key: str, convert=float):
-    """``convert(doc[key])``, refused if it holds anything but numbers, or a
-    NaN or an infinity."""
-    if not _all_numbers(doc[key]):
-        raise MalformedFile(
-            f"{key!r} must hold only numbers, not booleans, strings or nulls"
-        )
-    v = convert(doc[key])
-    if not np.isfinite(v).all():
-        raise NonFiniteValue(f"{key!r} holds a non-finite value")
-    return v
-
-
 def ratio_model_from_dict(doc: dict) -> RatioModel:
-    try:
-        kind = doc["kind"]
-        bound = _finite(doc, "bound")
-        if kind == "ulsif":
-            cv = doc.get("cv")
-            if cv is not None and not isinstance(cv, dict):
-                raise TypeError(f"cv block must be an object, got {cv!r}")
-            return RatioModel(
-                kind=kind,
-                bound=bound,
-                centers=_finite(doc, "centers", _float_array),
-                alpha=_finite(doc, "alpha", _float_array),
-                kernel_width=_finite(doc, "kernel_width"),
-                cv=cv,
-            )
-        if kind == "logistic":
-            return RatioModel(
-                kind=kind,
-                bound=bound,
-                classifier_weights=_finite(doc, "classifier_weights", _float_array),
-                ns_over_nt=_finite(doc, "ns_over_nt"),
-            )
-        if kind == "analytic":
-            return RatioModel(kind=kind, bound=bound, params=doc["params"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFile(f"bad ratio model document: {exc!r}") from exc
-    raise MalformedFile(f"bad ratio model kind {doc.get('kind')!r}")
+    kind = decode_object({"kind": str}, doc, "ratio model")["kind"]
+    if kind not in _DOC_KEYS:
+        raise MalformedFile(f"bad ratio model kind {kind!r}")
+    types = {"bound": float, **_DOC_KEYS[kind]}
+    fields = decode_object(types, doc, "ratio model", {"cv": None})
+    return RatioModel(kind=kind, **fields)
 
 
 def save_ratio_model(model: RatioModel, path) -> None:

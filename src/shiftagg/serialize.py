@@ -11,13 +11,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
+import reprlib
 import typing
 from typing import Any, Sequence
 
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, IoFailure, MalformedFile
-from .errors import MissingFile, NonFiniteValue
+from .errors import MissingFile, NonFiniteValue, ValidationError
 
 __all__ = [
     "fmt_float",
@@ -31,6 +33,7 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
     "decode_value",
+    "decode_object",
 ]
 
 
@@ -122,6 +125,8 @@ def read_json(path) -> Any:
         return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise MalformedFile(f"{path}: JSON nested too deeply to read") from None
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
@@ -250,32 +255,95 @@ def _to_json(v):
     return v
 
 
+# What a value of each type must be, for the error message.
+_TAKES = {int: "integers", float: "numbers", str: "a string", bool: "a boolean",
+          tuple: "a list", dict: "a JSON object",
+          np.ndarray: "a rectangular list of numbers"}
+
+
+def _is_number_type(t) -> bool:
+    return issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_))
+
+
 def decode_value(tp, value, path: str):
     """Decode one JSON value as type ``tp`` by the rules of
-    :func:`config_from_dict`; ``path`` names the key in the error."""
+    :func:`config_from_dict`; ``path`` names the key in the error.
+
+    A number must be finite and fit in a float, else :class:`NonFiniteValue`.
+    ``np.ndarray`` takes a rectangular list of numbers, nested at most 32
+    deep, as float64 (ragged rows raise :class:`DimensionMismatch`);
+    ``tuple[X, ...]`` takes a list and ``tuple[X, Y]`` one of two; ``dict``
+    takes an object. A tuple or an array may stand for a list.
+    """
     if type(None) in typing.get_args(tp):
         if value is None:
             return None
         (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if dataclasses.is_dataclass(tp):
         return config_from_dict(tp, value, path)
-    if typing.get_origin(tp) is tuple and isinstance(value, list):
-        return tuple(decode_value(typing.get_args(tp)[0], v, path) for v in value)
-    if number and (tp is float or tp is int and float(value).is_integer()):
-        return tp(value)
-    if tp in (str, bool) and isinstance(value, tp):
+    origin = typing.get_origin(tp) or tp
+    sequence = isinstance(value, (list, tuple, np.ndarray))
+    if origin is tuple and sequence:
+        args = typing.get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if len(args) == len(value):
+            return tuple(decode_value(t, v, path) for t, v in zip(args, value))
+    elif tp is np.ndarray and sequence:
+        flat = [value.tolist() if isinstance(value, np.ndarray) else value]
+        shape = []
+        # Level by level, not recursively, so no nesting exhausts the stack.
+        while len(shape) < 32 and flat and all(
+            isinstance(v, (list, tuple)) for v in flat
+        ):
+            lengths = set(map(len, flat))
+            if len(lengths) > 1:
+                raise DimensionMismatch(
+                    f"key {path!r} has ragged rows (lengths {sorted(lengths)})"
+                )
+            shape.append(lengths.pop())
+            flat = [x for v in flat for x in v]
+        if all(map(_is_number_type, set(map(type, flat)))):
+            try:
+                arr = np.array(flat, dtype=np.float64).reshape(shape)
+            except OverflowError:  # an integer too large for a float
+                arr = np.array(math.inf)
+            if not np.isfinite(arr).all():
+                raise NonFiniteValue(
+                    f"key {path!r}: numbers must be finite and fit in a float"
+                )
+            return arr
+    elif tp in (int, float) and _is_number_type(type(value)):
+        # One finiteness rule: the array branch's, on a one-element list.
+        x = float(decode_value(np.ndarray, [value], path)[0])
+        if tp is float or x.is_integer():
+            return x if tp is float else int(value)
+    elif tp in (str, bool, dict) and isinstance(value, tp):
         return value
-    raise ConfigInvalid(f"config key {path!r}: {value!r} is not a valid {tp.__name__}")
+    what = f"the {path} block must be" if tp is dict else f"key {path!r} takes"
+    raise ConfigInvalid(f"{what} {_TAKES[origin]}, not {reprlib.repr(value)}")
+
+
+def decode_object(types: dict, doc, where: str, defaults: dict | None = None) -> dict:
+    """Decode the keys ``types`` names in the JSON object ``doc`` of a
+    document, each by :func:`decode_value`; other keys are ignored, and a
+    key in ``defaults`` may be absent. Every error names ``where``; a
+    missing key or a value of the wrong type raises :class:`MalformedFile`."""
+    try:
+        doc = {**(defaults or {}), **decode_value(dict, doc, "document")}
+        return {k: decode_value(tp, doc[k], k) for k, tp in types.items()}
+    except KeyError as exc:
+        raise MalformedFile(f"{where}: missing key {exc}") from None
+    except ValidationError as exc:
+        cls = MalformedFile if isinstance(exc, ConfigInvalid) else type(exc)
+        raise cls(f"{where}: {exc}") from exc
 
 
 def config_from_dict(cls, doc, path: str = ""):
     """Inverse of :func:`config_to_dict`; absent keys take field defaults.
     A wrong JSON type, a non-integral number for an integer field, or an
     unknown key raises :class:`ConfigInvalid`."""
-    if not isinstance(doc, dict):
-        where = f"config key {path!r}" if path else "config"
-        raise ConfigInvalid(f"{where} must be a JSON object, got {doc!r}")
+    doc = decode_value(dict, doc, path or "config")
     types = typing.get_type_hints(cls)
     fields = {f.metadata.get("json_key", f.name): f for f in dataclasses.fields(cls)}
     prefix = f"{path}." if path else ""

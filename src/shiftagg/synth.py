@@ -358,6 +358,8 @@ class SuiteReport:
 
 
 def _trial_seed_pairs(seeds, trials: int) -> list[tuple[int, int]]:
+    if min(np.ravel(seeds), default=0) < 0:
+        raise ConfigInvalid(f"seed must be >= 0, got {seeds}")
     if isinstance(seeds, (int, np.integer)):
         state = np.random.SeedSequence(int(seeds)).generate_state(
             2 * trials, dtype=np.uint64
@@ -394,21 +396,18 @@ def run_suite(cfg: SuiteConfig, trials: int, seeds, threads: int = 1) -> SuiteRe
 
     ``seeds`` is either a single integer (per-trial seeds are derived from
     it) or an explicit sequence of one seed per trial. Trials are
-    independent and may run on a thread pool; records are assembled in
-    trial order, so the report is identical for any thread count.
+    independent and run on a pool of ``threads`` threads (at least one);
+    records are assembled in trial order, so the report is identical for
+    any thread count, and a failed trial cancels those not yet started.
     """
     if trials < 1:
         raise ConfigInvalid("trials must be >= 1")
     pairs = _trial_seed_pairs(seeds, trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_run_trial, cfg, i, ts, rs)
-                for i, (ts, rs) in enumerate(pairs)
-            ]
-            records = [f.result() for f in futures]
-    else:
-        records = [_run_trial(cfg, i, ts, rs) for i, (ts, rs) in enumerate(pairs)]
+    pool = ThreadPoolExecutor(max_workers=max(1, threads))
+    try:
+        records = list(pool.map(lambda i: _run_trial(cfg, i, *pairs[i]), range(trials)))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return SuiteReport(
         config=cfg,
         trials=trials,
