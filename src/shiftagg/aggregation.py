@@ -22,7 +22,7 @@ and ``--threads`` values for a fixed BLAS build and BLAS thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -113,13 +113,15 @@ class RiskReport:
     ``risk_kind`` records which rule produced the numbers: true risks on
     the labeled target sample (``target_oracle``), plain source risks
     (``source``), or ratio-weighted source risks (``importance_weighted``).
+    ``selected_index`` is the lowest-index argmin of the per-model risks and
+    ``selected_risk`` its risk.
     """
 
     risk_kind: str
     per_model_risk: tuple[float, ...]
     aggregated_risk: float
-    selected_index: int
-    selected_risk: float
+    selected_index: int = field(init=False)
+    selected_risk: float = field(init=False)
 
     def __post_init__(self):
         if self.risk_kind not in ("target_oracle", "source", "importance_weighted"):
@@ -127,9 +129,10 @@ class RiskReport:
         risks = tuple(float(r) for r in self.per_model_risk)
         if any(r < 0 for r in risks) or self.aggregated_risk < 0:
             raise ConfigInvalid("risks must be nonnegative")
-        if self.selected_index != min(range(len(risks)), key=risks.__getitem__):
-            raise ConfigInvalid("selected_index must be the lowest-index argmin")
+        idx = min(range(len(risks)), key=risks.__getitem__)
         object.__setattr__(self, "per_model_risk", risks)
+        object.__setattr__(self, "selected_index", idx)
+        object.__setattr__(self, "selected_risk", risks[idx])
 
     to_json_dict = config_to_dict
 
@@ -307,16 +310,11 @@ def make_risk_report(
     """Risk table for every model plus the aggregated predictor."""
     p = _as_pred_tensor(preds_tensor)
     weights = None if risk_kind != "importance_weighted" else beta
-    per_model = model_risks(p, labels, weights).tolist()
     agg = aggregate_predict(p, coefficients)
-    agg_risk = _weighted_sq_risk(agg, labels, weights)
-    idx = min(range(len(per_model)), key=per_model.__getitem__)
     return RiskReport(
-        per_model_risk=tuple(per_model),
-        aggregated_risk=agg_risk,
-        selected_index=idx,
-        selected_risk=per_model[idx],
         risk_kind=risk_kind,
+        per_model_risk=model_risks(p, labels, weights),
+        aggregated_risk=_weighted_sq_risk(agg, labels, weights),
     )
 
 

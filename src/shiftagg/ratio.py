@@ -63,7 +63,8 @@ DEFAULT_WIDTH_SCALES = (0.1, 0.3, 1.0, 3.0, 10.0)
 # The LAPACK Cholesky routines behind scipy.linalg.cho_factor/cho_solve.
 _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 # The parameters of an analytic model, and the keys of each kind of
-# ratio.json besides "kind" and "bound", with the types they decode to.
+# ratio.json besides "kind" and "bound", in the order they are written, with
+# the types they decode to.
 _ANALYTIC_PARAMS = {
     "source_mean": tuple[float, ...],
     "target_mean": tuple[float, ...],
@@ -71,9 +72,9 @@ _ANALYTIC_PARAMS = {
 }
 _DOC_KEYS = {
     "ulsif": {
+        "kernel_width": float,
         "centers": np.ndarray,
         "alpha": np.ndarray,
-        "kernel_width": float,
         "cv": dict | None,
     },
     "logistic": {"classifier_weights": np.ndarray, "ns_over_nt": float},
@@ -234,8 +235,11 @@ def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _gaussian_kernel(x: np.ndarray, c: np.ndarray, width: float) -> np.ndarray:
-    return np.exp(_sq_dists(x, c) / (-2.0 * width * width))
+def _gaussian_kernel(d2: np.ndarray, width: float, out=None) -> np.ndarray:
+    """``exp(-d2 / (2 width^2))`` of squared distances, written into ``out``
+    when it is given."""
+    out = np.divide(d2, -2.0 * width * width, out=out)
+    return np.exp(out, out=out)
 
 
 def _median_pairwise_distance(x: np.ndarray, rng: np.random.Generator) -> float:
@@ -256,7 +260,8 @@ def _median_pairwise_distance(x: np.ndarray, rng: np.random.Generator) -> float:
 
 
 def _fold_ids(n: int, folds: int, rng: np.random.Generator) -> np.ndarray:
-    ids = np.arange(n) % folds
+    # With folds >= n every sample is its own fold, whatever the count.
+    ids = np.arange(n) % min(folds, n)
     return ids[rng.permutation(n)]
 
 
@@ -302,7 +307,8 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     fold_s = _fold_ids(xs.shape[0], cfg.cv_folds, rng)
     fold_t = _fold_ids(xt.shape[0], cfg.cv_folds, rng)
     folds = []
-    for f in range(cfg.cv_folds):
+    # A fold past the smaller sample's size holds none of its samples.
+    for f in range(min(cfg.cv_folds, xs.shape[0], xt.shape[0])):
         va_s, va_t = fold_s == f, fold_t == f
         # A fold is scored only if it leaves samples of both domains on both sides.
         if 0 < va_s.sum() < len(va_s) and 0 < va_t.sum() < len(va_t):
@@ -318,14 +324,12 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     scores = np.full((len(widths), len(ridges)), np.nan)
     sums = []  # per width: the whole sample's (H_tot, h_tot), kept for the refit
     # Distances to the centers do not depend on the width: compute them once
-    # and refill two kernel buffers in place per width, with the same ufuncs
-    # on the same operands as _gaussian_kernel.
+    # and refill two kernel buffers in place per width.
     D_s, D_t = _sq_dists(xs, centers), _sq_dists(xt, centers)
     K_s, K_t = np.empty_like(D_s), np.empty_like(D_t)
     for i, width in enumerate(widths):
-        for D, K in ((D_s, K_s), (D_t, K_t)):
-            np.divide(D, -2.0 * width * width, out=K)
-            np.exp(K, out=K)
+        _gaussian_kernel(D_s, width, out=K_s)
+        _gaussian_kernel(D_t, width, out=K_t)
         H_tot, h_tot = K_s.T @ K_s, K_t.sum(axis=0)
         sums.append((H_tot, h_tot))
         systems = []
@@ -428,7 +432,8 @@ def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     best = None  # (nll, ridge)
     for ridge in cfg.ridge_strengths:
         nlls = []
-        for f in range(cfg.cv_folds):
+        # A fold past the larger sample's size holds no sample at all.
+        for f in range(min(cfg.cv_folds, max(n_s, n_t))):
             tr, va = fold != f, fold == f
             if not va.any() or len(np.unique(y[tr])) < 2:
                 continue
@@ -521,7 +526,8 @@ def evaluate_ratio(model: RatioModel, x) -> np.ndarray:
             f"{model.feature_dim}"
         )
     if model.kind == "ulsif":
-        raw = _gaussian_kernel(x, model.centers, model.kernel_width) @ model.alpha
+        d2 = _sq_dists(x, model.centers)
+        raw = _gaussian_kernel(d2, model.kernel_width) @ model.alpha
     elif model.kind == "logistic":
         s = x @ model.classifier_weights[:-1] + model.classifier_weights[-1]
         with np.errstate(over="ignore"):
@@ -569,17 +575,9 @@ def analytic_gaussian_ratio(
 
 def ratio_model_to_dict(model: RatioModel) -> dict:
     doc: dict = {"kind": model.kind, "bound": model.bound}
-    if model.kind == "ulsif":
-        doc["kernel_width"] = model.kernel_width
-        doc["centers"] = model.centers
-        doc["alpha"] = model.alpha
-        if model.cv is not None:
-            doc["cv"] = model.cv
-    elif model.kind == "logistic":
-        doc["classifier_weights"] = model.classifier_weights
-        doc["ns_over_nt"] = model.ns_over_nt
-    else:
-        doc["params"] = model.params
+    for key in _DOC_KEYS[model.kind]:
+        if getattr(model, key) is not None:
+            doc[key] = getattr(model, key)
     return doc
 
 

@@ -10,9 +10,7 @@ against the aggregation and its oracle variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from .aggregation import (
     aggregate_predict,
@@ -51,47 +49,37 @@ RESERVED_METHOD_NAMES = (
 
 @dataclass(frozen=True)
 class SelectionOutcome:
-    """Result of scoring every model and picking the argmin."""
+    """Every model's score and the pick they imply: ``selected_index`` is
+    the lowest-index argmin, and ``tie_broken`` says another model scored
+    the same."""
 
     method: str
-    selected_index: int
+    selected_index: int = field(init=False)
     scores: tuple[float, ...]
-    tie_broken: bool
+    tie_broken: bool = field(init=False)
 
     def __post_init__(self):
         if self.method not in ("source_risk", "importance_weighted"):
             raise ConfigInvalid(f"unknown selection method {self.method!r}")
         scores = tuple(float(s) for s in self.scores)
-        object.__setattr__(self, "scores", scores)
         idx = min(range(len(scores)), key=scores.__getitem__)
-        if idx != self.selected_index:
-            raise ConfigInvalid("selected_index must be the lowest-index argmin")
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "selected_index", idx)
+        object.__setattr__(self, "tie_broken", scores.count(scores[idx]) > 1)
 
     to_json_dict = config_to_dict
 
 
-def _select(method: str, risks: np.ndarray) -> SelectionOutcome:
-    scores = risks.tolist()
-    idx = min(range(len(scores)), key=scores.__getitem__)
-    tie = any(scores[j] == scores[idx] for j in range(len(scores)) if j != idx)
-    return SelectionOutcome(
-        method=method, selected_index=idx, scores=tuple(scores), tie_broken=tie
-    )
-
-
 def select_source_risk(bundle: PredictionBundle) -> SelectionOutcome:
     """Pick the model with the lowest plain source risk (naive baseline)."""
-    return _select(
-        "source_risk", model_risks(bundle.source_preds, bundle.source.labels)
-    )
+    risks = model_risks(bundle.source_preds, bundle.source.labels)
+    return SelectionOutcome(method="source_risk", scores=risks)
 
 
 def select_iwv(bundle: PredictionBundle, beta) -> SelectionOutcome:
     """Importance-weighted validation: argmin of ratio-weighted source risk."""
-    return _select(
-        "importance_weighted",
-        model_risks(bundle.source_preds, bundle.source.labels, beta),
-    )
+    risks = model_risks(bundle.source_preds, bundle.source.labels, beta)
+    return SelectionOutcome(method="importance_weighted", scores=risks)
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,13 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .aggregation import empirical_risk, model_risks
 from .data import PredictionBundle, SourceDataset, TargetDataset
-from .errors import ConfigInvalid, SingularFit
+from .errors import ConfigInvalid, SingularFit, SingularSystem
 from .ratio import DEFAULT_BOUND, RatioFitConfig, RatioModel, analytic_gaussian_ratio
-from .ratio import fit_ratio
-from .selection import MethodRow, build_method_rows
+from .ratio import _cho_solve_ridge, fit_ratio
+from .selection import ComparisonReport, MethodRow, build_method_rows
 from .serialize import aligned_table, config_to_dict, fmt_float
 
 __all__ = [
@@ -162,20 +161,14 @@ class SynthTask:
         return tuple(model_risks(b.target_preds, b.target.oracle_labels).tolist())
 
 
-def _ridge_solve(F: np.ndarray, y: np.ndarray, reg: float) -> np.ndarray:
-    A = F.T @ F + reg * np.eye(F.shape[1])
-    try:
-        cf = scipy.linalg.cho_factor(A, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularFit(f"ridge system not factorizable at reg={reg!r}") from exc
-    return scipy.linalg.cho_solve(cf, F.T @ y)
-
-
 def _ridge_solve_escalating(F, y, reg: float) -> np.ndarray:
+    """Ridge regression weights by the uLSIF fit's Cholesky solve, the
+    regularizer raised tenfold on each refusal, at most four tries."""
+    H, h = F.T @ F, F.T @ y
     for _ in range(4):
         try:
-            return _ridge_solve(F, y, reg)
-        except SingularFit:
+            return _cho_solve_ridge(H, h, reg)
+        except SingularSystem:
             reg = max(reg, np.finfo(float).tiny) * 10.0
     raise SingularFit(f"ridge fit failed up to reg={reg!r}")
 
@@ -324,12 +317,7 @@ class TrialRecord:
     bayes_target_risk: float
     rows: tuple[MethodRow, ...]
 
-    def row(self, method: str) -> MethodRow:
-        for r in self.rows:
-            if r.method == method:
-                return r
-        raise KeyError(method)
-
+    row = ComparisonReport.row
     to_json_dict = config_to_dict
 
 

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from shiftagg.aggregation import (
+    RiskReport,
     aggregate_predict,
     compute_g_vector,
     compute_gram,
     empirical_risk,
     importance_weighted_risk,
+    make_risk_report,
     model_risks,
     oracle_aggregate,
     resolve_beta,
@@ -315,6 +317,37 @@ class TestRisks:
         for k in range(4):
             assert plain[k] == empirical_risk(preds[k], labels)
             assert weighted[k] == importance_weighted_risk(preds[k], labels, beta)
+
+
+class TestRiskReport:
+    """The pick is derived from the per-model risks, never passed in."""
+
+    def test_selected_risk_is_the_lowest_index_argmin(self):
+        report = RiskReport(
+            risk_kind="source", per_model_risk=(3.0, 0.5, 0.5, 2.0), aggregated_risk=0.4
+        )
+        assert report.selected_index == 1
+        assert report.selected_risk == report.per_model_risk[report.selected_index]
+
+    def test_made_report_derives_its_pick(self):
+        bundle = build_bundle(m=5, n_s=20, seed=46)
+        report = make_risk_report(
+            bundle.source_preds, bundle.source.labels, np.full(5, 0.2), "source"
+        )
+        risks = model_risks(bundle.source_preds, bundle.source.labels)
+        assert report.per_model_risk == tuple(risks.tolist())
+        assert report.selected_index == int(np.argmin(risks))
+        assert report.selected_risk == report.per_model_risk[report.selected_index]
+
+    @pytest.mark.parametrize("field", ["selected_index", "selected_risk"])
+    def test_pick_is_not_a_parameter(self, field):
+        with pytest.raises(TypeError):
+            RiskReport(
+                risk_kind="source",
+                per_model_risk=(1.0, 2.0),
+                aggregated_risk=0.5,
+                **{field: 0},
+            )
 
 
 class TestRunAggregation:

@@ -148,6 +148,19 @@ class TestEstimateRatio:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "squared norm overflows" in err
 
+    def test_huge_cv_folds_fit_as_one_sample_folds(self, tmp_path):
+        task = generate_task(SynthTaskConfig(n_s=40, n_t=30, family_size=2, seed=61))
+        write_bundle(task.bundle, tmp_path / "b")
+        for name, folds in (("huge", 10**15), ("n", 40)):
+            write_json(tmp_path / f"{name}.json", {"cv_folds": folds, "seed": 2})
+            assert main(
+                ["estimate-ratio", "--input", str(tmp_path / "b"), "--output",
+                 str(tmp_path / name), "--config", str(tmp_path / f"{name}.json")]
+            ) == 0
+        assert (tmp_path / "huge" / "ratio.json").read_bytes() == (
+            tmp_path / "n" / "ratio.json"
+        ).read_bytes()
+
     def test_one_source_row_exit_2(self, tmp_path, capsys):
         write_bundle(build_bundle(n_s=1, n_t=4), tmp_path / "b")
         code = main(

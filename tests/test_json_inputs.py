@@ -187,9 +187,10 @@ def test_wrong_typed_dump_exit_2(edit, key, tmp_path):
     assert code == 2 and err.startswith(f"error: {path}: ") and repr(key) in err, err
 
 
-# Keys the JSON fuzz leaves alone: sample counts and sizes. A finite but
-# huge size is a separate defect, and their defaults would make a run slow.
-_SIZES = {"trials", "n_s", "n_t", "family_size", "n_centers", "cv_folds"}
+# Keys the JSON fuzz leaves alone: the trial count and the sizes that shape
+# arrays. A finite but huge one is a separate defect, and their defaults
+# would make a run slow.
+_SIZES = {"trials", "n_s", "n_t", "family_size"}
 _1E400 = "<1e400>"  # written as the JSON text 1e400, which reads as infinity
 _FRACTION = "<fraction>"  # a fractional number, in an integer's place if one
 _VALUES = [True, "x", None, [], {}, math.nan, math.inf, -math.inf, _1E400,
@@ -245,9 +246,10 @@ def test_fuzzed_json_inputs_exit_0_2_or_4(data):
     A mutation drops a key or list entry, wraps a value in a list, or
     replaces a value (or the whole document) with a boolean, a string, a
     null, a list, an object, NaN, an infinity, 1e400, a 400-digit integer
-    or a fractional number. Sizes (``_SIZES``) are left alone: a finite but
-    huge size still ends in NumPy's "Maximum allowed dimension exceeded"
-    (exit 1), a separate defect, and their defaults would make a run slow.
+    or a fractional number. The trial count and the array sizes (``_SIZES``)
+    are left alone: a finite but huge one still ends in NumPy's "Maximum
+    allowed dimension exceeded" (exit 1), a separate defect, and their
+    defaults would make a run slow.
     """
     files, docs = _json_fuzz_seeds()
     name = data.draw(st.sampled_from(sorted(docs)))

@@ -26,6 +26,7 @@ from shiftagg.ratio import (
     analytic_gaussian_ratio,
     evaluate_ratio,
     fit_logistic_ratio,
+    fit_ratio,
     fit_ulsif,
     load_ratio_model,
     ratio_model_from_dict,
@@ -483,6 +484,19 @@ class TestLogistic:
         y = (rng.uniform(size=100) < 0.5).astype(float)
         with pytest.raises(NonConvergence, match="gradient norm"):
             _logistic_gd(z, y, ridge=1e-3, tol=1e-15, max_iter=3, strict=True)
+
+
+@pytest.mark.parametrize("estimator", ["ulsif", "logistic"])
+@pytest.mark.parametrize("folds", [10**15, 10**29])
+def test_huge_cv_folds_fit_as_one_sample_folds(estimator, folds, tmp_path):
+    """A cv_folds at or above the larger sample's size gives one-sample
+    folds, so a huge count fits at once, to the same bytes."""
+    rng = np.random.Generator(np.random.Philox(16))
+    xs, xt = rng.standard_normal((40, 2)), rng.normal(0.3, 1.0, (30, 2))
+    for name, k in (("huge.json", folds), ("n.json", 40)):
+        cfg = RatioFitConfig(estimator=estimator, cv_folds=k, seed=8)
+        save_ratio_model(fit_ratio(xs, xt, cfg), tmp_path / name)
+    assert (tmp_path / "huge.json").read_bytes() == (tmp_path / "n.json").read_bytes()
 
 
 class TestEvaluateRatio:

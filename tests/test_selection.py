@@ -22,6 +22,7 @@ from shiftagg.ratio import RatioFitConfig, evaluate_ratio, fit_ratio
 from shiftagg.selection import (
     RESERVED_METHOD_NAMES,
     MethodRow,
+    SelectionOutcome,
     build_method_rows,
     compare_methods,
     select_iwv,
@@ -47,6 +48,33 @@ def bundle_with_perfect_model(idx=0, m=3, n_s=12, seed=31):
     )
 
 
+def bundle_with_copied_best(m):
+    """A bundle whose best model is copied into the last slot, and that
+    model's lower index. For m=2 the two models are one model repeated; for
+    larger m model 7 is the labels plus small noise, best under any
+    positive weights."""
+    if m == 2:
+        base = build_bundle(m=1, n_s=10, n_t=5, seed=32)
+        best, source_preds, target_preds = (
+            0, np.repeat(base.source_preds, 2, axis=0),
+            np.repeat(base.target_preds, 2, axis=0),
+        )
+    else:
+        base = build_bundle(m=m, n_s=40, n_t=400, seed=44)
+        best = 7
+        source_preds, target_preds = base.source_preds.copy(), base.target_preds.copy()
+        source_preds[best] = base.source.labels + 0.1 * source_preds[best]
+        source_preds[-1], target_preds[-1] = source_preds[best], target_preds[best]
+    bundle = PredictionBundle(
+        model_names=tuple(f"m{k}" for k in range(m)),
+        source_preds=source_preds,
+        target_preds=target_preds,
+        source=base.source,
+        target=base.target,
+    )
+    return bundle, best
+
+
 class TestSelectSourceRisk:
     def test_perfect_model_selected(self):
         out = select_source_risk(bundle_with_perfect_model(idx=0))
@@ -66,6 +94,20 @@ class TestSelectSourceRisk:
         assert out.selected_index == 0
         assert out.tie_broken
 
+    @pytest.mark.parametrize("m", [2, 300])
+    def test_copied_best_model_tie_break_low_index(self, m):
+        bundle, best = bundle_with_copied_best(m)
+        n_s = bundle.source.n_samples
+        beta = np.random.Generator(np.random.Philox(45)).uniform(0.1, 2.0, n_s)
+        for out in (select_source_risk(bundle), select_iwv(bundle, beta)):
+            assert out.selected_index == best
+            assert out.tie_broken
+            assert out.scores[best] == out.scores[-1]
+        report = compare_methods(bundle, beta)
+        for method in ("select_source", "select_iwv"):
+            detail = report.row(method).detail
+            assert detail == {"selected_index": best, "tie_broken": True}
+
     def test_matches_brute_force(self):
         bundle = build_bundle(m=3, n_s=25, seed=33)
         out = select_source_risk(bundle)
@@ -75,6 +117,21 @@ class TestSelectSourceRisk:
         ]
         assert out.selected_index == int(np.argmin(risks))
         np.testing.assert_array_equal(out.scores, risks)
+
+
+class TestSelectionOutcome:
+    """The pick is derived from the scores, never passed in."""
+
+    def test_lowest_index_argmin_and_tie(self):
+        out = SelectionOutcome(method="source_risk", scores=(2.0, 1.0, 1.0))
+        assert out.selected_index == 1
+        assert out.tie_broken
+        assert not SelectionOutcome(method="source_risk", scores=(2.0, 1.0)).tie_broken
+
+    @pytest.mark.parametrize("field", ["selected_index", "tie_broken"])
+    def test_pick_is_not_a_parameter(self, field):
+        with pytest.raises(TypeError):
+            SelectionOutcome(method="source_risk", scores=(2.0, 1.0), **{field: 1})
 
 
 class TestSelectIwv:
