@@ -429,7 +429,11 @@ def oracle_aggregate(bundle: PredictionBundle, lam: float = 0.0) -> AggregationR
     """
     if bundle.target.oracle_labels is None:
         raise MissingOracleLabels("bundle carries no target oracle labels")
-    G = compute_gram(bundle.target_preds)
+    return _oracle_solve(bundle, compute_gram(bundle.target_preds), lam)
+
+
+def _oracle_solve(bundle: PredictionBundle, G, lam: float) -> AggregationResult:
+    """:func:`oracle_aggregate` given the bundle's target Gram matrix ``G``."""
     # Weighting by exactly 1.0 makes this the plain averaged inner product.
     ones = np.ones(bundle.target.n_samples)
     g = compute_g_vector(bundle.target_preds, bundle.target.oracle_labels, ones)

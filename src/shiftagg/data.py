@@ -5,6 +5,8 @@ the labeled source sample, the (optionally labeled) target sample, and the
 prediction matrices of ``m`` trained models on both samples. Bundles live
 in a directory of CSV files plus a ``manifest.json``; all numeric text uses
 17 significant digits so that write -> load reproduces every double exactly.
+An optional ``arrays.npz`` beside them holds each CSV's numbers, checked
+against the sha256 of its bytes, so that a load need not parse the text.
 
 An *embedding dump* is a single JSON document holding per-layer
 representation vectors for two domains, plus an optional explicit pairing
@@ -18,8 +20,11 @@ yields a partially built value.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import os
 import re
+import zipfile
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,7 +36,8 @@ from .errors import (
     MalformedFile,
     NonFiniteValue,
 )
-from .serialize import decode_object, read_csv, read_json, write_csv, write_json
+from .serialize import decode_object, npz_writer, read_bytes, read_csv, read_json
+from .serialize import write_csv, write_json
 
 __all__ = [
     "SourceDataset",
@@ -167,10 +173,6 @@ class TargetDataset:
     @property
     def n_samples(self) -> int:
         return int(self.n_samples_hint)
-
-    @property
-    def has_oracle_labels(self) -> bool:
-        return self.oracle_labels is not None
 
     __eq__ = _fields_equal
 
@@ -330,6 +332,9 @@ class LayerEmbeddingSet:
 # source.csv     id,x_1..x_d1,y_1..y_d2      (x columns optional)
 # target.csv     id,x_1..x_d1[,y_1..y_d2]    (both optional)
 # model_<name>_source.csv / model_<name>_target.csv   id,f_1..f_d2
+# arrays.npz     (optional, derived) for each CSV <f>: "<f>", the float64
+#                matrix after its id column, and "<f>.sha256", the hex
+#                sha256 of the CSV's bytes as a 0-d fixed-width string
 # Every CSV's id column runs 0..n-1 in order; load_bundle rejects any other.
 
 _MANIFEST_KEYS = {
@@ -341,10 +346,20 @@ _MANIFEST_KEYS = {
     "has_target_labels": bool,
     "provenance": str,
 }
+_SIDECAR = "arrays.npz"
+_DIGEST = ".sha256"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_bundle(bundle: PredictionBundle, path) -> None:
-    """Write a bundle directory; ``load_bundle`` reproduces it exactly."""
+    """Write a bundle directory; ``load_bundle`` reproduces it exactly.
+
+    Beside the CSVs goes ``arrays.npz``, which holds each CSV's matrix and
+    the sha256 of its bytes, so that a load need not parse the text.
+    """
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
@@ -363,25 +378,73 @@ def write_bundle(bundle: PredictionBundle, path) -> None:
     }
     write_json(os.path.join(path, "manifest.json"), manifest)
 
-    def table(name, n, *blocks):
-        present = [(a, prefix) for a, prefix in blocks if a is not None]
-        header = ["id"] + [
-            f"{prefix}_{j + 1}" for a, prefix in present for j in range(a.shape[1])
-        ]
-        values = np.hstack([np.empty((n, 0))] + [a for a, _ in present])
-        write_csv(os.path.join(path, name), header, values)
-
     src, tgt = bundle.source, bundle.target
     n_s, n_t = src.n_samples, tgt.n_samples
-    table("source.csv", n_s, (src.features, "x"), (src.labels, "y"))
-    table("target.csv", n_t, (tgt.features, "x"), (tgt.oracle_labels, "y"))
-    for k, name in enumerate(bundle.model_names):
-        table(f"model_{name}_source.csv", n_s, (bundle.source_preds[k], "f"))
-        table(f"model_{name}_target.csv", n_t, (bundle.target_preds[k], "f"))
+    with npz_writer(os.path.join(path, _SIDECAR)) as add:
+
+        def table(name, n, *blocks):
+            present = [(a, prefix) for a, prefix in blocks if a is not None]
+            header = ["id"] + [
+                f"{prefix}_{j + 1}" for a, prefix in present for j in range(a.shape[1])
+            ]
+            values = np.hstack([np.empty((n, 0))] + [a for a, _ in present])
+            data = write_csv(os.path.join(path, name), header, values)
+            add(name, values)
+            add(name + _DIGEST, np.array(_sha256(data)))
+
+        table("source.csv", n_s, (src.features, "x"), (src.labels, "y"))
+        table("target.csv", n_t, (tgt.features, "x"), (tgt.oracle_labels, "y"))
+        for k, name in enumerate(bundle.model_names):
+            table(f"model_{name}_source.csv", n_s, (bundle.source_preds[k], "f"))
+            table(f"model_{name}_target.csv", n_t, (bundle.target_preds[k], "f"))
+
+
+def _open_sidecar(path, widths: dict[str, int]) -> zipfile.ZipFile | None:
+    """``arrays.npz`` in ``path``, open, or None when it is absent or
+    unreadable or its members are not exactly one matrix and one digest per
+    CSV in ``widths``. The file is a derived copy that the CSVs overrule, so
+    such a file is ignored."""
+    try:
+        archive = zipfile.ZipFile(os.path.join(path, _SIDECAR))
+    except Exception:  # whatever the fault, the CSVs are parsed instead
+        return None
+    members = {f"{name}{suffix}.npy" for name in widths for suffix in ("", _DIGEST)}
+    if set(archive.namelist()) == members:
+        return archive
+    archive.close()
+    return None
+
+
+def _stored_matrix(archive, name: str, data: bytes, width: int) -> np.ndarray | None:
+    """The matrix ``archive`` holds for the CSV ``name`` whose bytes are
+    ``data``, when its stored digest is the sha256 of ``data`` and it is
+    float64 with at least one row and ``width - 1`` columns; else None."""
+    if archive is None:
+        return None
+
+    def member(key):
+        with archive.open(f"{key}.npy") as fh:
+            return np.lib.format.read_array(fh, allow_pickle=False)
+
+    try:
+        digest = member(name + _DIGEST)
+        if digest.shape != () or digest.item() != _sha256(data):
+            return None
+        arr = member(name)
+    except Exception:  # a damaged member: the CSV is parsed instead
+        return None
+    fits = arr.dtype == np.float64 and arr.ndim == 2 and arr.shape[0] >= 1
+    return arr if fits and arr.shape[1] == width - 1 else None
 
 
 def load_bundle(path) -> PredictionBundle:
-    """Load and fully validate a bundle directory."""
+    """Load and fully validate a bundle directory.
+
+    Each CSV is read once. Where ``arrays.npz`` holds its matrix under the
+    sha256 of its bytes, at the width the manifest implies, that matrix
+    stands in for parsing the text; otherwise the text is parsed. Every
+    check after the parse runs either way.
+    """
     where = os.path.join(path, "manifest.json")
     manifest = read_json(where)
     manifest = decode_object(_MANIFEST_KEYS, manifest, where, {"provenance": ""})
@@ -395,32 +458,46 @@ def load_bundle(path) -> PredictionBundle:
         raise MalformedFile(f"{where}: d1 and d2 must be positive")
     n_sx = d1 if has_sx else 0
     n_tx = d1 if has_tx else 0
+    widths = {
+        "source.csv": 1 + n_sx + d2,
+        "target.csv": 1 + n_tx + (d2 if has_ty else 0),
+    }
+    for name in names:
+        for which in ("source", "target"):
+            widths[f"model_{name}_{which}.csv"] = 1 + d2
 
-    _, src = read_csv(os.path.join(path, "source.csv"), 1 + n_sx + d2)
-    tgt_width = 1 + n_tx + (d2 if has_ty else 0)
-    _, tgt = read_csv(os.path.join(path, "target.csv"), tgt_width)
-    n_s, n_t = len(src), len(tgt)
-    source = SourceDataset(
-        labels=src[:, n_sx:], features=src[:, :n_sx] if has_sx else None
-    )
-    target = TargetDataset(
-        features=tgt[:, :n_tx] if has_tx else None,
-        oracle_labels=tgt[:, n_tx:] if has_ty else None,
-        n_samples_hint=n_t,
-    )
+    with _open_sidecar(path, widths) or contextlib.nullcontext() as archive:
 
-    sp = np.empty((len(names), n_s, d2))
-    tp = np.empty((len(names), n_t, d2))
-    for k, name in enumerate(names):
-        for which, n_rows, dest in (("source", n_s, sp), ("target", n_t, tp)):
-            fpath = os.path.join(path, f"model_{name}_{which}.csv")
-            _, preds = read_csv(fpath, 1 + d2)
-            if len(preds) != n_rows:
-                raise DimensionMismatch(
-                    f"{fpath}: {len(preds)} rows, expected {n_rows} to match "
-                    f"{which}.csv"
-                )
-            dest[k] = preds
+        def table(name) -> np.ndarray:
+            fpath = os.path.join(path, name)
+            data = read_bytes(fpath)
+            arr = _stored_matrix(archive, name, data, widths[name])
+            return read_csv(fpath, widths[name], data)[1] if arr is None else arr
+
+        src = table("source.csv")
+        tgt = table("target.csv")
+        n_s, n_t = len(src), len(tgt)
+        source = SourceDataset(
+            labels=src[:, n_sx:], features=src[:, :n_sx] if has_sx else None
+        )
+        target = TargetDataset(
+            features=tgt[:, :n_tx] if has_tx else None,
+            oracle_labels=tgt[:, n_tx:] if has_ty else None,
+            n_samples_hint=n_t,
+        )
+
+        sp = np.empty((len(names), n_s, d2))
+        tp = np.empty((len(names), n_t, d2))
+        for k, name in enumerate(names):
+            for which, n_rows, dest in (("source", n_s, sp), ("target", n_t, tp)):
+                fname = f"model_{name}_{which}.csv"
+                preds = table(fname)
+                if len(preds) != n_rows:
+                    raise DimensionMismatch(
+                        f"{os.path.join(path, fname)}: {len(preds)} rows, expected "
+                        f"{n_rows} to match {which}.csv"
+                    )
+                dest[k] = preds
 
     return PredictionBundle(
         model_names=tuple(names),

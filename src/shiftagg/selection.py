@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .aggregation import (
+    _oracle_solve,
     aggregate_predict,
     compute_g_vector,
     compute_gram,
     empirical_risk,
     importance_weighted_risk,
     model_risks,
-    oracle_aggregate,
     resolve_beta,
     run_aggregation,  # noqa: F401  re-exported: perfbench's tracer rebinds it here
     solve_aggregation,
@@ -145,8 +145,8 @@ def build_method_rows(
     ``""`` for unsuffixed rows) to a ratio model or weight vector; each
     entry yields one IWV row and one aggregation row. The target Gram
     matrix and the per-model risks are computed once and shared by every
-    row that needs them; the oracle solve, when labels allow one, is made
-    first so its risk can scale every row as it is built.
+    row that needs them, the oracle solve included; that solve, when labels
+    allow one, is made first so its risk can scale every row as it is built.
     """
     labels_t = bundle.target.oracle_labels
     sel = select_source_risk(bundle)
@@ -164,17 +164,16 @@ def build_method_rows(
         )
 
     G = oracle_true = oracle_detail = None
+    if labels_t is not None or beta_by_name:
+        G = compute_gram(bundle.target_preds)
     if labels_t is not None:
         try:
-            oracle = oracle_aggregate(bundle)
+            oracle = _oracle_solve(bundle, G, 0.0)
         except IllConditioned as exc:
             oracle_detail = {"error": str(exc)}
         else:
-            G = oracle.gram
             oracle_true = true_risk_of(oracle.coefficients)
             oracle_detail = _solve_detail(oracle)
-    if G is None and beta_by_name:
-        G = compute_gram(bundle.target_preds)
 
     def row(method, true_target_risk, **fields) -> MethodRow:
         scaled = (

@@ -8,12 +8,14 @@ hash-dependent formatting is used.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import numbers
 import reprlib
 import typing
+import zipfile
 from typing import Any, Sequence
 
 import numpy as np
@@ -25,10 +27,12 @@ __all__ = [
     "fmt_float",
     "dumps_canonical",
     "write_text",
+    "read_bytes",
     "write_json",
     "read_json",
     "write_csv",
     "read_csv",
+    "npz_writer",
     "aligned_table",
     "config_to_dict",
     "config_from_dict",
@@ -95,25 +99,34 @@ def dumps_canonical(obj: Any, indent: int = 2) -> str:
     return "".join(out)
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` as UTF-8 with ``\\n`` line endings."""
+def write_text(path, text: str) -> bytes:
+    """Write ``text`` as UTF-8 with ``\\n`` line endings; returns the
+    bytes written."""
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return data
 
 
-def _read_text(path) -> str:
+def read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except FileNotFoundError as exc:
         raise MissingFile(f"missing file {path}") from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(f"{path}: not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def _decode(path, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def write_json(path, obj: Any) -> None:
@@ -122,15 +135,16 @@ def write_json(path, obj: Any) -> None:
 
 def read_json(path) -> Any:
     try:
-        return json.loads(_read_text(path))
+        return json.loads(_decode(path, read_bytes(path)))
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise MalformedFile(f"{path}: JSON nested too deeply to read") from None
 
 
-def write_csv(path, header: Sequence[str], rows) -> None:
-    """Write a comma-separated table, formatted with one ``%`` operation.
+def write_csv(path, header: Sequence[str], rows) -> bytes:
+    """Write a comma-separated table, formatted with one ``%`` operation;
+    returns the bytes written.
 
     ``rows`` is a 2-D float array, written after an ``id`` column 0..n-1
     (``%d``), or a sequence of equal-length rows. A column whose first cell
@@ -154,11 +168,12 @@ def write_csv(path, header: Sequence[str], rows) -> None:
     for j, col in enumerate(columns):
         cells[j :: len(columns)] = col
     row = ",".join(formats) + "\n"
-    write_text(path, ",".join(header) + "\n" + row * n % tuple(cells))
+    return write_text(path, ",".join(header) + "\n" + row * n % tuple(cells))
 
 
-def read_csv(path, width: int | None = None):
-    """Read a comma-separated table; returns ``(header, rows)``.
+def read_csv(path, width: int | None = None, data: bytes | None = None):
+    """Read a comma-separated table; returns ``(header, rows)``. ``data``,
+    when given, is the file's bytes, already read.
 
     Without ``width`` the rows are lists of raw strings. With ``width`` the
     table must be one :func:`write_csv` writes from an array: ``width``
@@ -167,7 +182,9 @@ def read_csv(path, width: int | None = None):
     ``(n, width - 1)`` float64 matrix after the ids, parsed in one NumPy
     call.
     """
-    lines = _read_text(path).splitlines()
+    if data is None:
+        data = read_bytes(path)
+    lines = _decode(path, data).splitlines()
     if not lines:
         raise MalformedFile(f"{path}: empty file")
     header = lines[0].split(",")
@@ -215,6 +232,32 @@ def read_csv(path, width: int | None = None):
             f"run 0..{n - 1} in order"
         )
     return header, np.ascontiguousarray(table[:, 1:])
+
+
+# np.savez stamps each member with the clock; one fixed date (the earliest
+# a zip can hold) makes equal arrays give equal bytes.
+_ZIP_DATE = (1980, 1, 1, 0, 0, 0)
+
+
+@contextlib.contextmanager
+def npz_writer(path):
+    """Yield ``add(key, array)``, which appends ``array`` to the
+    uncompressed ``.npz`` file at ``path`` under ``key``. The file's bytes
+    depend only on the keys and arrays added, and
+    ``np.load(path, allow_pickle=False)`` reads it."""
+    try:
+        with zipfile.ZipFile(path, "w") as zf:
+
+            def add(key: str, array) -> None:
+                member = zipfile.ZipInfo(f"{key}.npy", date_time=_ZIP_DATE)
+                with zf.open(member, "w", force_zip64=True) as fh:
+                    np.lib.format.write_array(
+                        fh, np.asarray(array), allow_pickle=False
+                    )
+
+            yield add
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -14,6 +14,7 @@ config seed; identical configs produce bitwise-identical tasks.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -50,6 +51,21 @@ _RFF_WIDTH_SPAN = (0.85, 1.0)
 _BAYES_WAVES = 10
 
 
+def _refuse_oversized(sizes: dict[str, int], *shapes) -> None:
+    """Refuse, naming its largest key, the first shape whose array of
+    8-byte values would exceed the bytes an index can address. A shape
+    holds keys of ``sizes`` and integers."""
+    limit = np.iinfo(np.intp).max
+    for shape in shapes:
+        dims = [sizes.get(d, d) for d in shape]
+        if 8 * math.prod(dims) > limit:
+            key = max((d for d in shape if d in sizes), key=sizes.__getitem__)
+            raise ConfigInvalid(
+                f"{key} = {sizes[key]} is too large: it implies an array of "
+                f"{' x '.join(map(str, dims))} 8-byte values, over {limit} bytes"
+            )
+
+
 def _philox(seed_seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_seq))
 
@@ -84,6 +100,18 @@ class SynthTaskConfig:
             raise ConfigInvalid(f"unknown bayes_kind {self.bayes_kind!r}")
         if self.model_family not in ("ridge_grid", "random_features"):
             raise ConfigInvalid(f"unknown model_family {self.model_family!r}")
+        # Before the mean vectors below: the samples, the labeling
+        # function's waves, the prediction tensors and the ridge_grid
+        # family's normal matrix.
+        _refuse_oversized(
+            {k: getattr(self, k) for k in ("d1", "d2", "n_s", "n_t", "family_size")},
+            ("n_s", "d1"),
+            ("n_t", "d1"),
+            ("d1", _BAYES_WAVES),
+            ("family_size", "n_s", "d2"),
+            ("family_size", "n_t", "d2"),
+            *([("d1", "d1")] if self.model_family == "ridge_grid" else []),
+        )
         mu_p = self.source_mean
         mu_p = tuple(0.0 for _ in range(self.d1)) if mu_p is None else tuple(
             float(v) for v in mu_p
@@ -390,6 +418,7 @@ def run_suite(cfg: SuiteConfig, trials: int, seeds, threads: int = 1) -> SuiteRe
     """
     if trials < 1:
         raise ConfigInvalid("trials must be >= 1")
+    _refuse_oversized({"trials": trials}, ("trials", 2))  # two seeds a trial
     pairs = _trial_seed_pairs(seeds, trials)
     pool = ThreadPoolExecutor(max_workers=max(1, threads))
     try:

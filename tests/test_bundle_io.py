@@ -1,4 +1,5 @@
-"""Whole-table CSV codec against the per-cell writer and parser it replaced.
+"""Whole-table CSV codec against the per-cell writer and parser it replaced,
+and the ``arrays.npz`` copy that lets a load skip the parse.
 
 ``reference_write_csv`` and ``reference_parse`` are the pre-codec
 ``serialize.write_csv`` and ``data._parse_numeric``, kept verbatim as the
@@ -6,6 +7,7 @@ test reference: the codec must write the same bytes, load the same bits,
 and reject the same cells with the same error types.
 """
 
+import hashlib
 import json
 import os
 
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from shiftagg import data
 from shiftagg.data import (
     PredictionBundle,
     SourceDataset,
@@ -28,7 +31,7 @@ from shiftagg.errors import (
     NonFiniteValue,
     ShiftAggError,
 )
-from shiftagg.serialize import fmt_float, read_csv, write_csv
+from shiftagg.serialize import fmt_float, npz_writer, read_csv, write_csv
 
 from conftest import build_bundle
 
@@ -141,6 +144,10 @@ def test_bundle_bytes_and_bits_match_the_reference(tmp_path_factory, bundle):
     assert sorted(p for p in os.listdir(root / "new") if p.endswith(".csv")) == sorted(
         name for name, _, _ in tables
     )
+    stored = np.load(root / "new" / "arrays.npz", allow_pickle=False)
+    assert sorted(stored.files) == sorted(
+        key for name, _, _ in tables for key in (name, name + ".sha256")
+    )
     for name, header, rows in tables:
         reference_write_csv(root / "ref" / name, header, rows)
         new_path = root / "new" / name
@@ -148,6 +155,10 @@ def test_bundle_bytes_and_bits_match_the_reference(tmp_path_factory, bundle):
         _, cells = read_csv(new_path)
         expected = reference_parse(new_path, cells, len(header) - 1, 1)
         assert _bits(read_csv(new_path, len(header))[1]) == _bits(expected), name
+        assert _bits(stored[name]) == _bits(expected), name
+        digest = hashlib.sha256(new_path.read_bytes()).hexdigest()
+        assert stored[name + ".sha256"].item() == digest, name
+    stored.close()
 
     loaded = load_bundle(root / "new")
     for got, want in [
@@ -265,3 +276,153 @@ def test_non_utf8_csv_is_malformed(tmp_path):
     (tmp_path / "b" / "source.csv").write_bytes(b"id,x_1,x_2,y_1\n0,\xff,1,2\n")
     with pytest.raises(MalformedFile, match="UTF-8"):
         load_bundle(tmp_path / "b")
+
+
+# --- arrays.npz --------------------------------------------------------------
+
+
+def _sidecar_bundle(tmp_path):
+    bundle = build_bundle(m=2, n_s=4, n_t=3, with_oracle=True, seed=7)
+    write_bundle(bundle, tmp_path / "b")
+    return bundle, tmp_path / "b"
+
+
+def _count_parses(monkeypatch) -> list:
+    parsed = []
+
+    def spy(path, *args):
+        parsed.append(os.path.basename(path))
+        return read_csv(path, *args)
+
+    monkeypatch.setattr(data, "read_csv", spy)
+    return parsed
+
+
+def _load_without_sidecar(bdir):
+    blob = (bdir / "arrays.npz").read_bytes()
+    os.remove(bdir / "arrays.npz")
+    try:
+        return load_bundle(bdir)
+    finally:
+        (bdir / "arrays.npz").write_bytes(blob)
+
+
+def _rewrite_sidecar(bdir, edit):
+    """Rewrite arrays.npz with ``edit`` applied to its ``{key: array}``."""
+    with np.load(bdir / "arrays.npz", allow_pickle=False) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    edit(arrays)
+    with npz_writer(bdir / "arrays.npz") as add:
+        for key, arr in arrays.items():
+            add(key, arr)
+
+
+def test_sidecar_skips_every_parse(tmp_path, monkeypatch):
+    bundle, bdir = _sidecar_bundle(tmp_path)
+    parsed = _count_parses(monkeypatch)
+    assert load_bundle(bdir) == bundle
+    assert parsed == []
+    assert _load_without_sidecar(bdir) == bundle
+    assert len(parsed) == 6
+
+
+def test_sidecar_bytes_repeat(tmp_path):
+    bundle = build_bundle(m=3, n_s=5, n_t=4, with_oracle=True, seed=2)
+    write_bundle(bundle, tmp_path / "a")
+    write_bundle(bundle, tmp_path / "b")
+    blob = (tmp_path / "a" / "arrays.npz").read_bytes()
+    assert blob == (tmp_path / "b" / "arrays.npz").read_bytes()
+
+
+def test_csv_edited_to_another_number_loads_the_edit(tmp_path, monkeypatch):
+    bundle, bdir = _sidecar_bundle(tmp_path)
+    path = bdir / "model_m1_target.csv"
+    text = path.read_text()
+    cell = text.splitlines()[2].split(",")[1]
+    i = cell.index(".") + 1  # one byte: the first decimal digit
+    edited = cell[:i] + str((int(cell[i]) + 1) % 10) + cell[i + 1:]
+    path.write_text(text.replace(cell, edited, 1))
+    parsed = _count_parses(monkeypatch)
+    loaded = load_bundle(bdir)
+    assert parsed == ["model_m1_target.csv"]
+    assert loaded.target_preds[1, 1, 0] == float(edited)
+    assert loaded.target_preds[1, 1, 0] != bundle.target_preds[1, 1, 0]
+    assert loaded == _load_without_sidecar(bdir)
+
+
+def _object_arrays(bdir):
+    with np.load(bdir / "arrays.npz", allow_pickle=False) as npz:
+        arrays = {k: np.array([npz[k]], dtype=object) for k in npz.files}
+    np.savez(bdir / "arrays.npz", **arrays)
+
+
+def _replace(key, change):
+    return lambda bdir: _rewrite_sidecar(
+        bdir, lambda a: a.update({key: change(a[key])})
+    )
+
+
+# Fault -> (how many of the six CSVs are then parsed, how to make it).
+_FAULTS = {
+    "missing": (6, lambda bdir: os.remove(bdir / "arrays.npz")),
+    "empty": (6, lambda bdir: (bdir / "arrays.npz").write_bytes(b"")),
+    "truncated": (6, lambda bdir: (bdir / "arrays.npz").write_bytes(
+        (bdir / "arrays.npz").read_bytes()[:-100]
+    )),
+    "random bytes": (6, lambda bdir: (bdir / "arrays.npz").write_bytes(
+        np.random.default_rng(0).bytes(4096)
+    )),
+    "directory": (6, lambda bdir: (os.remove(bdir / "arrays.npz"),
+                                   os.mkdir(bdir / "arrays.npz"))),
+    "object arrays": (6, _object_arrays),
+    "foreign key": (6, lambda bdir: _rewrite_sidecar(
+        bdir, lambda a: a.update(extra=np.zeros((4, 1)))
+    )),
+    "missing key": (6, lambda bdir: _rewrite_sidecar(
+        bdir, lambda a: a.pop("target.csv")
+    )),
+    "wrong shape": (1, _replace("source.csv", lambda a: a[:, :2])),
+    "transposed": (1, _replace("model_m0_source.csv", lambda a: a.T)),
+    "float32": (1, _replace("target.csv", lambda a: a.astype(np.float32))),
+    "no rows": (1, _replace("target.csv", lambda a: a[:0])),
+    "digest as bytes": (
+        1, _replace("source.csv.sha256", lambda a: np.bytes_(a.item()))
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_faulty_sidecar_loads_like_the_csvs(tmp_path, monkeypatch, fault):
+    bundle, bdir = _sidecar_bundle(tmp_path)
+    n_parsed, make = _FAULTS[fault]
+    make(bdir)
+    parsed = _count_parses(monkeypatch)
+    assert load_bundle(bdir) == bundle
+    assert len(parsed) == n_parsed
+
+
+def test_matching_digest_is_trusted(tmp_path):
+    """The sidecar guards against accidental edits only: an array rewritten
+    under the CSV's own digest is loaded as stored."""
+    bundle, bdir = _sidecar_bundle(tmp_path)
+    _replace("model_m0_source.csv", lambda a: a + 1)(bdir)
+    loaded = load_bundle(bdir)
+    assert np.array_equal(loaded.source_preds[0], bundle.source_preds[0] + 1)
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [{"d2": 2}, {"d1": 3}, {"has_target_labels": False},
+     {"has_source_features": False}, {"model_names": ["m0", "m2"]}],
+    ids=["d2", "d1", "no target labels", "no source features", "renamed model"],
+)
+def test_manifest_widths_fail_alike_with_and_without_sidecar(tmp_path, edits):
+    _, bdir = _sidecar_bundle(tmp_path)
+    path = bdir / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edits}))
+    with pytest.raises(ShiftAggError) as with_sidecar:
+        load_bundle(bdir)
+    with pytest.raises(ShiftAggError) as without:
+        _load_without_sidecar(bdir)
+    assert type(with_sidecar.value) is type(without.value)
+    assert str(with_sidecar.value) == str(without.value)

@@ -187,10 +187,6 @@ def test_wrong_typed_dump_exit_2(edit, key, tmp_path):
     assert code == 2 and err.startswith(f"error: {path}: ") and repr(key) in err, err
 
 
-# Keys the JSON fuzz leaves alone: the trial count and the sizes that shape
-# arrays. A finite but huge one is a separate defect, and their defaults
-# would make a run slow.
-_SIZES = {"trials", "n_s", "n_t", "family_size"}
 _1E400 = "<1e400>"  # written as the JSON text 1e400, which reads as infinity
 _FRACTION = "<fraction>"  # a fractional number, in an integer's place if one
 _VALUES = [True, "x", None, [], {}, math.nan, math.inf, -math.inf, _1E400,
@@ -199,7 +195,7 @@ _VALUES = [True, "x", None, [], {}, math.nan, math.inf, -math.inf, _1E400,
 
 @functools.lru_cache(maxsize=1)
 def _json_fuzz_seeds() -> tuple[dict, dict]:
-    """File name -> text of a small bundle, and name -> each JSON document
+    """File name -> bytes of a small bundle, and name -> each JSON document
     the fuzz mutates: ratio.json of all three kinds, a suite config, an
     estimate-ratio config, the bundle's manifest.json and an embedding dump."""
     bundle = build_bundle(m=2, n_s=12, n_t=12, with_oracle=True, seed=5)
@@ -223,19 +219,44 @@ def _json_fuzz_seeds() -> tuple[dict, dict]:
     }
     with tempfile.TemporaryDirectory() as d:
         write_bundle(bundle, d)
-        files = {p.name: p.read_text() for p in pathlib.Path(d).iterdir()}
+        files = {p.name: p.read_bytes() for p in pathlib.Path(d).iterdir()}
     docs["manifest"] = json.loads(files["manifest.json"])
     return files, json.loads(dumps_canonical(docs))
 
 
 def _json_paths(value, path=()):
-    """Every path into a JSON value, the root first, but none into a size."""
+    """Every path into a JSON value, the root first."""
     yield path
     if isinstance(value, (dict, list)):
         items = value.items() if isinstance(value, dict) else enumerate(value)
         for key, v in items:
-            if key not in _SIZES:
-                yield from _json_paths(v, path + (key,))
+            yield from _json_paths(v, path + (key,))
+
+
+@pytest.mark.parametrize(
+    "config, flags, key",
+    [
+        ({"trials": 10**20}, [], "trials"),
+        ({}, ["--trials", str(10**20)], "trials"),
+        ({"task": {"n_s": 10**20}}, [], "n_s"),
+        ({"task": {"n_t": 10**20}}, [], "n_t"),
+        ({"task": {"d1": 10**20}}, [], "d1"),
+        ({"task": {"d1": 2**31, "model_family": "ridge_grid"}}, [], "d1"),
+        ({"task": {"d2": 10**18}}, [], "d2"),
+        ({"task": {"family_size": 10**20}}, [], "family_size"),
+        ({"task": {"n_s": 2**40, "d1": 2**30}}, [], "n_s"),
+    ],
+    ids=["trials", "trials_flag", "n_s", "n_t", "d1", "d1_ridge_grid", "d2",
+         "family_size", "n_s_times_d1"],
+)
+def test_unaddressable_size_exit_2(config, flags, key, tmp_path):
+    """A size whose arrays could not be addressed is refused before any is
+    allocated; every value here is one that is refused."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, err = _run(["bench", "--config", str(cfg), "--output",
+                      str(tmp_path / "out"), *flags])
+    assert code == 2 and err.startswith(f"error: {key} = "), err
 
 
 @given(st.data())
@@ -246,10 +267,7 @@ def test_fuzzed_json_inputs_exit_0_2_or_4(data):
     A mutation drops a key or list entry, wraps a value in a list, or
     replaces a value (or the whole document) with a boolean, a string, a
     null, a list, an object, NaN, an infinity, 1e400, a 400-digit integer
-    or a fractional number. The trial count and the array sizes (``_SIZES``)
-    are left alone: a finite but huge one still ends in NumPy's "Maximum
-    allowed dimension exceeded" (exit 1), a separate defect, and their
-    defaults would make a run slow.
+    or a fractional number.
     """
     files, docs = _json_fuzz_seeds()
     name = data.draw(st.sampled_from(sorted(docs)))
@@ -274,7 +292,7 @@ def test_fuzzed_json_inputs_exit_0_2_or_4(data):
         bundle_dir, out = os.path.join(d, "b"), os.path.join(d, "out")
         os.makedirs(bundle_dir)
         for fname, body in files.items():
-            pathlib.Path(bundle_dir, fname).write_text(body)
+            pathlib.Path(bundle_dir, fname).write_bytes(body)
         doc_path = os.path.join(bundle_dir if name == "manifest" else d,
                                 "manifest.json" if name == "manifest" else "doc.json")
         pathlib.Path(doc_path).write_text(text)

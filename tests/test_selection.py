@@ -282,6 +282,19 @@ def test_target_gram_is_built_once_per_comparison(monkeypatch):
     run_suite(cfg, trials=1, seeds=0)
     assert len(calls) == 1
 
+    # A refused oracle solve shares the Gram matrix too.
+    calls.clear()
+    base = build_bundle(m=1, n_s=6, n_t=5, with_oracle=True, seed=47)
+    dup = replace(
+        base,
+        model_names=("a", "b"),
+        source_preds=np.repeat(base.source_preds, 2, axis=0),
+        target_preds=np.repeat(base.target_preds, 2, axis=0),
+    )
+    report = compare_methods(dup, np.ones(6))
+    assert "error" in report.row("aggregate_oracle").detail
+    assert len(calls) == 1
+
 
 def reference_build_method_rows(bundle, beta_by_name, lam):
     """Two-pass table builder: its own ones-weighted oracle solve, then a
