@@ -1,6 +1,7 @@
-"""Scaling curves of ``shiftagg.aggregation.compute_gram`` and ``compute_g_vector``.
+"""Scaling curves of ``shiftagg.aggregation``'s moment and risk kernels.
 
-Times both kernels at every ``(m, n)`` in ``MODEL_COUNTS`` x ``SIZES``
+Times ``compute_gram``, ``compute_g_vector`` and ``model_risks`` (plain and
+weighted) at every ``(m, n)`` in ``MODEL_COUNTS`` x ``SIZES``
 with ``d2 = 1``, on seeded standard-normal predictions and labels and
 uniform ``[0, 3)`` weights. Each point is timed ``REPEATS`` times after one
 untimed warm-up call, with BLAS pinned to one thread by ``_harness``; the
@@ -8,7 +9,7 @@ JSON output holds every time, the medians, the CPU count and the
 numpy/BLAS build. Uses the standard library besides numpy and shiftagg
 itself.
 
-    PYTHONPATH=src python3 benchmarks/gram_scaling.py --output BENCH_5.json
+    PYTHONPATH=src python3 benchmarks/gram_scaling.py --output BENCH_12.json
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import sys
 import _harness  # first: pins BLAS to one thread before numpy loads
 import numpy as np
 
-from shiftagg.aggregation import compute_g_vector, compute_gram
+from shiftagg.aggregation import compute_g_vector, compute_gram, model_risks
 
 MODEL_COUNTS = (10, 100, 300)
 SIZES = (1_000, 10_000, 100_000)
 D2 = 1
-REPEATS = 3
+REPEATS = 5
 SEED = 0
 
 
@@ -36,20 +37,17 @@ def _inputs(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def time_point(m: int, n: int) -> dict:
     preds, labels, beta = _inputs(m, n)
-    gram_times, gram_median = _harness.median_time(
-        compute_gram, preds, repeats=REPEATS
-    )
-    g_times, g_median = _harness.median_time(
-        compute_g_vector, preds, labels, beta, repeats=REPEATS
-    )
-    return {
-        "m": m,
-        "n": n,
-        "compute_gram_times_s": gram_times,
-        "compute_gram_median_s": gram_median,
-        "compute_g_vector_times_s": g_times,
-        "compute_g_vector_median_s": g_median,
-    }
+    row = {"m": m, "n": n}
+    for name, fn, args in (
+        ("compute_gram", compute_gram, (preds,)),
+        ("compute_g_vector", compute_g_vector, (preds, labels, beta)),
+        ("model_risks", model_risks, (preds, labels)),
+        ("model_risks_weighted", model_risks, (preds, labels, beta)),
+    ):
+        times, median = _harness.median_time(fn, *args, repeats=REPEATS)
+        row[f"{name}_times_s"] = times
+        row[f"{name}_median_s"] = median
+    return row
 
 
 def curve() -> list[dict]:
@@ -57,11 +55,12 @@ def curve() -> list[dict]:
     for m in MODEL_COUNTS:
         for n in SIZES:
             row = time_point(m, n)
-            print(
-                f"m={m} n={n}: compute_gram {row['compute_gram_median_s']:.4f} s, "
-                f"compute_g_vector {row['compute_g_vector_median_s']:.4f} s",
-                file=sys.stderr,
+            medians = ", ".join(
+                f"{k[:-len('_median_s')]} {v:.4f} s"
+                for k, v in row.items()
+                if k.endswith("_median_s")
             )
+            print(f"m={m} n={n}: {medians}", file=sys.stderr)
             rows.append(row)
     return rows
 
@@ -70,7 +69,7 @@ if __name__ == "__main__":
     raise SystemExit(
         _harness.main(
             __doc__.splitlines()[0],
-            "compute_gram and compute_g_vector",
+            "compute_gram, compute_g_vector and model_risks",
             {"d2": D2, "seed": SEED},
             REPEATS,
             "moments",

@@ -1,10 +1,11 @@
 """Command-line pipeline: estimate-ratio, aggregate, select, bench, probe.
 
 Exit codes are a stable scripting contract: 0 success, 2 input or config
-error, 3 numerical failure, 4 I/O failure. Randomness comes only from
-explicit ``--seed`` flags or config files, never from the environment, and
-fixed seeds plus fixed inputs produce byte-identical output files for any
-``--threads`` value on a fixed BLAS build and BLAS thread count.
+error, 3 numerical failure, 4 I/O failure or memory refused. Randomness
+comes only from explicit ``--seed`` flags or config files, never from the
+environment, and fixed seeds plus fixed inputs produce byte-identical
+output files for any ``--threads`` value on a fixed BLAS build and BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -276,6 +277,13 @@ def cmd_bench(args) -> int:
     trials = decode_value(int, doc.pop("trials", 100), "trials")
     seed = decode_value(int, doc.pop("seed", 0), "seed")
     cfg = config_from_dict(synth.SuiteConfig, doc)
+    # SuiteConfig sees only the decoded ratio block, where an explicit
+    # default estimator looks like an absent one, so the key is checked here.
+    named = doc.get("ratio", {}).get("estimator", cfg.ratio.estimator)
+    if named != cfg.ratio.estimator:
+        raise ConfigInvalid(
+            f"ratio.estimator {named!r} conflicts with estimator {cfg.estimator!r}"
+        )
     trials = args.trials if args.trials is not None else trials
     seed = args.seed if args.seed is not None else seed
 
@@ -340,6 +348,11 @@ def main(argv=None) -> int:
         return 4
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        # The operating system refused the memory, as it refuses an I/O call.
+        print(f"error: out of memory: {str(exc) or 'allocation refused'}",
+              file=sys.stderr)
         return 4
 
 

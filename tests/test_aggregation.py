@@ -4,7 +4,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shiftagg import aggregation
 from shiftagg.aggregation import (
     RiskReport,
     aggregate_predict,
@@ -19,9 +22,16 @@ from shiftagg.aggregation import (
     run_aggregation,
     solve_coefficients,
 )
-from shiftagg.data import PredictionBundle, SourceDataset, TargetDataset
+from shiftagg.data import (
+    PredictionBundle,
+    SourceDataset,
+    TargetDataset,
+    as_label_matrix,
+)
 from shiftagg.errors import (
     ConfigInvalid,
+    DimensionMismatch,
+    EmptyInput,
     IllConditioned,
     MissingOracleLabels,
     NegativeWeight,
@@ -317,6 +327,147 @@ class TestRisks:
         for k in range(4):
             assert plain[k] == empirical_risk(preds[k], labels)
             assert weighted[k] == importance_weighted_risk(preds[k], labels, beta)
+
+
+def reference_weighted_sq_risk(preds, labels, weights) -> float:
+    """The per-model evaluator that ``model_risks`` called once per model
+    before the blocked kernel, kept verbatim as the bitwise reference."""
+    p = as_label_matrix(preds)
+    y = as_label_matrix(labels)
+    if p.shape != y.shape:
+        raise DimensionMismatch(f"predictions {p.shape} vs labels {y.shape}")
+    diff = p - y
+    row = np.einsum("nd,nd->n", diff, diff, optimize=False)
+    if weights is not None:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (p.shape[0],):
+            raise DimensionMismatch(
+                f"weights have shape {w.shape}, expected ({p.shape[0]},)"
+            )
+        if np.any(w < 0):
+            raise NegativeWeight("weights contain negative entries")
+        row = row * w
+    return float(np.sum(row)) / p.shape[0]
+
+
+def reference_model_risks(preds, labels, weights=None) -> np.ndarray:
+    return np.array(
+        [reference_weighted_sq_risk(p, labels, weights) for p in preds]
+    )
+
+
+def _block_step(n, d2):
+    return max(1, aggregation._RISK_BLOCK_VALUES // (n * d2))
+
+
+def _risk_inputs(m, n, d2, weight_kind, seed):
+    """Seeded predictions whose last model copies the first, labels, weights."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    preds = rng.standard_normal((m, n, d2)) * rng.uniform(0.1, 100.0, (m, 1, 1))
+    preds[-1] = preds[0]
+    labels = rng.standard_normal((n, d2))
+    weights = {
+        "none": None,
+        "ones": np.ones(n),
+        "zeros": np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 3.0, n)),
+    }[weight_kind]
+    return preds, labels, weights
+
+
+def assert_risks_match_reference(preds, labels, weights):
+    risks = model_risks(preds, labels, weights)
+    ref = reference_model_risks(preds, labels, weights)
+    assert risks.dtype == np.float64 and risks.shape == ref.shape
+    assert risks.tobytes() == ref.tobytes()
+    assert risks[-1] == risks[0]  # the copied model ties exactly
+    single = (
+        empirical_risk(preds[0], labels)
+        if weights is None
+        else importance_weighted_risk(preds[0], labels, weights)
+    )
+    assert single == ref[0]
+
+
+class TestRiskKernelParity:
+    """``model_risks`` scores models in blocks, bit for bit as the
+    per-model loop did, on both sides of every block edge."""
+
+    @given(
+        n=st.sampled_from([1, 2, 127, 10_000]),
+        d2=st.sampled_from([1, 2, 3]),
+        step=st.integers(1, 6),
+        m_of_step=st.sampled_from(["1", "s-1", "s", "s+1", "3s+1"]),
+        weight_kind=st.sampled_from(["none", "ones", "zeros"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bitwise_equal_to_per_model_loop(
+        self, n, d2, step, m_of_step, weight_kind, seed
+    ):
+        m = max(1, {"1": 1, "s-1": step - 1, "s": step, "s+1": step + 1,
+                    "3s+1": 3 * step + 1}[m_of_step])
+        preds, labels, weights = _risk_inputs(m, n, d2, weight_kind, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            # Blocks of exactly ``step`` models at this shape.
+            mp.setattr(aggregation, "_RISK_BLOCK_VALUES", step * n * d2)
+            assert _block_step(n, d2) == step
+            assert_risks_match_reference(preds, labels, weights)
+
+    @pytest.mark.parametrize("weight_kind", ["none", "ones", "zeros"])
+    @pytest.mark.parametrize("n, d2", [(127, 1), (10_000, 1), (10_000, 2), (10_000, 3)])
+    def test_shipped_block_size_edges(self, n, d2, weight_kind):
+        step = _block_step(n, d2)
+        for m in sorted({max(1, step - 1), step, step + 1, 3 * step + 1}):
+            preds, labels, weights = _risk_inputs(m, n, d2, weight_kind, seed=m)
+            assert_risks_match_reference(preds, labels, weights)
+
+    def test_one_dimensional_labels(self):
+        preds, labels, weights = _risk_inputs(9, 50, 1, "zeros", seed=3)
+        assert model_risks(preds, labels[:, 0], weights).tobytes() == (
+            reference_model_risks(preds, labels[:, 0], weights).tobytes()
+        )
+
+    def test_concurrent_calls_are_byte_identical(self):
+        inputs = [_risk_inputs(40, 10_000, 1, "zeros", seed=s) for s in range(4)]
+        serial = [model_risks(*args).tobytes() for args in inputs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(
+                pool.map(lambda a: model_risks(*a).tobytes(), inputs, timeout=120)
+            )
+        assert got == serial
+
+    @pytest.mark.parametrize(
+        "preds, labels, weights",
+        [
+            (np.zeros((2, 5, 1)), np.zeros((4, 1)), None),
+            (np.zeros((2, 5, 2)), np.zeros((5, 1)), None),
+            (np.zeros((2, 5, 1)), np.zeros(5), np.ones(4)),
+            (np.zeros((2, 5, 1)), np.zeros(5), np.ones((5, 1))),
+            (np.zeros((2, 5, 1)), np.zeros(5), np.array([1.0, -1.0, 0, 0, 0])),
+        ],
+    )
+    def test_errors_keep_type_and_message(self, preds, labels, weights):
+        with pytest.raises((DimensionMismatch, NegativeWeight)) as ref:
+            reference_model_risks(preds, labels, weights)
+        for call in (
+            lambda: model_risks(preds, labels, weights),
+            lambda: importance_weighted_risk(preds[0], labels, weights)
+            if weights is not None
+            else empirical_risk(preds[0], labels),
+        ):
+            with pytest.raises(type(ref.value)) as got:
+                call()
+            assert str(got.value) == str(ref.value)
+
+    def test_zero_samples_raise_empty_input(self):
+        with pytest.raises(ZeroDivisionError):
+            reference_weighted_sq_risk(np.zeros((0, 1)), np.zeros((0, 1)), None)
+        with pytest.raises(EmptyInput):
+            empirical_risk(np.zeros((0, 1)), np.zeros((0, 1)))
+        with pytest.raises(EmptyInput):
+            importance_weighted_risk(np.zeros((0, 2)), np.zeros((0, 2)), np.ones(0))
+        with pytest.raises(EmptyInput):
+            model_risks(np.zeros((3, 0, 1)), np.zeros((0, 1)))
 
 
 class TestRiskReport:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftagg import aggregation
+from shiftagg import aggregation, cli
 from shiftagg.cli import main
 from shiftagg.data import (
     PredictionBundle,
@@ -463,6 +463,41 @@ class TestBench:
         methods = {r["method"] for r in doc["per_trial"][0]["rows"]}
         assert "aggregate_logistic" in methods and "aggregate_ulsif" not in methods
 
+    def test_conflicting_ratio_estimator_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.json"
+        write_json(
+            cfg, {"estimator": "logistic", "ratio": {"estimator": "ulsif"}, "trials": 1}
+        )
+        assert main(["bench", "--config", str(cfg), "--output",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: ratio.estimator 'ulsif' conflicts with estimator 'logistic'\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("estimator", ["ulsif", "logistic", None])
+    def test_written_config_block_reloads(self, estimator, tmp_path):
+        # The block names ratio.estimator equal to the effective estimator.
+        cfg = tmp_path / "suite.json"
+        write_json(
+            cfg,
+            {"estimator": estimator, "trials": 1, "seed": 5,
+             "task": {"n_s": 60, "n_t": 60, "family_size": 3},
+             "ratio": {"n_centers": 20, "cv_folds": 2}},
+        )
+        first = tmp_path / "first"
+        assert main(["bench", "--config", str(cfg), "--output", str(first)]) == 0
+        doc = json.loads((first / "suite.json").read_text())
+        assert "estimator" in doc["config"]["ratio"]
+        again = tmp_path / "again.json"
+        write_json(again, {**doc["config"], "trials": 1, "seed": doc["seed"]})
+        second = tmp_path / "second"
+        assert main(["bench", "--config", str(again), "--output", str(second)]) == 0
+        assert (second / "suite.json").read_bytes() == (
+            first / "suite.json"
+        ).read_bytes()
+
     def test_dump_tasks_round_trips_through_pipeline(self, tmp_path):
         cfg = self._cfg(tmp_path, trials=2)
         out = tmp_path / "out"
@@ -472,6 +507,22 @@ class TestBench:
         assert (task_dir / "manifest.json").is_file()
         assert main(["aggregate", "--input", str(task_dir), "--output",
                      str(tmp_path / "agg"), "--analytic"]) == 0
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 3.47 EiB"), "Unable to allocate 3.47 EiB"),
+        (MemoryError(), "allocation refused"),
+    ],
+)
+def test_memory_error_exit_4(exc, message, monkeypatch, tmp_path, capsys):
+    def refuse(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_bench", refuse)
+    assert main(["bench", "--output", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
 
 @pytest.mark.parametrize(
