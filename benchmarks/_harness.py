@@ -3,7 +3,7 @@
 Importing this module pins BLAS to one thread, so the scripts import it
 before numpy (the pin must be set before numpy loads, as in
 ``perfbench/run.py``). ``median_time`` times a call after one untimed
-warm-up; ``main`` parses ``--output``, builds the curve and writes it as
+warm-up; ``main`` parses ``--output``, builds the curves and writes them as
 JSON together with the CPU count and the numpy/BLAS build.
 """
 
@@ -43,14 +43,15 @@ def _blas_build() -> dict:
     }
 
 
-def main(description, benchmark, inputs, repeats, curve_key, make_curve, argv=None):
-    """Write ``{benchmark, inputs, repeats, <machine>, curve_key: make_curve()}``
-    to the ``--output`` file; returns the exit code."""
+def main(description, benchmark, inputs, repeats, curves, argv=None):
+    """Write ``{benchmark, inputs, repeats, <machine>, key: make_curve(), ...}``
+    for each ``key: make_curve`` of ``curves``, built in that order, to the
+    ``--output`` file; returns the exit code."""
     p = argparse.ArgumentParser(description=description)
     p.add_argument("--output", required=True, help="JSON file to write")
     args = p.parse_args(argv)
 
-    curve = make_curve()
+    built = {key: make_curve() for key, make_curve in curves.items()}
     doc = {
         "benchmark": benchmark,
         "inputs": inputs,
@@ -61,7 +62,7 @@ def main(description, benchmark, inputs, repeats, curve_key, make_curve, argv=No
         "numpy": np.__version__,
         "blas": _blas_build(),
         "blas_env": {k: os.environ.get(k) for k in BLAS_ENV},
-        curve_key: curve,
+        **built,
     }
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

@@ -95,7 +95,6 @@ if __name__ == "__main__":
             "default synthetic task",
             {"m": M, "seed": SEED},
             REPEATS,
-            "bundle_io",
-            curve,
+            {"bundle_io": curve},
         )
     )

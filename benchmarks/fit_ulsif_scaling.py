@@ -1,26 +1,34 @@
-"""Scaling curve of ``shiftagg.ratio.fit_ulsif`` with the default config.
+"""Scaling curves of ``shiftagg.ratio.fit_ulsif`` and its width heuristic.
 
 Times one default-config fit (5 widths x 4 ridges x 5 folds, 100 centers)
 at each size in ``SIZES`` on seeded synthetic inputs: source ``N(0, I)``
 and target ``N((0.5, 0, ...), I)`` in 5 dimensions, ``n_s = n_t = n``, as
-in the default bench suite. Each size is timed ``REPEATS`` times after one
-untimed warm-up fit, with BLAS pinned to one thread by ``_harness``; the
-JSON output holds every time, the median, the CPU count and the numpy/BLAS
-build. Uses the standard library besides numpy and shiftagg itself.
+in the default bench suite. Before the fits, and so in a process whose
+heap no fit has grown, it times ``_median_pairwise_distance`` on the pooled
+sample at each pooled size in ``POOLED`` (above 1000 rows it draws 1000).
+Each point is timed ``REPEATS`` times after one untimed warm-up call, with
+BLAS pinned to one thread by ``_harness``; then ``REPEATS`` more untimed
+calls give the minor page faults per call, from this process's
+``resource.getrusage(RUSAGE_SELF).ru_minflt``. The JSON output holds every
+time, the median, the faults, the CPU count and the numpy/BLAS build. Uses
+the standard library besides numpy and shiftagg itself.
 
-    PYTHONPATH=src python3 benchmarks/fit_ulsif_scaling.py --output BENCH_3.json
+    PYTHONPATH=src python3 benchmarks/fit_ulsif_scaling.py --output BENCH_13.json
 """
 
 from __future__ import annotations
 
+import resource
 import sys
 
 import _harness  # first: pins BLAS to one thread before numpy loads
 import numpy as np
 
+from shiftagg import ratio
 from shiftagg.ratio import RatioFitConfig, fit_ulsif
 
 SIZES = (500, 5000, 20000)
+POOLED = (1000, 10000)
 REPEATS = 5
 SEED = 0
 DIM = 5
@@ -35,29 +43,46 @@ def _inputs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, xt
 
 
-def time_fits(n: int) -> dict:
-    xs, xt = _inputs(n)
-    cfg = RatioFitConfig(seed=SEED)
-    times, median = _harness.median_time(fit_ulsif, xs, xt, cfg, repeats=REPEATS)
-    return {"n": n, "times_s": times, "median_s": median}
+def _faults_per_call(fn, *args) -> float:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(REPEATS):
+        fn(*args)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / REPEATS
 
 
-def curve() -> list[dict]:
+def _point(key: str, n: int, fn, *args) -> dict:
+    times, median = _harness.median_time(fn, *args, repeats=REPEATS)
+    faults = _faults_per_call(fn, *args)
+    print(f"{key} n={n}: median {median:.4f} s, {faults:.0f} faults", file=sys.stderr)
+    return {
+        "n": n,
+        "times_s": times,
+        "median_s": median,
+        "minor_faults_per_call": faults,
+    }
+
+
+def width_curve() -> list[dict]:
     rows = []
-    for n in SIZES:
-        rows.append(time_fits(n))
-        print(f"fit_ulsif n={n}: median {rows[-1]['median_s']:.4f} s", file=sys.stderr)
+    for n in POOLED:
+        pooled = np.vstack(_inputs(n // 2))
+        rng = ratio._rng(SEED)  # each call draws on, as one fit's would
+        rows.append(_point("width", n, ratio._median_pairwise_distance, pooled, rng))
     return rows
+
+
+def fit_curve() -> list[dict]:
+    cfg = RatioFitConfig(seed=SEED)
+    return [_point("fit_ulsif", n, fit_ulsif, *_inputs(n), cfg) for n in SIZES]
 
 
 if __name__ == "__main__":
     raise SystemExit(
         _harness.main(
             __doc__.splitlines()[0],
-            "fit_ulsif default config",
+            "fit_ulsif default config and its median pairwise distance",
             {"dim": DIM, "shift": SHIFT, "seed": SEED},
             REPEATS,
-            "fit_ulsif",
-            curve,
+            {"median_pairwise_distance": width_curve, "fit_ulsif": fit_curve},
         )
     )

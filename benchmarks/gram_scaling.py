@@ -72,7 +72,6 @@ if __name__ == "__main__":
             "compute_gram, compute_g_vector and model_risks",
             {"d2": D2, "seed": SEED},
             REPEATS,
-            "moments",
-            curve,
+            {"moments": curve},
         )
     )

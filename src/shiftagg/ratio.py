@@ -60,6 +60,9 @@ __all__ = [
 DEFAULT_BOUND = 20.0
 DEFAULT_RIDGE_GRID = (1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_WIDTH_SCALES = (0.1, 0.3, 1.0, 3.0, 10.0)
+# Rows per block of the width heuristic's walk over the upper triangle: at
+# 1000 points its float64 block buffer takes 256 KB.
+_WIDTH_BLOCK = 32
 # The LAPACK Cholesky routines behind scipy.linalg.cho_factor/cho_solve.
 _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 # The parameters of an analytic model, and the keys of each kind of
@@ -243,19 +246,48 @@ def _gaussian_kernel(d2: np.ndarray, width: float, out=None) -> np.ndarray:
 
 
 def _median_pairwise_distance(x: np.ndarray, rng: np.random.Generator) -> float:
+    """Median distance between distinct points (at most 1000, drawn by
+    ``rng``), or 1.0 when all coincide.
+
+    The squared distances are ``_sq_dists``'s, bit for bit: its product
+    term is one BLAS call, as there, since a sub-block product need not round
+    each entry as the whole product does. The rest walks the strict upper
+    triangle ``_WIDTH_BLOCK`` rows at a time through one reused buffer and
+    packs the positive values, in row order, into the product's own spent
+    rows, which one in-place partition then orders.
+    """
     n = x.shape[0]
     if n > 1000:
         x = x[rng.choice(n, 1000, replace=False)]
-    d2 = _sq_dists(x, x)
-    idx = np.arange(len(x))
-    vals = d2[(idx[:, None] < idx) & (d2 > 0)]  # distinct pairs, upper triangle
-    if vals.size == 0:
+        n = 1000
+    x2 = np.sum(x * x, axis=1)
+    prod = 2.0 * x @ x.T
+    packed = prod.reshape(-1)
+    b = min(_WIDTH_BLOCK, n)
+    d2_buf, keep_buf = np.empty(b * n), np.empty(b * n, dtype=bool)
+    upper = np.arange(n) > np.arange(b)[:, None]  # column past row, within a block
+    size = 0
+    for s in range(0, n, b):
+        rows, cols = min(b, n - s), n - s
+        d2 = d2_buf[: rows * cols].reshape(rows, cols)
+        keep = keep_buf[: rows * cols].reshape(rows, cols)
+        np.add(x2[s : s + rows, None], x2[s:], out=d2)
+        d2 -= prod[s : s + rows, s:]
+        # Distinct pairs only: d2 > 0 also drops what _sq_dists clamps to 0.
+        np.greater(d2, 0.0, out=keep)
+        keep &= upper[:rows, :cols]
+        kept = d2[keep]
+        # Rows before s + rows are read, and the pairs so far fit in them.
+        packed[size : size + kept.size] = kept
+        size += kept.size
+    if size == 0:
         return 1.0
+    vals = packed[:size]
     # np.median's value from one partition: the k-th order statistic is unique,
     # and for an even count the lower middle value is the largest below it.
-    k = vals.size // 2
-    p = np.partition(vals, k)
-    med = p[k] if vals.size % 2 else (p[:k].max() + p[k]) / 2.0
+    k = size // 2
+    vals.partition(k)
+    med = vals[k] if size % 2 else (vals[:k].max() + vals[k]) / 2.0
     return float(np.sqrt(med))
 
 
@@ -290,14 +322,17 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     entries, which only evaluation clamps away).
 
     The default width grid scales the median pairwise distance, found with
-    one partition. The distances to the centers are computed once per fit,
-    and each width refills two kernel buffers from them in place. ``H`` and
-    ``h`` are sums over samples, so each training fold's system is the
-    whole sample's sum minus that fold's part; it is built once per width
-    and solved for every ridge by LAPACK ``potrf``/``potrs`` directly, and
-    the refit solves the chosen width's whole sums. The returned model's
-    ``cv`` block holds the score grid, the chosen cell and which of its
-    grids' edges that cell lies on.
+    one partition of the upper triangle's values, gathered a block of rows
+    at a time into the n x n product term's own memory (no distance matrix
+    or mask of that size). The distances to the centers are computed
+    once per fit, and each width refills two kernel buffers from them in
+    place. ``H`` and ``h`` are sums over samples, so each training fold's
+    system is the whole sample's sum minus that fold's part; it is built
+    once per width and solved for every ridge by LAPACK ``potrf``/``potrs``
+    directly, and the refit solves the chosen width's whole sums. Each
+    held-out score clips and squares its fold's ratio values in place. The
+    returned model's ``cv`` block holds the score grid, the chosen cell and
+    which of its grids' edges that cell lies on.
     """
     xs, xt = _check_xy(source_x, target_x)
     rng = _rng(cfg.seed)
@@ -343,10 +378,13 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
             try:
                 for H, h, V_s, V_t in systems:
                     alpha = _cho_solve_ridge(H, h, ridge)
-                    b_s = np.clip(V_s @ alpha, 0.0, cfg.bound)
-                    b_t = np.clip(V_t @ alpha, 0.0, cfg.bound)
+                    b_s = _clip_in_place(V_s @ alpha, cfg.bound)
+                    b_t = _clip_in_place(V_t @ alpha, cfg.bound)
+                    np.square(b_s, out=b_s)
+                    # np.mean's sum and division, without its wrapper.
                     fold_scores.append(
-                        0.5 * float(np.mean(b_s * b_s)) - float(np.mean(b_t))
+                        0.5 * float(np.add.reduce(b_s) / len(b_s))
+                        - float(np.add.reduce(b_t) / len(b_t))
                     )
             except SingularSystem:
                 continue  # a refusal on any fold drops this ridge for this width
@@ -381,6 +419,14 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     )
 
 
+def _clip_in_place(v: np.ndarray, bound: float) -> np.ndarray:
+    """``np.clip(v, 0.0, bound)`` written into ``v``, but for the sign of a
+    zero (``np.clip`` keeps -0.0), which squaring or summing the values for
+    a held-out score cannot tell apart."""
+    np.maximum(v, 0.0, out=v)
+    return np.minimum(v, bound, out=v)
+
+
 def _cho_solve_ridge(H: np.ndarray, h: np.ndarray, ridge: float) -> np.ndarray:
     """Solve ``(H + ridge*I) x = h`` by Cholesky.
 
@@ -388,7 +434,8 @@ def _cho_solve_ridge(H: np.ndarray, h: np.ndarray, ridge: float) -> np.ndarray:
     and ``cho_solve`` do, with the same checks, minus their per-call wrapper
     cost; every failure is a shiftagg error.
     """
-    A = H + ridge * np.eye(H.shape[0])
+    A = H.copy()
+    A.reshape(-1)[:: A.shape[0] + 1] += ridge  # its diagonal, as a view
     if not (np.isfinite(A).all() and np.isfinite(h).all()):
         raise NonFiniteValue(f"kernel system is not finite at ridge={ridge!r}")
     c, info = _POTRF(A, lower=1, overwrite_a=0, clean=0)

@@ -230,7 +230,8 @@ def fit_model_family(
     regularizers; ``random_features`` fits ridge on per-model random cosine
     feature maps whose bandwidths sweep a log-spaced range (each model owns
     an independent draw, which keeps the family diverse). Returns the
-    predictors plus prediction tensors on both samples.
+    predictors plus prediction tensors on both samples, each filled in
+    place; the source predictions come from the features each fit built.
     """
     xs = np.atleast_2d(np.asarray(source_x, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(source_y, dtype=np.float64))
@@ -239,6 +240,7 @@ def fit_model_family(
     rng = _philox(_task_seed_children(cfg.seed)[5])
 
     predictors: list = []
+    source_preds = np.empty((m, xs.shape[0], ys.shape[1]))
     if cfg.model_family == "ridge_grid":
         grid = cfg.ridge_grid
         if grid is None:
@@ -248,14 +250,15 @@ def fit_model_family(
                 f"ridge_grid has {len(grid)} entries, family_size is {m}"
             )
         F = np.hstack([xs, np.ones((xs.shape[0], 1))])
-        for lam in grid:
+        for k, lam in enumerate(grid):
             w = _ridge_solve_escalating(F, ys, lam * xs.shape[0])
             predictors.append(LinearModel(weights=w))
+            source_preds[k] = predictors[k].predict(xs)
     else:
         sigma0 = np.sqrt(cfg.d1 * cfg.shared_cov_scale)
         lo, hi = _RFF_WIDTH_SPAN
         widths = np.logspace(np.log10(lo * sigma0), np.log10(hi * sigma0), m)
-        for width in widths:
+        for k, width in enumerate(widths):
             proj = rng.standard_normal((cfg.d1, _RFF_FEATURES)) / width
             phases = rng.uniform(0.0, 2.0 * np.pi, _RFF_FEATURES)
             feats = np.sqrt(2.0 / _RFF_FEATURES) * np.cos(xs @ proj + phases)
@@ -264,9 +267,12 @@ def fit_model_family(
             predictors.append(
                 CosineFeatureModel(projections=proj, phases=phases, weights=w)
             )
+            # CosineFeatureModel.predict(xs), on the features already at hand.
+            source_preds[k] = feats @ w[:-1] + w[-1]
 
-    source_preds = np.stack([p.predict(xs) for p in predictors])
-    target_preds = np.stack([p.predict(xt) for p in predictors])
+    target_preds = np.empty((m, xt.shape[0], ys.shape[1]))
+    for k, p in enumerate(predictors):
+        target_preds[k] = p.predict(xt)
     return tuple(predictors), source_preds, target_preds
 
 

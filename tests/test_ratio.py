@@ -1,6 +1,8 @@
 """Density-ratio estimators against the closed-form Gaussian oracle."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -223,6 +225,48 @@ def reference_fit_ulsif(xs, xt, cfg, solve=reference_cho_solve):
     return (i, j), alpha, grid
 
 
+def reference_fold_sum_scores(xs, xt, cfg):
+    """The fold-sum score grid, each held-out fold scored with ``np.clip`` and
+    ``np.mean`` as ``fit_ulsif`` once did; NaN where a cell was refused.
+
+    Its systems are ``fit_ulsif``'s (whole-sample sums minus each fold's
+    part, bitwise), so the grid must match ``cv["scores"]`` bit for bit.
+    """
+    rng = ratio._rng(cfg.seed)
+    widths = reference_widths(xs, xt, cfg, rng)
+    n_c = cfg.n_centers if cfg.n_centers is not None else min(100, xt.shape[0])
+    centers = xt[np.sort(rng.choice(xt.shape[0], n_c, replace=False))]
+    fold_s = ratio._fold_ids(xs.shape[0], cfg.cv_folds, rng)
+    fold_t = ratio._fold_ids(xt.shape[0], cfg.cv_folds, rng)
+    folds = [
+        (fold_s == f, fold_t == f)
+        for f in range(min(cfg.cv_folds, xs.shape[0], xt.shape[0]))
+    ]
+    folds = [(s, t) for s, t in folds if 0 < s.sum() < len(s) and 0 < t.sum() < len(t)]
+    grid = np.full((len(widths), len(cfg.ridge_strengths)), np.nan)
+    for i, width in enumerate(widths):
+        K_s = reference_kernel(xs, centers, width)
+        K_t = reference_kernel(xt, centers, width)
+        H_tot, h_tot = K_s.T @ K_s, K_t.sum(axis=0)
+        for j, ridge in enumerate(cfg.ridge_strengths):
+            scores = []
+            try:
+                for va_s, va_t in folds:
+                    V_s, V_t = K_s[va_s], K_t[va_t]
+                    H = (H_tot - V_s.T @ V_s) / (len(K_s) - len(V_s))
+                    h = (h_tot - V_t.sum(axis=0)) / (len(K_t) - len(V_t))
+                    alpha = reference_cho_solve(H, h, ridge)
+                    b_s = np.clip(V_s @ alpha, 0.0, cfg.bound)
+                    b_t = np.clip(V_t @ alpha, 0.0, cfg.bound)
+                    scores.append(
+                        0.5 * float(np.mean(b_s * b_s)) - float(np.mean(b_t))
+                    )
+            except SingularSystem:
+                continue
+            grid[i, j] = float(np.mean(scores))
+    return grid
+
+
 def suite_task_features(seed, n=500):
     task = generate_task(SynthTaskConfig(n_s=n, n_t=n, seed=seed))
     return task.bundle.source.features, task.bundle.target.features
@@ -256,6 +300,16 @@ class TestUlsifFoldSums:
             model = assert_matches_reference(xs, xt, RatioFitConfig(seed=seed + 100))
             edges.add(model.cv["on_grid_edge"])
         assert edges == {True, False}
+
+    def test_suite_size_scores_bitwise(self):
+        # The in-place clipped scores against np.clip and np.mean, bit for bit
+        # (assert_matches_reference allows rtol=1e-12 against per-cell systems).
+        for seed in range(50):
+            xs, xt = suite_task_features(seed)
+            cfg = RatioFitConfig(seed=seed + 100)
+            got = np.array(fit_ulsif(xs, xt, cfg).cv["scores"], dtype=float)
+            want = reference_fold_sum_scores(xs, xt, cfg)
+            assert got.tobytes() == want.tobytes(), seed
 
     def test_large_task(self):
         xs, xt = suite_task_features(3, n=5000)
@@ -356,6 +410,27 @@ def _points(min_rows, max_rows):
     )
 
 
+# The block size the width tests patch in; n = 4, 5, 6 and 11 meet its edges.
+_BLOCK = 5
+
+
+@st.composite
+def _blocked_points(draw):
+    """Point clouds of n rows about the patched block edges, up to 64
+    columns, with tied distances and duplicate rows across every edge."""
+    n = draw(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 1000]))
+    d = draw(st.integers(1, 64))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        x = rng.integers(-2, 3, (n, d)).astype(np.float64)  # many ties and zeros
+    else:
+        x = rng.standard_normal((n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        # The first row of every block repeats the last row of the one before.
+        x[_BLOCK::_BLOCK] = x[_BLOCK - 1 : n - 1 : _BLOCK]
+    return x
+
+
 class TestWidthHeuristic:
     """``_median_pairwise_distance`` is bitwise the ``np.median`` body."""
 
@@ -374,6 +449,31 @@ class TestWidthHeuristic:
     @settings(max_examples=300, deadline=None)
     def test_matches_median(self, rows):
         self.assert_bitwise(np.array(rows, dtype=np.float64))
+
+    @given(_blocked_points())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_median_across_block_edges(self, x):
+        with mock.patch.object(ratio, "_WIDTH_BLOCK", _BLOCK):
+            self.assert_bitwise(x)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, ratio._WIDTH_BLOCK + 1])
+    def test_shipped_block_edges(self, offset):
+        n = ratio._WIDTH_BLOCK + offset
+        x = np.random.Generator(np.random.Philox(n)).standard_normal((n, 5))
+        x[n // 2] = x[0]
+        self.assert_bitwise(x)
+
+    def test_traced_peak_at_1000_rows(self):
+        # The 1000 x 1000 product (7.6 MiB) holds the packed values too; with
+        # a full distance matrix, its temporaries and its masks it was 15.3 MiB.
+        x = np.random.Generator(np.random.Philox(8)).standard_normal((1000, 5))
+        tracemalloc.start()
+        try:
+            ratio._median_pairwise_distance(x, ratio._rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_odd_and_even_pair_counts(self, n):

@@ -146,12 +146,19 @@ class TestModelFamily:
         assert np.array_equal(sp1, sp2) and np.array_equal(tp1, tp2)
 
     def test_predictions_match_predictors(self):
-        task = generate_task(SynthTaskConfig(n_s=20, n_t=20, family_size=3, seed=13))
-        for k, model in enumerate(task.predictors):
-            np.testing.assert_array_equal(
-                model.predict(task.bundle.source.features),
-                task.bundle.source_preds[k],
+        # Bit for bit: the source predictions reuse the fit's features.
+        for family in ("random_features", "ridge_grid"):
+            cfg = SynthTaskConfig(
+                n_s=20, n_t=20, family_size=3, model_family=family, seed=13
             )
+            task = generate_task(cfg)
+            b = task.bundle
+            for k, model in enumerate(task.predictors):
+                for x, preds in (
+                    (b.source.features, b.source_preds),
+                    (b.target.features, b.target_preds),
+                ):
+                    assert model.predict(x).tobytes() == preds[k].tobytes()
 
 
 class TestRunSuite:
