@@ -1,4 +1,5 @@
-"""Scaling curve of ``shiftagg.data.write_bundle`` and ``load_bundle``.
+"""Scaling curves of ``shiftagg.data.write_bundle`` and ``load_bundle``,
+and of ``shiftagg.serialize.write_csv`` alone.
 
 Writes and loads the bundle of one default synthetic task (``generate_task``
 with ``family_size=M``: d1=5, d2=1, features on both samples, oracle target
@@ -6,13 +7,17 @@ labels) at each size in ``SIZES`` (``n_s = n_t = n``). At each size the
 write, the load of the same directory, and the load once ``arrays.npz`` is
 deleted (every CSV parsed) are timed ``REPEATS`` times each, after one
 untimed warm-up call, with BLAS pinned to one thread by ``_harness``. Each
-load is checked to equal the written bundle. The JSON output holds every
-time, the medians, the directory's size on disk with and without
-``arrays.npz``, the CPU count and the numpy/BLAS build. Uses the standard
-library besides numpy and shiftagg itself. Run against a tree that writes
-no ``arrays.npz``, both loads parse the CSVs.
+load is checked to equal the written bundle. ``write_csv`` alone is timed
+the same way on an ``(n, COLUMNS)`` standard normal float table at each
+size in ``CSV_SIZES``, and the file is checked to parse back to the same
+bits; its rate counts every cell written, ids included. The JSON output
+holds every time, the medians, the directory's size on disk with and
+without ``arrays.npz``, the cells per second, the CPU count and the
+numpy/BLAS build. Uses the standard library besides numpy and shiftagg
+itself. Run against a tree that writes no ``arrays.npz``, both loads parse
+the CSVs.
 
-    PYTHONPATH=src python3 benchmarks/bundle_io_scaling.py --output BENCH_11.json
+    PYTHONPATH=src python3 benchmarks/bundle_io_scaling.py --output BENCH_14.json
 """
 
 from __future__ import annotations
@@ -23,10 +28,15 @@ import tempfile
 
 import _harness  # first: pins BLAS to one thread before numpy loads
 
+import numpy as np
+
 from shiftagg.data import load_bundle, write_bundle
+from shiftagg.serialize import read_csv, write_csv
 from shiftagg.synth import SynthTaskConfig, generate_task
 
 SIZES = (5000, 20000)
+CSV_SIZES = (5000, 20000)
+COLUMNS = 7
 M = 20
 REPEATS = 5
 SEED = 0
@@ -72,6 +82,39 @@ def time_io(n: int, workdir: str) -> dict:
     }
 
 
+def time_write_csv(n: int, workdir: str) -> dict:
+    x = np.random.Generator(np.random.Philox(SEED)).standard_normal((n, COLUMNS))
+    header = ["id"] + [f"x_{j + 1}" for j in range(COLUMNS)]
+    path = os.path.join(workdir, f"table_{n}.csv")
+    times, median = _harness.median_time(write_csv, path, header, x, repeats=REPEATS)
+    if read_csv(path, COLUMNS + 1)[1].tobytes() != x.tobytes():
+        raise SystemExit(f"n={n}: the written table does not parse back to its bits")
+    cells = n * (COLUMNS + 1)
+    return {
+        "n": n,
+        "columns": COLUMNS,
+        "cells": cells,
+        "bytes": os.path.getsize(path),
+        "times_s": times,
+        "median_s": median,
+        "cells_per_s": cells / median,
+    }
+
+
+def csv_curve() -> list[dict]:
+    rows = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for n in CSV_SIZES:
+            row = time_write_csv(n, workdir)
+            print(
+                f"write_csv ({n}, {COLUMNS}): {row['median_s']:.4f} s, "
+                f"{row['cells_per_s']:.3g} cells/s (median)",
+                file=sys.stderr,
+            )
+            rows.append(row)
+    return rows
+
+
 def curve() -> list[dict]:
     rows = []
     with tempfile.TemporaryDirectory() as workdir:
@@ -92,9 +135,9 @@ if __name__ == "__main__":
         _harness.main(
             __doc__.splitlines()[0],
             "write_bundle and load_bundle, with and without arrays.npz, of a "
-            "default synthetic task",
-            {"m": M, "seed": SEED},
+            "default synthetic task; write_csv of a standard normal table",
+            {"m": M, "seed": SEED, "csv_columns": COLUMNS},
             REPEATS,
-            {"bundle_io": curve},
+            {"bundle_io": curve, "write_csv": csv_curve},
         )
     )

@@ -335,7 +335,8 @@ class LayerEmbeddingSet:
 # arrays.npz     (optional, derived) for each CSV <f>: "<f>", the float64
 #                matrix after its id column, and "<f>.sha256", the hex
 #                sha256 of the CSV's bytes as a 0-d fixed-width string
-# Every CSV's id column runs 0..n-1 in order; load_bundle rejects any other.
+# Every CSV's id column runs 0..n-1 in order, and its header is exactly the
+# one above; load_bundle rejects any other.
 
 _MANIFEST_KEYS = {
     "model_names": tuple[str, ...],
@@ -352,6 +353,12 @@ _DIGEST = ".sha256"
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _header(*blocks: tuple[str, int]) -> list[str]:
+    """A bundle CSV's header: ``id``, then ``<prefix>_1..<prefix>_<k>`` for
+    each ``(prefix, k)`` of ``blocks``."""
+    return ["id"] + [f"{prefix}_{j + 1}" for prefix, k in blocks for j in range(k)]
 
 
 def write_bundle(bundle: PredictionBundle, path) -> None:
@@ -384,9 +391,7 @@ def write_bundle(bundle: PredictionBundle, path) -> None:
 
         def table(name, n, *blocks):
             present = [(a, prefix) for a, prefix in blocks if a is not None]
-            header = ["id"] + [
-                f"{prefix}_{j + 1}" for a, prefix in present for j in range(a.shape[1])
-            ]
+            header = _header(*[(prefix, a.shape[1]) for a, prefix in present])
             values = np.hstack([np.empty((n, 0))] + [a for a, _ in present])
             data = write_csv(os.path.join(path, name), header, values)
             add(name, values)
@@ -399,27 +404,30 @@ def write_bundle(bundle: PredictionBundle, path) -> None:
             table(f"model_{name}_target.csv", n_t, (bundle.target_preds[k], "f"))
 
 
-def _open_sidecar(path, widths: dict[str, int]) -> zipfile.ZipFile | None:
+def _open_sidecar(path, names) -> zipfile.ZipFile | None:
     """``arrays.npz`` in ``path``, open, or None when it is absent or
     unreadable or its members are not exactly one matrix and one digest per
-    CSV in ``widths``. The file is a derived copy that the CSVs overrule, so
+    CSV in ``names``. The file is a derived copy that the CSVs overrule, so
     such a file is ignored."""
     try:
         archive = zipfile.ZipFile(os.path.join(path, _SIDECAR))
     except Exception:  # whatever the fault, the CSVs are parsed instead
         return None
-    members = {f"{name}{suffix}.npy" for name in widths for suffix in ("", _DIGEST)}
+    members = {f"{name}{suffix}.npy" for name in names for suffix in ("", _DIGEST)}
     if set(archive.namelist()) == members:
         return archive
     archive.close()
     return None
 
 
-def _stored_matrix(archive, name: str, data: bytes, width: int) -> np.ndarray | None:
+def _stored_matrix(
+    archive, name: str, data: bytes, header: list[str]
+) -> np.ndarray | None:
     """The matrix ``archive`` holds for the CSV ``name`` whose bytes are
-    ``data``, when its stored digest is the sha256 of ``data`` and it is
-    float64 with at least one row and ``width - 1`` columns; else None."""
-    if archive is None:
+    ``data``, when ``data`` starts with the line ``header``, its stored
+    digest is the sha256 of ``data`` and it is float64 with at least one row
+    and ``len(header) - 1`` columns; else None."""
+    if archive is None or not data.startswith((",".join(header) + "\n").encode()):
         return None
 
     def member(key):
@@ -434,16 +442,27 @@ def _stored_matrix(archive, name: str, data: bytes, width: int) -> np.ndarray | 
     except Exception:  # a damaged member: the CSV is parsed instead
         return None
     fits = arr.dtype == np.float64 and arr.ndim == 2 and arr.shape[0] >= 1
-    return arr if fits and arr.shape[1] == width - 1 else None
+    return arr if fits and arr.shape[1] == len(header) - 1 else None
+
+
+def _check_header(path, header: list[str], expected: list[str]) -> None:
+    """Raise :class:`MalformedFile` at the first cell of ``header`` (as long
+    as ``expected``) that differs from ``expected``."""
+    for j, (got, want) in enumerate(zip(header, expected)):
+        if got != want:
+            raise MalformedFile(
+                f"{path}: header column {j + 1} is {got!r}, expected {want!r}"
+            )
 
 
 def load_bundle(path) -> PredictionBundle:
     """Load and fully validate a bundle directory.
 
     Each CSV is read once. Where ``arrays.npz`` holds its matrix under the
-    sha256 of its bytes, at the width the manifest implies, that matrix
-    stands in for parsing the text; otherwise the text is parsed. Every
-    check after the parse runs either way.
+    sha256 of its bytes, at the width the manifest implies, and the file
+    starts with the header the manifest implies, that matrix stands in for
+    parsing the text; otherwise the text is parsed and its header checked.
+    Every check after the parse runs either way.
     """
     where = os.path.join(path, "manifest.json")
     manifest = read_json(where)
@@ -458,21 +477,24 @@ def load_bundle(path) -> PredictionBundle:
         raise MalformedFile(f"{where}: d1 and d2 must be positive")
     n_sx = d1 if has_sx else 0
     n_tx = d1 if has_tx else 0
-    widths = {
-        "source.csv": 1 + n_sx + d2,
-        "target.csv": 1 + n_tx + (d2 if has_ty else 0),
+    headers = {
+        "source.csv": _header(("x", n_sx), ("y", d2)),
+        "target.csv": _header(("x", n_tx), ("y", d2 if has_ty else 0)),
     }
     for name in names:
         for which in ("source", "target"):
-            widths[f"model_{name}_{which}.csv"] = 1 + d2
+            headers[f"model_{name}_{which}.csv"] = _header(("f", d2))
 
-    with _open_sidecar(path, widths) or contextlib.nullcontext() as archive:
+    with _open_sidecar(path, headers) or contextlib.nullcontext() as archive:
 
         def table(name) -> np.ndarray:
             fpath = os.path.join(path, name)
             data = read_bytes(fpath)
-            arr = _stored_matrix(archive, name, data, widths[name])
-            return read_csv(fpath, widths[name], data)[1] if arr is None else arr
+            arr = _stored_matrix(archive, name, data, headers[name])
+            if arr is None:
+                header, arr = read_csv(fpath, len(headers[name]), data)
+                _check_header(fpath, header, headers[name])
+            return arr
 
         src = table("source.csv")
         tgt = table("target.csv")

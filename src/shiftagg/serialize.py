@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -102,7 +103,10 @@ def dumps_canonical(obj: Any, indent: int = 2) -> str:
 def write_text(path, text: str) -> bytes:
     """Write ``text`` as UTF-8 with ``\\n`` line endings; returns the
     bytes written."""
-    data = text.encode("utf-8")
+    return _write_bytes(path, text.encode("utf-8"))
+
+
+def _write_bytes(path, data: bytes) -> bytes:
     try:
         with open(path, "wb") as fh:
             fh.write(data)
@@ -143,23 +147,23 @@ def read_json(path) -> Any:
 
 
 def write_csv(path, header: Sequence[str], rows) -> bytes:
-    """Write a comma-separated table, formatted with one ``%`` operation;
-    returns the bytes written.
+    """Write a comma-separated table; returns the bytes written.
 
-    ``rows`` is a 2-D float array, written after an ``id`` column 0..n-1
-    (``%d``), or a sequence of equal-length rows. A column whose first cell
-    is a float is written at 17 significant digits (``%.17g``, exact round
-    trip; a non-finite value raises ``ValueError``), any other with ``%s``.
+    ``rows`` is a 2-D array, written as float64 after an ``id`` column
+    0..n-1 (``%d``), or a sequence of equal-length rows. Every float is
+    written at 17 significant digits, byte for byte as ``"%.17g" % x``
+    writes it (exact round trip; a non-finite value raises ``ValueError``):
+    an array by one NumPy kernel (:func:`_array_lines`), a sequence by one
+    ``%`` operation, in which a column whose first cell is a float takes
+    ``%.17g`` and any other ``%s``.
     """
     if isinstance(rows, np.ndarray):
-        columns = [range(len(rows))] + [c.tolist() for c in rows.T]
-        formats = ["%d"] + ["%.17g"] * rows.shape[1]
-    else:
-        columns = list(zip(*rows))
-        formats = [
-            "%.17g" if isinstance(c[0], (float, np.floating)) else "%s"
-            for c in columns
-        ]
+        head = (",".join(header) + "\n").encode("utf-8")
+        return _write_bytes(path, b"".join([head, *_array_lines(rows)]))
+    columns = list(zip(*rows))
+    formats = [
+        "%.17g" if isinstance(c[0], (float, np.floating)) else "%s" for c in columns
+    ]
     for col, f in zip(columns, formats):
         if f == "%.17g" and not np.isfinite(col).all():
             raise ValueError("refusing to serialize non-finite float")
@@ -169,6 +173,212 @@ def write_csv(path, header: Sequence[str], rows) -> bytes:
         cells[j :: len(columns)] = col
     row = ",".join(formats) + "\n"
     return write_text(path, ",".join(header) + "\n" + row * n % tuple(cells))
+
+
+# --- "%.17g" for a whole float64 array ---------------------------------------
+#
+# Why the bytes are exactly those of "%.17g" % x. For 1e-180 <= |x| <= 1e180
+# the kernel guesses e = floor(log10 |x|) and splits V = |x| * 10**(16 - e)
+# into p + rest: 10**k is held as hi + lo, the nearest double and the
+# nearest double to the remainder, built exactly from Fraction, so hi + lo is
+# within 2**-106 of 10**k relatively; p = fl(|x| * hi), Dekker's two-product
+# (Veltkamp halves, no FMA) gives |x| * hi - p exactly, and rest adds
+# fl(|x| * lo). All rounding errors together stay below 1e-14 in absolute
+# terms (V < 1e18). Where 1e16 <= V, p >= 2**53 is an integer, so
+# F = p + floor(rest) and frac = rest - floor(rest) are the floor and the
+# fraction of V up to that error; an error that crosses an integer moves F
+# by one and frac to the far side of that integer, so F + (frac > 0.5) is
+# the same nearest integer. The exponent is decided from F, not from the
+# rounded value: F < 10**16 means e was one too high and F >= 10**17 one too
+# low (log10's guess is off by at most one), so those cells are computed
+# once more at e - 1 or e + 1. Then D = F + (frac > 0.5) is the correctly
+# rounded 17-digit significand, a carry to 10**17 becoming 10**16 at e + 1,
+# unless frac lies within 2**-24 of one half: such a cell (every exact tie,
+# which "%.17g" breaks half-to-even, e.g. 26215 / 2**18) and a cell outside
+# the range above are formatted by fmt_float itself. The layout is "%g"'s:
+# fixed notation for -4 <= e <= 16, else d.ddde+XX, trailing zeros stripped.
+#
+# Cells are built slot-major, one uint8 row per character slot of a cell
+# (0 where the cell has no character), in blocks of _FMT_BLOCK cells to
+# bound the temporaries; each block is transposed to row order once and
+# compacted by dropping its zero bytes.
+
+_FMT_BLOCK = 1 << 14
+_FMT_RANGE = (1e-180, 1e180)
+_FMT_TIE = 2.0**-24
+_POW_MIN, _POW_MAX = -170, 200  # the 10**k table: k = 16 - e, e within one of the range
+_SPLIT = 2.0**27 + 1  # Veltkamp's splitter for float64
+# Slots of a float cell: sign, body, separator. The body holds fixed
+# notation ("0.000" + 17 digits at most) or d.dddd (18) + "e-XXX" (5).
+_BODY = 23
+_CELL = _BODY + 2
+_J = np.arange(_BODY, dtype=np.int8)[:, None]
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    big = a * _SPLIT
+    high = big - (big - a)
+    return high, a - high
+
+
+@functools.cache
+def _pow10() -> tuple[np.ndarray, ...]:
+    """``hi``, its Veltkamp halves and ``lo`` of 10**k for k in
+    ``_POW_MIN.._POW_MAX``."""
+    from fractions import Fraction  # here, so that only a CSV write imports it
+
+    exact = [Fraction(10) ** k for k in range(_POW_MIN, _POW_MAX + 1)]
+    hi = [float(f) for f in exact]
+    lo = np.array([float(f - Fraction(h)) for f, h in zip(exact, hi)])
+    hi = np.array(hi)
+    return _frozen(hi, *_veltkamp(hi), lo)
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For v in 0..9999: its four ASCII digits as a (4, 10000) array and
+    packed in a uint32, and how many digits are left once trailing zeros are
+    stripped (-99 for 0, so that it never wins a maximum)."""
+    v = np.arange(10000)
+    chars = (v // np.array([[1000], [100], [10], [1]]) % 10 + ord("0")).astype(np.uint8)
+    packed = np.ascontiguousarray(chars.T).view(np.uint32).ravel()
+    kept = 4 - (v % 10 == 0) - (v % 100 == 0) - (v % 1000 == 0)
+    kept[0] = -99
+    return _frozen(chars, packed, kept.astype(np.int8))
+
+
+def _frozen(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``tables``, read-only: every caller of a cached table shares it."""
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Floor (int64) and fraction of ``a * 10**(16 - e)``, to within 1e-14."""
+    hi, hi1, hi2, lo = (t[16 - _POW_MIN - e] for t in _pow10())
+    a1, a2 = _veltkamp(a)
+    p = a * hi
+    rest = ((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2 + a * lo
+    floor = np.floor(rest)
+    return p.astype(np.int64) + floor.astype(np.int64), rest - floor
+
+
+def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the sign and body slots of ``"%.17g" % v`` for each finite v of
+    the 1-D ``x`` into ``out[:-1]`` (``out`` is ``(_CELL, x.size)``)."""
+    n = x.size
+    a = np.abs(x)
+    zero = a == 0
+    inside = (a >= _FMT_RANGE[0]) & (a <= _FMT_RANGE[1])
+    a[~inside] = 1.0  # formatted as "1", then overwritten
+    e = np.floor(np.log10(a)).astype(np.int64)
+    F, frac = _scaled(a, e)
+    redo = np.flatnonzero((F < 10**16) | (F >= 10**17))
+    if redo.size:
+        e[redo] += np.where(F[redo] < 10**16, -1, 1)
+        F[redo], frac[redo] = _scaled(a[redo], e[redo])
+    D = F + (frac > 0.5)
+    carry = D == 10**17
+    D[carry] = 10**16
+    e += carry
+
+    # Row i + 1 of ``digits`` is character i of "0000" + D's 17 digits;
+    # rows 0, 22 and 23 are padding.
+    chars, packed, kept = _digit_tables()
+    digits = np.empty((_BODY + 1, n), np.uint8)
+    digits[[0, 22, 23]] = 0
+    digits[1:5] = ord("0")
+    lead = D // 10**16
+    digits[5] = lead + ord("0")
+    digits[5, zero] = ord("0")
+    rest = D - lead * 10**16
+    last = np.full(n, 4, np.int8)  # index in that string of the last nonzero digit
+    groups = np.empty((4, n), np.uint32)
+    for q, scale in enumerate((10**12, 10**8, 10**4, 1)):
+        g = rest // scale
+        rest -= g * scale
+        np.take(packed, g, out=groups[q])
+        np.maximum(last, kept[g] + np.int8(4 + 4 * q), out=last)
+    digits[6:22].reshape(4, 4, n)[...] = (
+        groups.view(np.uint8).reshape(4, n, 4).transpose(0, 2, 1)
+    )
+
+    # Fixed notation: the point after character ``point`` of that string,
+    # the kept characters running from ``start`` to ``end`` of the body.
+    fixed = (e >= -4) & (e <= 16)
+    point = np.where(fixed, e + 4, 4).astype(np.int8)
+    start = np.where(fixed & (e < 0), point, 4).astype(np.int8)
+    np.maximum(last, point, out=last)
+    end = last + (last > point)
+    body = out[1 : 1 + _BODY]
+    body[...] = digits[:-1]
+    np.copyto(body, digits[1:], where=_J <= point)
+    body.put((point.astype(np.intp) + 1) * n + np.arange(n), ord("."))
+    np.copyto(body, 0, where=(_J < start) | (_J > end))
+    exp = np.flatnonzero(~fixed)
+    if exp.size:
+        body[:, exp] = _exp_body(digits[:, exp], e[exp], last[exp])
+    out[0] = np.signbit(x) * np.uint8(ord("-"))
+    for i in np.flatnonzero(~(inside | zero) | (np.abs(frac - 0.5) < _FMT_TIE)):
+        text = np.frombuffer(fmt_float(x[i]).encode(), np.uint8)
+        out[:-1, i] = 0
+        out[: text.size, i] = text
+
+
+def _exp_body(digits: np.ndarray, e: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Body slots ``d.ddde+XX`` of the cells whose digit rows are
+    ``digits`` (as in :func:`_float_cells`) and exponents ``e``."""
+    chars, _, _ = _digit_tables()
+    body = np.empty((_BODY, e.size), np.uint8)
+    body[0] = digits[5]
+    body[1] = ord(".")
+    body[2:18] = digits[6:22]
+    body[:18] *= _J[:18] <= np.where(last > 4, last - 3, 0)
+    body[18] = ord("e")
+    body[19] = np.where(e < 0, ord("-"), ord("+"))
+    magnitude = np.abs(e)
+    for j in range(1, 4):
+        np.take(chars[j], magnitude, out=body[19 + j])
+    body[20] *= magnitude >= 100
+    return body
+
+
+def _array_lines(rows: np.ndarray) -> list[bytes]:
+    """The lines ``i,%.17g,...,%.17g\\n`` of :func:`write_csv`'s array
+    table, in blocks."""
+    rows = np.asarray(rows, np.float64)
+    if not np.isfinite(rows).all():
+        raise ValueError("refusing to serialize non-finite float")
+    n, c = rows.shape
+    width = len(str(max(n - 1, 0)))  # of the id column
+    chars, _, _ = _digit_tables()
+    per_block = max(1, _FMT_BLOCK // max(c, 1))
+    blocks = []
+    for r0 in range(0, n, per_block):
+        r1 = min(n, r0 + per_block)
+        ids = np.arange(r0, r1)
+        line = np.empty((ids.size, width + 1 + _CELL * c), np.uint8)
+        slots = np.empty((width + 1, ids.size), np.uint8)
+        for q in range(0, width, 4):
+            group = ids // 10**q % 10000
+            for k in range(max(0, q + 4 - width), 4):
+                np.take(chars[k], group, out=slots[width - q - 4 + k])
+        for p in range(1, width):
+            slots[width - 1 - p] *= ids >= 10**p
+        slots[width] = ord("," if c else "\n")
+        line[:, : width + 1] = slots.T
+        if c:
+            cells = np.empty((_CELL, c, ids.size), np.uint8)
+            _float_cells(rows[r0:r1].T.ravel(), cells.reshape(_CELL, -1))
+            cells[-1] = ord(",")
+            cells[-1, -1] = ord("\n")
+            line[:, width + 1 :].reshape(ids.size, c, _CELL)[...] = cells.transpose(
+                2, 1, 0
+            )
+        flat = line.reshape(-1)
+        blocks.append(np.compress(flat != 0, flat).tobytes())
+    return blocks
 
 
 def read_csv(path, width: int | None = None, data: bytes | None = None):

@@ -271,6 +271,30 @@ def test_nonpositive_manifest_dims_are_malformed(tmp_path, edits, match):
         load_bundle(tmp_path / "b")
 
 
+@pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no sidecar"])
+@pytest.mark.parametrize(
+    "fname, header, message",
+    [
+        ("source.csv", "id,y_1,x_1,x_2", "column 2 is 'y_1', expected 'x_1'"),
+        ("target.csv", "foo,bar,baz,qux", "column 1 is 'foo', expected 'id'"),
+        ("model_m0_source.csv", "id,y_1", "column 2 is 'y_1', expected 'f_1'"),
+        ("model_m1_target.csv", "id,f_2", "column 2 is 'f_2', expected 'f_1'"),
+    ],
+)
+def test_wrong_header_is_malformed(tmp_path, fname, header, message, sidecar):
+    _, bdir = _sidecar_bundle(tmp_path)
+    path = bdir / fname
+    body = path.read_bytes().split(b"\n", 1)[1]
+    path.write_bytes(header.encode() + b"\n" + body)
+    if sidecar:  # a digest that matches the edited file: the header still counts
+        digest = np.array(hashlib.sha256(path.read_bytes()).hexdigest())
+        _rewrite_sidecar(bdir, lambda a: a.update({fname + ".sha256": digest}))
+    else:
+        os.remove(bdir / "arrays.npz")
+    with pytest.raises(MalformedFile, match=f"{fname}: header {message}"):
+        load_bundle(bdir)
+
+
 def test_non_utf8_csv_is_malformed(tmp_path):
     write_bundle(build_bundle(m=1), tmp_path / "b")
     (tmp_path / "b" / "source.csv").write_bytes(b"id,x_1,x_2,y_1\n0,\xff,1,2\n")
