@@ -85,10 +85,7 @@ class AggregationResult:
             raise DimensionMismatch(
                 f"inconsistent shapes: c {c.shape}, G {G.shape}, g {g.shape}"
             )
-        if float(np.max(np.abs(G - G.T), initial=0.0)) > 1e-12 * max(
-            1.0, float(np.max(np.abs(G), initial=0.0))
-        ):
-            raise NonSymmetric("gram matrix is not symmetric")
+        _check_symmetric(G)
         if self.tikhonov < 0:
             raise ConfigInvalid("tikhonov value must be nonnegative")
         resid = _residual_inf(G, self.tikhonov, c, g)
@@ -190,6 +187,15 @@ def solve_coefficients(G, g, lam: float = 0.0) -> np.ndarray:
     return c
 
 
+def _check_symmetric(G: np.ndarray) -> None:
+    """Raise :class:`NonSymmetric` unless the square ``G`` equals its
+    transpose to within 1e-12 of its largest entry (or of 1)."""
+    if float(np.max(np.abs(G - G.T), initial=0.0)) > 1e-12 * max(
+        1.0, float(np.max(np.abs(G), initial=0.0))
+    ):
+        raise NonSymmetric("gram matrix is not symmetric")
+
+
 def _residual_inf(G: np.ndarray, lam: float, c: np.ndarray, g: np.ndarray) -> float:
     r = np.einsum("ku,u->k", G, c, optimize=False) + lam * c - g
     return float(np.max(np.abs(r), initial=0.0))
@@ -205,10 +211,7 @@ def _solve_spd(G, g, lam: float) -> tuple[np.ndarray, float, float]:
         raise DimensionMismatch(f"moment vector has shape {g.shape}, expected ({m},)")
     if not (np.isfinite(G).all() and np.isfinite(g).all()):
         raise ConfigInvalid("gram matrix and moment vector must be finite")
-    if float(np.max(np.abs(G - G.T), initial=0.0)) > 1e-12 * max(
-        1.0, float(np.max(np.abs(G), initial=0.0))
-    ):
-        raise NonSymmetric("gram matrix is not symmetric")
+    _check_symmetric(G)
     lam = float(lam)
     if not 0 <= lam < np.inf:
         raise ConfigInvalid(f"tikhonov value must be finite and nonnegative, got {lam}")

@@ -271,6 +271,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.dump_tasks < 0:
+        raise ConfigInvalid(f"--dump-tasks must be >= 0, got {args.dump_tasks}")
     doc = read_json(args.config) if args.config else {}
     # trials and seed sit beside the suite config's fields in the same file.
     doc = dict(decode_value(dict, doc, "suite config"))

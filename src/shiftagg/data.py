@@ -5,8 +5,9 @@ the labeled source sample, the (optionally labeled) target sample, and the
 prediction matrices of ``m`` trained models on both samples. Bundles live
 in a directory of CSV files plus a ``manifest.json``; all numeric text uses
 17 significant digits so that write -> load reproduces every double exactly.
-An optional ``arrays.npz`` beside them holds each CSV's numbers, checked
-against the sha256 of its bytes, so that a load need not parse the text.
+An optional ``arrays.npz`` beside them holds the numbers of every CSV, as
+one matrix per sample and the sha256 of each CSV's bytes, so that a load
+need not parse the text of a CSV whose bytes still match.
 
 An *embedding dump* is a single JSON document holding per-layer
 representation vectors for two domains, plus an optional explicit pairing
@@ -20,11 +21,9 @@ yields a partially built value.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 import re
-import zipfile
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -332,9 +331,11 @@ class LayerEmbeddingSet:
 # source.csv     id,x_1..x_d1,y_1..y_d2      (x columns optional)
 # target.csv     id,x_1..x_d1[,y_1..y_d2]    (both optional)
 # model_<name>_source.csv / model_<name>_target.csv   id,f_1..f_d2
-# arrays.npz     (optional, derived) for each CSV <f>: "<f>", the float64
-#                matrix after its id column, and "<f>.sha256", the hex
-#                sha256 of the CSV's bytes as a 0-d fixed-width string
+# arrays.npz     (optional, derived) "source": the float64 columns after the
+#                id of source.csv, then of each model_<name>_source.csv in
+#                manifest order; "target": the same for the target side;
+#                "sha256": the raw sha256 of each CSV's bytes, (k, 32) uint8,
+#                in the order of _csvs
 # Every CSV's id column runs 0..n-1 in order, and its header is exactly the
 # one above; load_bundle rejects any other.
 
@@ -348,11 +349,6 @@ _MANIFEST_KEYS = {
     "provenance": str,
 }
 _SIDECAR = "arrays.npz"
-_DIGEST = ".sha256"
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _header(*blocks: tuple[str, int]) -> list[str]:
@@ -361,88 +357,97 @@ def _header(*blocks: tuple[str, int]) -> list[str]:
     return ["id"] + [f"{prefix}_{j + 1}" for prefix, k in blocks for j in range(k)]
 
 
+def _csvs(manifest: dict) -> list[tuple[str, str, list[str], slice]]:
+    """``(file name, side, header, columns)`` of each CSV of the bundle
+    ``manifest`` describes, in the order ``arrays.npz`` holds them
+    (``source.csv``, ``target.csv``, then each model's source and target
+    predictions); ``columns`` is its slice of its side's stored matrix."""
+    d1, d2 = manifest["d1"], manifest["d2"]
+    n_sx = d1 if manifest["has_source_features"] else 0
+    n_tx = d1 if manifest["has_target_features"] else 0
+    n_ty = d2 if manifest["has_target_labels"] else 0
+    specs = [
+        ("source.csv", "source", _header(("x", n_sx), ("y", d2))),
+        ("target.csv", "target", _header(("x", n_tx), ("y", n_ty))),
+    ] + [
+        (f"model_{name}_{side}.csv", side, _header(("f", d2)))
+        for name in manifest["model_names"]
+        for side in ("source", "target")
+    ]
+    csvs, start = [], {"source": 0, "target": 0}
+    for name, side, header in specs:
+        cols = slice(start[side], start[side] + len(header) - 1)
+        start[side] = cols.stop
+        csvs.append((name, side, header, cols))
+    return csvs
+
+
 def write_bundle(bundle: PredictionBundle, path) -> None:
     """Write a bundle directory; ``load_bundle`` reproduces it exactly.
 
-    Beside the CSVs goes ``arrays.npz``, which holds each CSV's matrix and
-    the sha256 of its bytes, so that a load need not parse the text.
+    Beside the CSVs goes ``arrays.npz``, which holds their matrices and the
+    sha256 of each one's bytes, so that a load need not parse the text.
     """
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {path}: {exc}") from exc
-    d1 = None if bundle.source.features is None else bundle.source.features.shape[1]
-    if d1 is None and bundle.target.features is not None:
-        d1 = bundle.target.features.shape[1]
+    src, tgt = bundle.source, bundle.target
+    d1 = None if src.features is None else src.features.shape[1]
+    if d1 is None and tgt.features is not None:
+        d1 = tgt.features.shape[1]
     manifest = {
         "model_names": list(bundle.model_names),
         "d1": d1,
         "d2": bundle.label_dim,
-        "has_source_features": bundle.source.features is not None,
-        "has_target_features": bundle.target.features is not None,
-        "has_target_labels": bundle.target.oracle_labels is not None,
+        "has_source_features": src.features is not None,
+        "has_target_features": tgt.features is not None,
+        "has_target_labels": tgt.oracle_labels is not None,
         "provenance": bundle.provenance,
     }
     write_json(os.path.join(path, "manifest.json"), manifest)
 
-    src, tgt = bundle.source, bundle.target
-    n_s, n_t = src.n_samples, tgt.n_samples
+    blocks = {
+        "source": [src.features, src.labels, *bundle.source_preds],
+        "target": [tgt.features, tgt.oracle_labels, *bundle.target_preds],
+    }
+    sides = {k: np.hstack([a for a in b if a is not None]) for k, b in blocks.items()}
+    digests = []
+    for name, side, header, cols in _csvs(manifest):
+        data = write_csv(os.path.join(path, name), header, sides[side][:, cols])
+        digests.append(hashlib.sha256(data).digest())
     with npz_writer(os.path.join(path, _SIDECAR)) as add:
-
-        def table(name, n, *blocks):
-            present = [(a, prefix) for a, prefix in blocks if a is not None]
-            header = _header(*[(prefix, a.shape[1]) for a, prefix in present])
-            values = np.hstack([np.empty((n, 0))] + [a for a, _ in present])
-            data = write_csv(os.path.join(path, name), header, values)
-            add(name, values)
-            add(name + _DIGEST, np.array(_sha256(data)))
-
-        table("source.csv", n_s, (src.features, "x"), (src.labels, "y"))
-        table("target.csv", n_t, (tgt.features, "x"), (tgt.oracle_labels, "y"))
-        for k, name in enumerate(bundle.model_names):
-            table(f"model_{name}_source.csv", n_s, (bundle.source_preds[k], "f"))
-            table(f"model_{name}_target.csv", n_t, (bundle.target_preds[k], "f"))
+        for side, matrix in sides.items():
+            add(side, matrix)
+        add("sha256", np.frombuffer(b"".join(digests), np.uint8).reshape(-1, 32))
 
 
-def _open_sidecar(path, names) -> zipfile.ZipFile | None:
-    """``arrays.npz`` in ``path``, open, or None when it is absent or
-    unreadable or its members are not exactly one matrix and one digest per
-    CSV in ``names``. The file is a derived copy that the CSVs overrule, so
-    such a file is ignored."""
+def _read_sidecar(path, csvs) -> dict[str, tuple[bytes, np.ndarray]]:
+    """``{CSV name: (its stored sha256, its stored matrix)}`` from
+    ``arrays.npz`` in ``path``, for the ``csvs`` of :func:`_csvs`; ``{}``
+    (the file is a derived copy that the CSVs overrule) when the file is
+    unreadable or is not exactly ``source`` and ``target``, float64
+    matrices with at least one row and the widths ``csvs`` imply, and
+    ``sha256``, a ``(k, 32)`` uint8 table for the ``k`` CSVs."""
+    widths = {side: cols.stop for _, side, _, cols in csvs}  # the last CSV's
     try:
-        archive = zipfile.ZipFile(os.path.join(path, _SIDECAR))
+        with np.load(os.path.join(path, _SIDECAR), allow_pickle=False) as npz:
+            if sorted(npz.files) != ["sha256", "source", "target"]:
+                return {}
+            stored = {key: npz[key] for key in npz.files}
+        digests = stored.pop("sha256")
+        fits = digests.dtype == np.uint8 and digests.shape == (len(csvs), 32)
+        fits = fits and all(
+            arr.dtype == np.float64 and arr.ndim == 2 and len(arr) >= 1
+            and arr.shape[1] == widths[side]
+            for side, arr in stored.items()
+        )
     except Exception:  # whatever the fault, the CSVs are parsed instead
-        return None
-    members = {f"{name}{suffix}.npy" for name in names for suffix in ("", _DIGEST)}
-    if set(archive.namelist()) == members:
-        return archive
-    archive.close()
-    return None
-
-
-def _stored_matrix(
-    archive, name: str, data: bytes, header: list[str]
-) -> np.ndarray | None:
-    """The matrix ``archive`` holds for the CSV ``name`` whose bytes are
-    ``data``, when ``data`` starts with the line ``header``, its stored
-    digest is the sha256 of ``data`` and it is float64 with at least one row
-    and ``len(header) - 1`` columns; else None."""
-    if archive is None or not data.startswith((",".join(header) + "\n").encode()):
-        return None
-
-    def member(key):
-        with archive.open(f"{key}.npy") as fh:
-            return np.lib.format.read_array(fh, allow_pickle=False)
-
-    try:
-        digest = member(name + _DIGEST)
-        if digest.shape != () or digest.item() != _sha256(data):
-            return None
-        arr = member(name)
-    except Exception:  # a damaged member: the CSV is parsed instead
-        return None
-    fits = arr.dtype == np.float64 and arr.ndim == 2 and arr.shape[0] >= 1
-    return arr if fits and arr.shape[1] == len(header) - 1 else None
+        return {}
+    return {
+        name: (digest.tobytes(), stored[side][:, cols])
+        for (name, side, _, cols), digest in zip(csvs, digests)
+    } if fits else {}
 
 
 def _check_header(path, header: list[str], expected: list[str]) -> None:
@@ -458,11 +463,11 @@ def _check_header(path, header: list[str], expected: list[str]) -> None:
 def load_bundle(path) -> PredictionBundle:
     """Load and fully validate a bundle directory.
 
-    Each CSV is read once. Where ``arrays.npz`` holds its matrix under the
-    sha256 of its bytes, at the width the manifest implies, and the file
-    starts with the header the manifest implies, that matrix stands in for
-    parsing the text; otherwise the text is parsed and its header checked.
-    Every check after the parse runs either way.
+    Each CSV is read once. Where ``arrays.npz`` is valid, stores the sha256
+    of the CSV's bytes and the file starts with the header the manifest
+    implies, the CSV's columns of the stored matrix stand in for parsing
+    the text; otherwise the text is parsed and its header checked. Every
+    check after the parse runs either way.
     """
     where = os.path.join(path, "manifest.json")
     manifest = read_json(where)
@@ -477,54 +482,47 @@ def load_bundle(path) -> PredictionBundle:
         raise MalformedFile(f"{where}: d1 and d2 must be positive")
     n_sx = d1 if has_sx else 0
     n_tx = d1 if has_tx else 0
-    headers = {
-        "source.csv": _header(("x", n_sx), ("y", d2)),
-        "target.csv": _header(("x", n_tx), ("y", d2 if has_ty else 0)),
-    }
-    for name in names:
-        for which in ("source", "target"):
-            headers[f"model_{name}_{which}.csv"] = _header(("f", d2))
+    csvs = _csvs(manifest)
+    stored = _read_sidecar(path, csvs)
 
-    with _open_sidecar(path, headers) or contextlib.nullcontext() as archive:
+    def table(csv) -> np.ndarray:
+        name, _, header, _ = csv
+        fpath = os.path.join(path, name)
+        data = read_bytes(fpath)
+        if (
+            name in stored
+            and data.startswith((",".join(header) + "\n").encode())
+            and hashlib.sha256(data).digest() == stored[name][0]
+        ):
+            return stored[name][1]
+        got, arr = read_csv(fpath, len(header), data)
+        _check_header(fpath, got, header)
+        return arr
 
-        def table(name) -> np.ndarray:
-            fpath = os.path.join(path, name)
-            data = read_bytes(fpath)
-            arr = _stored_matrix(archive, name, data, headers[name])
-            if arr is None:
-                header, arr = read_csv(fpath, len(headers[name]), data)
-                _check_header(fpath, header, headers[name])
-            return arr
-
-        src = table("source.csv")
-        tgt = table("target.csv")
-        n_s, n_t = len(src), len(tgt)
-        source = SourceDataset(
-            labels=src[:, n_sx:], features=src[:, :n_sx] if has_sx else None
-        )
-        target = TargetDataset(
-            features=tgt[:, :n_tx] if has_tx else None,
-            oracle_labels=tgt[:, n_tx:] if has_ty else None,
-            n_samples_hint=n_t,
-        )
-
-        sp = np.empty((len(names), n_s, d2))
-        tp = np.empty((len(names), n_t, d2))
-        for k, name in enumerate(names):
-            for which, n_rows, dest in (("source", n_s, sp), ("target", n_t, tp)):
-                fname = f"model_{name}_{which}.csv"
-                preds = table(fname)
-                if len(preds) != n_rows:
-                    raise DimensionMismatch(
-                        f"{os.path.join(path, fname)}: {len(preds)} rows, expected "
-                        f"{n_rows} to match {which}.csv"
-                    )
-                dest[k] = preds
+    src, tgt = table(csvs[0]), table(csvs[1])
+    source = SourceDataset(
+        labels=src[:, n_sx:], features=src[:, :n_sx] if has_sx else None
+    )
+    target = TargetDataset(
+        features=tgt[:, :n_tx] if has_tx else None,
+        oracle_labels=tgt[:, n_tx:] if has_ty else None,
+        n_samples_hint=len(tgt),
+    )
+    preds = {side: np.empty((len(names), len(t), d2))
+             for side, t in (("source", src), ("target", tgt))}
+    for i, csv in enumerate(csvs[2:]):  # each model's source, then target file
+        arr, dest = table(csv), preds[csv[1]]
+        if len(arr) != dest.shape[1]:
+            raise DimensionMismatch(
+                f"{os.path.join(path, csv[0])}: {len(arr)} rows, expected "
+                f"{dest.shape[1]} to match {csv[1]}.csv"
+            )
+        dest[i // 2] = arr
 
     return PredictionBundle(
         model_names=tuple(names),
-        source_preds=sp,
-        target_preds=tp,
+        source_preds=preds["source"],
+        target_preds=preds["target"],
         source=source,
         target=target,
         provenance=manifest["provenance"],

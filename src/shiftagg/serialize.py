@@ -147,32 +147,16 @@ def read_json(path) -> Any:
 
 
 def write_csv(path, header: Sequence[str], rows) -> bytes:
-    """Write a comma-separated table; returns the bytes written.
+    """Write the 2-D array ``rows`` as a comma-separated table after an
+    ``id`` column 0..n-1 (``%d``); returns the bytes written.
 
-    ``rows`` is a 2-D array, written as float64 after an ``id`` column
-    0..n-1 (``%d``), or a sequence of equal-length rows. Every float is
-    written at 17 significant digits, byte for byte as ``"%.17g" % x``
-    writes it (exact round trip; a non-finite value raises ``ValueError``):
-    an array by one NumPy kernel (:func:`_array_lines`), a sequence by one
-    ``%`` operation, in which a column whose first cell is a float takes
-    ``%.17g`` and any other ``%s``.
+    ``rows`` is taken as float64, and every value is written at 17
+    significant digits, byte for byte as ``"%.17g" % x`` writes it (exact
+    round trip; a non-finite value raises ``ValueError``), by one NumPy
+    kernel (:func:`_array_lines`).
     """
-    if isinstance(rows, np.ndarray):
-        head = (",".join(header) + "\n").encode("utf-8")
-        return _write_bytes(path, b"".join([head, *_array_lines(rows)]))
-    columns = list(zip(*rows))
-    formats = [
-        "%.17g" if isinstance(c[0], (float, np.floating)) else "%s" for c in columns
-    ]
-    for col, f in zip(columns, formats):
-        if f == "%.17g" and not np.isfinite(col).all():
-            raise ValueError("refusing to serialize non-finite float")
-    n = len(columns[0]) if columns else 0
-    cells = [None] * (n * len(columns))
-    for j, col in enumerate(columns):
-        cells[j :: len(columns)] = col
-    row = ",".join(formats) + "\n"
-    return write_text(path, ",".join(header) + "\n" + row * n % tuple(cells))
+    head = (",".join(header) + "\n").encode("utf-8")
+    return _write_bytes(path, b"".join([head, *_array_lines(rows)]))
 
 
 # --- "%.17g" for a whole float64 array ---------------------------------------
@@ -345,8 +329,8 @@ def _exp_body(digits: np.ndarray, e: np.ndarray, last: np.ndarray) -> np.ndarray
 
 
 def _array_lines(rows: np.ndarray) -> list[bytes]:
-    """The lines ``i,%.17g,...,%.17g\\n`` of :func:`write_csv`'s array
-    table, in blocks."""
+    """The lines ``i,%.17g,...,%.17g\\n`` of :func:`write_csv`'s table,
+    in blocks."""
     rows = np.asarray(rows, np.float64)
     if not np.isfinite(rows).all():
         raise ValueError("refusing to serialize non-finite float")
@@ -381,16 +365,15 @@ def _array_lines(rows: np.ndarray) -> list[bytes]:
     return blocks
 
 
-def read_csv(path, width: int | None = None, data: bytes | None = None):
-    """Read a comma-separated table; returns ``(header, rows)``. ``data``,
-    when given, is the file's bytes, already read.
+def read_csv(path, width: int, data: bytes | None = None):
+    """Read a comma-separated table as :func:`write_csv` writes it; returns
+    ``(header, rows)``. ``data``, when given, is the file's bytes, already
+    read.
 
-    Without ``width`` the rows are lists of raw strings. With ``width`` the
-    table must be one :func:`write_csv` writes from an array: ``width``
-    cells in the header and in every row, at least one row, ids 0..n-1 in
-    order, and finite numbers as ``float`` reads them. ``rows`` is then the
-    ``(n, width - 1)`` float64 matrix after the ids, parsed in one NumPy
-    call.
+    The table must have ``width`` cells in the header and in every row, at
+    least one row, ids 0..n-1 in order, and finite numbers as ``float``
+    reads them. ``rows`` is the ``(n, width - 1)`` float64 matrix after the
+    ids, parsed in one NumPy call.
     """
     if data is None:
         data = read_bytes(path)
@@ -399,8 +382,6 @@ def read_csv(path, width: int | None = None, data: bytes | None = None):
         raise MalformedFile(f"{path}: empty file")
     header = lines[0].split(",")
     lines = list(filter(None, lines[1:]))
-    if width is None:
-        return header, [line.split(",") for line in lines]
     if len(header) != width:
         raise DimensionMismatch(
             f"{path}: header has {len(header)} columns, expected {width}"

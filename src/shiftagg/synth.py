@@ -418,15 +418,17 @@ def run_suite(cfg: SuiteConfig, trials: int, seeds, threads: int = 1) -> SuiteRe
 
     ``seeds`` is either a single integer (per-trial seeds are derived from
     it) or an explicit sequence of one seed per trial. Trials are
-    independent and run on a pool of ``threads`` threads (at least one);
+    independent and run on a pool of ``threads`` threads;
     records are assembled in trial order, so the report is identical for
     any thread count, and a failed trial cancels those not yet started.
     """
     if trials < 1:
         raise ConfigInvalid("trials must be >= 1")
+    if threads < 1:
+        raise ConfigInvalid(f"threads must be >= 1, got {threads}")
     _refuse_oversized({"trials": trials}, ("trials", 2))  # two seeds a trial
     pairs = _trial_seed_pairs(seeds, trials)
-    pool = ThreadPoolExecutor(max_workers=max(1, threads))
+    pool = ThreadPoolExecutor(max_workers=threads)
     try:
         records = list(pool.map(lambda i: _run_trial(cfg, i, *pairs[i]), range(trials)))
     finally:

@@ -32,6 +32,7 @@ from shiftagg.errors import (
     ShiftAggError,
 )
 from shiftagg.serialize import fmt_float, npz_writer, read_csv, write_csv
+from shiftagg.synth import SynthTaskConfig, generate_task
 
 from conftest import build_bundle
 
@@ -134,6 +135,12 @@ def _bits(arr):
     return None if arr is None else (arr.shape, arr.tobytes())
 
 
+def _cells(path):
+    """The cells of each non-blank row of the CSV at ``path``, as strings."""
+    lines = path.read_bytes().decode("utf-8").splitlines()[1:]
+    return [line.split(",") for line in lines if line]
+
+
 @given(_bundles())
 @settings(max_examples=150, deadline=None)
 def test_bundle_bytes_and_bits_match_the_reference(tmp_path_factory, bundle):
@@ -144,21 +151,22 @@ def test_bundle_bytes_and_bits_match_the_reference(tmp_path_factory, bundle):
     assert sorted(p for p in os.listdir(root / "new") if p.endswith(".csv")) == sorted(
         name for name, _, _ in tables
     )
-    stored = np.load(root / "new" / "arrays.npz", allow_pickle=False)
-    assert sorted(stored.files) == sorted(
-        key for name, _, _ in tables for key in (name, name + ".sha256")
-    )
+    columns = {"source": [], "target": []}
+    digests = []
     for name, header, rows in tables:
         reference_write_csv(root / "ref" / name, header, rows)
         new_path = root / "new" / name
         assert new_path.read_bytes() == (root / "ref" / name).read_bytes(), name
-        _, cells = read_csv(new_path)
-        expected = reference_parse(new_path, cells, len(header) - 1, 1)
+        expected = reference_parse(new_path, _cells(new_path), len(header) - 1, 1)
         assert _bits(read_csv(new_path, len(header))[1]) == _bits(expected), name
-        assert _bits(stored[name]) == _bits(expected), name
-        digest = hashlib.sha256(new_path.read_bytes()).hexdigest()
-        assert stored[name + ".sha256"].item() == digest, name
-    stored.close()
+        columns["source" if name.endswith("source.csv") else "target"].append(expected)
+        digests.append(hashlib.sha256(new_path.read_bytes()).digest())
+    with np.load(root / "new" / "arrays.npz", allow_pickle=False) as stored:
+        assert sorted(stored.files) == ["sha256", "source", "target"]
+        for side, blocks in columns.items():
+            assert _bits(stored[side]) == _bits(np.hstack(blocks)), side
+        assert stored["sha256"].dtype == np.uint8
+        assert _bits(stored["sha256"]) == ((len(tables), 32), b"".join(digests))
 
     loaded = load_bundle(root / "new")
     for got, want in [
@@ -198,7 +206,7 @@ def test_cell_parses_like_the_reference(tmp_path_factory, cell, row, col):
         except ShiftAggError as exc:
             return type(exc)
 
-    expected = outcome(lambda: reference_parse(path, read_csv(path)[1], 2, 1))
+    expected = outcome(lambda: reference_parse(path, _cells(path), 2, 1))
     assert outcome(lambda: read_csv(path, 3)[1]) == expected
 
 
@@ -287,8 +295,7 @@ def test_wrong_header_is_malformed(tmp_path, fname, header, message, sidecar):
     body = path.read_bytes().split(b"\n", 1)[1]
     path.write_bytes(header.encode() + b"\n" + body)
     if sidecar:  # a digest that matches the edited file: the header still counts
-        digest = np.array(hashlib.sha256(path.read_bytes()).hexdigest())
-        _rewrite_sidecar(bdir, lambda a: a.update({fname + ".sha256": digest}))
+        _store_digest(bdir, fname)
     else:
         os.remove(bdir / "arrays.npz")
     with pytest.raises(MalformedFile, match=f"{fname}: header {message}"):
@@ -303,6 +310,15 @@ def test_non_utf8_csv_is_malformed(tmp_path):
 
 
 # --- arrays.npz --------------------------------------------------------------
+
+
+# The CSVs of _sidecar_bundle in the order of arrays.npz's digest rows, and
+# the columns each takes of its side's matrix.
+_ORDER = {
+    "source.csv": slice(0, 3), "target.csv": slice(0, 3),
+    "model_m0_source.csv": slice(3, 4), "model_m0_target.csv": slice(3, 4),
+    "model_m1_source.csv": slice(4, 5), "model_m1_target.csv": slice(4, 5),
+}
 
 
 def _sidecar_bundle(tmp_path):
@@ -339,6 +355,18 @@ def _rewrite_sidecar(bdir, edit):
     with npz_writer(bdir / "arrays.npz") as add:
         for key, arr in arrays.items():
             add(key, arr)
+
+
+def _store_digest(bdir, fname):
+    """Store the sha256 of ``fname``'s current bytes in arrays.npz."""
+    digest = hashlib.sha256((bdir / fname).read_bytes()).digest()
+
+    def edit(arrays):
+        table = arrays["sha256"].copy()
+        table[list(_ORDER).index(fname)] = np.frombuffer(digest, np.uint8)
+        arrays["sha256"] = table
+
+    _rewrite_sidecar(bdir, edit)
 
 
 def test_sidecar_skips_every_parse(tmp_path, monkeypatch):
@@ -386,52 +414,113 @@ def _replace(key, change):
     )
 
 
-# Fault -> (how many of the six CSVs are then parsed, how to make it).
+# Fault -> how to make it. Any of them makes the whole file ignored, so all
+# six CSVs are parsed.
 _FAULTS = {
-    "missing": (6, lambda bdir: os.remove(bdir / "arrays.npz")),
-    "empty": (6, lambda bdir: (bdir / "arrays.npz").write_bytes(b"")),
-    "truncated": (6, lambda bdir: (bdir / "arrays.npz").write_bytes(
+    "missing": lambda bdir: os.remove(bdir / "arrays.npz"),
+    "empty": lambda bdir: (bdir / "arrays.npz").write_bytes(b""),
+    "truncated": lambda bdir: (bdir / "arrays.npz").write_bytes(
         (bdir / "arrays.npz").read_bytes()[:-100]
-    )),
-    "random bytes": (6, lambda bdir: (bdir / "arrays.npz").write_bytes(
-        np.random.default_rng(0).bytes(4096)
-    )),
-    "directory": (6, lambda bdir: (os.remove(bdir / "arrays.npz"),
-                                   os.mkdir(bdir / "arrays.npz"))),
-    "object arrays": (6, _object_arrays),
-    "foreign key": (6, lambda bdir: _rewrite_sidecar(
-        bdir, lambda a: a.update(extra=np.zeros((4, 1)))
-    )),
-    "missing key": (6, lambda bdir: _rewrite_sidecar(
-        bdir, lambda a: a.pop("target.csv")
-    )),
-    "wrong shape": (1, _replace("source.csv", lambda a: a[:, :2])),
-    "transposed": (1, _replace("model_m0_source.csv", lambda a: a.T)),
-    "float32": (1, _replace("target.csv", lambda a: a.astype(np.float32))),
-    "no rows": (1, _replace("target.csv", lambda a: a[:0])),
-    "digest as bytes": (
-        1, _replace("source.csv.sha256", lambda a: np.bytes_(a.item()))
     ),
+    "random bytes": lambda bdir: (bdir / "arrays.npz").write_bytes(
+        np.random.default_rng(0).bytes(4096)
+    ),
+    "directory": lambda bdir: (os.remove(bdir / "arrays.npz"),
+                               os.mkdir(bdir / "arrays.npz")),
+    "object arrays": _object_arrays,
+    "foreign key": lambda bdir: _rewrite_sidecar(
+        bdir, lambda a: a.update(extra=np.zeros((4, 1)))
+    ),
+    "missing key": lambda bdir: _rewrite_sidecar(bdir, lambda a: a.pop("target")),
+    "wrong shape": _replace("source", lambda a: a[:, :2]),
+    "transposed": _replace("source", lambda a: a.T),
+    "flattened": _replace("source", lambda a: a.ravel()),
+    "three axes": _replace("source", lambda a: a[:, :, None]),
+    "float32": _replace("target", lambda a: a.astype(np.float32)),
+    "no rows": _replace("target", lambda a: a[:0]),
+    "digest as bytes": _replace("sha256", lambda a: np.bytes_(a.tobytes())),
+    "digest as int16": _replace("sha256", lambda a: a.astype(np.int16)),
+    "digest as int8": _replace("sha256", lambda a: a.view(np.int8)),
+    "digest row missing": _replace("sha256", lambda a: a[:-1]),
+    "digest half width": _replace("sha256", lambda a: a[:, :16]),
 }
 
 
 @pytest.mark.parametrize("fault", list(_FAULTS))
 def test_faulty_sidecar_loads_like_the_csvs(tmp_path, monkeypatch, fault):
     bundle, bdir = _sidecar_bundle(tmp_path)
-    n_parsed, make = _FAULTS[fault]
-    make(bdir)
+    _FAULTS[fault](bdir)
     parsed = _count_parses(monkeypatch)
     assert load_bundle(bdir) == bundle
-    assert len(parsed) == n_parsed
+    assert sorted(parsed) == sorted(_ORDER)
 
 
 def test_matching_digest_is_trusted(tmp_path):
     """The sidecar guards against accidental edits only: an array rewritten
     under the CSV's own digest is loaded as stored."""
     bundle, bdir = _sidecar_bundle(tmp_path)
-    _replace("model_m0_source.csv", lambda a: a + 1)(bdir)
+    cols = _ORDER["model_m0_source.csv"]
+
+    def edit(a):
+        a = a.copy()
+        a[:, cols] += 1
+        return a
+
+    _replace("source", edit)(bdir)
     loaded = load_bundle(bdir)
     assert np.array_equal(loaded.source_preds[0], bundle.source_preds[0] + 1)
+    assert np.array_equal(loaded.source_preds[1], bundle.source_preds[1])
+    assert loaded.source == bundle.source and loaded.target == bundle.target
+
+
+def test_default_bundle_stores_three_arrays(tmp_path, monkeypatch):
+    bundle = generate_task(SynthTaskConfig()).bundle
+    write_bundle(bundle, tmp_path / "b")
+    with np.load(tmp_path / "b" / "arrays.npz", allow_pickle=False) as npz:
+        assert npz.files == ["source", "target", "sha256"]
+    members = []
+
+    def spy(fh, *args, **kwargs):
+        members.append(fh.name)
+        return read_array(fh, *args, **kwargs)
+
+    read_array = np.lib.format.read_array
+    monkeypatch.setattr(np.lib.format, "read_array", spy)
+    parsed = _count_parses(monkeypatch)
+    assert load_bundle(tmp_path / "b") == bundle
+    assert sorted(members) == ["sha256.npy", "source.npy", "target.npy"]
+    assert parsed == []
+
+
+def _write_old_layout(bdir):
+    """Rewrite arrays.npz as it was once written: for each CSV, its matrix
+    under its file name and the hex sha256 of its bytes as a 0-d string."""
+    with npz_writer(bdir / "arrays.npz") as add:
+        for name in sorted(p.name for p in bdir.iterdir() if p.suffix == ".csv"):
+            header = (bdir / name).read_text().splitlines()[0].split(",")
+            _, matrix = read_csv(bdir / name, len(header))
+            add(name, matrix)
+            add(name + ".sha256", np.array(hashlib.sha256(
+                (bdir / name).read_bytes()).hexdigest()))
+
+
+def test_old_layout_sidecar_is_parsed_past(tmp_path, monkeypatch):
+    bundle, bdir = _sidecar_bundle(tmp_path)
+    _write_old_layout(bdir)
+    with np.load(bdir / "arrays.npz", allow_pickle=False) as npz:
+        assert "source.csv.sha256" in npz.files and len(npz.files) == 12
+    parsed = _count_parses(monkeypatch)
+    loaded = load_bundle(bdir)
+    assert sorted(parsed) == sorted(_ORDER)
+    for field in ("source_preds", "target_preds"):
+        assert _bits(getattr(loaded, field)) == _bits(getattr(bundle, field))
+    for got, want in [
+        (loaded.source.labels, bundle.source.labels),
+        (loaded.source.features, bundle.source.features),
+        (loaded.target.features, bundle.target.features),
+        (loaded.target.oracle_labels, bundle.target.oracle_labels),
+    ]:
+        assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize(

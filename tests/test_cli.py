@@ -49,7 +49,7 @@ class TestEstimateRatio:
         )
         assert code == 0
         assert (out / "ratio.json").is_file()
-        header, rows = read_csv(out / "beta.csv")
+        header, rows = read_csv(out / "beta.csv", 2)
         assert header == ["id", "beta"]
         assert len(rows) == 80
 
@@ -183,7 +183,7 @@ class TestAggregate:
         assert len(doc["coefficients"]) == 3
         assert doc["mode"] == "importance_weighted"
         assert "target_oracle" in doc["risk_reports"]
-        header, rows = read_csv(out / "aggregated_predictions.csv")
+        header, rows = read_csv(out / "aggregated_predictions.csv", 2)
         assert header == ["id", "f_1"] and len(rows) == 80
 
     def test_beta_file(self, task_dir, tmp_path):
@@ -448,6 +448,19 @@ class TestBench:
         cfg = self._cfg(tmp_path, trials=0)
         assert main(["bench", "--config", str(cfg), "--output",
                      str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--threads", "0", "threads must be >= 1, got 0"),
+         ("--threads", "-3", "threads must be >= 1, got -3"),
+         ("--dump-tasks", "-2", "--dump-tasks must be >= 0, got -2")],
+    )
+    def test_bad_flag_exit_2(self, flag, value, message, tmp_path, capsys):
+        cfg = self._cfg(tmp_path, trials=1)
+        assert main(["bench", "--config", str(cfg), "--output",
+                     str(tmp_path / "out"), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_estimator_recorded_in_ratio_config(self, tmp_path):
         cfg = tmp_path / "suite.json"
