@@ -9,11 +9,14 @@ sample at each pooled size in ``POOLED`` (above 1000 rows it draws 1000).
 Each point is timed ``REPEATS`` times after one untimed warm-up call, with
 BLAS pinned to one thread by ``_harness``; then ``REPEATS`` more untimed
 calls give the minor page faults per call, from this process's
-``resource.getrusage(RUSAGE_SELF).ru_minflt``. The JSON output holds every
-time, the median, the faults, the CPU count and the numpy/BLAS build. Uses
+``resource.getrusage(RUSAGE_SELF).ru_minflt``. Each fit size also records
+the grid cell its cross-validation chose, as ``chosen_cell`` =
+``[width_index, ridge_index]``, so two runs can show they fit the same
+model. The JSON output holds every time, the median, the faults, the
+chosen cells, the CPU count and the numpy/BLAS build. Uses
 the standard library besides numpy and shiftagg itself.
 
-    PYTHONPATH=src python3 benchmarks/fit_ulsif_scaling.py --output BENCH_13.json
+    PYTHONPATH=src python3 benchmarks/fit_ulsif_scaling.py --output BENCH_16.json
 """
 
 from __future__ import annotations
@@ -73,7 +76,14 @@ def width_curve() -> list[dict]:
 
 def fit_curve() -> list[dict]:
     cfg = RatioFitConfig(seed=SEED)
-    return [_point("fit_ulsif", n, fit_ulsif, *_inputs(n), cfg) for n in SIZES]
+    rows = []
+    for n in SIZES:
+        xs, xt = _inputs(n)
+        row = _point("fit_ulsif", n, fit_ulsif, xs, xt, cfg)
+        cv = fit_ulsif(xs, xt, cfg).cv
+        row["chosen_cell"] = [cv["width_index"], cv["ridge_index"]]
+        rows.append(row)
+    return rows
 
 
 if __name__ == "__main__":

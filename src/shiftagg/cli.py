@@ -314,13 +314,18 @@ def cmd_probe(args) -> int:
     report = probe.semantic_distance(emb)
     if args.epsilon is not None:
         report = probe.with_epsilon(report, args.epsilon)
-        if args.lipschitz:
+        if args.lipschitz is not None:
             try:
-                constants = [float(v) for v in args.lipschitz.split(",") if v != ""]
+                cells = args.lipschitz.split(",")
+                if "" in cells:
+                    raise ValueError("a constant is empty")
+                constants = [float(v) for v in cells]
             except ValueError as exc:
-                raise ConfigInvalid(f"bad --lipschitz list: {exc}") from exc
+                raise ConfigInvalid(
+                    f"bad --lipschitz list {args.lipschitz!r}: {exc}"
+                ) from exc
             report = probe.with_lipschitz(report, constants)
-    elif args.lipschitz:
+    elif args.lipschitz is not None:
         raise ConfigInvalid("--lipschitz requires --epsilon")
     doc = report.to_json_dict()
     if args.output:

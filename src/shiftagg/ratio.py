@@ -297,6 +297,13 @@ def _fold_ids(n: int, folds: int, rng: np.random.Generator) -> np.ndarray:
     return ids[rng.permutation(n)]
 
 
+def _fold_slices(ids: np.ndarray) -> list[slice]:
+    """The rows of each fold id, in order, once the rows are stably sorted by
+    ``ids`` (each of ``0 .. ids.max()`` present)."""
+    ends = np.cumsum(np.bincount(ids)).tolist()
+    return [slice(a, b) for a, b in zip([0, *ends], ends)]
+
+
 def _resolve_grid(
     xs: np.ndarray, xt: np.ndarray, cfg: RatioFitConfig, rng: np.random.Generator
 ) -> tuple[tuple[float, ...], int]:
@@ -324,11 +331,15 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     The default width grid scales the median pairwise distance, found with
     one partition of the upper triangle's values, gathered a block of rows
     at a time into the n x n product term's own memory (no distance matrix
-    or mask of that size). The distances to the centers are computed
-    once per fit, and each width refills two kernel buffers from them in
-    place. ``H`` and ``h`` are sums over samples, so each training fold's
-    system is the whole sample's sum minus that fold's part; it is built
-    once per width and solved for every ridge by LAPACK ``potrf``/``potrs``
+    or mask of that size). After the draws, both samples' rows are stably
+    sorted by fold id, so each fold is a slice (a view) of the kernels. The
+    distances to the centers are computed once per fit, and each width
+    refills two kernel buffers from them in place. ``H`` and ``h`` are sums
+    over samples: each width builds every fold's Gram ``K_s[f].T @ K_s[f]``
+    and column sum ``K_t[f].sum(0)`` once, and the whole sample's
+    ``H_tot``/``h_tot`` are their sums over every fold present, scored or
+    not. Each training fold's system is the whole sum minus that fold's
+    part; it is solved for every ridge by LAPACK ``potrf``/``potrs``
     directly, and the refit solves the chosen width's whole sums. Each
     held-out score clips and squares its fold's ratio values in place. The
     returned model's ``cv`` block holds the score grid, the chosen cell and
@@ -341,14 +352,16 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
 
     fold_s = _fold_ids(xs.shape[0], cfg.cv_folds, rng)
     fold_t = _fold_ids(xt.shape[0], cfg.cv_folds, rng)
-    folds = []
-    # A fold past the smaller sample's size holds none of its samples.
-    for f in range(min(cfg.cv_folds, xs.shape[0], xt.shape[0])):
-        va_s, va_t = fold_s == f, fold_t == f
-        # A fold is scored only if it leaves samples of both domains on both sides.
-        if 0 < va_s.sum() < len(va_s) and 0 < va_t.sum() < len(va_t):
-            folds.append((va_s, va_t))
-    if not folds:
+    # Sorted by fold id, every fold's rows are one slice (a view) of the kernels.
+    xs = xs[np.argsort(fold_s, kind="stable")]
+    xt = xt[np.argsort(fold_t, kind="stable")]
+    slices_s, slices_t = _fold_slices(fold_s), _fold_slices(fold_t)
+    # A fold past the smaller sample's size holds none of its samples. A fold
+    # is scored only if it leaves samples of both domains on both sides; as
+    # cv_folds >= 2, every fold below n_scored does once each domain has two
+    # samples, and none does while one has a single sample.
+    n_scored = min(cfg.cv_folds, xs.shape[0], xt.shape[0])
+    if n_scored < 2:
         raise ConfigInvalid(
             f"no cross-validation fold can be scored with n_s={xs.shape[0]}, "
             f"n_t={xt.shape[0]} and cv_folds={cfg.cv_folds}; each domain needs "
@@ -365,13 +378,28 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     for i, width in enumerate(widths):
         _gaussian_kernel(D_s, width, out=K_s)
         _gaussian_kernel(D_t, width, out=K_t)
-        H_tot, h_tot = K_s.T @ K_s, K_t.sum(axis=0)
+        # The whole sample's sums add up every fold present, scored or not;
+        # only the scored folds' parts are kept.
+        H_tot, h_tot = np.zeros((n_c, n_c)), np.zeros(n_c)
+        # Reset first, so the last width's systems are freed before these grow.
+        grams, col_sums, systems = [], [], []
+        for f, rows in enumerate(slices_s):
+            G = K_s[rows].T @ K_s[rows]
+            H_tot += G
+            if f < n_scored:
+                grams.append(G)
+        for f, rows in enumerate(slices_t):
+            col_sum = K_t[rows].sum(axis=0)
+            h_tot += col_sum
+            if f < n_scored:
+                col_sums.append(col_sum)
         sums.append((H_tot, h_tot))
-        systems = []
-        for va_s, va_t in folds:
-            V_s, V_t = K_s[va_s], K_t[va_t]
-            H = (H_tot - V_s.T @ V_s) / (len(K_s) - len(V_s))
-            h = (h_tot - V_t.sum(axis=0)) / (len(K_t) - len(V_t))
+        for f in range(n_scored):
+            V_s, V_t = K_s[slices_s[f]], K_t[slices_t[f]]
+            # The training system, written over the held-out fold's Gram.
+            H = np.subtract(H_tot, grams[f], out=grams[f])
+            H /= len(K_s) - len(V_s)
+            h = (h_tot - col_sums[f]) / (len(K_t) - len(V_t))
             systems.append((H, h, V_s, V_t))
         for j, ridge in enumerate(ridges):
             fold_scores = []

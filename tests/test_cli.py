@@ -593,6 +593,22 @@ class TestProbe:
         assert doc["is_epsilon_close"] is False
         assert doc["propagated_bound"] == 3.0
 
+    @pytest.mark.parametrize("constants", ["1,,2", ",", "2,", ""])
+    def test_empty_lipschitz_constant_exit_2(self, tmp_path, capsys, constants):
+        emb = LayerEmbeddingSet(
+            layers=(LayerEmbeddings(1, np.zeros((1, 2)), np.array([[0.0, 2.0]])),)
+        )
+        write_embeddings(emb, tmp_path / "emb.json")
+        out = tmp_path / "report.json"
+        code = main(["probe", "--input", str(tmp_path / "emb.json"),
+                     "--output", str(out), "--epsilon", "1",
+                     "--lipschitz", constants])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"bad --lipschitz list {constants!r}" in err
+        assert not out.exists()
+
     def test_malformed_dump_exit_2(self, tmp_path):
         (tmp_path / "emb.json").write_text("{not json")
         assert main(["probe", "--input", str(tmp_path / "emb.json")]) == 2

@@ -173,21 +173,46 @@ def ulsif_solve(K_s, K_t, ridge, solve):
     return solve(H, np.mean(K_t, axis=0), ridge)
 
 
+def reference_draws(xs, xt, cfg):
+    """``fit_ulsif``'s seeded draws: the widths, the centers and each
+    sample's fold ids."""
+    rng = ratio._rng(cfg.seed)
+    widths = reference_widths(xs, xt, cfg, rng)
+    n_c = cfg.n_centers if cfg.n_centers is not None else min(100, xt.shape[0])
+    centers = xt[np.sort(rng.choice(xt.shape[0], n_c, replace=False))]
+    fold_s = ratio._fold_ids(xs.shape[0], cfg.cv_folds, rng)
+    fold_t = ratio._fold_ids(xt.shape[0], cfg.cv_folds, rng)
+    return widths, centers, fold_s, fold_t
+
+
+def reference_fold_sums(xs, xt, centers, width, fold_s, fold_t):
+    """The fold-contiguous sums: with the rows stably sorted by fold id, each
+    fold's rows of both kernels, each source fold's Gram and each target
+    fold's column sum, and ``H_tot``/``h_tot`` summed from them over every
+    fold present. Returns ``(folds_s, folds_t, grams, col_sums, H_tot, h_tot)``.
+    """
+    sorted_fold_s, sorted_fold_t = np.sort(fold_s), np.sort(fold_t)
+    K_s = reference_kernel(xs[np.argsort(fold_s, kind="stable")], centers, width)
+    K_t = reference_kernel(xt[np.argsort(fold_t, kind="stable")], centers, width)
+    folds_s = [K_s[sorted_fold_s == f] for f in range(sorted_fold_s[-1] + 1)]
+    folds_t = [K_t[sorted_fold_t == f] for f in range(sorted_fold_t[-1] + 1)]
+    grams = [V.T @ V for V in folds_s]
+    col_sums = [V.sum(axis=0) for V in folds_t]
+    return folds_s, folds_t, grams, col_sums, sum(grams), sum(col_sums)
+
+
 def reference_fit_ulsif(xs, xt, cfg, solve=reference_cho_solve):
     """The per-cell cross-validation loop that the fold-sum one replaced.
 
     Every (width, ridge, fold) cell builds its kernels and its training
     system from the training rows directly, with no code of ``ratio`` but
-    its seeded draws. Returns the chosen grid indices, the refit ``alpha``
-    and the score grid (NaN where a cell was refused).
+    its seeded draws. The chosen cell is refit on the fold-contiguous sums
+    of ``reference_fold_sums``, as ``fit_ulsif`` does. Returns the chosen
+    grid indices, the refit ``alpha`` and the score grid (NaN where a cell
+    was refused).
     """
-    rng = ratio._rng(cfg.seed)
-    widths = reference_widths(xs, xt, cfg, rng)
-    n_c = cfg.n_centers if cfg.n_centers is not None else min(100, xt.shape[0])
-    centers = xt[np.sort(rng.choice(xt.shape[0], n_c, replace=False))]
+    widths, centers, fold_s, fold_t = reference_draws(xs, xt, cfg)
     folds = cfg.cv_folds
-    fold_s = ratio._fold_ids(xs.shape[0], folds, rng)
-    fold_t = ratio._fold_ids(xt.shape[0], folds, rng)
     grid = np.full((len(widths), len(cfg.ridge_strengths)), np.nan)
     best = None  # (score, width index, ridge index)
     for i, width in enumerate(widths):
@@ -216,12 +241,8 @@ def reference_fit_ulsif(xs, xt, cfg, solve=reference_cho_solve):
     if best is None:
         raise SingularSystem("every (width, ridge) grid cell failed")
     _, i, j = best
-    alpha = ulsif_solve(
-        reference_kernel(xs, centers, widths[i]),
-        reference_kernel(xt, centers, widths[i]),
-        cfg.ridge_strengths[j],
-        solve,
-    )
+    *_, H_tot, h_tot = reference_fold_sums(xs, xt, centers, widths[i], fold_s, fold_t)
+    alpha = solve(H_tot / len(xs), h_tot / len(xt), cfg.ridge_strengths[j])
     return (i, j), alpha, grid
 
 
@@ -229,32 +250,24 @@ def reference_fold_sum_scores(xs, xt, cfg):
     """The fold-sum score grid, each held-out fold scored with ``np.clip`` and
     ``np.mean`` as ``fit_ulsif`` once did; NaN where a cell was refused.
 
-    Its systems are ``fit_ulsif``'s (whole-sample sums minus each fold's
-    part, bitwise), so the grid must match ``cv["scores"]`` bit for bit.
+    Its systems are ``fit_ulsif``'s (the fold-contiguous whole-sample sums
+    minus each fold's part, bitwise), so the grid must match
+    ``cv["scores"]`` bit for bit.
     """
-    rng = ratio._rng(cfg.seed)
-    widths = reference_widths(xs, xt, cfg, rng)
-    n_c = cfg.n_centers if cfg.n_centers is not None else min(100, xt.shape[0])
-    centers = xt[np.sort(rng.choice(xt.shape[0], n_c, replace=False))]
-    fold_s = ratio._fold_ids(xs.shape[0], cfg.cv_folds, rng)
-    fold_t = ratio._fold_ids(xt.shape[0], cfg.cv_folds, rng)
-    folds = [
-        (fold_s == f, fold_t == f)
-        for f in range(min(cfg.cv_folds, xs.shape[0], xt.shape[0]))
-    ]
-    folds = [(s, t) for s, t in folds if 0 < s.sum() < len(s) and 0 < t.sum() < len(t)]
+    widths, centers, fold_s, fold_t = reference_draws(xs, xt, cfg)
+    n_folds = min(cfg.cv_folds, xs.shape[0], xt.shape[0])
     grid = np.full((len(widths), len(cfg.ridge_strengths)), np.nan)
     for i, width in enumerate(widths):
-        K_s = reference_kernel(xs, centers, width)
-        K_t = reference_kernel(xt, centers, width)
-        H_tot, h_tot = K_s.T @ K_s, K_t.sum(axis=0)
+        folds_s, folds_t, grams, col_sums, H_tot, h_tot = reference_fold_sums(
+            xs, xt, centers, width, fold_s, fold_t
+        )
         for j, ridge in enumerate(cfg.ridge_strengths):
             scores = []
             try:
-                for va_s, va_t in folds:
-                    V_s, V_t = K_s[va_s], K_t[va_t]
-                    H = (H_tot - V_s.T @ V_s) / (len(K_s) - len(V_s))
-                    h = (h_tot - V_t.sum(axis=0)) / (len(K_t) - len(V_t))
+                for f in range(n_folds):
+                    V_s, V_t = folds_s[f], folds_t[f]
+                    H = (H_tot - grams[f]) / (len(xs) - len(V_s))
+                    h = (h_tot - col_sums[f]) / (len(xt) - len(V_t))
                     alpha = reference_cho_solve(H, h, ridge)
                     b_s = np.clip(V_s @ alpha, 0.0, cfg.bound)
                     b_t = np.clip(V_t @ alpha, 0.0, cfg.bound)
@@ -324,6 +337,40 @@ class TestUlsifFoldSums:
         xs, xt = rng.standard_normal((3, 2)), rng.normal(0.3, 1.0, (40, 2))
         model = assert_matches_reference(xs, xt, RatioFitConfig(seed=6))
         assert not np.isnan(np.array(model.cv["scores"], dtype=float)).any()
+
+    def test_unscored_source_fold_enters_the_refit(self):
+        # n_t < n_s < cv_folds: source fold 3 is never held out (only folds
+        # 0-2 hold target samples), but its row is part of the whole sample.
+        rng = np.random.Generator(np.random.Philox(15))
+        xs, xt = rng.standard_normal((4, 2)), rng.normal(0.3, 1.0, (3, 2))
+        cfg = RatioFitConfig(cv_folds=5, seed=7)
+        model = assert_matches_reference(xs, xt, cfg)
+        cv = model.cv
+        assert len(cv["scores"]) == 5 and not np.isnan(
+            np.array(cv["scores"], dtype=float)
+        ).any()
+        width, ridge = model.kernel_width, cv["ridges"][cv["ridge_index"]]
+        alpha = ulsif_solve(
+            reference_kernel(xs, model.centers, width),
+            reference_kernel(xt, model.centers, width),
+            ridge,
+            reference_cho_solve,
+        )
+        np.testing.assert_allclose(model.alpha, alpha, rtol=1e-12, atol=0)
+
+    def test_traced_peak_at_5000_rows(self):
+        # The two 5000 x 100 distance arrays and two kernel buffers take
+        # 15.3 MiB; gathering every held-out fold's rows took the peak to
+        # 24.0 MiB, while slicing them leaves it at about 17.2 MiB.
+        rng = np.random.Generator(np.random.Philox(9))
+        xs, xt = rng.standard_normal((5000, 5)), rng.normal(0.5, 1.0, (5000, 5))
+        tracemalloc.start()
+        try:
+            fit_ulsif(xs, xt, RatioFitConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 19 * 2**20
 
     @staticmethod
     def _refusing_solver(monkeypatch, refuse):
