@@ -18,8 +18,8 @@ contract ``||(G + lam*I) c - g||_inf <= 1e-8 * max(1, ||g||_inf)``.
 bits depend on the BLAS build and its thread count, not on the run or on
 how many Python threads call in, so outputs are byte-identical across runs
 and ``--threads`` values for a fixed BLAS build and BLAS thread count.
-Risks use no BLAS: :func:`model_risks` is the one risk kernel, and the
-single-model evaluators are its one-model case, bit for bit.
+Per-model risks use no BLAS: :func:`model_risks` is the one risk kernel,
+and the single-model evaluators are its one-model case, bit for bit.
 """
 
 from __future__ import annotations
@@ -271,30 +271,36 @@ def aggregate_predict(preds, coefficients) -> np.ndarray:
 _RISK_BLOCK_VALUES = 80_000
 
 
-def _sq_risks(p: np.ndarray, labels, weights) -> np.ndarray:
-    """Weighted squared risks of the models stacked along ``p``'s first axis.
+def _sq_risks(preds, labels, weight_sets) -> np.ndarray:
+    """Squared risks of the models stacked along ``preds``' first axis,
+    one row per entry of ``weight_sets``.
 
-    Row ``k`` is ``(1/n) * sum_i w_i ||p[k, i] - y_i||^2``, summed with
-    ``np.sum`` over the ``n`` row terms, the same operations in the same
-    order for every ``k``.
+    Entry ``[j, k]`` is ``(1/n) * sum_i w_i ||p[k, i] - y_i||^2`` with ``w``
+    the ``j``-th weight vector, or 1 where that entry is ``None``. Each block
+    of residuals is squared once and summed unweighted first; each weight
+    then multiplies the squares into a scratch buffer, the last one in
+    place. So every row sees the same operations, summed with ``np.sum`` in
+    the same order for every ``k``, as a call with that one weight set.
     """
+    p = _as_pred_tensor(preds)
     y = as_label_matrix(labels)
     if y.ndim != 2 or p.shape[1:] != y.shape:
         raise DimensionMismatch(f"predictions {p.shape[1:]} vs labels {y.shape}")
     m, n, d2 = p.shape
-    w = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise DimensionMismatch(f"weights have shape {w.shape}, expected ({n},)")
-        if np.any(w < 0):
-            raise NegativeWeight("weights contain negative entries")
+    ws = [w if w is None else _checked_weights(w, n) for w in weight_sets]
     if n == 0:
         raise EmptyInput("a risk needs at least one sample")
 
     step = max(1, _RISK_BLOCK_VALUES // max(1, n * d2))
-    buf = np.empty((min(step, m), n, d2))
-    out = np.empty(m)
+    order = sorted(range(len(ws)), key=lambda j: ws[j] is not None)
+    rows = min(step, m)
+    # One allocation holds the residuals and, when two or more weight sets
+    # need it, the scratch block: two buffers freed together can exceed
+    # glibc's heap trim threshold and be faulted in again on every call.
+    work = np.empty(rows * n * (d2 + (sum(w is not None for w in ws) > 1)))
+    buf = work[: rows * n * d2].reshape(rows, n, d2)
+    scratch = work[rows * n * d2 :].reshape(-1, n)
+    out = np.empty((len(ws), m))
     for s in range(0, m, step):
         e = min(s + step, m)
         diff = np.subtract(p[s:e], y, out=buf[: e - s])
@@ -302,15 +308,30 @@ def _sq_risks(p: np.ndarray, labels, weights) -> np.ndarray:
             row = np.multiply(diff, diff, out=diff)[:, :, 0]
         else:
             row = np.einsum("knd,knd->kn", diff, diff, optimize=False)
-        if w is not None:
-            np.multiply(row, w, out=row)
-        out[s:e] = np.sum(row, axis=1) / n
+        for j in order:
+            term = row
+            if ws[j] is not None:
+                dest = row if j == order[-1] else scratch[: e - s]
+                term = np.multiply(row, ws[j], out=dest)
+            out[j, s:e] = np.sum(term, axis=1) / n
     return out
+
+
+def _checked_weights(weights, n: int) -> np.ndarray:
+    """``weights`` as ``n`` finite, nonnegative float64 values."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise DimensionMismatch(f"weights have shape {w.shape}, expected ({n},)")
+    if not np.isfinite(w).all():
+        raise ConfigInvalid("weights contain non-finite entries")
+    if np.any(w < 0):
+        raise NegativeWeight("weights contain negative entries")
+    return w
 
 
 def _weighted_sq_risk(preds, labels, weights) -> float:
     """The one-model case of :func:`_sq_risks`, for ``(n, d2)`` predictions."""
-    return float(_sq_risks(as_label_matrix(preds)[None], labels, weights)[0])
+    return float(_sq_risks(as_label_matrix(preds)[None], labels, [weights])[0, 0])
 
 
 def empirical_risk(preds, labels) -> float:
@@ -331,15 +352,16 @@ def model_risks(preds, labels, weights=None) -> np.ndarray:
     """Per-model risks, shape ``(m,)``: :func:`empirical_risk`
     (``weights=None``) or :func:`importance_weighted_risk` of every model.
 
-    Shapes and weights are checked once. The models are then scored in
-    blocks of about 640 KB of predictions: one residual buffer per call
-    (so concurrent callers share nothing), squared in place, weighted in
-    place and reduced row by row. No ``m x n`` temporary is built. Each
-    model sees the same elementwise operations and the same ``np.sum``
-    reduction as the single-model evaluators, so every entry is bitwise
-    equal to theirs whatever the block size, and copied models tie exactly.
+    Shapes and weights are checked once; weights must be finite and
+    nonnegative. The models are then scored in blocks of about 640 KB of
+    predictions: one residual buffer per call (so concurrent callers share
+    nothing), squared in place, weighted in place and reduced row by row.
+    No ``m x n`` temporary is built. Each model sees the same elementwise
+    operations and the same ``np.sum`` reduction as the single-model
+    evaluators, so every entry is bitwise equal to theirs whatever the
+    block size, and copied models tie exactly.
     """
-    return _sq_risks(_as_pred_tensor(preds), labels, weights)
+    return _sq_risks(preds, labels, [weights])[0]
 
 
 def make_risk_report(
@@ -471,14 +493,19 @@ def oracle_aggregate(bundle: PredictionBundle, lam: float = 0.0) -> AggregationR
     """
     if bundle.target.oracle_labels is None:
         raise MissingOracleLabels("bundle carries no target oracle labels")
-    return _oracle_solve(bundle, compute_gram(bundle.target_preds), lam)
+    return _oracle_solve(compute_gram(bundle.target_preds), _oracle_moment(bundle), lam)
 
 
-def _oracle_solve(bundle: PredictionBundle, G, lam: float) -> AggregationResult:
-    """:func:`oracle_aggregate` given the bundle's target Gram matrix ``G``."""
+def _oracle_moment(bundle: PredictionBundle) -> np.ndarray:
+    """The oracle moment vector ``g'_k = (1/n_t) * sum_i <y'_i, f_k(x'_i)>``."""
     # Weighting by exactly 1.0 makes this the plain averaged inner product.
     ones = np.ones(bundle.target.n_samples)
-    g = compute_g_vector(bundle.target_preds, bundle.target.oracle_labels, ones)
+    return compute_g_vector(bundle.target_preds, bundle.target.oracle_labels, ones)
+
+
+def _oracle_solve(G, g, lam: float) -> AggregationResult:
+    """:func:`oracle_aggregate` given the target Gram matrix ``G`` and the
+    oracle moment vector ``g``."""
     result = solve_aggregation(G, g, lam)
     result.diagnostics.update(
         lambda_policy="oracle",

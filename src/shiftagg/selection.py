@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .aggregation import (
+    _oracle_moment,
     _oracle_solve,
+    _sq_risks,
     aggregate_predict,
     compute_g_vector,
     compute_gram,
-    empirical_risk,
     importance_weighted_risk,
     model_risks,
     resolve_beta,
@@ -72,14 +75,28 @@ class SelectionOutcome:
 
 def select_source_risk(bundle: PredictionBundle) -> SelectionOutcome:
     """Pick the model with the lowest plain source risk (naive baseline)."""
-    risks = model_risks(bundle.source_preds, bundle.source.labels)
-    return SelectionOutcome(method="source_risk", scores=risks)
+    return _select(bundle, [None])[0]
 
 
 def select_iwv(bundle: PredictionBundle, beta) -> SelectionOutcome:
-    """Importance-weighted validation: argmin of ratio-weighted source risk."""
-    risks = model_risks(bundle.source_preds, bundle.source.labels, beta)
-    return SelectionOutcome(method="importance_weighted", scores=risks)
+    """Importance-weighted validation: argmin of ratio-weighted source risk.
+
+    ``beta`` is a ratio model or a weight vector, checked by
+    :func:`resolve_beta`.
+    """
+    return _select(bundle, [resolve_beta(bundle, beta)[0]])[0]
+
+
+def _select(bundle: PredictionBundle, weight_sets) -> list[SelectionOutcome]:
+    """One outcome per weight vector (``None`` is the plain source risk),
+    all scored in one pass over the source predictions."""
+    scores = _sq_risks(bundle.source_preds, bundle.source.labels, weight_sets)
+    return [
+        SelectionOutcome(
+            method="source_risk" if w is None else "importance_weighted", scores=row
+        )
+        for w, row in zip(weight_sets, scores)
+    ]
 
 
 @dataclass(frozen=True)
@@ -143,32 +160,34 @@ def build_method_rows(
 
     ``beta_by_name`` maps a suffix (e.g. ``"analytic"``, ``"ulsif"`` or
     ``""`` for unsuffixed rows) to a ratio model or weight vector; each
-    entry yields one IWV row and one aggregation row. The target Gram
-    matrix and the per-model risks are computed once and shared by every
-    row that needs them, the oracle solve included; that solve, when labels
-    allow one, is made first so its risk can scale every row as it is built.
+    entry yields one IWV row and one aggregation row. The source risk and
+    every IWV score come from one pass over the source predictions. The
+    target Gram matrix ``G``, the oracle moments ``g'`` and ``||y'||^2 / n_t``
+    are computed once; the oracle solve uses them and is made first, so its
+    risk can scale every row as it is built. Each aggregation's true risk
+    ``||y'||^2 / n_t - 2 c.g' + c'Gc`` comes from them too (0.0 if it rounds
+    below zero); the per-model true risks come from :func:`model_risks`.
     """
     labels_t = bundle.target.oracle_labels
-    sel = select_source_risk(bundle)
-    true_risks = (
-        [None] * bundle.model_count
-        if labels_t is None
-        else model_risks(bundle.target_preds, labels_t).tolist()
-    )
+    betas = {s: resolve_beta(bundle, ratio)[0] for s, ratio in beta_by_name.items()}
+    sel, *iwvs = _select(bundle, [None, *betas.values()])
 
-    def true_risk_of(coefficients) -> float | None:
+    true_risks = [None] * bundle.model_count
+    G = oracle_true = oracle_detail = None
+    if labels_t is not None or betas:
+        G = compute_gram(bundle.target_preds)
+
+    def true_risk_of(c) -> float | None:
         if labels_t is None:
             return None
-        return empirical_risk(
-            aggregate_predict(bundle.target_preds, coefficients), labels_t
-        )
+        return max(0.0, label_sq - 2.0 * float(c @ g_t) + float(c @ G @ c))
 
-    G = oracle_true = oracle_detail = None
-    if labels_t is not None or beta_by_name:
-        G = compute_gram(bundle.target_preds)
     if labels_t is not None:
+        true_risks = model_risks(bundle.target_preds, labels_t).tolist()
+        g_t = _oracle_moment(bundle)
+        label_sq = float(np.sum(labels_t * labels_t)) / len(labels_t)
         try:
-            oracle = _oracle_solve(bundle, G, 0.0)
+            oracle = _oracle_solve(G, g_t, 0.0)
         except IllConditioned as exc:
             oracle_detail = {"error": str(exc)}
         else:
@@ -205,10 +224,9 @@ def build_method_rows(
     if oracle_detail is not None:
         rows.append(row("aggregate_oracle", oracle_true, detail=oracle_detail))
 
-    for suffix, ratio in beta_by_name.items():
+    for (suffix, beta), iwv in zip(betas.items(), iwvs):
         tag = f"_{suffix}" if suffix else ""
-        beta, _ = resolve_beta(bundle, ratio)
-        rows.append(pick_row(f"select_iwv{tag}", select_iwv(bundle, beta)))
+        rows.append(pick_row(f"select_iwv{tag}", iwv))
         g = compute_g_vector(bundle.source_preds, bundle.source.labels, beta)
         result = solve_aggregation(G, g, lam)
         est = importance_weighted_risk(

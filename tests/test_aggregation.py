@@ -459,6 +459,19 @@ class TestRiskKernelParity:
                 call()
             assert str(got.value) == str(ref.value)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_raise_config_invalid(self, bad):
+        preds, labels, _ = _risk_inputs(3, 6, 1, "none", seed=5)
+        weights = np.ones(6)
+        weights[2] = bad
+        for call in (
+            lambda: model_risks(preds, labels, [bad] * 6),
+            lambda: model_risks(preds, labels, weights),
+            lambda: importance_weighted_risk(preds[0], labels, weights),
+        ):
+            with pytest.raises(ConfigInvalid, match="non-finite"):
+                call()
+
     def test_zero_samples_raise_empty_input(self):
         with pytest.raises(ZeroDivisionError):
             reference_weighted_sq_risk(np.zeros((0, 1)), np.zeros((0, 1)), None)

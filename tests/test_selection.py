@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftagg import aggregation, selection
 from shiftagg.aggregation import (
@@ -17,7 +19,12 @@ from shiftagg.aggregation import (
     solve_aggregation,
 )
 from shiftagg.data import PredictionBundle, SourceDataset, TargetDataset
-from shiftagg.errors import IllConditioned
+from shiftagg.errors import (
+    ConfigInvalid,
+    DimensionMismatch,
+    IllConditioned,
+    NegativeWeight,
+)
 from shiftagg.ratio import RatioFitConfig, evaluate_ratio, fit_ratio
 from shiftagg.selection import (
     RESERVED_METHOD_NAMES,
@@ -172,6 +179,27 @@ class TestSelectIwv:
         assert after[0] == before[0] and after[2] == before[2]
         assert after[1] != before[1]
 
+    @pytest.mark.parametrize(
+        "weights, error",
+        [
+            ([np.nan] * 6, ConfigInvalid),
+            ([1.0, 1.0, np.inf, 1.0, 1.0, 1.0], ConfigInvalid),
+            ([1.0, -1.0, 1.0, 1.0, 1.0, 1.0], NegativeWeight),
+            (np.ones(5), DimensionMismatch),
+        ],
+    )
+    def test_bad_weights_raise_typed_errors(self, weights, error):
+        bundle = build_bundle(m=3, n_s=6, seed=51)
+        with pytest.raises(error):
+            select_iwv(bundle, weights)
+
+    def test_ratio_model_scores_as_its_weights(self):
+        task = generate_task(SynthTaskConfig(n_s=60, n_t=60, family_size=3, seed=52))
+        beta = evaluate_ratio(task.analytic_ratio, task.bundle.source.features)
+        assert select_iwv(task.bundle, task.analytic_ratio) == select_iwv(
+            task.bundle, beta
+        )
+
     def test_shifted_tasks_iwv_beats_source_selection(self):
         # Monte Carlo: with the exact ratio, importance-weighted selection
         # should pick a model at least as good on the target as the naive
@@ -297,8 +325,10 @@ def test_target_gram_is_built_once_per_comparison(monkeypatch):
 
 
 def reference_build_method_rows(bundle, beta_by_name, lam):
-    """Two-pass table builder: its own ones-weighted oracle solve, then a
-    second pass over every row to set the oracle ratio."""
+    """Two-pass table builder: separate selection calls, its own
+    ones-weighted oracle moments and solve, then a second pass over every
+    row to set the oracle ratio. Aggregate true risks use the moment form
+    ``||y'||^2 / n_t - 2 c.g' + c'Gc`` with that one oracle moment vector."""
     labels_t = bundle.target.oracle_labels
     sel = select_source_risk(bundle)
     true_risks = (
@@ -308,13 +338,15 @@ def reference_build_method_rows(bundle, beta_by_name, lam):
     )
     needs_gram = labels_t is not None or beta_by_name
     G = compute_gram(bundle.target_preds) if needs_gram else None
+    if labels_t is not None:
+        ones = np.ones(bundle.target.n_samples)
+        g_oracle = compute_g_vector(bundle.target_preds, labels_t, ones)
+        yy = float(np.sum(labels_t * labels_t)) / len(labels_t)
 
-    def true_risk_of(coefficients):
+    def true_risk_of(c):
         if labels_t is None:
             return None
-        return empirical_risk(
-            aggregate_predict(bundle.target_preds, coefficients), labels_t
-        )
+        return max(0.0, yy - 2.0 * float(c @ g_oracle) + float(c @ G @ c))
 
     rows = [
         MethodRow(
@@ -335,8 +367,6 @@ def reference_build_method_rows(bundle, beta_by_name, lam):
 
     oracle_true = None
     if labels_t is not None:
-        ones = np.ones(bundle.target.n_samples)
-        g_oracle = compute_g_vector(bundle.target_preds, labels_t, ones)
         try:
             ores = solve_aggregation(G, g_oracle, 0.0)
             oracle_true = true_risk_of(ores.coefficients)
@@ -458,3 +488,125 @@ class TestMatchesReferenceBuilder:
         assert _table_text(rows) == _table_text(
             reference_build_method_rows(dup, betas, None)
         )
+
+
+class TestFusedSourcePass:
+    """The source risk and every IWV score come from one pass over the
+    source predictions, bit for bit as separate selection calls."""
+
+    @pytest.mark.parametrize("d2", [1, 2])
+    def test_rows_equal_separate_selection_calls(self, monkeypatch, d2):
+        m, n_s, best = 10, 40, 4
+        base = build_bundle(m=m, n_s=n_s, n_t=30, d2=d2, with_oracle=True, seed=53)
+        source_preds, target_preds = base.source_preds.copy(), base.target_preds.copy()
+        source_preds[best] = base.source.labels + 0.1 * source_preds[best]
+        source_preds[-1], target_preds[-1] = source_preds[best], target_preds[best]
+        bundle = replace(base, source_preds=source_preds, target_preds=target_preds)
+        rng = np.random.Generator(np.random.Philox(54))
+        betas = {
+            "a": rng.uniform(0.1, 2.0, n_s),
+            "b": np.where(rng.random(n_s) < 0.3, 0.0, rng.uniform(0.1, 3.0, n_s)),
+        }
+        # Blocks of three models, so the ten models span four blocks.
+        monkeypatch.setattr(aggregation, "_RISK_BLOCK_VALUES", 3 * n_s * d2)
+        rows = {r.method: r for r in build_method_rows(bundle, betas, None)}
+
+        sel = select_source_risk(bundle)
+        separate = {"select_source": sel}
+        separate.update(
+            (f"select_iwv_{s}", select_iwv(bundle, beta)) for s, beta in betas.items()
+        )
+        for method, outcome in separate.items():
+            assert outcome.selected_index == best and outcome.tie_broken
+            assert rows[method].detail == {"selected_index": best, "tie_broken": True}
+            assert rows[method].estimated_score == outcome.scores[best]
+        for k, name in enumerate(bundle.model_names):
+            assert rows[f"model:{name}"].estimated_score == sel.scores[k]
+
+        fused = aggregation._sq_risks(
+            bundle.source_preds, bundle.source.labels, [None, *betas.values()]
+        )
+        for got, outcome in zip(fused, separate.values()):
+            assert got.tobytes() == np.array(outcome.scores).tobytes()
+
+
+def _bundle_with_oracle(m, n_s, n_t, d2, rng, copied=False):
+    source_preds = rng.standard_normal((m, n_s, d2))
+    target_preds = rng.standard_normal((m, n_t, d2))
+    if copied and m > 1:
+        source_preds[-1], target_preds[-1] = source_preds[0], target_preds[0]
+    return PredictionBundle(
+        model_names=tuple(f"m{k}" for k in range(m)),
+        source_preds=source_preds,
+        target_preds=target_preds,
+        source=SourceDataset(labels=rng.standard_normal((n_s, d2))),
+        target=TargetDataset(oracle_labels=rng.standard_normal((n_t, d2))),
+    )
+
+
+def _moment_risk_gaps(bundle, rows) -> dict[str, float]:
+    """Relative gap, per solved aggregate row, between its moment-formed
+    true risk and the risk of its predictions evaluated sample by sample."""
+    gaps = {}
+    for r in rows:
+        if r.method.startswith("aggregate") and "coefficients" in r.detail:
+            direct = empirical_risk(
+                aggregate_predict(bundle.target_preds, r.detail["coefficients"]),
+                bundle.target.oracle_labels,
+            )
+            gaps[r.method] = abs(r.true_target_risk - direct) / direct
+    return gaps
+
+
+class TestMomentRisks:
+    """Aggregate and oracle true risks are ``||y'||^2/n_t - 2 c.g' + c'Gc``."""
+
+    @given(
+        m=st.integers(1, 12),
+        d2=st.integers(1, 3),
+        copied=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_match_direct_evaluation(self, m, d2, copied, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        bundle = _bundle_with_oracle(m, 30, 60, d2, rng, copied)
+        rows = build_method_rows(bundle, {"": rng.uniform(0.2, 2.0, 30)}, None)
+        gaps = _moment_risk_gaps(bundle, rows)
+        assert "aggregate" in gaps
+        if not (copied and m > 1):  # a copied model can make the oracle refuse
+            assert "aggregate_oracle" in gaps
+        assert max(gaps.values()) <= 1e-10
+
+    # Among these seeds the oracle risk rounds both to 0.0 and to a few ulps.
+    @pytest.mark.parametrize("seed", range(8))
+    def test_labels_equal_to_one_model(self, seed):
+        base = build_bundle(m=4, n_s=20, n_t=50, with_oracle=True, seed=60 + seed)
+        bundle = replace(
+            base,
+            target=replace(base.target, oracle_labels=base.target_preds[2]),
+        )
+        rows = build_method_rows(bundle, {"": np.ones(20)}, None)
+        oracle = next(r for r in rows if r.method == "aggregate_oracle")
+        assert 0.0 <= oracle.true_target_risk <= 1e-12
+        if oracle.true_target_risk == 0.0:
+            assert all(r.risk_ratio_vs_oracle is None for r in rows)
+
+    def test_near_collinear_family_at_lambda_zero(self):
+        rng = np.random.Generator(np.random.Philox(70))
+        m, n = 20, 5000
+        bundle = _bundle_with_oracle(m, n, n, 1, rng)
+        # The last model is the first plus a small perturbation.
+        source_preds = bundle.source_preds.copy()
+        target_preds = bundle.target_preds.copy()
+        source_preds[-1] = source_preds[0] + 5e-6 * rng.standard_normal((n, 1))
+        target_preds[-1] = target_preds[0] + 5e-6 * rng.standard_normal((n, 1))
+        bundle = replace(bundle, source_preds=source_preds, target_preds=target_preds)
+        rows = build_method_rows(bundle, {"": rng.uniform(0.5, 1.5, n)}, 0.0)
+        for r in rows:
+            if r.method in ("aggregate", "aggregate_oracle"):
+                assert r.detail["tikhonov"] == 0.0
+                assert r.detail["condition_estimate"] >= 1e10
+        gaps = _moment_risk_gaps(bundle, rows)
+        assert set(gaps) == {"aggregate", "aggregate_oracle"}
+        assert max(gaps.values()) <= 1e-6
