@@ -13,7 +13,8 @@ densities, truncated to ``[0, B]``. Two estimators are provided:
   (lower is better).
 
 * ``logistic`` -- a regularized logistic classifier separating source from
-  target samples; the ratio follows from the class odds,
+  target samples, fit by damped Newton (IRLS); the ratio follows from the
+  class odds,
   ``beta(x) = (n_s/n_t) * p(target|x) / (1 - p(target|x))``.
 
 Both return a :class:`RatioModel` that evaluates deterministically; raw
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.special
 
 from .errors import (
     AllZeroWeights,
@@ -93,7 +93,9 @@ class RatioModel:
     ``ulsif`` uses ``centers``/``alpha``/``kernel_width``; ``logistic``
     uses ``classifier_weights`` (length ``d1 + 1``, bias last) and
     ``ns_over_nt``; ``analytic`` uses ``params`` (isotropic-Gaussian pair:
-    ``source_mean``, ``target_mean``, ``cov_scale``). A fitted ``ulsif``
+    ``source_mean`` and ``target_mean``, tuples of floats, and the float
+    ``cov_scale``; only :func:`ratio_model_from_dict` decodes them from
+    JSON, construction checks their lengths and sign). A fitted ``ulsif``
     model also carries ``cv``, its cross-validation record: the ``widths``
     and ``ridges`` grids, the ``scores`` grid (``None`` where a cell was
     refused), the chosen ``width_index`` and ``ridge_index``,
@@ -140,18 +142,13 @@ class RatioModel:
             w.setflags(write=False)
             object.__setattr__(self, "classifier_weights", w)
         else:
-            p = decode_value(dict, self.params, "params")
-            p = {
-                k: decode_value(tp, p.get(k), f"params.{k}")
-                for k, tp in _ANALYTIC_PARAMS.items()
-            }
+            p = self.params
             mu_p, mu_q = p["source_mean"], p["target_mean"]
             if not (mu_p and len(mu_p) == len(mu_q) and p["cov_scale"] > 0):
                 raise ConfigInvalid(
                     "analytic params need equal, non-zero mean lengths and "
                     f"cov_scale > 0; got {p}"
                 )
-            object.__setattr__(self, "params", p)
 
     @property
     def feature_dim(self) -> int:
@@ -484,11 +481,12 @@ def _cho_solve_ridge(H: np.ndarray, h: np.ndarray, ridge: float) -> np.ndarray:
 def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     """Fit the discriminative (source-vs-target classifier) ratio estimator.
 
-    Features are standardized internally; the ridge strength is chosen from
-    the config candidates by k-fold held-out log-loss, and the final
-    gradient descent runs until the gradient norm drops below 1e-6 (at most
-    10^4 iterations, else :class:`NonConvergence`). The returned weights
-    are mapped back to the raw feature scale, bias last.
+    Features are standardized internally. Each fold's split is built once,
+    and the ridge strength is chosen from the config candidates by k-fold
+    held-out log-loss, each fold fit by damped Newton to a gradient norm
+    below 1e-5. The refit runs until the gradient norm drops below 1e-6 (at
+    most 100 Newton steps, else :class:`NonConvergence`). The returned
+    weights are mapped back to the raw feature scale, bias last.
     """
     xs, xt = _check_xy(source_x, target_x)
     rng = _rng(cfg.seed)
@@ -504,24 +502,24 @@ def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     fold = np.concatenate(
         [_fold_ids(n_s, cfg.cv_folds, rng), _fold_ids(n_t, cfg.cv_folds, rng)]
     )
-    best = None  # (nll, ridge)
-    for ridge in cfg.ridge_strengths:
-        nlls = []
-        # A fold past the larger sample's size holds no sample at all.
-        for f in range(min(cfg.cv_folds, max(n_s, n_t))):
-            tr, va = fold != f, fold == f
-            if not va.any() or len(np.unique(y[tr])) < 2:
-                continue
-            w = _logistic_gd(z[tr], y[tr], ridge, tol=1e-5, max_iter=2000, strict=False)
-            s = z[va] @ w[:-1] + w[-1]
-            nlls.append(float(np.mean(np.logaddexp(0.0, s) - y[va] * s)))
-        if nlls:
-            nll = float(np.mean(nlls))
-            if best is None or nll < best[0]:
-                best = (nll, ridge)
-    ridge = cfg.ridge_strengths[0] if best is None else best[1]
+    ridges = cfg.ridge_strengths
+    nlls = []  # per scored fold, the held-out log-loss at each ridge
+    # A fold past the larger sample's size holds no sample at all.
+    for f in range(min(cfg.cv_folds, max(n_s, n_t))):
+        tr, va = fold != f, fold == f
+        if not va.any() or len(np.unique(y[tr])) < 2:
+            continue
+        z_tr, y_tr, z_va, y_va = z[tr], y[tr], z[va], y[va]
+        row = []
+        for ridge in ridges:
+            w = _logistic_gd(z_tr, y_tr, ridge, tol=1e-5, max_iter=100, strict=False)
+            s = z_va @ w[:-1] + w[-1]
+            row.append(float(np.mean(np.logaddexp(0.0, s) - y_va * s)))
+        nlls.append(row)
+    # The first ridge with the lowest mean held-out log-loss.
+    ridge = ridges[int(np.argmin(np.mean(nlls, axis=0)))] if nlls else ridges[0]
 
-    w = _logistic_gd(z, y, ridge, tol=1e-6, max_iter=10_000, strict=True)
+    w = _logistic_gd(z, y, ridge, tol=1e-6, max_iter=100, strict=True)
     raw = np.empty(xs.shape[1] + 1)
     raw[:-1] = w[:-1] / sd
     raw[-1] = w[-1] - float(np.sum(w[:-1] * mu / sd))
@@ -541,48 +539,46 @@ def _logistic_gd(
     max_iter: int,
     strict: bool,
 ) -> np.ndarray:
-    """Gradient descent with backtracking on L2-regularized logistic loss.
-
-    The bias (last coefficient) is not penalized. Loss is the mean negative
-    log-likelihood plus ``0.5 * ridge * ||w||^2``.
+    """Damped Newton (IRLS) on the mean negative log-likelihood plus
+    ``0.5 * ridge * ||w||^2``, the bias (last coefficient) unpenalized. Each
+    step solves the Hessian ``X^T diag(p(1-p)) X / n + ridge*reg`` (or is the
+    gradient, if Cholesky refuses it) and is halved until Armijo's test holds.
     """
     n, d = z.shape
     X = np.hstack([z, np.ones((n, 1))])
     w = np.zeros(d + 1)
-    reg = np.ones(d + 1)
-    reg[-1] = 0.0
+    reg = np.append(np.full(d, ridge), 0.0)
 
     def loss_grad(w):
         s = X @ w
         loss = float(np.mean(np.logaddexp(0.0, s) - y * s))
-        loss += 0.5 * ridge * float(np.sum(reg * w * w))
-        g = X.T @ (scipy.special.expit(s) - y) / n + ridge * reg * w
-        return loss, g
+        loss += 0.5 * float(reg @ (w * w))
+        p = np.exp(-np.logaddexp(0.0, -s))  # the sigmoid, without overflow
+        return loss, p, X.T @ (p - y) / n + reg * w
 
-    loss, g = loss_grad(w)
-    step = 1.0
-    gnorm = float(np.linalg.norm(g))
+    loss, p, g = loss_grad(w)
     for _ in range(max_iter):
-        if gnorm < tol:
+        if np.linalg.norm(g) < tol:
             return w
-        g2 = gnorm * gnorm
-        while True:
-            w_new = w - step * g
-            loss_new, g_new = loss_grad(w_new)
-            if loss_new <= loss - 1e-4 * step * g2 or step < 1e-16:
+        H = (X.T * (p * (1.0 - p))) @ X / n
+        H.reshape(-1)[:: d + 2] += reg  # its diagonal, as a view
+        try:
+            step = _cho_solve_ridge(H, g, 0.0)
+        except SingularSystem:
+            step = g
+        slope = 1e-4 * float(g @ step)
+        for t in 0.5 ** np.arange(55):  # the last, 2^-54, is taken regardless
+            loss_new, p_new, g_new = loss_grad(w - t * step)
+            if loss_new <= loss - t * slope:
                 break
-            step *= 0.5
-        w, loss, g = w_new, loss_new, g_new
-        gnorm = float(np.linalg.norm(g))
-        step = min(step * 2.0, 1e4)
-    if gnorm < tol:
+        w, loss, p, g = w - t * step, loss_new, p_new, g_new
+    gnorm = float(np.linalg.norm(g))
+    if gnorm < tol or not strict:
         return w
-    if strict:
-        raise NonConvergence(
-            f"logistic fit: gradient norm {gnorm:.3e} after {max_iter} iterations "
-            f"(tolerance {tol:g})"
-        )
-    return w
+    raise NonConvergence(
+        f"logistic fit: gradient norm {gnorm:.3e} after {max_iter} iterations "
+        f"(tolerance {tol:g})"
+    )
 
 
 def fit_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
@@ -641,7 +637,11 @@ def analytic_gaussian_ratio(
     Equal isotropic covariances make the ratio a single exponential:
     ``beta(x) = exp((||x - mu_p||^2 - ||x - mu_q||^2) / (2 s))``.
     """
-    params = dict(source_mean=source_mean, target_mean=target_mean, cov_scale=cov_scale)
+    params = {
+        "source_mean": tuple(map(float, source_mean)),
+        "target_mean": tuple(map(float, target_mean)),
+        "cov_scale": float(cov_scale),
+    }
     return RatioModel(kind="analytic", bound=bound, params=params)
 
 
@@ -662,6 +662,12 @@ def ratio_model_from_dict(doc: dict) -> RatioModel:
         raise MalformedFile(f"bad ratio model kind {kind!r}")
     types = {"bound": float, **_DOC_KEYS[kind]}
     fields = decode_object(types, doc, "ratio model", {"cv": None})
+    if kind == "analytic":
+        p = fields["params"]
+        fields["params"] = {
+            k: decode_value(tp, p.get(k), f"params.{k}")
+            for k, tp in _ANALYTIC_PARAMS.items()
+        }
     return RatioModel(kind=kind, **fields)
 
 

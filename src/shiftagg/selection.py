@@ -41,6 +41,11 @@ __all__ = [
     "RESERVED_METHOD_NAMES",
 ]
 
+# A moment-formed true risk at or below 8 ulps of the size of its three
+# terms is rounding noise and reads 0.0: labels equal to one model's
+# predictions leave at most 3 such ulps.
+_RISK_NOISE = 8 * float(np.finfo(np.float64).eps)
+
 # Baselines that need ingredients absent from the bundle format (feature
 # embeddings, training internals). Their method-name slots are reserved in
 # the report schema so downstream tooling can merge externally computed rows.
@@ -165,8 +170,9 @@ def build_method_rows(
     target Gram matrix ``G``, the oracle moments ``g'`` and ``||y'||^2 / n_t``
     are computed once; the oracle solve uses them and is made first, so its
     risk can scale every row as it is built. Each aggregation's true risk
-    ``||y'||^2 / n_t - 2 c.g' + c'Gc`` comes from them too (0.0 if it rounds
-    below zero); the per-model true risks come from :func:`model_risks`.
+    ``||y'||^2 / n_t - 2 c.g' + c'Gc`` comes from them too (0.0 if it is
+    within a few ulps of its terms' size, or below zero); the per-model true
+    risks come from :func:`model_risks`.
     """
     labels_t = bundle.target.oracle_labels
     betas = {s: resolve_beta(bundle, ratio)[0] for s, ratio in beta_by_name.items()}
@@ -180,7 +186,10 @@ def build_method_rows(
     def true_risk_of(c) -> float | None:
         if labels_t is None:
             return None
-        return max(0.0, label_sq - 2.0 * float(c @ g_t) + float(c @ G @ c))
+        cross, quad = 2.0 * float(c @ g_t), float(c @ G @ c)
+        risk = label_sq - cross + quad
+        noise = _RISK_NOISE * (label_sq + abs(cross) + abs(quad))
+        return risk if risk > noise else 0.0
 
     if labels_t is not None:
         true_risks = model_risks(bundle.target_preds, labels_t).tolist()

@@ -1,6 +1,10 @@
 """Density-ratio estimators against the closed-form Gaussian oracle."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -632,6 +636,60 @@ class TestLogistic:
         with pytest.raises(NonConvergence, match="gradient norm"):
             _logistic_gd(z, y, ridge=1e-3, tol=1e-15, max_iter=3, strict=True)
 
+    def test_refused_hessian_takes_a_gradient_step(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(32))
+        z = rng.standard_normal((200, 3))
+        y = (rng.uniform(size=200) < 0.5 + 0.2 * np.tanh(z[:, 0])).astype(float)
+        want = ratio._logistic_gd(z, y, 1e-2, tol=1e-9, max_iter=100, strict=True)
+        solve, calls = ratio._cho_solve_ridge, []
+
+        def refuse_first(H, h, r):
+            calls.append(r)
+            if len(calls) == 1:
+                raise SingularSystem("refused")
+            return solve(H, h, r)
+
+        monkeypatch.setattr(ratio, "_cho_solve_ridge", refuse_first)
+        got = ratio._logistic_gd(z, y, 1e-2, tol=1e-9, max_iter=100, strict=True)
+        assert len(calls) > 1
+        np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9)
+
+    def test_newton_solution_has_zero_gradient(self):
+        """The fit is the regularized optimum: its gradient, formed here with
+        the textbook sigmoid, is below the refit tolerance."""
+        rng = np.random.Generator(np.random.Philox(33))
+        z = rng.standard_normal((500, 4))
+        y = (rng.uniform(size=500) < 1 / (1 + np.exp(-2.0 * z[:, 1]))).astype(float)
+        ridge = 1e-3
+        w = ratio._logistic_gd(z, y, ridge, tol=1e-6, max_iter=100, strict=True)
+        X = np.hstack([z, np.ones((500, 1))])
+        grad = X.T @ (1 / (1 + np.exp(-(X @ w))) - y) / 500
+        grad[:-1] += ridge * w[:-1]
+        assert float(np.linalg.norm(grad)) < 1e-6
+
+    def test_no_process_imports_scipy_special(self):
+        """Importing the package and its CLI and fitting a logistic ratio load
+        no ``scipy.special``, whose import every process would pay for."""
+        code = "\n".join(
+            [
+                "import sys",
+                "import numpy as np",
+                "import shiftagg, shiftagg.cli",
+                "from shiftagg.ratio import RatioFitConfig, fit_logistic_ratio",
+                "rng = np.random.Generator(np.random.Philox(0))",
+                "xs, xt = rng.standard_normal((30, 2)), rng.normal(0.5, 1.0, (30, 2))",
+                "fit_logistic_ratio(xs, xt, RatioFitConfig(estimator='logistic'))",
+                "print([m for m in sys.modules if m.startswith('scipy.special')])",
+            ]
+        )
+        src = str(pathlib.Path(ratio.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
 
 @pytest.mark.parametrize("estimator", ["ulsif", "logistic"])
 @pytest.mark.parametrize("folds", [10**15, 10**29])
@@ -761,3 +819,25 @@ class TestModelSerialization:
         loaded = load_ratio_model(tmp_path / "ratio.json")
         x = np.random.Generator(np.random.Philox(1)).standard_normal((20, 2))
         assert np.array_equal(evaluate_ratio(loaded, x), evaluate_ratio(model, x))
+        assert loaded.params == model.params
+
+    def test_analytic_construction_does_not_decode(self, monkeypatch):
+        """In-memory params skip the JSON decoder, which only a loaded
+        ``ratio.json`` needs."""
+        monkeypatch.setattr(ratio, "decode_value", mock.Mock(side_effect=AssertionError))
+        model = analytic_gaussian_ratio(np.array([0.0, 1.0]), [0.5, 1], 2)
+        assert model.params == {
+            "source_mean": (0.0, 1.0),
+            "target_mean": (0.5, 1.0),
+            "cov_scale": 2.0,
+        }
+
+    @pytest.mark.parametrize(
+        "mu_p, mu_q, scale",
+        [([0.0], [0.5, 0.0], 1.0), ([], [], 1.0), ([0.0], [0.5], 0.0),
+         ([0.0], [0.5], math.nan)],
+        ids=["length_mismatch", "empty_means", "zero_scale", "nan_scale"],
+    )
+    def test_bad_analytic_params_in_memory(self, mu_p, mu_q, scale):
+        with pytest.raises(ConfigInvalid, match="analytic params"):
+            analytic_gaussian_ratio(mu_p, mu_q, scale)
