@@ -40,7 +40,7 @@ def _inputs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_curve() -> list[dict]:
-    cfg = RatioFitConfig(estimator="logistic", seed=SEED)
+    cfg = RatioFitConfig(seed=SEED)
     rows = []
     for n in SIZES:
         xs, xt = _inputs(n)

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .data import PredictionBundle, as_label_matrix
 from .errors import (
@@ -37,9 +36,11 @@ from .errors import (
     IllConditioned,
     MissingOracleLabels,
     NegativeWeight,
+    NonFiniteValue,
     NonSymmetric,
+    NumericalError,
 )
-from .ratio import RatioModel, evaluate_ratio
+from .ratio import RatioModel, _cho_factor, _cho_solve, evaluate_ratio
 from .serialize import config_to_dict
 
 __all__ = [
@@ -216,24 +217,20 @@ def _solve_spd(G, g, lam: float) -> tuple[np.ndarray, float, float]:
     if not 0 <= lam < np.inf:
         raise ConfigInvalid(f"tikhonov value must be finite and nonnegative, got {lam}")
 
-    A = G + lam * np.eye(m)
     try:
-        cf = scipy.linalg.cho_factor(A, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        L = _cho_factor(G, lam)
+    except (NonFiniteValue, NumericalError) as exc:
         raise IllConditioned(
             f"factorization failed at lam={lam!r}; supply a larger value"
         ) from exc
-    pivots = np.abs(np.diag(cf[0]))
-    pmin = float(np.min(pivots))
-    if pmin == 0.0:
-        raise IllConditioned(f"zero pivot at lam={lam!r}")
-    cond = (float(np.max(pivots)) / pmin) ** 2
+    pivots = np.diag(L)  # all positive, as the factorization succeeded
+    cond = (float(np.max(pivots)) / float(np.min(pivots))) ** 2
     if lam == 0.0 and cond >= CONDITION_LIMIT:
         raise IllConditioned(
             f"condition estimate {cond:.3e} >= 1e12 at lam=0; supply lam > 0"
         )
 
-    c = scipy.linalg.cho_solve(cf, g)
+    c = _cho_solve(L, g)
     tol = RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(g), initial=0.0)))
     resid = _residual_inf(G, lam, c, g)
     for _ in range(5):
@@ -242,12 +239,12 @@ def _solve_spd(G, g, lam: float) -> tuple[np.ndarray, float, float]:
         if resid <= 1e-3 * tol:
             break
         r = np.einsum("ku,u->k", G, c, optimize=False) + lam * c - g
-        c_new = c - scipy.linalg.cho_solve(cf, r)
+        c_new = c - _cho_solve(L, r)
         resid_new = _residual_inf(G, lam, c_new, g)
-        if resid_new >= resid:
+        if not resid_new < resid:  # also stops on a NaN residual
             break
         c, resid = c_new, resid_new
-    if resid > tol:
+    if not resid <= tol:
         raise IllConditioned(
             f"residual {resid:.3e} exceeds contract at lam={lam!r}"
         )

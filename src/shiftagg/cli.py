@@ -149,15 +149,17 @@ def cmd_estimate_ratio(args) -> int:
         raise ConfigInvalid(
             "ratio estimation needs features on both samples: " + "; ".join(missing)
         )
-    cfg = (
-        config_from_dict(ratio.RatioFitConfig, read_json(args.config))
-        if args.config
-        else ratio.RatioFitConfig()
-    )
+    doc = read_json(args.config) if args.config else {}
+    # estimator sits beside the ratio config's fields in the same file.
+    doc = dict(decode_value(dict, doc, "ratio config"))
+    estimator = decode_value(str, doc.pop("estimator", "ulsif"), "estimator")
+    cfg = config_from_dict(ratio.RatioFitConfig, doc)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
 
-    model = ratio.fit_ratio(bundle.source.features, bundle.target.features, cfg)
+    model = ratio.fit_ratio(
+        bundle.source.features, bundle.target.features, cfg, estimator
+    )
     beta, saturation = aggregation.resolve_beta(bundle, model)
 
     outdir = _ensure_outdir(args.output)
@@ -279,13 +281,6 @@ def cmd_bench(args) -> int:
     trials = decode_value(int, doc.pop("trials", 100), "trials")
     seed = decode_value(int, doc.pop("seed", 0), "seed")
     cfg = config_from_dict(synth.SuiteConfig, doc)
-    # SuiteConfig sees only the decoded ratio block, where an explicit
-    # default estimator looks like an absent one, so the key is checked here.
-    named = doc.get("ratio", {}).get("estimator", cfg.ratio.estimator)
-    if named != cfg.ratio.estimator:
-        raise ConfigInvalid(
-            f"ratio.estimator {named!r} conflicts with estimator {cfg.estimator!r}"
-        )
     trials = args.trials if args.trials is not None else trials
     seed = args.seed if args.seed is not None else seed
 

@@ -161,14 +161,14 @@ class RatioModel:
 
 @dataclass(frozen=True)
 class RatioFitConfig:
-    """Grid and bookkeeping for ratio fitting.
+    """Grid and bookkeeping for ratio fitting, shared by both estimators;
+    which one runs is the caller's choice (see :func:`fit_ratio`).
 
     ``kernel_widths=None`` selects the standard data-driven grid
     ``{0.1, 0.3, 1, 3, 10} * median pairwise distance``. ``n_centers=None``
     becomes ``min(100, n_t)``.
     """
 
-    estimator: str = "ulsif"
     kernel_widths: tuple[float, ...] | None = None
     ridge_strengths: tuple[float, ...] = DEFAULT_RIDGE_GRID
     n_centers: int | None = None
@@ -177,8 +177,6 @@ class RatioFitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.estimator not in ("ulsif", "logistic"):
-            raise ConfigInvalid(f"unknown estimator {self.estimator!r}")
         if self.kernel_widths is not None:
             widths = tuple(float(w) for w in self.kernel_widths)
             if not widths or any(w <= 0 for w in widths):
@@ -452,16 +450,14 @@ def _clip_in_place(v: np.ndarray, bound: float) -> np.ndarray:
     return np.minimum(v, bound, out=v)
 
 
-def _cho_solve_ridge(H: np.ndarray, h: np.ndarray, ridge: float) -> np.ndarray:
-    """Solve ``(H + ridge*I) x = h`` by Cholesky.
-
-    Calls LAPACK ``potrf``/``potrs`` as ``scipy.linalg.cho_factor(lower=True)``
-    and ``cho_solve`` do, with the same checks, minus their per-call wrapper
-    cost; every failure is a shiftagg error.
+def _cho_factor(H: np.ndarray, ridge: float) -> np.ndarray:
+    """The lower Cholesky factor of ``H + ridge*I``, by LAPACK ``potrf`` as
+    ``scipy.linalg.cho_factor(lower=True)`` calls it, minus its wrapper cost.
+    Its diagonal, the pivots, is positive; every failure is a shiftagg error.
     """
     A = H.copy()
     A.reshape(-1)[:: A.shape[0] + 1] += ridge  # its diagonal, as a view
-    if not (np.isfinite(A).all() and np.isfinite(h).all()):
+    if not np.isfinite(A).all():
         raise NonFiniteValue(f"kernel system is not finite at ridge={ridge!r}")
     c, info = _POTRF(A, lower=1, overwrite_a=0, clean=0)
     if info > 0:
@@ -469,21 +465,35 @@ def _cho_solve_ridge(H: np.ndarray, h: np.ndarray, ridge: float) -> np.ndarray:
             f"kernel Gram matrix not factorizable at ridge={ridge!r}: its "
             f"{info}-th leading minor is not positive definite"
         )
-    if info == 0:
-        x, info = _POTRS(c, h, lower=1, overwrite_b=0)
-    if info != 0:
+    if info < 0:
         raise NumericalError(
             f"LAPACK Cholesky rejected argument {-info} at ridge={ridge!r}"
         )
+    return c
+
+
+def _cho_solve(c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Solve by LAPACK ``potrs`` with the lower factor ``c`` of
+    :func:`_cho_factor`, as ``scipy.linalg.cho_solve`` does."""
+    x, info = _POTRS(c, h, lower=1, overwrite_b=0)
+    if info != 0:
+        raise NumericalError(f"LAPACK Cholesky solve rejected argument {-info}")
     return x
+
+
+def _cho_solve_ridge(H: np.ndarray, h: np.ndarray, ridge: float) -> np.ndarray:
+    """Solve ``(H + ridge*I) x = h`` by Cholesky."""
+    if not np.isfinite(h).all():
+        raise NonFiniteValue(f"kernel system is not finite at ridge={ridge!r}")
+    return _cho_solve(_cho_factor(H, ridge), h)
 
 
 def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     """Fit the discriminative (source-vs-target classifier) ratio estimator.
 
-    Features are standardized internally. Each fold's split is built once,
-    and the ridge strength is chosen from the config candidates by k-fold
-    held-out log-loss, each fold fit by damped Newton to a gradient norm
+    Features are standardized internally and stacked with a column of ones
+    once. Each fold's split takes its rows once, and the ridge strength is
+    chosen from the config candidates by k-fold held-out log-loss, each fold fit by damped Newton to a gradient norm
     below 1e-5. The refit runs until the gradient norm drops below 1e-6 (at
     most 100 Newton steps, else :class:`NonConvergence`). The returned
     weights are mapped back to the raw feature scale, bias last.
@@ -497,6 +507,7 @@ def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     sd = pooled.std(axis=0)
     sd[sd == 0] = 1.0
     z = (pooled - mu) / sd
+    X = np.hstack([z, np.ones((len(z), 1))])
     y = np.concatenate([np.zeros(n_s), np.ones(n_t)])
 
     fold = np.concatenate(
@@ -509,17 +520,17 @@ def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
         tr, va = fold != f, fold == f
         if not va.any() or len(np.unique(y[tr])) < 2:
             continue
-        z_tr, y_tr, z_va, y_va = z[tr], y[tr], z[va], y[va]
+        X_tr, y_tr, z_va, y_va = X[tr], y[tr], z[va], y[va]
         row = []
         for ridge in ridges:
-            w = _logistic_gd(z_tr, y_tr, ridge, tol=1e-5, max_iter=100, strict=False)
+            w = _logistic_gd(X_tr, y_tr, ridge, tol=1e-5, max_iter=100, strict=False)
             s = z_va @ w[:-1] + w[-1]
             row.append(float(np.mean(np.logaddexp(0.0, s) - y_va * s)))
         nlls.append(row)
     # The first ridge with the lowest mean held-out log-loss.
     ridge = ridges[int(np.argmin(np.mean(nlls, axis=0)))] if nlls else ridges[0]
 
-    w = _logistic_gd(z, y, ridge, tol=1e-6, max_iter=100, strict=True)
+    w = _logistic_gd(X, y, ridge, tol=1e-6, max_iter=100, strict=True)
     raw = np.empty(xs.shape[1] + 1)
     raw[:-1] = w[:-1] / sd
     raw[-1] = w[-1] - float(np.sum(w[:-1] * mu / sd))
@@ -532,20 +543,20 @@ def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
 
 
 def _logistic_gd(
-    z: np.ndarray,
+    X: np.ndarray,
     y: np.ndarray,
     ridge: float,
     tol: float,
     max_iter: int,
     strict: bool,
 ) -> np.ndarray:
-    """Damped Newton (IRLS) on the mean negative log-likelihood plus
+    """Damped Newton (IRLS) on the mean negative log-likelihood of the
+    design matrix ``X`` (features, then a column of ones) plus
     ``0.5 * ridge * ||w||^2``, the bias (last coefficient) unpenalized. Each
     step solves the Hessian ``X^T diag(p(1-p)) X / n + ridge*reg`` (or is the
     gradient, if Cholesky refuses it) and is halved until Armijo's test holds.
     """
-    n, d = z.shape
-    X = np.hstack([z, np.ones((n, 1))])
+    n, d = X.shape[0], X.shape[1] - 1
     w = np.zeros(d + 1)
     reg = np.append(np.full(d, ridge), 0.0)
 
@@ -581,11 +592,15 @@ def _logistic_gd(
     )
 
 
-def fit_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
-    """Dispatch to the estimator named in ``cfg.estimator``."""
-    if cfg.estimator == "ulsif":
+def fit_ratio(
+    source_x, target_x, cfg: RatioFitConfig, estimator: str = "ulsif"
+) -> RatioModel:
+    """Fit the ratio with ``estimator``, ``"ulsif"`` or ``"logistic"``."""
+    if estimator == "ulsif":
         return fit_ulsif(source_x, target_x, cfg)
-    return fit_logistic_ratio(source_x, target_x, cfg)
+    if estimator == "logistic":
+        return fit_logistic_ratio(source_x, target_x, cfg)
+    raise ConfigInvalid(f"unknown estimator {estimator!r}")
 
 
 def evaluate_ratio(model: RatioModel, x) -> np.ndarray:

@@ -38,21 +38,12 @@ __all__ = [
     "select_source_risk",
     "select_iwv",
     "compare_methods",
-    "RESERVED_METHOD_NAMES",
 ]
 
 # A moment-formed true risk at or below 8 ulps of the size of its three
 # terms is rounding noise and reads 0.0: labels equal to one model's
 # predictions leave at most 3 such ulps.
 _RISK_NOISE = 8 * float(np.finfo(np.float64).eps)
-
-# Baselines that need ingredients absent from the bundle format (feature
-# embeddings, training internals). Their method-name slots are reserved in
-# the report schema so downstream tooling can merge externally computed rows.
-RESERVED_METHOD_NAMES = (
-    "select_deep_embedded_validation",
-    "select_balancing_principle",
-)
 
 
 @dataclass(frozen=True)

@@ -321,8 +321,8 @@ def generate_task(cfg: SynthTaskConfig) -> SynthTask:
 class SuiteConfig:
     """Task template plus ratio-estimation settings for a trial suite.
 
-    ``ratio.estimator`` takes the value of ``estimator``; a ratio config
-    that names the non-default estimator against it is a conflict.
+    ``estimator`` names the fitted ratio (``None``: the analytic one only);
+    ``ratio`` holds the settings of that fit.
     """
 
     task: SynthTaskConfig = SynthTaskConfig()
@@ -333,15 +333,6 @@ class SuiteConfig:
     def __post_init__(self):
         if self.estimator not in (None, "ulsif", "logistic"):
             raise ConfigInvalid(f"unknown estimator {self.estimator!r}")
-        if self.estimator is not None and self.ratio.estimator != self.estimator:
-            if self.ratio.estimator != RatioFitConfig.estimator:
-                raise ConfigInvalid(
-                    f"ratio.estimator {self.ratio.estimator!r} conflicts with "
-                    f"estimator {self.estimator!r}"
-                )
-            object.__setattr__(
-                self, "ratio", replace(self.ratio, estimator=self.estimator)
-            )
 
 
 @dataclass(frozen=True)
@@ -403,6 +394,7 @@ def _run_trial(cfg: SuiteConfig, trial: int, task_seed: int, ratio_seed: int):
             task.bundle.source.features,
             task.bundle.target.features,
             replace(cfg.ratio, seed=ratio_seed),
+            cfg.estimator,
         )
     rows = build_method_rows(task.bundle, betas, cfg.lam)
     return TrialRecord(

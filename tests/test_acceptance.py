@@ -132,7 +132,7 @@ def test_criterion_5_density_ratio_recovery():
     results["ulsif"] = float(np.mean((beta_u - true) ** 2))
     assert np.all(beta_u >= 0) and np.all(beta_u <= model_u.bound)
 
-    model_l = fit_logistic_ratio(xs, xt, RatioFitConfig(estimator="logistic", seed=3))
+    model_l = fit_logistic_ratio(xs, xt, RatioFitConfig(seed=3))
     beta_l = evaluate_ratio(model_l, grid)
     results["logistic"] = float(np.mean((beta_l - true) ** 2))
     assert np.all(beta_l >= 0) and np.all(beta_l <= model_l.bound)

@@ -248,6 +248,19 @@ class TestSolveCoefficients:
         with pytest.raises(IllConditioned):
             solve_coefficients(G, np.ones(2), 0.0)
 
+    def test_overflowing_system_is_refused(self):
+        # G and lam are finite, but G + lam*I is not.
+        with np.errstate(over="ignore"), pytest.raises(
+            IllConditioned, match="factorization failed"
+        ):
+            solve_coefficients(np.diag([1e308, 1.0]), np.ones(2), 1e308)
+
+    def test_overflowing_solution_is_refused(self):
+        # A tiny explicit lam skips the condition check; the solution
+        # overflows and its residual is NaN, which no contract accepts.
+        with pytest.raises(IllConditioned, match="residual nan"):
+            solve_coefficients(np.diag([1.0, 1e-300]), np.array([1.0, 1e10]), 1e-300)
+
     def test_residual_contract(self):
         rng = np.random.Generator(np.random.Philox(16))
         for _ in range(20):

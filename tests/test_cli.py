@@ -19,6 +19,7 @@ from shiftagg import aggregation, cli
 from shiftagg.cli import main
 from shiftagg.data import (
     PredictionBundle,
+    load_bundle,
     write_bundle,
     write_embeddings,
     LayerEmbeddings,
@@ -26,7 +27,8 @@ from shiftagg.data import (
 )
 from shiftagg.serialize import read_csv, write_csv, write_json
 from shiftagg.synth import SynthTaskConfig, generate_task
-from shiftagg.ratio import analytic_gaussian_ratio, save_ratio_model
+from shiftagg.ratio import RatioFitConfig, analytic_gaussian_ratio, fit_ratio
+from shiftagg.ratio import save_ratio_model
 
 from conftest import build_bundle
 
@@ -169,6 +171,38 @@ class TestEstimateRatio:
         )
         assert code == 2
         assert "n_s=1" in capsys.readouterr().err
+
+    def test_config_names_the_estimator(self, task_dir, tmp_path):
+        write_json(tmp_path / "cfg.json", {"estimator": "logistic", "seed": 3})
+        out = tmp_path / "out"
+        assert main(
+            ["estimate-ratio", "--input", str(task_dir), "--output", str(out),
+             "--config", str(tmp_path / "cfg.json")]
+        ) == 0
+        bundle = load_bundle(task_dir)
+        model = fit_ratio(
+            bundle.source.features, bundle.target.features,
+            RatioFitConfig(seed=3), "logistic",
+        )
+        assert model.kind == "logistic"
+        save_ratio_model(model, tmp_path / "api.json")
+        assert (out / "ratio.json").read_bytes() == (
+            tmp_path / "api.json"
+        ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("bogus", "unknown estimator 'bogus'"),
+         (3, "key 'estimator' takes a string, not 3")],
+    )
+    def test_bad_estimator_exit_2(self, value, message, task_dir, tmp_path, capsys):
+        write_json(tmp_path / "cfg.json", {"estimator": value})
+        assert main(
+            ["estimate-ratio", "--input", str(task_dir), "--output",
+             str(tmp_path / "out"), "--config", str(tmp_path / "cfg.json")]
+        ) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestAggregate:
@@ -462,7 +496,7 @@ class TestBench:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
-    def test_estimator_recorded_in_ratio_config(self, tmp_path):
+    def test_estimator_recorded_in_suite_config(self, tmp_path):
         cfg = tmp_path / "suite.json"
         write_json(
             cfg,
@@ -472,26 +506,24 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--output", str(out),
                      "--trials", "1"]) == 0
         doc = json.loads((out / "suite.json").read_text())
-        assert doc["config"]["ratio"]["estimator"] == "logistic"
+        assert doc["config"]["estimator"] == "logistic"
+        assert "estimator" not in doc["config"]["ratio"]
         methods = {r["method"] for r in doc["per_trial"][0]["rows"]}
         assert "aggregate_logistic" in methods and "aggregate_ulsif" not in methods
 
-    def test_conflicting_ratio_estimator_exit_2(self, tmp_path, capsys):
+    def test_ratio_block_estimator_is_unknown_key_exit_2(self, tmp_path, capsys):
+        # The suite names its estimator once, at the top level.
         cfg = tmp_path / "suite.json"
-        write_json(
-            cfg, {"estimator": "logistic", "ratio": {"estimator": "ulsif"}, "trials": 1}
-        )
+        write_json(cfg, {"estimator": "logistic", "ratio": {"estimator": "ulsif"}})
         assert main(["bench", "--config", str(cfg), "--output",
                      str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err == (
-            "error: ratio.estimator 'ulsif' conflicts with estimator 'logistic'\n"
-        )
+        assert err == "error: unknown config keys ['ratio.estimator']\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("estimator", ["ulsif", "logistic", None])
     def test_written_config_block_reloads(self, estimator, tmp_path):
-        # The block names ratio.estimator equal to the effective estimator.
+        # The suite's estimator is written once, outside the ratio block.
         cfg = tmp_path / "suite.json"
         write_json(
             cfg,
@@ -502,7 +534,8 @@ class TestBench:
         first = tmp_path / "first"
         assert main(["bench", "--config", str(cfg), "--output", str(first)]) == 0
         doc = json.loads((first / "suite.json").read_text())
-        assert "estimator" in doc["config"]["ratio"]
+        assert doc["config"]["estimator"] == estimator
+        assert "estimator" not in doc["config"]["ratio"]
         again = tmp_path / "again.json"
         write_json(again, {**doc["config"], "trials": 1, "seed": doc["seed"]})
         second = tmp_path / "second"

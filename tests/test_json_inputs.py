@@ -13,7 +13,6 @@ import pathlib
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,11 +207,11 @@ def _json_fuzz_seeds() -> tuple[dict, dict]:
         ),
         "ratio_ulsif": ratio_model_to_dict(fit_ratio(xs, xt, ratio_cfg)),
         "ratio_logistic": ratio_model_to_dict(
-            fit_ratio(xs, xt, replace(ratio_cfg, estimator="logistic"))
+            fit_ratio(xs, xt, ratio_cfg, "logistic")
         ),
         "suite": {"trials": 1, "seed": 3,
                   **config_to_dict(SuiteConfig(task=task, ratio=ratio_cfg))},
-        "ratio_config": config_to_dict(ratio_cfg),
+        "ratio_config": {"estimator": "ulsif", **config_to_dict(ratio_cfg)},
         "dump": {"layers": [{"l": 1, "p": [[0.0, 1.0], [1.0, 0.0]],
                              "q": [[1.0, 1.0], [0.5, 0.0]]}],
                  "pairing": [[0, 1], [1, 0]], "provenance": "fuzz"},

@@ -77,10 +77,7 @@ class TestUlsif:
         with pytest.raises(EmptyInput):
             fit_ulsif(np.empty((0, 1)), np.ones((5, 1)), RatioFitConfig())
         with pytest.raises(EmptyInput):
-            fit_logistic_ratio(
-                np.ones((5, 0)), np.ones((5, 0)),
-                RatioFitConfig(estimator="logistic"),
-            )
+            fit_logistic_ratio(np.ones((5, 0)), np.ones((5, 0)), RatioFitConfig())
 
     @pytest.mark.parametrize("estimator", ["ulsif", "logistic"])
     @pytest.mark.parametrize("side", [0, 1])
@@ -88,7 +85,13 @@ class TestUlsif:
         x = [np.zeros((20, 2)), np.ones((20, 2))]
         x[side][5, 0] = -1e200
         with pytest.raises(NonFiniteValue, match="squared norm overflows"):
-            ratio.fit_ratio(x[0], x[1], RatioFitConfig(estimator=estimator))
+            ratio.fit_ratio(x[0], x[1], RatioFitConfig(), estimator)
+
+    @pytest.mark.parametrize("estimator", ["bogus", "ULSIF", None])
+    def test_unknown_estimator_is_refused(self, estimator):
+        xs, xt = gaussian_pair(n=50)
+        with pytest.raises(ConfigInvalid, match="unknown estimator"):
+            ratio.fit_ratio(xs, xt, RatioFitConfig(), estimator)
 
     def test_solve_matches_dense_oracle(self):
         # Rebuild the kernel system by brute force and solve it generically;
@@ -160,6 +163,11 @@ def reference_widths(xs, xt, cfg, rng):
     med = reference_median_pairwise_distance(np.vstack([xs, xt]), rng)
     med = max(med, np.finfo(float).tiny)
     return tuple(s * med for s in ratio.DEFAULT_WIDTH_SCALES)
+
+
+def with_bias(z):
+    """The logistic fit's design matrix: ``z`` and a column of ones."""
+    return np.hstack([z, np.ones((len(z), 1))])
 
 
 def reference_cho_solve(H, h, ridge):
@@ -595,15 +603,13 @@ class TestLogistic:
     def test_identical_samples_near_chance(self):
         rng = np.random.Generator(np.random.Philox(8))
         x = rng.standard_normal((2000, 2))
-        model = fit_logistic_ratio(x, x, RatioFitConfig(estimator="logistic", seed=4))
+        model = fit_logistic_ratio(x, x, RatioFitConfig(seed=4))
         beta = evaluate_ratio(model, x)
         assert abs(float(np.mean(beta)) - 1.0) < 0.05
 
     def test_gaussian_recovery(self):
         xs, xt = gaussian_pair()
-        model = fit_logistic_ratio(
-            xs, xt, RatioFitConfig(estimator="logistic", seed=3)
-        )
+        model = fit_logistic_ratio(xs, xt, RatioFitConfig(seed=3))
         beta = evaluate_ratio(model, GRID)
         assert float(np.mean((beta - TRUE_RATIO) ** 2)) < 0.05
         assert np.all(beta >= 0.0) and np.all(beta <= model.bound)
@@ -612,9 +618,7 @@ class TestLogistic:
         rng = np.random.Generator(np.random.Philox(12))
         xs = rng.normal(-10.0, 0.3, (400, 1))
         xt = rng.normal(10.0, 0.3, (400, 1))
-        model = fit_logistic_ratio(
-            xs, xt, RatioFitConfig(estimator="logistic", seed=5)
-        )
+        model = fit_logistic_ratio(xs, xt, RatioFitConfig(seed=5))
         # Target side is forced onto the upper truncation bound; the source
         # side's odds collapse toward the lower bound.
         assert float(np.min(evaluate_ratio(model, xt))) == model.bound
@@ -622,7 +626,7 @@ class TestLogistic:
 
     def test_swap_symmetry(self):
         xs, xt = gaussian_pair()
-        cfg = RatioFitConfig(estimator="logistic", seed=3)
+        cfg = RatioFitConfig(seed=3)
         fwd = evaluate_ratio(fit_logistic_ratio(xs, xt, cfg), GRID)
         bwd = evaluate_ratio(fit_logistic_ratio(xt, xs, cfg), GRID)
         assert abs(float(np.median(fwd * bwd)) - 1.0) < 0.15
@@ -631,16 +635,17 @@ class TestLogistic:
         from shiftagg.ratio import _logistic_gd
 
         rng = np.random.Generator(np.random.Philox(31))
-        z = rng.standard_normal((100, 2))
+        X = with_bias(rng.standard_normal((100, 2)))
         y = (rng.uniform(size=100) < 0.5).astype(float)
         with pytest.raises(NonConvergence, match="gradient norm"):
-            _logistic_gd(z, y, ridge=1e-3, tol=1e-15, max_iter=3, strict=True)
+            _logistic_gd(X, y, ridge=1e-3, tol=1e-15, max_iter=3, strict=True)
 
     def test_refused_hessian_takes_a_gradient_step(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(32))
         z = rng.standard_normal((200, 3))
         y = (rng.uniform(size=200) < 0.5 + 0.2 * np.tanh(z[:, 0])).astype(float)
-        want = ratio._logistic_gd(z, y, 1e-2, tol=1e-9, max_iter=100, strict=True)
+        X = with_bias(z)
+        want = ratio._logistic_gd(X, y, 1e-2, tol=1e-9, max_iter=100, strict=True)
         solve, calls = ratio._cho_solve_ridge, []
 
         def refuse_first(H, h, r):
@@ -650,7 +655,7 @@ class TestLogistic:
             return solve(H, h, r)
 
         monkeypatch.setattr(ratio, "_cho_solve_ridge", refuse_first)
-        got = ratio._logistic_gd(z, y, 1e-2, tol=1e-9, max_iter=100, strict=True)
+        got = ratio._logistic_gd(X, y, 1e-2, tol=1e-9, max_iter=100, strict=True)
         assert len(calls) > 1
         np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9)
 
@@ -661,8 +666,8 @@ class TestLogistic:
         z = rng.standard_normal((500, 4))
         y = (rng.uniform(size=500) < 1 / (1 + np.exp(-2.0 * z[:, 1]))).astype(float)
         ridge = 1e-3
-        w = ratio._logistic_gd(z, y, ridge, tol=1e-6, max_iter=100, strict=True)
-        X = np.hstack([z, np.ones((500, 1))])
+        X = with_bias(z)
+        w = ratio._logistic_gd(X, y, ridge, tol=1e-6, max_iter=100, strict=True)
         grad = X.T @ (1 / (1 + np.exp(-(X @ w))) - y) / 500
         grad[:-1] += ridge * w[:-1]
         assert float(np.linalg.norm(grad)) < 1e-6
@@ -678,7 +683,7 @@ class TestLogistic:
                 "from shiftagg.ratio import RatioFitConfig, fit_logistic_ratio",
                 "rng = np.random.Generator(np.random.Philox(0))",
                 "xs, xt = rng.standard_normal((30, 2)), rng.normal(0.5, 1.0, (30, 2))",
-                "fit_logistic_ratio(xs, xt, RatioFitConfig(estimator='logistic'))",
+                "fit_logistic_ratio(xs, xt, RatioFitConfig())",
                 "print([m for m in sys.modules if m.startswith('scipy.special')])",
             ]
         )
@@ -699,8 +704,8 @@ def test_huge_cv_folds_fit_as_one_sample_folds(estimator, folds, tmp_path):
     rng = np.random.Generator(np.random.Philox(16))
     xs, xt = rng.standard_normal((40, 2)), rng.normal(0.3, 1.0, (30, 2))
     for name, k in (("huge.json", folds), ("n.json", 40)):
-        cfg = RatioFitConfig(estimator=estimator, cv_folds=k, seed=8)
-        save_ratio_model(fit_ratio(xs, xt, cfg), tmp_path / name)
+        cfg = RatioFitConfig(cv_folds=k, seed=8)
+        save_ratio_model(fit_ratio(xs, xt, cfg, estimator), tmp_path / name)
     assert (tmp_path / "huge.json").read_bytes() == (tmp_path / "n.json").read_bytes()
 
 

@@ -27,7 +27,6 @@ from shiftagg.errors import (
 )
 from shiftagg.ratio import RatioFitConfig, evaluate_ratio, fit_ratio
 from shiftagg.selection import (
-    RESERVED_METHOD_NAMES,
     MethodRow,
     SelectionOutcome,
     build_method_rows,
@@ -271,12 +270,6 @@ class TestCompareMethods:
         assert "select_iwv" not in names and "aggregate" not in names
         assert "select_source" in names and "aggregate_oracle" in names
 
-    def test_reserved_method_slots_stay_free(self):
-        bundle = build_bundle(m=2, seed=42)
-        names = compare_methods(bundle, np.ones(3)).method_names()
-        for reserved in RESERVED_METHOD_NAMES:
-            assert reserved not in names
-
     def test_table_renders(self):
         bundle = build_bundle(m=2, with_oracle=True, seed=43)
         table = compare_methods(bundle, np.ones(3)).format_table()
@@ -449,7 +442,8 @@ class TestMatchesReferenceBuilder:
         fitted = fit_ratio(
             task.bundle.source.features,
             task.bundle.target.features,
-            RatioFitConfig(estimator=estimator, n_centers=20, cv_folds=2, seed=3),
+            RatioFitConfig(n_centers=20, cv_folds=2, seed=3),
+            estimator,
         )
         betas = {"analytic": task.analytic_ratio, estimator: fitted}
         for lam in (None, 1e-6):

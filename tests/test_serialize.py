@@ -94,7 +94,6 @@ def _task_configs(draw):
 
 _ratio_configs = st.builds(
     RatioFitConfig,
-    estimator=st.sampled_from(["ulsif", "logistic"]),
     kernel_widths=st.none() | _grid,
     ridge_strengths=_grid,
     n_centers=st.none() | st.integers(1, 500),
@@ -106,11 +105,10 @@ _ratio_configs = st.builds(
 
 @st.composite
 def _suite_configs(draw):
-    ratio = draw(_ratio_configs)
     return SuiteConfig(
         task=draw(_task_configs()),
-        estimator=draw(st.sampled_from([None, ratio.estimator])),
-        ratio=ratio,
+        estimator=draw(st.sampled_from([None, "ulsif", "logistic"])),
+        ratio=draw(_ratio_configs),
         lam=draw(st.none() | _positive),
     )
 
