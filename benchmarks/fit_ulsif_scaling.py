@@ -11,16 +11,19 @@ BLAS pinned to one thread by ``_harness``; then ``REPEATS`` more untimed
 calls give the minor page faults per call, from this process's
 ``resource.getrusage(RUSAGE_SELF).ru_minflt``. Each fit size also records
 the grid cell its cross-validation chose, as ``chosen_cell`` =
-``[width_index, ridge_index]``, so two runs can show they fit the same
-model. The JSON output holds every time, the median, the faults, the
-chosen cells, the CPU count and the numpy/BLAS build. Uses
-the standard library besides numpy and shiftagg itself.
+``[width_index, ridge_index]``, and the sha256 of the bytes of the fitted
+``alpha`` and of the float64 score grid (NaN where a cell was refused), as
+``alpha_sha256`` and ``scores_sha256``, so two runs can show they fit the
+same model bit for bit. The JSON output holds every time, the median, the
+faults, the chosen cells and digests, the CPU count and the numpy/BLAS
+build. Uses the standard library besides numpy and shiftagg itself.
 
-    PYTHONPATH=src python3 benchmarks/fit_ulsif_scaling.py --output BENCH_16.json
+    PYTHONPATH=src python3 benchmarks/fit_ulsif_scaling.py --output BENCH_20.json
 """
 
 from __future__ import annotations
 
+import hashlib
 import resource
 import sys
 
@@ -80,8 +83,12 @@ def fit_curve() -> list[dict]:
     for n in SIZES:
         xs, xt = _inputs(n)
         row = _point("fit_ulsif", n, fit_ulsif, xs, xt, cfg)
-        cv = fit_ulsif(xs, xt, cfg).cv
+        model = fit_ulsif(xs, xt, cfg)
+        cv = model.cv
+        scores = np.array(cv["scores"], dtype=np.float64)
         row["chosen_cell"] = [cv["width_index"], cv["ridge_index"]]
+        row["alpha_sha256"] = hashlib.sha256(model.alpha.tobytes()).hexdigest()
+        row["scores_sha256"] = hashlib.sha256(scores.tobytes()).hexdigest()
         rows.append(row)
     return rows
 

@@ -90,7 +90,7 @@ class AggregationResult:
         if self.tikhonov < 0:
             raise ConfigInvalid("tikhonov value must be nonnegative")
         resid = _residual_inf(G, self.tikhonov, c, g)
-        if resid > RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(g), initial=0.0))):
+        if not resid <= RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(g), initial=0.0))):
             raise IllConditioned(
                 f"solution violates residual contract: ||r||_inf = {resid:.3e}"
             )

@@ -24,6 +24,7 @@ coefficients stay exactly what the closed form / optimizer produced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,19 +180,23 @@ class RatioFitConfig:
     def __post_init__(self):
         if self.kernel_widths is not None:
             widths = tuple(float(w) for w in self.kernel_widths)
-            if not widths or any(w <= 0 for w in widths):
-                raise ConfigInvalid("kernel widths must be positive")
+            if not widths or not all(0 < w < math.inf for w in widths):
+                raise ConfigInvalid(
+                    f"kernel_widths must be finite and positive, got {widths}"
+                )
             object.__setattr__(self, "kernel_widths", widths)
         ridges = tuple(float(r) for r in self.ridge_strengths)
-        if not ridges or any(r <= 0 for r in ridges):
-            raise ConfigInvalid("ridge strengths must be positive")
+        if not ridges or not all(0 < r < math.inf for r in ridges):
+            raise ConfigInvalid(
+                f"ridge_strengths must be finite and positive, got {ridges}"
+            )
         object.__setattr__(self, "ridge_strengths", ridges)
         if self.n_centers is not None and self.n_centers < 1:
             raise ConfigInvalid("n_centers must be >= 1")
         if self.cv_folds < 2:
             raise ConfigInvalid("cv_folds must be >= 2")
-        if not self.bound > 0:
-            raise ConfigInvalid("bound must be positive")
+        if not 0 < self.bound < math.inf:
+            raise ConfigInvalid(f"bound must be finite and positive, got {self.bound}")
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
 
@@ -248,8 +253,11 @@ def _median_pairwise_distance(x: np.ndarray, rng: np.random.Generator) -> float:
     term is one BLAS call, as there, since a sub-block product need not round
     each entry as the whole product does. The rest walks the strict upper
     triangle ``_WIDTH_BLOCK`` rows at a time through one reused buffer and
-    packs the positive values, in row order, into the product's own spent
-    rows, which one in-place partition then orders.
+    copies every value, in row order, into the product's own spent rows.
+    Coincident pairs are those whose value is not positive (``_sq_dists``
+    clamps them to 0): they are counted once, at the end, and the median is
+    the order statistic that many places above the positive values' middle,
+    found by one in-place partition.
     """
     n = x.shape[0]
     if n > 1000:
@@ -259,30 +267,32 @@ def _median_pairwise_distance(x: np.ndarray, rng: np.random.Generator) -> float:
     prod = 2.0 * x @ x.T
     packed = prod.reshape(-1)
     b = min(_WIDTH_BLOCK, n)
-    d2_buf, keep_buf = np.empty(b * n), np.empty(b * n, dtype=bool)
-    upper = np.arange(n) > np.arange(b)[:, None]  # column past row, within a block
+    d2_buf = np.empty(b * n)
+    upper = np.arange(b) > np.arange(b)[:, None]  # a diagonal block's strict upper part
     size = 0
     for s in range(0, n, b):
         rows, cols = min(b, n - s), n - s
         d2 = d2_buf[: rows * cols].reshape(rows, cols)
-        keep = keep_buf[: rows * cols].reshape(rows, cols)
         np.add(x2[s : s + rows, None], x2[s:], out=d2)
         d2 -= prod[s : s + rows, s:]
-        # Distinct pairs only: d2 > 0 also drops what _sq_dists clamps to 0.
-        np.greater(d2, 0.0, out=keep)
-        keep &= upper[:rows, :cols]
-        kept = d2[keep]
-        # Rows before s + rows are read, and the pairs so far fit in them.
-        packed[size : size + kept.size] = kept
-        size += kept.size
-    if size == 0:
-        return 1.0
+        # Rows before s + rows are read, and the pairs so far fit in them:
+        # first the diagonal block's part, then every column past the block.
+        tri = d2[:, :rows][upper[:rows, :rows]]
+        packed[size : size + tri.size] = tri
+        size += tri.size
+        rect = packed[size : size + rows * (cols - rows)]
+        rect.reshape(rows, cols - rows)[...] = d2[:, rows:]
+        size += rect.size
     vals = packed[:size]
-    # np.median's value from one partition: the k-th order statistic is unique,
-    # and for an even count the lower middle value is the largest below it.
-    k = size // 2
+    skip = np.count_nonzero(vals <= 0.0)
+    if skip == size:
+        return 1.0
+    # np.median's value of the positive values from one partition: the k-th
+    # order statistic is unique, and for an even count the lower middle value
+    # is the largest below it.
+    k = skip + (size - skip) // 2
     vals.partition(k)
-    med = vals[k] if size % 2 else (vals[:k].max() + vals[k]) / 2.0
+    med = vals[k] if (size - skip) % 2 else (vals[:k].max() + vals[k]) / 2.0
     return float(np.sqrt(med))
 
 
@@ -324,21 +334,24 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     entries, which only evaluation clamps away).
 
     The default width grid scales the median pairwise distance, found with
-    one partition of the upper triangle's values, gathered a block of rows
-    at a time into the n x n product term's own memory (no distance matrix
-    or mask of that size). After the draws, both samples' rows are stably
-    sorted by fold id, so each fold is a slice (a view) of the kernels. The
-    distances to the centers are computed once per fit, and each width
-    refills two kernel buffers from them in place. ``H`` and ``h`` are sums
-    over samples: each width builds every fold's Gram ``K_s[f].T @ K_s[f]``
-    and column sum ``K_t[f].sum(0)`` once, and the whole sample's
-    ``H_tot``/``h_tot`` are their sums over every fold present, scored or
-    not. Each training fold's system is the whole sum minus that fold's
-    part; it is solved for every ridge by LAPACK ``potrf``/``potrs``
-    directly, and the refit solves the chosen width's whole sums. Each
-    held-out score clips and squares its fold's ratio values in place. The
-    returned model's ``cv`` block holds the score grid, the chosen cell and
-    which of its grids' edges that cell lies on.
+    one count and one partition of the upper triangle's values, copied a
+    block of rows at a time into the n x n product term's own memory (no
+    distance matrix of that size). After the draws, both samples' rows are
+    stably sorted by fold id, so each fold is a slice (a view) of the
+    kernels. The distances to the centers are computed once per fit, and
+    each width refills two kernel buffers from them in place. ``H`` and
+    ``h`` are sums over samples: each width builds every fold's Gram
+    ``K_s[f].T @ K_s[f]`` and column sum ``K_t[f].sum(0)`` once, and the
+    whole sample's ``H_tot``/``h_tot`` are their sums over every fold
+    present, scored or not. Then, fold by fold, the training system (the
+    whole sum minus that fold's part) is built once and solved by LAPACK
+    ``potrf``/``potrs`` for every ridge no earlier fold of this width has
+    refused; a refusal drops the ridge for the rest of the width. Each
+    ridge's held-out ratio values fill one row of a ridges x fold-rows
+    buffer per domain, and each buffer is clipped, squared (source) and
+    summed row by row once per fold. The refit solves the chosen width's
+    whole sums. The returned model's ``cv`` block holds the score grid, the
+    chosen cell and which of its grids' edges that cell lies on.
     """
     xs, xt = _check_xy(source_x, target_x)
     rng = _rng(cfg.seed)
@@ -366,6 +379,13 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     ridges = cfg.ridge_strengths
     scores = np.full((len(widths), len(ridges)), np.nan)
     sums = []  # per width: the whole sample's (H_tot, h_tot), kept for the refit
+    # Per domain, room for a scored fold's held-out ratio values at every
+    # ridge, one row each; and each ridge's held-out score on every fold.
+    buf_s, buf_t = (
+        np.empty(len(ridges) * max(r.stop - r.start for r in slices[:n_scored]))
+        for slices in (slices_s, slices_t)
+    )
+    fold_scores = np.empty((len(ridges), n_scored))
     # Distances to the centers do not depend on the width: compute them once
     # and refill two kernel buffers in place per width.
     D_s, D_t = _sq_dists(xs, centers), _sq_dists(xt, centers)
@@ -376,8 +396,8 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
         # The whole sample's sums add up every fold present, scored or not;
         # only the scored folds' parts are kept.
         H_tot, h_tot = np.zeros((n_c, n_c)), np.zeros(n_c)
-        # Reset first, so the last width's systems are freed before these grow.
-        grams, col_sums, systems = [], [], []
+        # Reset first, so the last width's Grams are freed before these grow.
+        grams, col_sums = [], []
         for f, rows in enumerate(slices_s):
             G = K_s[rows].T @ K_s[rows]
             H_tot += G
@@ -389,29 +409,33 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
             if f < n_scored:
                 col_sums.append(col_sum)
         sums.append((H_tot, h_tot))
+        live = list(range(len(ridges)))  # the ridges no fold has refused
         for f in range(n_scored):
             V_s, V_t = K_s[slices_s[f]], K_t[slices_t[f]]
             # The training system, written over the held-out fold's Gram.
             H = np.subtract(H_tot, grams[f], out=grams[f])
             H /= len(K_s) - len(V_s)
             h = (h_tot - col_sums[f]) / (len(K_t) - len(V_t))
-            systems.append((H, h, V_s, V_t))
-        for j, ridge in enumerate(ridges):
-            fold_scores = []
-            try:
-                for H, h, V_s, V_t in systems:
-                    alpha = _cho_solve_ridge(H, h, ridge)
-                    b_s = _clip_in_place(V_s @ alpha, cfg.bound)
-                    b_t = _clip_in_place(V_t @ alpha, cfg.bound)
-                    np.square(b_s, out=b_s)
-                    # np.mean's sum and division, without its wrapper.
-                    fold_scores.append(
-                        0.5 * float(np.add.reduce(b_s) / len(b_s))
-                        - float(np.add.reduce(b_t) / len(b_t))
-                    )
-            except SingularSystem:
-                continue  # a refusal on any fold drops this ridge for this width
-            scores[i, j] = float(np.mean(fold_scores))
+            b_s = buf_s[: len(live) * len(V_s)].reshape(len(live), len(V_s))
+            b_t = buf_t[: len(live) * len(V_t)].reshape(len(live), len(V_t))
+            solved = []
+            for j in live:
+                try:
+                    alpha = _cho_solve_ridge(H, h, ridges[j])
+                except SingularSystem:
+                    continue  # a refusal on any fold drops this ridge for this width
+                np.matmul(V_s, alpha, out=b_s[len(solved)])
+                np.matmul(V_t, alpha, out=b_t[len(solved)])
+                solved.append(j)
+            live = solved
+            b_s, b_t = b_s[: len(live)], b_t[: len(live)]
+            np.square(_clip_in_place(b_s, cfg.bound), out=b_s)
+            _clip_in_place(b_t, cfg.bound)
+            # np.mean's sums and divisions, row by row, without its wrapper.
+            fold_scores[live, f] = 0.5 * (np.add.reduce(b_s, axis=1) / len(V_s)) - (
+                np.add.reduce(b_t, axis=1) / len(V_t)
+            )
+        scores[i, live] = np.mean(fold_scores[live], axis=1)
     if np.isnan(scores).all():
         raise SingularSystem(
             "every (width, ridge) grid cell failed to factorize; enlarge the "
@@ -453,13 +477,15 @@ def _clip_in_place(v: np.ndarray, bound: float) -> np.ndarray:
 def _cho_factor(H: np.ndarray, ridge: float) -> np.ndarray:
     """The lower Cholesky factor of ``H + ridge*I``, by LAPACK ``potrf`` as
     ``scipy.linalg.cho_factor(lower=True)`` calls it, minus its wrapper cost.
-    Its diagonal, the pivots, is positive; every failure is a shiftagg error.
+    ``H`` is copied once, in Fortran order, and ``potrf`` factors that copy
+    in place, so no second copy is made for LAPACK. The factor's diagonal,
+    the pivots, is positive; every failure is a shiftagg error.
     """
-    A = H.copy()
-    A.reshape(-1)[:: A.shape[0] + 1] += ridge  # its diagonal, as a view
+    A = np.array(H, dtype=np.float64, order="F")
+    A.reshape(-1, order="F")[:: A.shape[0] + 1] += ridge  # its diagonal, as a view
     if not np.isfinite(A).all():
         raise NonFiniteValue(f"kernel system is not finite at ridge={ridge!r}")
-    c, info = _POTRF(A, lower=1, overwrite_a=0, clean=0)
+    c, info = _POTRF(A, lower=1, overwrite_a=1, clean=0)
     if info > 0:
         raise SingularSystem(
             f"kernel Gram matrix not factorizable at ridge={ridge!r}: its "

@@ -92,10 +92,15 @@ class SynthTaskConfig:
         for name in ("d1", "d2", "n_s", "n_t", "family_size"):
             if getattr(self, name) < 1:
                 raise ConfigInvalid(f"{name} must be >= 1")
-        if not self.shared_cov_scale > 0:
-            raise ConfigInvalid("shared_cov_scale must be positive")
-        if self.noise_std < 0:
-            raise ConfigInvalid("noise_std must be nonnegative")
+        if not 0 < self.shared_cov_scale < math.inf:
+            raise ConfigInvalid(
+                "shared_cov_scale must be finite and positive, got "
+                f"{self.shared_cov_scale}"
+            )
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigInvalid(
+                f"noise_std must be finite and nonnegative, got {self.noise_std}"
+            )
         if self.bayes_kind not in ("linear", "fourier"):
             raise ConfigInvalid(f"unknown bayes_kind {self.bayes_kind!r}")
         if self.model_family not in ("ridge_grid", "random_features"):
@@ -123,12 +128,17 @@ class SynthTaskConfig:
             mu_q = tuple(float(v) for v in mu_q)
         if len(mu_p) != self.d1 or len(mu_q) != self.d1:
             raise ConfigInvalid("mean vectors must have length d1")
+        for name, mu in (("source_mean", mu_p), ("target_mean", mu_q)):
+            if not all(map(math.isfinite, mu)):
+                raise ConfigInvalid(f"{name} must be finite, got {mu}")
         object.__setattr__(self, "source_mean", mu_p)
         object.__setattr__(self, "target_mean", mu_q)
         if self.ridge_grid is not None:
             grid = tuple(float(v) for v in self.ridge_grid)
-            if any(v <= 0 for v in grid):
-                raise ConfigInvalid("ridge_grid values must be positive")
+            if not all(0 < v < math.inf for v in grid):
+                raise ConfigInvalid(
+                    f"ridge_grid must be finite and positive, got {grid}"
+                )
             object.__setattr__(self, "ridge_grid", grid)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from shiftagg import aggregation
 from shiftagg.aggregation import (
+    AggregationResult,
     RiskReport,
     aggregate_predict,
     compute_g_vector,
@@ -272,6 +273,21 @@ class TestSolveCoefficients:
             c = solve_coefficients(G, g, lam)
             resid = np.max(np.abs((G + lam * np.eye(m)) @ c - g))
             assert resid <= 1e-8 * max(1.0, float(np.max(np.abs(g))))
+
+    @pytest.mark.parametrize(
+        "coefficients, moment", [([np.nan], [1.0]), ([1.0], [np.nan])]
+    )
+    def test_result_with_nan_residual_is_refused(self, coefficients, moment):
+        # A NaN residual is no smaller than any tolerance.
+        with pytest.raises(IllConditioned, match="residual contract"):
+            AggregationResult(
+                coefficients=np.array(coefficients),
+                gram=np.eye(1),
+                moment=np.array(moment),
+                tikhonov=0.0,
+                condition_estimate=1.0,
+                diagnostics={},
+            )
 
 
 class TestAggregatePredict:

@@ -336,6 +336,14 @@ class TestUlsifFoldSums:
             want = reference_fold_sum_scores(xs, xt, cfg)
             assert got.tobytes() == want.tobytes(), seed
 
+    def test_thousand_row_folds_scores_bitwise(self):
+        # Folds of 1000 rows, where NumPy's pairwise sum splits each row sum
+        # into halves: each stacked row sum must still be its row's own sum.
+        xs, xt = suite_task_features(11, n=5000)
+        cfg = RatioFitConfig(seed=12)
+        got = np.array(fit_ulsif(xs, xt, cfg).cv["scores"], dtype=float)
+        assert got.tobytes() == reference_fold_sum_scores(xs, xt, cfg).tobytes()
+
     def test_large_task(self):
         xs, xt = suite_task_features(3, n=5000)
         assert_matches_reference(xs, xt, RatioFitConfig(seed=4))
@@ -423,6 +431,37 @@ class TestUlsifFoldSums:
         per_width = folds if last_fold_only else 1
         assert calls.count(bad) == widths * per_width
         assert len(calls) == widths * ((ridges - 1) * folds + per_width) + 1
+        calls.clear()
+        assert_matches_reference(xs, xt, cfg, reference_solve)
+
+    def test_refusals_on_middle_folds_drop_only_their_cells(self, monkeypatch):
+        xs, xt = suite_task_features(21)
+        cfg = RatioFitConfig(seed=22)
+        widths = len(ratio.DEFAULT_WIDTH_SCALES)
+        ridges, folds = cfg.ridge_strengths, cfg.cv_folds
+        # ridges[1] is refused on its 2nd solve and ridges[3] on its 4th: on
+        # folds 1 and 3 of the first width. Counted modulo one fit's solves at
+        # that ridge, so the reference fit run after fit_ulsif refuses the same.
+        nth_refused = {ridges[1]: 2, ridges[3]: 4}
+        per_fit = {r: nth + (widths - 1) * folds for r, nth in nth_refused.items()}
+
+        def refuse(ridge, nth):
+            return ridge in nth_refused and nth % per_fit[ridge] == nth_refused[ridge]
+
+        calls, reference_solve = self._refusing_solver(monkeypatch, refuse)
+        model = fit_ulsif(xs, xt, cfg)
+        refused = [
+            (i, j)
+            for i, row in enumerate(model.cv["scores"])
+            for j, s in enumerate(row)
+            if s is None
+        ]
+        assert refused == [(0, 1), (0, 3)]
+        assert model.cv["ridge_index"] not in (1, 3)  # so no refit solve counts
+        assert {r: calls.count(r) for r in per_fit} == per_fit
+        # A refused ridge is not solved on the first width's later folds.
+        skipped = (folds - 2) + (folds - 4)
+        assert len(calls) == widths * len(ridges) * folds - skipped + 1
         calls.clear()
         assert_matches_reference(xs, xt, cfg, reference_solve)
 

@@ -103,6 +103,27 @@ class TestGenerateTask:
         with pytest.raises(ConfigInvalid):
             SynthTaskConfig(bayes_kind="cubic")
 
+    @pytest.mark.parametrize(
+        "config, field, value",
+        [
+            (RatioFitConfig, "ridge_strengths", (np.nan,)),
+            (RatioFitConfig, "ridge_strengths", (np.inf, 1.0)),
+            (RatioFitConfig, "kernel_widths", (np.nan,)),
+            (RatioFitConfig, "kernel_widths", (np.inf,)),
+            (RatioFitConfig, "bound", np.inf),
+            (SynthTaskConfig, "noise_std", np.nan),
+            (SynthTaskConfig, "noise_std", np.inf),
+            (SynthTaskConfig, "shared_cov_scale", np.inf),
+            (SynthTaskConfig, "source_mean", (0.0, np.nan, 0.0, 0.0, 0.0)),
+            (SynthTaskConfig, "target_mean", (-np.inf, 0.0, 0.0, 0.0, 0.0)),
+            (SynthTaskConfig, "ridge_grid", (1e-2, np.nan)),
+        ],
+    )
+    def test_non_finite_floats_are_refused(self, config, field, value):
+        # JSON configs refuse these in decode_value; the Python API does here.
+        with pytest.raises(ConfigInvalid, match=f"^{field} must be finite"):
+            config(**{field: value})
+
 
 class TestModelFamily:
     def test_huge_ridge_gives_near_constant_predictor(self):
