@@ -3,7 +3,7 @@
 Importing this module pins BLAS to one thread, so the scripts import it
 before numpy (the pin must be set before numpy loads, as in
 ``perfbench/run.py``). ``median_time`` times a call after one untimed
-warm-up; ``main`` parses ``--output``, builds the curves and writes them as
+warm-up, optionally on fresh arguments per call; ``main`` parses ``--output``, builds the curves and writes them as
 JSON together with the CPU count and the numpy/BLAS build.
 """
 
@@ -23,13 +23,20 @@ for _var in BLAS_ENV:
 import numpy as np  # noqa: E402  (after the BLAS thread pin)
 
 
-def median_time(fn, *args, repeats: int) -> tuple[list[float], float]:
-    """Call ``fn(*args)`` once untimed, then ``repeats`` timed times."""
-    fn(*args)  # warm-up: imports, allocator, page cache
+def median_time(fn, *args, repeats: int, fresh=None) -> tuple[list[float], float]:
+    """Call ``fn(*args)`` once untimed, then ``repeats`` timed times. With
+    ``fresh``, each call gets the arguments ``fresh(*args)`` instead, made
+    before its timer starts."""
+
+    def call_args():
+        return args if fresh is None else fresh(*args)
+
+    fn(*call_args())  # warm-up: imports, allocator, page cache
     times = []
     for _ in range(repeats):
+        a = call_args()
         t0 = time.perf_counter()
-        fn(*args)
+        fn(*a)
         times.append(time.perf_counter() - t0)
     return times, statistics.median(times)
 

@@ -1,23 +1,33 @@
 """Scaling curve of ``shiftagg.selection.compare_methods`` and of
-``shiftagg.aggregation.run_aggregation``.
+``shiftagg.aggregation.run_aggregation``, alone and one after the other.
 
 At each model count in ``MODEL_COUNTS`` it generates one default synthetic
 task (``generate_task`` with ``n_s = n_t = N`` and ``family_size = m``: d1=5,
 d2=1, oracle target labels) and evaluates its analytic ratio on the source
-sample, as the ``wide_family`` benchmark workload does. ``run_aggregation``
-and ``compare_methods`` with those weights are then timed ``REPEATS`` times
-each, after one untimed warm-up call, with BLAS pinned to one thread by
-``_harness``. The JSON output holds every time, the medians, the CPU count
-and the numpy/BLAS build. Uses the standard library besides numpy and
-shiftagg itself, so the same script times any tree put first on
-``PYTHONPATH``.
+sample, as the ``wide_family`` benchmark workload does. Each timing below is
+taken ``REPEATS`` times after one untimed warm-up call, with BLAS pinned to
+one thread by ``_harness``:
 
-    PYTHONPATH=src python3 benchmarks/comparison_scaling.py --output BENCH_17.json
+* ``run_aggregation`` and ``compare_methods`` alone, each call on a fresh
+  ``dataclasses.replace`` copy of the bundle, so each builds the target
+  moments as a first call on a bundle does;
+* ``pair_fresh``: ``run_aggregation`` then ``compare_methods`` on a fresh
+  copy per call, the in-op saving of the moments kept on the bundle;
+* ``pair_reused``: the same two calls on the one bundle, as a
+  ``wide_family`` op makes them, whose moments the warm-up built.
+
+Every copy is made before its call's timer starts. The JSON output holds
+every time, the medians, the CPU count and the numpy/BLAS build. Uses the
+standard library besides numpy and shiftagg itself, so the same script
+times any tree put first on ``PYTHONPATH``.
+
+    PYTHONPATH=src python3 benchmarks/comparison_scaling.py --output BENCH_21.json
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import _harness  # first: pins BLAS to one thread before numpy loads
 
@@ -32,21 +42,38 @@ REPEATS = 50
 SEED = 0
 
 
+def aggregate_then_compare(bundle, beta) -> None:
+    """One ``wide_family`` op: ``run_aggregation``, then ``compare_methods``."""
+    run_aggregation(bundle, beta)
+    compare_methods(bundle, beta)
+
+
+def fresh_copy(bundle, beta):
+    return replace(bundle), beta
+
+
 def time_point(m: int) -> dict:
     task = generate_task(SynthTaskConfig(n_s=N, n_t=N, family_size=m, seed=SEED))
     bundle = task.bundle
     beta = evaluate_ratio(task.analytic_ratio, bundle.source.features)
     row = {"m": m, "n": N}
-    for name, fn in (
-        ("run_aggregation", run_aggregation),
-        ("compare_methods", compare_methods),
+    for name, fn, fresh in (
+        ("run_aggregation", run_aggregation, fresh_copy),
+        ("compare_methods", compare_methods, fresh_copy),
+        ("pair_fresh", aggregate_then_compare, fresh_copy),
+        ("pair_reused", aggregate_then_compare, None),
     ):
-        times, median = _harness.median_time(fn, bundle, beta, repeats=REPEATS)
+        times, median = _harness.median_time(
+            fn, bundle, beta, repeats=REPEATS, fresh=fresh
+        )
         row[f"{name}_times_s"] = times
         row[f"{name}_median_s"] = median
     print(
-        f"m={m} n={N}: run_aggregation {row['run_aggregation_median_s']:.4f} s, "
-        f"compare_methods {row['compare_methods_median_s']:.4f} s",
+        f"m={m} n={N}: "
+        + ", ".join(
+            f"{name} {row[f'{name}_median_s']:.4f} s"
+            for name in ("run_aggregation", "compare_methods", "pair_fresh", "pair_reused")
+        ),
         file=sys.stderr,
     )
     return row
@@ -60,7 +87,8 @@ if __name__ == "__main__":
     raise SystemExit(
         _harness.main(
             __doc__.splitlines()[0],
-            "compare_methods and run_aggregation with the analytic ratio",
+            "run_aggregation and compare_methods with the analytic ratio, alone "
+            "and in sequence, on fresh and reused bundles",
             {"d1": 5, "d2": 1, "seed": SEED},
             REPEATS,
             {"comparison": curve},

@@ -18,6 +18,9 @@ contract ``||(G + lam*I) c - g||_inf <= 1e-8 * max(1, ||g||_inf)``.
 bits depend on the BLAS build and its thread count, not on the run or on
 how many Python threads call in, so outputs are byte-identical across runs
 and ``--threads`` values for a fixed BLAS build and BLAS thread count.
+``G`` depends only on the models' target predictions, so it is computed
+once per bundle: :func:`target_moments` keeps it, with the oracle moments,
+on the bundle object for every later call on that object.
 Per-model risks use no BLAS: :func:`model_risks` is the one risk kernel,
 and the single-model evaluators are its one-model case, bit for bit.
 """
@@ -45,6 +48,7 @@ from .serialize import config_to_dict
 
 __all__ = [
     "AggregationResult",
+    "Moments",
     "RiskReport",
     "compute_gram",
     "compute_g_vector",
@@ -58,6 +62,7 @@ __all__ = [
     "oracle_aggregate",
     "make_risk_report",
     "resolve_beta",
+    "target_moments",
 ]
 
 CONDITION_LIMIT = 1e12
@@ -379,6 +384,53 @@ def make_risk_report(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class Moments:
+    """A bundle's target moments: the Gram matrix ``G`` and, when the bundle
+    carries oracle labels, the oracle moment vector
+    ``g'_k = (1/n_t) * sum_i <y'_i, f_k(x'_i)>`` and ``||y'||^2 / n_t``
+    (``None`` otherwise). Both arrays are read-only."""
+
+    gram: np.ndarray
+    oracle_moment: np.ndarray | None = None
+    label_sq: float | None = None
+
+    def __post_init__(self):
+        for arr in (self.gram, self.oracle_moment):
+            if arr is not None:
+                arr.setflags(write=False)
+
+
+def target_moments(bundle: PredictionBundle) -> Moments:
+    """The bundle's :class:`Moments`, built on first use and kept on that
+    bundle object, as :func:`functools.cached_property` keeps a value.
+
+    Every later call on the same object -- :func:`run_aggregation`,
+    :func:`oracle_aggregate`, the comparison table -- reads them instead of
+    building ``G`` again; a ``dataclasses.replace`` copy builds its own.
+    Each quantity is the same expression as a direct call would evaluate,
+    so the bits do not depend on which call built it. Two threads on one
+    bundle may both build it; they get identical bits and the later store
+    wins.
+    """
+    moments = vars(bundle).get("_target_moments")
+    if moments is None:
+        G = compute_gram(bundle.target_preds)
+        labels = bundle.target.oracle_labels
+        if labels is None:
+            moments = Moments(G)
+        else:
+            # Weighting by exactly 1.0 makes this the plain averaged inner product.
+            ones = np.ones(bundle.target.n_samples)
+            moments = Moments(
+                G,
+                compute_g_vector(bundle.target_preds, labels, ones),
+                float(np.sum(labels * labels)) / len(labels),
+            )
+        object.__setattr__(bundle, "_target_moments", moments)
+    return moments
+
+
 # --- pipeline entry points ------------------------------------------------
 
 
@@ -464,12 +516,15 @@ def run_aggregation(
 ) -> AggregationResult:
     """Full pipeline: weights, Gram matrix, moment vector, solve.
 
+    The Gram matrix comes from :func:`target_moments`, so it is built once
+    per bundle object.
+
     ``ratio`` is a :class:`RatioModel` (evaluated on the source features)
     or a precomputed weight vector; ``lam`` follows the policy of
     :func:`solve_aggregation`.
     """
     beta, saturation = resolve_beta(bundle, ratio)
-    G = compute_gram(bundle.target_preds)
+    G = target_moments(bundle).gram
     g = compute_g_vector(bundle.source_preds, bundle.source.labels, beta)
     result = solve_aggregation(G, g, lam)
     result.diagnostics.update(
@@ -486,24 +541,13 @@ def oracle_aggregate(bundle: PredictionBundle, lam: float = 0.0) -> AggregationR
     Both the Gram matrix and the moment vector are formed on the target
     sample (``g_k = (1/n_t) * sum_i <y'_i, f_k(x'_i)>``), so the solution
     is the exact least-squares minimizer over the span of the models'
-    target predictions. Benchmark-only: requires oracle labels.
+    target predictions. Both come from :func:`target_moments`. Benchmark-only:
+    requires oracle labels.
     """
     if bundle.target.oracle_labels is None:
         raise MissingOracleLabels("bundle carries no target oracle labels")
-    return _oracle_solve(compute_gram(bundle.target_preds), _oracle_moment(bundle), lam)
-
-
-def _oracle_moment(bundle: PredictionBundle) -> np.ndarray:
-    """The oracle moment vector ``g'_k = (1/n_t) * sum_i <y'_i, f_k(x'_i)>``."""
-    # Weighting by exactly 1.0 makes this the plain averaged inner product.
-    ones = np.ones(bundle.target.n_samples)
-    return compute_g_vector(bundle.target_preds, bundle.target.oracle_labels, ones)
-
-
-def _oracle_solve(G, g, lam: float) -> AggregationResult:
-    """:func:`oracle_aggregate` given the target Gram matrix ``G`` and the
-    oracle moment vector ``g``."""
-    result = solve_aggregation(G, g, lam)
+    moments = target_moments(bundle)
+    result = solve_aggregation(moments.gram, moments.oracle_moment, lam)
     result.diagnostics.update(
         lambda_policy="oracle",
         beta_mean=1.0,

@@ -182,6 +182,12 @@ class PredictionBundle:
 
     ``source_preds`` is ``(m, n_s, d2)`` and ``target_preds`` is
     ``(m, n_t, d2)``, aligned with ``model_names``.
+
+    The arrays are not copied when they are already contiguous float64:
+    the caller's own arrays (here and in the datasets) are made read-only
+    in place. The target moments (``aggregation.target_moments``) are
+    computed once per bundle object and kept on it, so re-enabling writes
+    on such an array and mutating it is unsupported.
     """
 
     model_names: tuple[str, ...]

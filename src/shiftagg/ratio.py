@@ -416,12 +416,16 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
             H = np.subtract(H_tot, grams[f], out=grams[f])
             H /= len(K_s) - len(V_s)
             h = (h_tot - col_sums[f]) / (len(K_t) - len(V_t))
+            # One check covers every ridge's system: H's entries are at most
+            # 1 in size and the ridges are finite, so H + ridge*I is finite.
+            if not (np.isfinite(H).all() and np.isfinite(h).all()):
+                raise NonFiniteValue(f"kernel system of fold {f} is not finite")
             b_s = buf_s[: len(live) * len(V_s)].reshape(len(live), len(V_s))
             b_t = buf_t[: len(live) * len(V_t)].reshape(len(live), len(V_t))
             solved = []
             for j in live:
                 try:
-                    alpha = _cho_solve_ridge(H, h, ridges[j])
+                    alpha = _cho_solve_ridge(H, h, ridges[j], check_finite=False)
                 except SingularSystem:
                     continue  # a refusal on any fold drops this ridge for this width
                 np.matmul(V_s, alpha, out=b_s[len(solved)])
@@ -474,16 +478,18 @@ def _clip_in_place(v: np.ndarray, bound: float) -> np.ndarray:
     return np.minimum(v, bound, out=v)
 
 
-def _cho_factor(H: np.ndarray, ridge: float) -> np.ndarray:
+def _cho_factor(H: np.ndarray, ridge: float, check_finite: bool = True) -> np.ndarray:
     """The lower Cholesky factor of ``H + ridge*I``, by LAPACK ``potrf`` as
     ``scipy.linalg.cho_factor(lower=True)`` calls it, minus its wrapper cost.
     ``H`` is copied once, in Fortran order, and ``potrf`` factors that copy
     in place, so no second copy is made for LAPACK. The factor's diagonal,
-    the pivots, is positive; every failure is a shiftagg error.
+    the pivots, is positive; every failure is a shiftagg error. As in scipy,
+    ``check_finite=False`` skips the finiteness check of the system, for a
+    caller that has made it already.
     """
     A = np.array(H, dtype=np.float64, order="F")
     A.reshape(-1, order="F")[:: A.shape[0] + 1] += ridge  # its diagonal, as a view
-    if not np.isfinite(A).all():
+    if check_finite and not np.isfinite(A).all():
         raise NonFiniteValue(f"kernel system is not finite at ridge={ridge!r}")
     c, info = _POTRF(A, lower=1, overwrite_a=1, clean=0)
     if info > 0:
@@ -507,11 +513,14 @@ def _cho_solve(c: np.ndarray, h: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cho_solve_ridge(H: np.ndarray, h: np.ndarray, ridge: float) -> np.ndarray:
-    """Solve ``(H + ridge*I) x = h`` by Cholesky."""
-    if not np.isfinite(h).all():
+def _cho_solve_ridge(
+    H: np.ndarray, h: np.ndarray, ridge: float, check_finite: bool = True
+) -> np.ndarray:
+    """Solve ``(H + ridge*I) x = h`` by Cholesky; ``check_finite`` as in
+    :func:`_cho_factor`."""
+    if check_finite and not np.isfinite(h).all():
         raise NonFiniteValue(f"kernel system is not finite at ridge={ridge!r}")
-    return _cho_solve(_cho_factor(H, ridge), h)
+    return _cho_solve(_cho_factor(H, ridge, check_finite), h)
 
 
 def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
@@ -549,14 +558,14 @@ def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
         X_tr, y_tr, z_va, y_va = X[tr], y[tr], z[va], y[va]
         row = []
         for ridge in ridges:
-            w = _logistic_gd(X_tr, y_tr, ridge, tol=1e-5, max_iter=100, strict=False)
+            w = _logistic_newton(X_tr, y_tr, ridge, tol=1e-5, max_iter=100, strict=False)
             s = z_va @ w[:-1] + w[-1]
             row.append(float(np.mean(np.logaddexp(0.0, s) - y_va * s)))
         nlls.append(row)
     # The first ridge with the lowest mean held-out log-loss.
     ridge = ridges[int(np.argmin(np.mean(nlls, axis=0)))] if nlls else ridges[0]
 
-    w = _logistic_gd(X, y, ridge, tol=1e-6, max_iter=100, strict=True)
+    w = _logistic_newton(X, y, ridge, tol=1e-6, max_iter=100, strict=True)
     raw = np.empty(xs.shape[1] + 1)
     raw[:-1] = w[:-1] / sd
     raw[-1] = w[-1] - float(np.sum(w[:-1] * mu / sd))
@@ -568,7 +577,7 @@ def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     )
 
 
-def _logistic_gd(
+def _logistic_newton(
     X: np.ndarray,
     y: np.ndarray,
     ridge: float,

@@ -15,17 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import (
-    _oracle_moment,
-    _oracle_solve,
     _sq_risks,
     aggregate_predict,
     compute_g_vector,
-    compute_gram,
     importance_weighted_risk,
     model_risks,
+    oracle_aggregate,
     resolve_beta,
     run_aggregation,  # noqa: F401  re-exported: perfbench's tracer rebinds it here
     solve_aggregation,
+    target_moments,
 )
 from .data import PredictionBundle
 from .errors import ConfigInvalid, IllConditioned
@@ -159,8 +158,9 @@ def build_method_rows(
     entry yields one IWV row and one aggregation row. The source risk and
     every IWV score come from one pass over the source predictions. The
     target Gram matrix ``G``, the oracle moments ``g'`` and ``||y'||^2 / n_t``
-    are computed once; the oracle solve uses them and is made first, so its
-    risk can scale every row as it is built. Each aggregation's true risk
+    come from :func:`target_moments`, so they are computed once per bundle;
+    the oracle solve (:func:`oracle_aggregate`) uses them and is made first,
+    so its risk can scale every row as it is built. Each aggregation's true risk
     ``||y'||^2 / n_t - 2 c.g' + c'Gc`` comes from them too (0.0 if it is
     within a few ulps of its terms' size, or below zero); the per-model true
     risks come from :func:`model_risks`.
@@ -170,24 +170,24 @@ def build_method_rows(
     sel, *iwvs = _select(bundle, [None, *betas.values()])
 
     true_risks = [None] * bundle.model_count
-    G = oracle_true = oracle_detail = None
+    moments = oracle_true = oracle_detail = None
     if labels_t is not None or betas:
-        G = compute_gram(bundle.target_preds)
+        moments = target_moments(bundle)
 
     def true_risk_of(c) -> float | None:
         if labels_t is None:
             return None
-        cross, quad = 2.0 * float(c @ g_t), float(c @ G @ c)
+        label_sq = moments.label_sq
+        cross = 2.0 * float(c @ moments.oracle_moment)
+        quad = float(c @ moments.gram @ c)
         risk = label_sq - cross + quad
         noise = _RISK_NOISE * (label_sq + abs(cross) + abs(quad))
         return risk if risk > noise else 0.0
 
     if labels_t is not None:
         true_risks = model_risks(bundle.target_preds, labels_t).tolist()
-        g_t = _oracle_moment(bundle)
-        label_sq = float(np.sum(labels_t * labels_t)) / len(labels_t)
         try:
-            oracle = _oracle_solve(G, g_t, 0.0)
+            oracle = oracle_aggregate(bundle)
         except IllConditioned as exc:
             oracle_detail = {"error": str(exc)}
         else:
@@ -228,7 +228,7 @@ def build_method_rows(
         tag = f"_{suffix}" if suffix else ""
         rows.append(pick_row(f"select_iwv{tag}", iwv))
         g = compute_g_vector(bundle.source_preds, bundle.source.labels, beta)
-        result = solve_aggregation(G, g, lam)
+        result = solve_aggregation(moments.gram, g, lam)
         est = importance_weighted_risk(
             aggregate_predict(bundle.source_preds, result.coefficients),
             bundle.source.labels,

@@ -400,11 +400,11 @@ class TestUlsifFoldSums:
         calls = []
 
         def refusing(solve):
-            def fake(H, h, ridge):
+            def fake(H, h, ridge, **kwargs):
                 calls.append(ridge)
                 if refuse(ridge, calls.count(ridge)):
                     raise SingularSystem(f"refused ridge={ridge!r}")
-                return solve(H, h, ridge)
+                return solve(H, h, ridge, **kwargs)
 
             return fake
 
@@ -624,13 +624,27 @@ class TestCholeskySolve:
         assert model.cv["ridge_index"] == 1
         assert_matches_reference(xs, xt, cfg)
 
-    def test_non_finite_system_is_refused(self):
+    def test_non_finite_system_is_refused(self, monkeypatch):
         with pytest.raises(NonFiniteValue):
             ratio._cho_solve_ridge(np.eye(3), np.array([1.0, np.nan, 0.0]), 0.1)
         H = np.eye(3)
         H[2, 1] = np.inf
         with pytest.raises(NonFiniteValue):
             ratio._cho_solve_ridge(H, np.ones(3), 0.1)
+
+        # fit_ulsif checks each fold's system once, before any ridge's solve.
+        kernel = ratio._gaussian_kernel
+
+        def nan_kernel(d2, width, out=None):
+            out = kernel(d2, width, out=out)
+            out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(ratio, "_gaussian_kernel", nan_kernel)
+        rng = np.random.Generator(np.random.Philox(43))
+        xs, xt = rng.standard_normal((40, 2)), rng.standard_normal((40, 2))
+        with pytest.raises(NonFiniteValue, match="fold 0"):
+            fit_ulsif(xs, xt, RatioFitConfig(n_centers=10, seed=1))
 
     def test_illegal_argument_is_a_numerical_error(self, monkeypatch):
         monkeypatch.setattr(ratio, "_POTRF", lambda A, **kw: (A, -4))
@@ -671,20 +685,20 @@ class TestLogistic:
         assert abs(float(np.median(fwd * bwd)) - 1.0) < 0.15
 
     def test_iteration_cap_reports_gradient_norm(self):
-        from shiftagg.ratio import _logistic_gd
+        from shiftagg.ratio import _logistic_newton
 
         rng = np.random.Generator(np.random.Philox(31))
         X = with_bias(rng.standard_normal((100, 2)))
         y = (rng.uniform(size=100) < 0.5).astype(float)
         with pytest.raises(NonConvergence, match="gradient norm"):
-            _logistic_gd(X, y, ridge=1e-3, tol=1e-15, max_iter=3, strict=True)
+            _logistic_newton(X, y, ridge=1e-3, tol=1e-15, max_iter=3, strict=True)
 
     def test_refused_hessian_takes_a_gradient_step(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(32))
         z = rng.standard_normal((200, 3))
         y = (rng.uniform(size=200) < 0.5 + 0.2 * np.tanh(z[:, 0])).astype(float)
         X = with_bias(z)
-        want = ratio._logistic_gd(X, y, 1e-2, tol=1e-9, max_iter=100, strict=True)
+        want = ratio._logistic_newton(X, y, 1e-2, tol=1e-9, max_iter=100, strict=True)
         solve, calls = ratio._cho_solve_ridge, []
 
         def refuse_first(H, h, r):
@@ -694,7 +708,7 @@ class TestLogistic:
             return solve(H, h, r)
 
         monkeypatch.setattr(ratio, "_cho_solve_ridge", refuse_first)
-        got = ratio._logistic_gd(X, y, 1e-2, tol=1e-9, max_iter=100, strict=True)
+        got = ratio._logistic_newton(X, y, 1e-2, tol=1e-9, max_iter=100, strict=True)
         assert len(calls) > 1
         np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9)
 
@@ -706,7 +720,7 @@ class TestLogistic:
         y = (rng.uniform(size=500) < 1 / (1 + np.exp(-2.0 * z[:, 1]))).astype(float)
         ridge = 1e-3
         X = with_bias(z)
-        w = ratio._logistic_gd(X, y, ridge, tol=1e-6, max_iter=100, strict=True)
+        w = ratio._logistic_newton(X, y, ridge, tol=1e-6, max_iter=100, strict=True)
         grad = X.T @ (1 / (1 + np.exp(-(X @ w))) - y) / 500
         grad[:-1] += ridge * w[:-1]
         assert float(np.linalg.norm(grad)) < 1e-6

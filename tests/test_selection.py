@@ -1,5 +1,7 @@
 """Selection baselines and the method comparison report."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftagg import aggregation, selection
+from shiftagg import aggregation
 from shiftagg.aggregation import (
     aggregate_predict,
     compute_g_vector,
@@ -284,8 +286,8 @@ def test_target_gram_is_built_once_per_comparison(monkeypatch):
         calls.append(1)
         return real(preds)
 
-    for module in (aggregation, selection):
-        monkeypatch.setattr(module, "compute_gram", counting)
+    # target_moments calls compute_gram through aggregation's global.
+    monkeypatch.setattr(aggregation, "compute_gram", counting)
     bundle = build_bundle(m=3, n_s=6, n_t=5, with_oracle=True, seed=44)
     rows = build_method_rows(
         bundle, {"a": np.ones(6), "b": np.linspace(0.5, 1.5, 6)}, None
@@ -315,6 +317,51 @@ def test_target_gram_is_built_once_per_comparison(monkeypatch):
     report = compare_methods(dup, np.ones(6))
     assert "error" in report.row("aggregate_oracle").detail
     assert len(calls) == 1
+
+    # The moments are kept on the bundle: the three public calls on one
+    # bundle build one Gram, and a replace() copy builds its own.
+    calls.clear()
+    bundle = build_bundle(m=3, n_s=6, n_t=5, with_oracle=True, seed=45)
+    beta = np.linspace(0.5, 1.5, 6)
+    warm = aggregation.run_aggregation(bundle, beta)
+    warm_report = compare_methods(bundle, beta)
+    warm_oracle = aggregation.oracle_aggregate(bundle)
+    assert len(calls) == 1
+    fresh = replace(bundle)
+    cold_report = compare_methods(fresh, beta)  # this copy's first Gram
+    cold = aggregation.run_aggregation(fresh, beta)
+    cold_oracle = aggregation.oracle_aggregate(fresh)
+    assert len(calls) == 2
+    assert warm.coefficients.tobytes() == cold.coefficients.tobytes()
+    assert warm_oracle.coefficients.tobytes() == cold_oracle.coefficients.tobytes()
+    assert dumps_canonical(warm_report.to_json_dict()) == dumps_canonical(
+        cold_report.to_json_dict()
+    )
+
+    moments = aggregation.target_moments(bundle)
+    assert moments is aggregation.target_moments(bundle) and len(calls) == 2
+    assert moments.gram.tobytes() == real(bundle.target_preds).tobytes()
+    for arr in (moments.gram, moments.oracle_moment):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+    # Threads on one new bundle may each build its moments; every table they
+    # make has the same bytes.
+    shared = replace(bundle)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            docs = set(
+                pool.map(
+                    lambda _: dumps_canonical(compare_methods(shared, beta).to_json_dict()),
+                    range(8),
+                    timeout=60,
+                )
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    assert docs == {dumps_canonical(warm_report.to_json_dict())}
 
 
 def reference_build_method_rows(bundle, beta_by_name, lam):
