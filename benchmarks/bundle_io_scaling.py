@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
+from functools import partial
 
 import _harness  # first: pins BLAS to one thread before numpy loads
 
@@ -48,11 +49,22 @@ def _dir_bytes(path) -> int:
         return sum(e.stat().st_size for e in it if e.is_file())
 
 
-def time_io(n: int, workdir: str) -> dict:
+def time_io(n: int) -> dict:
+    with tempfile.TemporaryDirectory() as workdir:
+        row = _time_io(n, os.path.join(workdir, f"bundle_{n}"))
+    print(
+        f"bundle m={M} n={n}: write {row['write_median_s']:.4f} s, "
+        f"load {row['load_median_s']:.4f} s, CSV-only load "
+        f"{row['csv_load_median_s']:.4f} s (medians)",
+        file=sys.stderr,
+    )
+    return row
+
+
+def _time_io(n: int, path: str) -> dict:
     bundle = generate_task(
         SynthTaskConfig(n_s=n, n_t=n, family_size=M, seed=SEED)
     ).bundle
-    path = os.path.join(workdir, f"bundle_{n}")
     writes, write_median = _harness.median_time(
         write_bundle, bundle, path, repeats=REPEATS
     )
@@ -82,52 +94,39 @@ def time_io(n: int, workdir: str) -> dict:
     }
 
 
-def time_write_csv(n: int, workdir: str) -> dict:
+def time_write_csv(n: int) -> dict:
     x = np.random.Generator(np.random.Philox(SEED)).standard_normal((n, COLUMNS))
     header = ["id"] + [f"x_{j + 1}" for j in range(COLUMNS)]
-    path = os.path.join(workdir, f"table_{n}.csv")
-    times, median = _harness.median_time(write_csv, path, header, x, repeats=REPEATS)
-    if read_csv(path, COLUMNS + 1)[1].tobytes() != x.tobytes():
-        raise SystemExit(f"n={n}: the written table does not parse back to its bits")
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, f"table_{n}.csv")
+        times, median = _harness.median_time(
+            write_csv, path, header, x, repeats=REPEATS
+        )
+        if read_csv(path, COLUMNS + 1)[1].tobytes() != x.tobytes():
+            raise SystemExit(f"n={n}: the written table does not parse back to its bits")
+        size = os.path.getsize(path)
     cells = n * (COLUMNS + 1)
+    print(
+        f"write_csv ({n}, {COLUMNS}): {median:.4f} s, "
+        f"{cells / median:.3g} cells/s (median)",
+        file=sys.stderr,
+    )
     return {
         "n": n,
         "columns": COLUMNS,
         "cells": cells,
-        "bytes": os.path.getsize(path),
+        "bytes": size,
         "times_s": times,
         "median_s": median,
         "cells_per_s": cells / median,
     }
 
 
-def csv_curve() -> list[dict]:
-    rows = []
-    with tempfile.TemporaryDirectory() as workdir:
-        for n in CSV_SIZES:
-            row = time_write_csv(n, workdir)
-            print(
-                f"write_csv ({n}, {COLUMNS}): {row['median_s']:.4f} s, "
-                f"{row['cells_per_s']:.3g} cells/s (median)",
-                file=sys.stderr,
-            )
-            rows.append(row)
-    return rows
-
-
-def curve() -> list[dict]:
-    rows = []
-    with tempfile.TemporaryDirectory() as workdir:
-        for n in SIZES:
-            row = time_io(n, workdir)
-            print(
-                f"bundle m={M} n={n}: write {row['write_median_s']:.4f} s, "
-                f"load {row['load_median_s']:.4f} s, CSV-only load "
-                f"{row['csv_load_median_s']:.4f} s (medians)",
-                file=sys.stderr,
-            )
-            rows.append(row)
-    return rows
+def curves() -> dict:
+    return {
+        "bundle_io": [partial(time_io, n) for n in SIZES],
+        "write_csv": [partial(time_write_csv, n) for n in CSV_SIZES],
+    }
 
 
 if __name__ == "__main__":
@@ -138,6 +137,6 @@ if __name__ == "__main__":
             "default synthetic task; write_csv of a standard normal table",
             {"m": M, "seed": SEED, "csv_columns": COLUMNS},
             REPEATS,
-            {"bundle_io": curve, "write_csv": csv_curve},
+            curves,
         )
     )

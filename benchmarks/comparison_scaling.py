@@ -19,7 +19,8 @@ one thread by ``_harness``:
 Every copy is made before its call's timer starts. The JSON output holds
 every time, the medians, the CPU count and the numpy/BLAS build. Uses the
 standard library besides numpy and shiftagg itself, so the same script
-times any tree put first on ``PYTHONPATH``.
+times any tree put first on ``PYTHONPATH``, and ``--against`` (see
+``_harness``) times two trees in alternating fresh processes.
 
     PYTHONPATH=src python3 benchmarks/comparison_scaling.py --output BENCH_21.json
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import replace
+from functools import partial
 
 import _harness  # first: pins BLAS to one thread before numpy loads
 
@@ -79,8 +81,8 @@ def time_point(m: int) -> dict:
     return row
 
 
-def curve() -> list[dict]:
-    return [time_point(m) for m in MODEL_COUNTS]
+def curves() -> dict:
+    return {"comparison": [partial(time_point, m) for m in MODEL_COUNTS]}
 
 
 if __name__ == "__main__":
@@ -91,6 +93,6 @@ if __name__ == "__main__":
             "and in sequence, on fresh and reused bundles",
             {"d1": 5, "d2": 1, "seed": SEED},
             REPEATS,
-            {"comparison": curve},
+            curves,
         )
     )

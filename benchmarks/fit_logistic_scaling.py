@@ -18,6 +18,7 @@ times any tree put first on ``PYTHONPATH``.
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 import _harness  # first: pins BLAS to one thread before numpy loads
 import numpy as np
@@ -39,25 +40,24 @@ def _inputs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, xt
 
 
-def fit_curve() -> list[dict]:
+def time_point(n: int) -> dict:
     cfg = RatioFitConfig(seed=SEED)
-    rows = []
-    for n in SIZES:
-        xs, xt = _inputs(n)
-        times, median = _harness.median_time(
-            fit_logistic_ratio, xs, xt, cfg, repeats=REPEATS
-        )
-        print(f"fit_logistic_ratio n={n}: median {median:.4f} s", file=sys.stderr)
-        weights = fit_logistic_ratio(xs, xt, cfg).classifier_weights
-        rows.append(
-            {
-                "n": n,
-                "times_s": times,
-                "median_s": median,
-                "classifier_weights": weights.tolist(),
-            }
-        )
-    return rows
+    xs, xt = _inputs(n)
+    times, median = _harness.median_time(
+        fit_logistic_ratio, xs, xt, cfg, repeats=REPEATS
+    )
+    print(f"fit_logistic_ratio n={n}: median {median:.4f} s", file=sys.stderr)
+    weights = fit_logistic_ratio(xs, xt, cfg).classifier_weights
+    return {
+        "n": n,
+        "times_s": times,
+        "median_s": median,
+        "classifier_weights": weights.tolist(),
+    }
+
+
+def curves() -> dict:
+    return {"fit_logistic_ratio": [partial(time_point, n) for n in SIZES]}
 
 
 if __name__ == "__main__":
@@ -67,6 +67,6 @@ if __name__ == "__main__":
             "fit_logistic_ratio default config",
             {"dim": DIM, "shift": SHIFT, "seed": SEED},
             REPEATS,
-            {"fit_logistic_ratio": fit_curve},
+            curves,
         )
     )

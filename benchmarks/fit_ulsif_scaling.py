@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import resource
 import sys
+from functools import partial
 
 import _harness  # first: pins BLAS to one thread before numpy loads
 import numpy as np
@@ -68,29 +69,30 @@ def _point(key: str, n: int, fn, *args) -> dict:
     }
 
 
-def width_curve() -> list[dict]:
-    rows = []
-    for n in POOLED:
-        pooled = np.vstack(_inputs(n // 2))
-        rng = ratio._rng(SEED)  # each call draws on, as one fit's would
-        rows.append(_point("width", n, ratio._median_pairwise_distance, pooled, rng))
-    return rows
+def width_point(n: int) -> dict:
+    pooled = np.vstack(_inputs(n // 2))
+    rng = ratio._rng(SEED)  # each call draws on, as one fit's would
+    return _point("width", n, ratio._median_pairwise_distance, pooled, rng)
 
 
-def fit_curve() -> list[dict]:
+def fit_point(n: int) -> dict:
     cfg = RatioFitConfig(seed=SEED)
-    rows = []
-    for n in SIZES:
-        xs, xt = _inputs(n)
-        row = _point("fit_ulsif", n, fit_ulsif, xs, xt, cfg)
-        model = fit_ulsif(xs, xt, cfg)
-        cv = model.cv
-        scores = np.array(cv["scores"], dtype=np.float64)
-        row["chosen_cell"] = [cv["width_index"], cv["ridge_index"]]
-        row["alpha_sha256"] = hashlib.sha256(model.alpha.tobytes()).hexdigest()
-        row["scores_sha256"] = hashlib.sha256(scores.tobytes()).hexdigest()
-        rows.append(row)
-    return rows
+    xs, xt = _inputs(n)
+    row = _point("fit_ulsif", n, fit_ulsif, xs, xt, cfg)
+    model = fit_ulsif(xs, xt, cfg)
+    cv = model.cv
+    scores = np.array(cv["scores"], dtype=np.float64)
+    row["chosen_cell"] = [cv["width_index"], cv["ridge_index"]]
+    row["alpha_sha256"] = hashlib.sha256(model.alpha.tobytes()).hexdigest()
+    row["scores_sha256"] = hashlib.sha256(scores.tobytes()).hexdigest()
+    return row
+
+
+def curves() -> dict:
+    return {
+        "median_pairwise_distance": [partial(width_point, n) for n in POOLED],
+        "fit_ulsif": [partial(fit_point, n) for n in SIZES],
+    }
 
 
 if __name__ == "__main__":
@@ -100,6 +102,6 @@ if __name__ == "__main__":
             "fit_ulsif default config and its median pairwise distance",
             {"dim": DIM, "shift": SHIFT, "seed": SEED},
             REPEATS,
-            {"median_pairwise_distance": width_curve, "fit_ulsif": fit_curve},
+            curves,
         )
     )

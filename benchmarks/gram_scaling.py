@@ -15,6 +15,7 @@ itself.
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 import _harness  # first: pins BLAS to one thread before numpy loads
 import numpy as np
@@ -47,22 +48,19 @@ def time_point(m: int, n: int) -> dict:
         times, median = _harness.median_time(fn, *args, repeats=REPEATS)
         row[f"{name}_times_s"] = times
         row[f"{name}_median_s"] = median
+    medians = ", ".join(
+        f"{k[:-len('_median_s')]} {v:.4f} s"
+        for k, v in row.items()
+        if k.endswith("_median_s")
+    )
+    print(f"m={m} n={n}: {medians}", file=sys.stderr)
     return row
 
 
-def curve() -> list[dict]:
-    rows = []
-    for m in MODEL_COUNTS:
-        for n in SIZES:
-            row = time_point(m, n)
-            medians = ", ".join(
-                f"{k[:-len('_median_s')]} {v:.4f} s"
-                for k, v in row.items()
-                if k.endswith("_median_s")
-            )
-            print(f"m={m} n={n}: {medians}", file=sys.stderr)
-            rows.append(row)
-    return rows
+def curves() -> dict:
+    return {
+        "moments": [partial(time_point, m, n) for m in MODEL_COUNTS for n in SIZES]
+    }
 
 
 if __name__ == "__main__":
@@ -72,6 +70,6 @@ if __name__ == "__main__":
             "compute_gram, compute_g_vector and model_risks",
             {"d2": D2, "seed": SEED},
             REPEATS,
-            {"moments": curve},
+            curves,
         )
     )

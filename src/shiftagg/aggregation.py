@@ -18,9 +18,12 @@ contract ``||(G + lam*I) c - g||_inf <= 1e-8 * max(1, ||g||_inf)``.
 bits depend on the BLAS build and its thread count, not on the run or on
 how many Python threads call in, so outputs are byte-identical across runs
 and ``--threads`` values for a fixed BLAS build and BLAS thread count.
-``G`` depends only on the models' target predictions, so it is computed
-once per bundle: :func:`target_moments` keeps it, with the oracle moments,
-on the bundle object for every later call on that object.
+Quantities that depend on the bundle alone are computed once per bundle
+object and kept on it for every later call on that object, each built on
+its first request: ``G``; the oracle moments ``g'`` and ``||y'||^2/n_t``
+(:func:`target_moments`); and, for the comparison table, the per-model
+true target risks and plain source risks. Only the ``beta``-dependent
+work is done again on each call.
 Per-model risks use no BLAS: :func:`model_risks` is the one risk kernel,
 and the single-model evaluators are its one-model case, bit for bit.
 """
@@ -195,7 +198,12 @@ def solve_coefficients(G, g, lam: float = 0.0) -> np.ndarray:
 
 def _check_symmetric(G: np.ndarray) -> None:
     """Raise :class:`NonSymmetric` unless the square ``G`` equals its
-    transpose to within 1e-12 of its largest entry (or of 1)."""
+    transpose to within 1e-12 of its largest entry (or of 1).
+
+    An exactly symmetric ``G``, as :func:`compute_gram` builds, passes on
+    one comparison with no arithmetic temporaries."""
+    if np.array_equal(G, G.T):
+        return
     if float(np.max(np.abs(G - G.T), initial=0.0)) > 1e-12 * max(
         1.0, float(np.max(np.abs(G), initial=0.0))
     ):
@@ -401,34 +409,55 @@ class Moments:
                 arr.setflags(write=False)
 
 
-def target_moments(bundle: PredictionBundle) -> Moments:
-    """The bundle's :class:`Moments`, built on first use and kept on that
-    bundle object, as :func:`functools.cached_property` keeps a value.
+def _kept(bundle: PredictionBundle, key: str, build):
+    """The value kept on ``bundle`` under ``key``, made by ``build()`` on
+    first request (read-only, if an array) and stored on that bundle object,
+    as :func:`functools.cached_property` keeps a value.
 
-    Every later call on the same object -- :func:`run_aggregation`,
-    :func:`oracle_aggregate`, the comparison table -- reads them instead of
-    building ``G`` again; a ``dataclasses.replace`` copy builds its own.
-    Each quantity is the same expression as a direct call would evaluate,
-    so the bits do not depend on which call built it. Two threads on one
-    bundle may both build it; they get identical bits and the later store
+    A ``dataclasses.replace`` copy makes its own. Two threads on one new
+    bundle may both make it; they get identical bits and the later store
     wins.
     """
-    moments = vars(bundle).get("_target_moments")
-    if moments is None:
-        G = compute_gram(bundle.target_preds)
+    value = vars(bundle).get(key)
+    if value is None:
+        value = build()
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(bundle, key, value)
+    return value
+
+
+def _target_gram(bundle: PredictionBundle) -> np.ndarray:
+    """The bundle's ``G``, built once per bundle object."""
+    return _kept(bundle, "_gram", lambda: compute_gram(bundle.target_preds))
+
+
+def target_moments(bundle: PredictionBundle) -> Moments:
+    """The bundle's :class:`Moments`, built on first request and kept on
+    that bundle object.
+
+    ``G`` is kept on its own first, so :func:`run_aggregation`, which needs
+    only ``G``, builds no oracle part; :func:`oracle_aggregate` and the
+    comparison table build the oracle part on their first call and every
+    later call on the same object reads it. Each quantity is the same
+    expression as a direct call would evaluate, so the bits do not depend
+    on which call built it.
+    """
+
+    def build() -> Moments:
+        G = _target_gram(bundle)
         labels = bundle.target.oracle_labels
         if labels is None:
-            moments = Moments(G)
-        else:
-            # Weighting by exactly 1.0 makes this the plain averaged inner product.
-            ones = np.ones(bundle.target.n_samples)
-            moments = Moments(
-                G,
-                compute_g_vector(bundle.target_preds, labels, ones),
-                float(np.sum(labels * labels)) / len(labels),
-            )
-        object.__setattr__(bundle, "_target_moments", moments)
-    return moments
+            return Moments(G)
+        # Weighting by exactly 1.0 makes this the plain averaged inner product.
+        ones = np.ones(bundle.target.n_samples)
+        return Moments(
+            G,
+            compute_g_vector(bundle.target_preds, labels, ones),
+            float(np.sum(labels * labels)) / len(labels),
+        )
+
+    return _kept(bundle, "_target_moments", build)
 
 
 # --- pipeline entry points ------------------------------------------------
@@ -467,9 +496,11 @@ def solve_aggregation(G, g, lam: float | None = None) -> AggregationResult:
     """Solve ``(G + lam*I) c = g`` under the regularization policy.
 
     ``lam=None`` applies the default ``1e-8 * trace(G)/m`` and escalates it
-    tenfold (up to ``1e-2 * trace(G)/m``) whenever the solve is refused; an
-    explicit ``lam`` -- including 0 -- is used exactly as given, and its
-    refusal propagates unchanged. The diagnostics record the policy, the
+    tenfold (up to ``1e-2 * trace(G)/m``) whenever the solve is refused. A
+    zero trace (every model predicts 0) gives it no scale and is refused at
+    once with :class:`IllConditioned`, a non-finite one with
+    :class:`ConfigInvalid`. An explicit ``lam`` -- including 0 -- is used
+    exactly as given, and its refusal propagates unchanged. The diagnostics record the policy, the
     escalation count, the condition estimate and the final residual.
     """
     if lam is not None:
@@ -477,6 +508,14 @@ def solve_aggregation(G, g, lam: float | None = None) -> AggregationResult:
         policy = "explicit"
     else:
         scale = float(np.trace(G)) / len(G)
+        if not np.isfinite(scale):
+            raise ConfigInvalid("gram matrix and moment vector must be finite")
+        if LAMBDA_BASE_FACTOR * scale == 0.0:
+            raise IllConditioned(
+                f"gram matrix has zero trace (trace(G)/m = {scale!r}), so the "
+                "automatic regularizer has no scale: every model predicts 0 on "
+                "the target sample; supply an explicit lam"
+            )
         attempts = [LAMBDA_BASE_FACTOR * scale]
         while attempts[-1] * 10.0 <= LAMBDA_CAP_FACTOR * scale:
             attempts.append(attempts[-1] * 10.0)
@@ -516,15 +555,15 @@ def run_aggregation(
 ) -> AggregationResult:
     """Full pipeline: weights, Gram matrix, moment vector, solve.
 
-    The Gram matrix comes from :func:`target_moments`, so it is built once
-    per bundle object.
+    The Gram matrix is built once per bundle object and kept on it (see
+    :func:`target_moments`); the oracle moments are not built.
 
     ``ratio`` is a :class:`RatioModel` (evaluated on the source features)
     or a precomputed weight vector; ``lam`` follows the policy of
     :func:`solve_aggregation`.
     """
     beta, saturation = resolve_beta(bundle, ratio)
-    G = target_moments(bundle).gram
+    G = _target_gram(bundle)
     g = compute_g_vector(bundle.source_preds, bundle.source.labels, beta)
     result = solve_aggregation(G, g, lam)
     result.diagnostics.update(

@@ -185,9 +185,12 @@ class PredictionBundle:
 
     The arrays are not copied when they are already contiguous float64:
     the caller's own arrays (here and in the datasets) are made read-only
-    in place. The target moments (``aggregation.target_moments``) are
-    computed once per bundle object and kept on it, so re-enabling writes
-    on such an array and mutating it is unsupported.
+    in place. Quantities that depend on the bundle alone are computed once
+    per bundle object, each on its first request, and kept on it: the
+    target Gram matrix ``G``, the oracle moments (both through
+    ``aggregation.target_moments``), and the per-model true target risks and
+    plain source risks that selection and the comparison table read. So
+    re-enabling writes on such an array and mutating it is unsupported.
     """
 
     model_names: tuple[str, ...]

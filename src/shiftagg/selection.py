@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import (
+    _kept,
     _sq_risks,
     aggregate_predict,
     compute_g_vector,
@@ -70,7 +71,7 @@ class SelectionOutcome:
 
 def select_source_risk(bundle: PredictionBundle) -> SelectionOutcome:
     """Pick the model with the lowest plain source risk (naive baseline)."""
-    return _select(bundle, [None])[0]
+    return _select(bundle, [])[0]
 
 
 def select_iwv(bundle: PredictionBundle, beta) -> SelectionOutcome:
@@ -79,18 +80,32 @@ def select_iwv(bundle: PredictionBundle, beta) -> SelectionOutcome:
     ``beta`` is a ratio model or a weight vector, checked by
     :func:`resolve_beta`.
     """
-    return _select(bundle, [resolve_beta(bundle, beta)[0]])[0]
+    return _select(bundle, [resolve_beta(bundle, beta)[0]])[1][0]
 
 
-def _select(bundle: PredictionBundle, weight_sets) -> list[SelectionOutcome]:
-    """One outcome per weight vector (``None`` is the plain source risk),
-    all scored in one pass over the source predictions."""
-    scores = _sq_risks(bundle.source_preds, bundle.source.labels, weight_sets)
-    return [
-        SelectionOutcome(
-            method="source_risk" if w is None else "importance_weighted", scores=row
+def _select(bundle: PredictionBundle, weight_sets):
+    """The plain source-risk outcome, and one importance-weighted outcome
+    per weight vector.
+
+    The plain per-model source risks depend on the bundle alone, so they
+    are kept on it. A bundle's first call scores them in the same pass over
+    the source predictions as its weighted rows; a later call passes over
+    the weighted rows only, and over nothing when there are none.
+    """
+    weighted = []
+
+    def one_pass():
+        plain, *rows = _sq_risks(
+            bundle.source_preds, bundle.source.labels, [None, *weight_sets]
         )
-        for w, row in zip(weight_sets, scores)
+        weighted.extend(rows)
+        return plain
+
+    plain = _kept(bundle, "_source_risk", one_pass)
+    if weight_sets and not weighted:
+        weighted = _sq_risks(bundle.source_preds, bundle.source.labels, weight_sets)
+    return SelectionOutcome(method="source_risk", scores=plain), [
+        SelectionOutcome(method="importance_weighted", scores=row) for row in weighted
     ]
 
 
@@ -155,19 +170,21 @@ def build_method_rows(
 
     ``beta_by_name`` maps a suffix (e.g. ``"analytic"``, ``"ulsif"`` or
     ``""`` for unsuffixed rows) to a ratio model or weight vector; each
-    entry yields one IWV row and one aggregation row. The source risk and
-    every IWV score come from one pass over the source predictions. The
-    target Gram matrix ``G``, the oracle moments ``g'`` and ``||y'||^2 / n_t``
-    come from :func:`target_moments`, so they are computed once per bundle;
-    the oracle solve (:func:`oracle_aggregate`) uses them and is made first,
-    so its risk can scale every row as it is built. Each aggregation's true risk
-    ``||y'||^2 / n_t - 2 c.g' + c'Gc`` comes from them too (0.0 if it is
-    within a few ulps of its terms' size, or below zero); the per-model true
-    risks come from :func:`model_risks`.
+    entry yields one IWV row and one aggregation row. Every quantity that
+    depends on the bundle alone is computed once per bundle object and kept
+    on it: the per-model plain source risks (on a first call, in the same
+    pass over the source predictions as the IWV scores), the per-model true
+    target risks (:func:`model_risks`), and the target Gram matrix ``G``, the
+    oracle moments ``g'`` and ``||y'||^2 / n_t`` (:func:`target_moments`). So
+    a later call on the same bundle does only the ``beta``-dependent work.
+    The oracle solve (:func:`oracle_aggregate`) is made first, so its risk
+    can scale every row as it is built. Each aggregation's true risk
+    ``||y'||^2 / n_t - 2 c.g' + c'Gc`` comes from the moments too (0.0 if it
+    is within a few ulps of its terms' size, or below zero).
     """
     labels_t = bundle.target.oracle_labels
     betas = {s: resolve_beta(bundle, ratio)[0] for s, ratio in beta_by_name.items()}
-    sel, *iwvs = _select(bundle, [None, *betas.values()])
+    sel, iwvs = _select(bundle, list(betas.values()))
 
     true_risks = [None] * bundle.model_count
     moments = oracle_true = oracle_detail = None
@@ -185,7 +202,9 @@ def build_method_rows(
         return risk if risk > noise else 0.0
 
     if labels_t is not None:
-        true_risks = model_risks(bundle.target_preds, labels_t).tolist()
+        true_risks = _kept(
+            bundle, "_true_risk", lambda: model_risks(bundle.target_preds, labels_t)
+        ).tolist()
         try:
             oracle = oracle_aggregate(bundle)
         except IllConditioned as exc:

@@ -1,6 +1,7 @@
 """Aggregation core against brute-force and dense linear-algebra oracles."""
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from shiftagg.aggregation import (
     oracle_aggregate,
     resolve_beta,
     run_aggregation,
+    solve_aggregation,
     solve_coefficients,
 )
 from shiftagg.data import (
@@ -288,6 +290,72 @@ class TestSolveCoefficients:
                 condition_estimate=1.0,
                 diagnostics={},
             )
+
+
+def reference_check_symmetric(G):
+    """The symmetry test with no exact-equality fast path."""
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(G), initial=0.0)))
+    return not float(np.max(np.abs(G - G.T), initial=0.0)) > tol
+
+
+class TestCheckSymmetric:
+    def _cases(self):
+        rng = np.random.Generator(np.random.Philox(18))
+        A = rng.standard_normal((6, 9))
+        exact = compute_gram(A[:, :, None])
+        within = exact.copy()
+        within[0, 1] += 5e-13
+        beyond = exact.copy()
+        beyond[0, 1] += 1e-9
+        nan = exact.copy()
+        nan[2, 3] = np.nan
+        both_nan = nan.copy()
+        both_nan[3, 2] = np.nan
+        return {"exact": exact, "within": within, "beyond": beyond, "nan": nan,
+                "both_nan": both_nan}
+
+    def test_decisions_match_the_tolerance_test(self):
+        decisions = {}
+        for name, G in self._cases().items():
+            try:
+                aggregation._check_symmetric(G)
+            except NonSymmetric:
+                decisions[name] = False
+            else:
+                decisions[name] = True
+            assert decisions[name] == reference_check_symmetric(G), name
+        assert decisions == {"exact": True, "within": True, "beyond": False,
+                             "nan": True, "both_nan": True}
+
+    def test_exactly_symmetric_gram_takes_the_fast_path(self):
+        class NoArithmetic(np.ndarray):
+            def __sub__(self, other):
+                raise AssertionError("the tolerance test ran")
+
+        cases = self._cases()
+        aggregation._check_symmetric(cases["exact"].view(NoArithmetic))
+        with pytest.raises(AssertionError, match="tolerance test"):
+            aggregation._check_symmetric(cases["within"].view(NoArithmetic))
+
+
+class TestAutoLambdaScale:
+    @pytest.mark.parametrize("diag", [0.0, -0.0, 1e-320], ids=["zero", "minus_zero", "underflow"])
+    def test_zero_trace_is_ill_conditioned(self, diag):
+        with pytest.raises(IllConditioned, match="zero trace"):
+            solve_aggregation(np.diag([diag, diag]), np.zeros(2))
+
+    @pytest.mark.parametrize("diag", [np.inf, np.nan, -np.inf])
+    def test_non_finite_trace_is_config_invalid(self, diag):
+        with pytest.raises(ConfigInvalid, match="must be finite"):
+            solve_aggregation(np.diag([diag, 1.0]), np.zeros(2))
+
+    def test_all_zero_target_predictions(self):
+        bundle = build_bundle(m=3, n_s=8, n_t=6, seed=19)
+        bundle = replace(bundle, target_preds=np.zeros_like(bundle.target_preds))
+        with pytest.raises(IllConditioned, match="zero trace"):
+            run_aggregation(bundle, np.ones(8))
+        # An explicit value is used as given.
+        assert run_aggregation(bundle, np.ones(8), lam=1.0).tikhonov == 1.0
 
 
 class TestAggregatePredict:
@@ -628,6 +696,23 @@ class TestRunAggregation:
         )
         with pytest.raises(ConfigInvalid, match="non-finite"):
             resolve_beta(bundle, model)
+
+    def test_builds_no_oracle_part(self, monkeypatch):
+        calls = []
+        real = aggregation.compute_g_vector
+
+        def counting(preds, labels, beta):
+            calls.append(preds)
+            return real(preds, labels, beta)
+
+        monkeypatch.setattr(aggregation, "compute_g_vector", counting)
+        bundle = build_bundle(m=3, n_s=10, n_t=12, with_oracle=True, seed=7)
+        run_aggregation(bundle, np.ones(10))
+        assert len(calls) == 1 and calls[0] is bundle.source_preds
+        assert "_target_moments" not in vars(bundle)
+        # The oracle part is built on its first request, on the kept G.
+        G = vars(bundle)["_gram"]
+        assert aggregation.target_moments(bundle).gram is G and len(calls) == 2
 
     def test_diagnostics_populated(self):
         bundle = build_bundle(m=2, n_s=10, n_t=10, seed=8)

@@ -13,18 +13,34 @@ ROOT = pathlib.Path(__file__).parents[1]
 BENCHMARKS = ROOT / "benchmarks"
 
 # Per script: the module constants that shrink it to a tiny size, and the
-# curve functions its ``__main__`` builds.
+# keys of the curves its ``curves()`` returns.
 TINY = {
     "bundle_io_scaling": (
-        {"SIZES": (40,), "CSV_SIZES": (40,), "M": 2}, ["curve", "csv_curve"]
+        {"SIZES": (40,), "CSV_SIZES": (40,), "M": 2}, ["bundle_io", "write_csv"]
     ),
-    "comparison_scaling": ({"MODEL_COUNTS": (2,), "N": 40}, ["curve"]),
-    "fit_logistic_scaling": ({"SIZES": (40,)}, ["fit_curve"]),
+    "comparison_scaling": ({"MODEL_COUNTS": (2,), "N": 40}, ["comparison"]),
+    "fit_logistic_scaling": ({"SIZES": (40,)}, ["fit_logistic_ratio"]),
     "fit_ulsif_scaling": (
-        {"SIZES": (40,), "POOLED": (80,)}, ["width_curve", "fit_curve"]
+        {"SIZES": (40,), "POOLED": (80,)}, ["median_pairwise_distance", "fit_ulsif"]
     ),
-    "gram_scaling": ({"MODEL_COUNTS": (2,), "SIZES": (40,)}, ["curve"]),
+    "gram_scaling": ({"MODEL_COUNTS": (2,), "SIZES": (40,)}, ["moments"]),
 }
+
+
+def _tiny(script: str) -> list[str]:
+    """Lines that import ``script`` and shrink it to its tiny size."""
+    consts, _ = TINY[script]
+    return [
+        f"import {script} as bench",
+        *(f"bench.{k} = {v!r}" for k, v in {**consts, "REPEATS": 1}.items()),
+    ]
+
+
+def _env() -> dict:
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(BENCHMARKS), str(ROOT / "src")]),
+    }
 
 
 def test_every_script_has_a_tiny_run():
@@ -33,23 +49,66 @@ def test_every_script_has_a_tiny_run():
 
 @pytest.mark.parametrize("script", sorted(TINY))
 def test_curves_run_at_a_tiny_size(script, tmp_path):
-    consts, curves = TINY[script]
     code = "\n".join(
         [
             "import json",
-            f"import {script} as bench",
-            *(f"bench.{k} = {v!r}" for k, v in {**consts, "REPEATS": 1}.items()),
-            f"print(json.dumps({{c: getattr(bench, c)() for c in {curves!r}}}))",
+            *_tiny(script),
+            "curves = bench.curves()",
+            "print(json.dumps({k: [point() for point in v] for k, v in curves.items()}))",
         ]
     )
-    path = os.pathsep.join([str(BENCHMARKS), str(ROOT / "src")])
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        env=_env(),
         cwd=tmp_path,
         capture_output=True,
         text=True,
     )
     assert done.returncode == 0, done.stderr
     rows = json.loads(done.stdout)
-    assert all(len(rows[c]) == 1 for c in curves)
+    assert list(rows) == TINY[script][1]
+    assert all(len(r) == 1 for r in rows.values())
+
+
+def test_against_pairs_alternating_runs(tmp_path):
+    # Each run is a fresh process of this wrapper, so it shrinks the script
+    # there too; the repository's own src is on both sides.
+    wrapper = tmp_path / "tiny_comparison.py"
+    wrapper.write_text(
+        "\n".join(
+            [
+                *_tiny("comparison_scaling"),
+                "import _harness",
+                "_harness.ROUNDS = 2",
+                "raise SystemExit(_harness.main('tiny', 'tiny', {}, 1, bench.curves))",
+            ]
+        )
+        + "\n"
+    )
+    out = tmp_path / "pair.json"
+    done = subprocess.run(
+        [sys.executable, str(wrapper), "--output", str(out),
+         "--against", str(ROOT / "src")],
+        env=_env(),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(out.read_text())
+    assert doc["rounds"] == 2
+    assert doc["trees"] == {"src": "src", "against": str(ROOT / "src")}
+    (pair,) = doc["comparison"]
+    assert set(pair["summary"]) == {
+        f"{name}_median_s"
+        for name in ("run_aggregation", "compare_methods", "pair_fresh", "pair_reused")
+    }
+    for stats in pair["summary"].values():
+        assert sum(stats["wins"].values()) <= 2
+        for side in ("src", "against"):
+            assert len(stats[side]["values"]) == 2
+            assert stats[side]["q1"] <= stats[side]["median"] <= stats[side]["q3"]
+    for side_runs in pair["runs"].values():
+        assert [run["row"]["m"] for run in side_runs] == [2, 2]
+        assert all(len(run["calibration_s"]) == 2 for run in side_runs)

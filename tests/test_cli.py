@@ -5,6 +5,8 @@ import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -569,6 +571,31 @@ def test_memory_error_exit_4(exc, message, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "cmd_bench", refuse)
     assert main(["bench", "--output", str(tmp_path / "out")]) == 4
     assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["aggregate", "select"])
+@pytest.mark.parametrize(
+    "target_value, code, message",
+    [(0.0, 3, "zero trace"), (1e200, 2, "must be finite")],
+    ids=["all_zero", "overflowing"],
+)
+def test_degenerate_target_gram_exits_at_once(command, target_value, code, message, tmp_path):
+    # The automatic regularizer scales with trace(G)/m, which is 0 when every
+    # model predicts 0 on the target and inf when G overflows.
+    base = build_bundle(m=2, n_s=5, n_t=4, seed=63)
+    bundle = replace(base, target_preds=np.full_like(base.target_preds, target_value))
+    write_bundle(bundle, tmp_path / "b")
+    beta = tmp_path / "beta.csv"
+    beta.write_text("id,beta\n" + "".join(f"{i},1.0\n" for i in range(5)))
+    src = pathlib.Path(__file__).parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "shiftagg.cli", command, "--input", str(tmp_path / "b"),
+         "--output", str(tmp_path / "out"), "--beta", str(beta)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    assert message in done.stderr and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftagg import aggregation
+from shiftagg import aggregation, selection
 from shiftagg.aggregation import (
     aggregate_predict,
     compute_g_vector,
@@ -362,6 +362,114 @@ def test_target_gram_is_built_once_per_comparison(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert docs == {dumps_canonical(warm_report.to_json_dict())}
+
+
+def _count_passes(monkeypatch, bundle) -> list:
+    """Record ``(sample, function, detail)`` for every pass a call makes
+    over the bundle's source or target predictions, through the module
+    globals the library calls: ``_sq_risks`` and ``compute_g_vector`` in
+    both modules, and ``compute_gram``."""
+    passes = []
+    arrays = {id(bundle.source_preds): "source", id(bundle.target_preds): "target"}
+
+    def spy(module, name, detail):
+        real = getattr(module, name)
+
+        def counting(preds, *args):
+            if id(preds) in arrays:
+                passes.append((arrays[id(preds)], name, detail(*args)))
+            return real(preds, *args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    def weights(labels, weight_sets):
+        return tuple(w is None for w in weight_sets)
+
+    spy(aggregation, "_sq_risks", weights)
+    spy(selection, "_sq_risks", weights)
+    spy(aggregation, "compute_gram", lambda: None)
+    spy(aggregation, "compute_g_vector", lambda labels, beta: None)
+    spy(selection, "compute_g_vector", lambda labels, beta: None)
+    return passes
+
+
+class TestBundleCache:
+    """The per-model risks and moments kept on a bundle object."""
+
+    def test_warm_comparison_does_only_the_beta_work(self, monkeypatch):
+        bundle = build_bundle(m=4, n_s=9, n_t=7, with_oracle=True, seed=81)
+        beta = np.linspace(0.5, 1.5, 9)
+        passes = _count_passes(monkeypatch, bundle)
+        compare_methods(bundle, beta)
+        # Cold: G, g' and the true risks pass over the target; the plain
+        # source risk shares the IWV scores' pass.
+        assert ("source", "_sq_risks", (True, False)) in passes
+        assert sum(kind == "target" for kind, *_ in passes) == 3
+
+        passes.clear()
+        compare_methods(bundle, beta)
+        assert passes == [
+            ("source", "_sq_risks", (False,)),
+            ("source", "compute_g_vector", None),
+        ]
+
+        # Selection alone reads the kept plain risks; IWV passes over its
+        # weights only.
+        passes.clear()
+        select_source_risk(bundle)
+        assert passes == []
+        select_iwv(bundle, beta)
+        assert passes == [("source", "_sq_risks", (False,))]
+
+    def test_fresh_selection_shares_one_pass(self, monkeypatch):
+        bundle = build_bundle(m=3, n_s=8, n_t=5, seed=82)
+        passes = _count_passes(monkeypatch, bundle)
+        iwv = select_iwv(bundle, np.linspace(0.5, 1.5, 8))
+        assert passes == [("source", "_sq_risks", (True, False))]
+        passes.clear()
+        select_source_risk(bundle)
+        assert passes == []
+        assert iwv.scores == select_iwv(replace(bundle), np.linspace(0.5, 1.5, 8)).scores
+
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_warm_and_cold_tables_are_byte_identical(self, oracle):
+        bundle = build_bundle(m=24, n_s=40, n_t=30, d2=2, with_oracle=oracle, seed=83)
+        betas = {"a": np.linspace(0.2, 2.0, 40), "b": np.ones(40)}
+
+        def doc(b, **kw):
+            return dumps_canonical(
+                [r.to_json_dict() for r in build_method_rows(b, betas, None, **kw)]
+            )
+
+        cold = doc(replace(bundle))
+        select_iwv(bundle, betas["a"])  # keeps the plain source risks first
+        assert doc(bundle) == cold
+        assert doc(bundle) == cold  # every quantity kept
+        warm_report = compare_methods(bundle, betas["a"])
+        cold_report = compare_methods(replace(bundle), betas["a"])
+        assert dumps_canonical(warm_report.to_json_dict()) == dumps_canonical(
+            cold_report.to_json_dict()
+        )
+
+    def test_source_risk_selection_is_model_risks_bit_for_bit(self):
+        bundle = build_bundle(m=21, n_s=33, n_t=12, d2=2, with_oracle=True, seed=84)
+        expected = model_risks(bundle.source_preds, bundle.source.labels).tolist()
+        assert list(select_source_risk(bundle).scores) == expected
+        fresh = replace(bundle)
+        compare_methods(fresh, np.linspace(0.1, 3.0, 33))
+        assert list(select_source_risk(fresh).scores) == expected
+        assert list(select_source_risk(bundle).scores) == expected
+
+    def test_kept_arrays_are_read_only(self):
+        bundle = build_bundle(m=3, n_s=6, n_t=5, with_oracle=True, seed=85)
+        compare_methods(bundle, np.ones(6))
+        kept = {k: v for k, v in vars(bundle).items() if k.startswith("_")}
+        assert set(kept) == {"_gram", "_target_moments", "_true_risk", "_source_risk"}
+        arrays = [kept["_gram"], kept["_true_risk"], kept["_source_risk"],
+                  kept["_target_moments"].oracle_moment]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 def reference_build_method_rows(bundle, beta_by_name, lam):
