@@ -18,12 +18,11 @@ contract ``||(G + lam*I) c - g||_inf <= 1e-8 * max(1, ||g||_inf)``.
 bits depend on the BLAS build and its thread count, not on the run or on
 how many Python threads call in, so outputs are byte-identical across runs
 and ``--threads`` values for a fixed BLAS build and BLAS thread count.
-Quantities that depend on the bundle alone are computed once per bundle
-object and kept on it for every later call on that object, each built on
-its first request: ``G``; the oracle moments ``g'`` and ``||y'||^2/n_t``
-(:func:`target_moments`); and, for the comparison table, the per-model
-true target risks and plain source risks. Only the ``beta``-dependent
-work is done again on each call.
+Quantities that depend on the bundle alone live in one record per bundle
+object, :func:`target_moments`, which builds each on its first read and
+keeps it: ``G``, the oracle moments ``g'`` and ``||y'||^2/n_t``, and the
+per-model true target risks and plain source risks. Every reader goes
+through it, so only the ``beta``-dependent work is done again on each call.
 Per-model risks use no BLAS: :func:`model_risks` is the one risk kernel,
 and the single-model evaluators are its one-model case, bit for bit.
 """
@@ -31,10 +30,11 @@ and the single-model evaluators are its one-model case, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .data import PredictionBundle, as_label_matrix
+from .data import PredictionBundle, _freeze, as_label_matrix
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -192,8 +192,27 @@ def solve_coefficients(G, g, lam: float = 0.0) -> np.ndarray:
     condition estimate below 1e12), otherwise :class:`IllConditioned` asks
     the caller for regularization.
     """
-    c, _, _ = _solve_spd(G, g, lam)
+    c, _, _ = _solve_spd(*_checked_system(G, g), lam)
     return c
+
+
+def _checked_system(G, g) -> tuple[np.ndarray, np.ndarray]:
+    """``(G, g)`` as float64 arrays, checked once before any solve: ``G``
+    square with at least one row, ``g`` of matching length, both finite,
+    ``G`` symmetric."""
+    G = np.asarray(G, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise DimensionMismatch(f"gram matrix must be square, got {G.shape}")
+    m = G.shape[0]
+    if m == 0:
+        raise EmptyInput("an aggregation system needs at least one model")
+    if g.shape != (m,):
+        raise DimensionMismatch(f"moment vector has shape {g.shape}, expected ({m},)")
+    if not (np.isfinite(G).all() and np.isfinite(g).all()):
+        raise ConfigInvalid("gram matrix and moment vector must be finite")
+    _check_symmetric(G)
+    return G, g
 
 
 def _check_symmetric(G: np.ndarray) -> None:
@@ -216,16 +235,7 @@ def _residual_inf(G: np.ndarray, lam: float, c: np.ndarray, g: np.ndarray) -> fl
 
 
 def _solve_spd(G, g, lam: float) -> tuple[np.ndarray, float, float]:
-    G = np.asarray(G, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise DimensionMismatch(f"gram matrix must be square, got {G.shape}")
-    m = G.shape[0]
-    if g.shape != (m,):
-        raise DimensionMismatch(f"moment vector has shape {g.shape}, expected ({m},)")
-    if not (np.isfinite(G).all() and np.isfinite(g).all()):
-        raise ConfigInvalid("gram matrix and moment vector must be finite")
-    _check_symmetric(G)
+    """Solve the :func:`_checked_system` ``(G + lam*I) c = g``."""
     lam = float(lam)
     if not 0 <= lam < np.inf:
         raise ConfigInvalid(f"tikhonov value must be finite and nonnegative, got {lam}")
@@ -394,70 +404,62 @@ def make_risk_report(
 
 @dataclass(frozen=True, eq=False)
 class Moments:
-    """A bundle's target moments: the Gram matrix ``G`` and, when the bundle
-    carries oracle labels, the oracle moment vector
-    ``g'_k = (1/n_t) * sum_i <y'_i, f_k(x'_i)>`` and ``||y'||^2 / n_t``
-    (``None`` otherwise). Both arrays are read-only."""
+    """The quantities that depend on one bundle alone, each built from the
+    bundle's arrays on its first read and kept, read-only, on this record:
 
-    gram: np.ndarray
-    oracle_moment: np.ndarray | None = None
-    label_sq: float | None = None
+    * ``gram``: the target Gram matrix ``G`` (:func:`compute_gram`);
+    * ``oracle_moment``: ``g'_k = (1/n_t) * sum_i <y'_i, f_k(x'_i)>``;
+    * ``label_sq``: ``||y'||^2 / n_t``;
+    * ``true_risks``: each model's :func:`model_risks` on the oracle labels;
+    * ``source_risks``: each model's plain :func:`model_risks` on the source.
 
-    def __post_init__(self):
-        for arr in (self.gram, self.oracle_moment):
-            if arr is not None:
-                arr.setflags(write=False)
-
-
-def _kept(bundle: PredictionBundle, key: str, build):
-    """The value kept on ``bundle`` under ``key``, made by ``build()`` on
-    first request (read-only, if an array) and stored on that bundle object,
-    as :func:`functools.cached_property` keeps a value.
-
-    A ``dataclasses.replace`` copy makes its own. Two threads on one new
-    bundle may both make it; they get identical bits and the later store
-    wins.
+    The three oracle quantities are ``None`` when the bundle has no oracle
+    labels. Each is the expression a direct call evaluates, so its bits do
+    not depend on which caller read it first; two threads that both build
+    one get identical bits. The record holds the bundle's arrays, not the
+    bundle, so it keeps no dropped bundle alive.
     """
-    value = vars(bundle).get(key)
-    if value is None:
-        value = build()
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        object.__setattr__(bundle, key, value)
-    return value
 
+    target_preds: np.ndarray
+    source_preds: np.ndarray
+    source_labels: np.ndarray
+    oracle_labels: np.ndarray | None
 
-def _target_gram(bundle: PredictionBundle) -> np.ndarray:
-    """The bundle's ``G``, built once per bundle object."""
-    return _kept(bundle, "_gram", lambda: compute_gram(bundle.target_preds))
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return _freeze(compute_gram(self.target_preds))
+
+    @cached_property
+    def oracle_moment(self) -> np.ndarray | None:
+        y = self.oracle_labels
+        if y is None:
+            return None
+        # Weighting by exactly 1.0 makes this the plain averaged inner product.
+        return _freeze(compute_g_vector(self.target_preds, y, np.ones(len(y))))
+
+    @cached_property
+    def label_sq(self) -> float | None:
+        y = self.oracle_labels
+        return None if y is None else float(np.sum(y * y)) / len(y)
+
+    @cached_property
+    def true_risks(self) -> np.ndarray | None:
+        y = self.oracle_labels
+        return None if y is None else _freeze(model_risks(self.target_preds, y))
+
+    @cached_property
+    def source_risks(self) -> np.ndarray:
+        return _freeze(model_risks(self.source_preds, self.source_labels))
 
 
 def target_moments(bundle: PredictionBundle) -> Moments:
-    """The bundle's :class:`Moments`, built on first request and kept on
-    that bundle object.
-
-    ``G`` is kept on its own first, so :func:`run_aggregation`, which needs
-    only ``G``, builds no oracle part; :func:`oracle_aggregate` and the
-    comparison table build the oracle part on their first call and every
-    later call on the same object reads it. Each quantity is the same
-    expression as a direct call would evaluate, so the bits do not depend
-    on which call built it.
-    """
-
-    def build() -> Moments:
-        G = _target_gram(bundle)
-        labels = bundle.target.oracle_labels
-        if labels is None:
-            return Moments(G)
-        # Weighting by exactly 1.0 makes this the plain averaged inner product.
-        ones = np.ones(bundle.target.n_samples)
-        return Moments(
-            G,
-            compute_g_vector(bundle.target_preds, labels, ones),
-            float(np.sum(labels * labels)) / len(labels),
-        )
-
-    return _kept(bundle, "_target_moments", build)
+    """The bundle's :class:`Moments`, made on first request and kept on
+    that bundle object; a ``dataclasses.replace`` copy makes its own."""
+    kept = vars(bundle)
+    if "_moments" not in kept:
+        arrays = (bundle.target_preds, bundle.source_preds, bundle.source.labels)
+        kept.setdefault("_moments", Moments(*arrays, bundle.target.oracle_labels))
+    return kept["_moments"]
 
 
 # --- pipeline entry points ------------------------------------------------
@@ -498,18 +500,24 @@ def solve_aggregation(G, g, lam: float | None = None) -> AggregationResult:
     ``lam=None`` applies the default ``1e-8 * trace(G)/m`` and escalates it
     tenfold (up to ``1e-2 * trace(G)/m``) whenever the solve is refused. A
     zero trace (every model predicts 0) gives it no scale and is refused at
-    once with :class:`IllConditioned`, a non-finite one with
+    once with :class:`IllConditioned`; a trace that overflows with
     :class:`ConfigInvalid`. An explicit ``lam`` -- including 0 -- is used
-    exactly as given, and its refusal propagates unchanged. The diagnostics record the policy, the
-    escalation count, the condition estimate and the final residual.
+    exactly as given, and its refusal propagates unchanged. The system is
+    checked once (:func:`_checked_system`) before any of this. The
+    diagnostics record the policy, the escalation count, the condition
+    estimate and the final residual.
     """
+    G, g = _checked_system(G, g)
     if lam is not None:
         attempts = [float(lam)]
         policy = "explicit"
     else:
         scale = float(np.trace(G)) / len(G)
         if not np.isfinite(scale):
-            raise ConfigInvalid("gram matrix and moment vector must be finite")
+            raise ConfigInvalid(
+                f"trace(G)/m overflows to {scale!r}, so the automatic "
+                "regularizer has no finite scale; supply an explicit lam"
+            )
         if LAMBDA_BASE_FACTOR * scale == 0.0:
             raise IllConditioned(
                 f"gram matrix has zero trace (trace(G)/m = {scale!r}), so the "
@@ -555,15 +563,15 @@ def run_aggregation(
 ) -> AggregationResult:
     """Full pipeline: weights, Gram matrix, moment vector, solve.
 
-    The Gram matrix is built once per bundle object and kept on it (see
-    :func:`target_moments`); the oracle moments are not built.
+    The Gram matrix is the bundle's kept ``target_moments(bundle).gram``;
+    nothing else of the record is read.
 
     ``ratio`` is a :class:`RatioModel` (evaluated on the source features)
     or a precomputed weight vector; ``lam`` follows the policy of
     :func:`solve_aggregation`.
     """
     beta, saturation = resolve_beta(bundle, ratio)
-    G = _target_gram(bundle)
+    G = target_moments(bundle).gram
     g = compute_g_vector(bundle.source_preds, bundle.source.labels, beta)
     result = solve_aggregation(G, g, lam)
     result.diagnostics.update(
@@ -580,7 +588,7 @@ def oracle_aggregate(bundle: PredictionBundle, lam: float = 0.0) -> AggregationR
     Both the Gram matrix and the moment vector are formed on the target
     sample (``g_k = (1/n_t) * sum_i <y'_i, f_k(x'_i)>``), so the solution
     is the exact least-squares minimizer over the span of the models'
-    target predictions. Both come from :func:`target_moments`. Benchmark-only:
+    target predictions. Both are kept in :func:`target_moments`. Benchmark-only:
     requires oracle labels.
     """
     if bundle.target.oracle_labels is None:

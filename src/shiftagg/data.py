@@ -185,12 +185,11 @@ class PredictionBundle:
 
     The arrays are not copied when they are already contiguous float64:
     the caller's own arrays (here and in the datasets) are made read-only
-    in place. Quantities that depend on the bundle alone are computed once
-    per bundle object, each on its first request, and kept on it: the
-    target Gram matrix ``G``, the oracle moments (both through
-    ``aggregation.target_moments``), and the per-model true target risks and
-    plain source risks that selection and the comparison table read. So
-    re-enabling writes on such an array and mutating it is unsupported.
+    in place. Quantities that depend on the bundle alone (the target Gram
+    matrix ``G``, the oracle moments and the per-model true target and
+    plain source risks) are kept in one record per bundle object,
+    ``aggregation.target_moments(bundle)``, each built on its first read.
+    So re-enabling writes on such an array and mutating it is unsupported.
     """
 
     model_names: tuple[str, ...]

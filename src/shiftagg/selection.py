@@ -15,16 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import (
-    _kept,
     _sq_risks,
     aggregate_predict,
-    compute_g_vector,
     importance_weighted_risk,
     model_risks,
     oracle_aggregate,
     resolve_beta,
-    run_aggregation,  # noqa: F401  re-exported: perfbench's tracer rebinds it here
-    solve_aggregation,
+    run_aggregation,
     target_moments,
 )
 from .data import PredictionBundle
@@ -71,7 +68,8 @@ class SelectionOutcome:
 
 def select_source_risk(bundle: PredictionBundle) -> SelectionOutcome:
     """Pick the model with the lowest plain source risk (naive baseline)."""
-    return _select(bundle, [])[0]
+    scores = target_moments(bundle).source_risks
+    return SelectionOutcome(method="source_risk", scores=scores)
 
 
 def select_iwv(bundle: PredictionBundle, beta) -> SelectionOutcome:
@@ -80,33 +78,11 @@ def select_iwv(bundle: PredictionBundle, beta) -> SelectionOutcome:
     ``beta`` is a ratio model or a weight vector, checked by
     :func:`resolve_beta`.
     """
-    return _select(bundle, [resolve_beta(bundle, beta)[0]])[1][0]
-
-
-def _select(bundle: PredictionBundle, weight_sets):
-    """The plain source-risk outcome, and one importance-weighted outcome
-    per weight vector.
-
-    The plain per-model source risks depend on the bundle alone, so they
-    are kept on it. A bundle's first call scores them in the same pass over
-    the source predictions as its weighted rows; a later call passes over
-    the weighted rows only, and over nothing when there are none.
-    """
-    weighted = []
-
-    def one_pass():
-        plain, *rows = _sq_risks(
-            bundle.source_preds, bundle.source.labels, [None, *weight_sets]
-        )
-        weighted.extend(rows)
-        return plain
-
-    plain = _kept(bundle, "_source_risk", one_pass)
-    if weight_sets and not weighted:
-        weighted = _sq_risks(bundle.source_preds, bundle.source.labels, weight_sets)
-    return SelectionOutcome(method="source_risk", scores=plain), [
-        SelectionOutcome(method="importance_weighted", scores=row) for row in weighted
-    ]
+    weights = resolve_beta(bundle, beta)[0]
+    return SelectionOutcome(
+        method="importance_weighted",
+        scores=model_risks(bundle.source_preds, bundle.source.labels, weights),
+    )
 
 
 @dataclass(frozen=True)
@@ -170,26 +146,30 @@ def build_method_rows(
 
     ``beta_by_name`` maps a suffix (e.g. ``"analytic"``, ``"ulsif"`` or
     ``""`` for unsuffixed rows) to a ratio model or weight vector; each
-    entry yields one IWV row and one aggregation row. Every quantity that
-    depends on the bundle alone is computed once per bundle object and kept
-    on it: the per-model plain source risks (on a first call, in the same
-    pass over the source predictions as the IWV scores), the per-model true
-    target risks (:func:`model_risks`), and the target Gram matrix ``G``, the
-    oracle moments ``g'`` and ``||y'||^2 / n_t`` (:func:`target_moments`). So
-    a later call on the same bundle does only the ``beta``-dependent work.
-    The oracle solve (:func:`oracle_aggregate`) is made first, so its risk
-    can scale every row as it is built. Each aggregation's true risk
-    ``||y'||^2 / n_t - 2 c.g' + c'Gc`` comes from the moments too (0.0 if it
-    is within a few ulps of its terms' size, or below zero).
+    entry yields one IWV row and one aggregation row (:func:`run_aggregation`).
+    Everything that depends on the bundle alone is read from its
+    :func:`target_moments` record: the per-model plain source risks and
+    true target risks, ``G``, and the oracle moments ``g'`` and
+    ``||y'||^2 / n_t``. So a later call on the same bundle does only the
+    ``beta``-dependent work: one :func:`model_risks`-equal pass over the
+    source predictions for every IWV score, and one ``g`` and solve per
+    aggregation. The oracle solve (:func:`oracle_aggregate`) is made first,
+    so its risk can scale every row as it is built. Each aggregation's true
+    risk ``||y'||^2 / n_t - 2 c.g' + c'Gc`` comes from the moments too (0.0
+    if it is within a few ulps of its terms' size, or below zero).
     """
     labels_t = bundle.target.oracle_labels
     betas = {s: resolve_beta(bundle, ratio)[0] for s, ratio in beta_by_name.items()}
-    sel, iwvs = _select(bundle, list(betas.values()))
+    moments = target_moments(bundle)
+    sel = SelectionOutcome(method="source_risk", scores=moments.source_risks)
+    iwv_scores = (
+        _sq_risks(bundle.source_preds, bundle.source.labels, list(betas.values()))
+        if betas
+        else []
+    )
 
     true_risks = [None] * bundle.model_count
-    moments = oracle_true = oracle_detail = None
-    if labels_t is not None or betas:
-        moments = target_moments(bundle)
+    oracle_true = oracle_detail = None
 
     def true_risk_of(c) -> float | None:
         if labels_t is None:
@@ -202,9 +182,7 @@ def build_method_rows(
         return risk if risk > noise else 0.0
 
     if labels_t is not None:
-        true_risks = _kept(
-            bundle, "_true_risk", lambda: model_risks(bundle.target_preds, labels_t)
-        ).tolist()
+        true_risks = moments.true_risks.tolist()
         try:
             oracle = oracle_aggregate(bundle)
         except IllConditioned as exc:
@@ -243,11 +221,11 @@ def build_method_rows(
     if oracle_detail is not None:
         rows.append(row("aggregate_oracle", oracle_true, detail=oracle_detail))
 
-    for (suffix, beta), iwv in zip(betas.items(), iwvs):
+    for (suffix, beta), scores in zip(betas.items(), iwv_scores):
         tag = f"_{suffix}" if suffix else ""
+        iwv = SelectionOutcome(method="importance_weighted", scores=scores)
         rows.append(pick_row(f"select_iwv{tag}", iwv))
-        g = compute_g_vector(bundle.source_preds, bundle.source.labels, beta)
-        result = solve_aggregation(moments.gram, g, lam)
+        result = run_aggregation(bundle, beta, lam)
         est = importance_weighted_risk(
             aggregate_predict(bundle.source_preds, result.coefficients),
             bundle.source.labels,

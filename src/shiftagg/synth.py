@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
-from .aggregation import empirical_risk, model_risks
+from .aggregation import empirical_risk, target_moments
 from .data import PredictionBundle, SourceDataset, TargetDataset
 from .errors import ConfigInvalid, SingularFit, SingularSystem
 from .ratio import DEFAULT_BOUND, RatioFitConfig, RatioModel, analytic_gaussian_ratio
@@ -192,11 +191,11 @@ class SynthTask:
                     "noiseless oracle sample"
                 )
 
-    @cached_property
+    @property
     def true_model_risks(self) -> tuple[float, ...]:
-        """Each model's risk on the oracle-labeled target sample."""
-        b = self.bundle
-        return tuple(model_risks(b.target_preds, b.target.oracle_labels).tolist())
+        """Each model's risk on the oracle-labeled target sample, read from
+        the bundle's :func:`~shiftagg.aggregation.target_moments`."""
+        return tuple(target_moments(self.bundle).true_risks.tolist())
 
 
 def _ridge_solve_escalating(F, y, reg: float) -> np.ndarray:

@@ -358,6 +358,28 @@ class TestAutoLambdaScale:
         assert run_aggregation(bundle, np.ones(8), lam=1.0).tikhonov == 1.0
 
 
+class TestCheckedSystem:
+    @pytest.mark.parametrize("lam", [None, 0.0, 1.0], ids=["auto", "zero", "one"])
+    @pytest.mark.parametrize(
+        "G, g, error",
+        [
+            (np.zeros((0, 0)), np.zeros(0), EmptyInput),
+            (np.ones(3), np.zeros(3), DimensionMismatch),
+        ],
+        ids=["empty", "one_dimensional"],
+    )
+    def test_malformed_system_raises_typed_error(self, G, g, error, lam):
+        with pytest.raises(error):
+            solve_aggregation(G, g, lam)
+
+    def test_overflowing_trace_is_config_invalid(self):
+        # Every entry is finite, but trace(G)/m is not.
+        with np.errstate(over="ignore"), pytest.raises(
+            ConfigInvalid, match="overflows"
+        ):
+            solve_aggregation(np.diag([1e308, 1e308]), np.zeros(2))
+
+
 class TestAggregatePredict:
     def test_basis_vector_selects_model(self):
         rng = np.random.Generator(np.random.Philox(17))
@@ -709,10 +731,13 @@ class TestRunAggregation:
         bundle = build_bundle(m=3, n_s=10, n_t=12, with_oracle=True, seed=7)
         run_aggregation(bundle, np.ones(10))
         assert len(calls) == 1 and calls[0] is bundle.source_preds
-        assert "_target_moments" not in vars(bundle)
+        moments = aggregation.target_moments(bundle)
+        assert "oracle_moment" not in vars(moments)
         # The oracle part is built on its first request, on the kept G.
-        G = vars(bundle)["_gram"]
-        assert aggregation.target_moments(bundle).gram is G and len(calls) == 2
+        G = moments.gram
+        oracle = aggregation.oracle_aggregate(bundle)
+        assert oracle.gram is G and len(calls) == 2
+        assert calls[1] is bundle.target_preds
 
     def test_diagnostics_populated(self):
         bundle = build_bundle(m=2, n_s=10, n_t=10, seed=8)

@@ -1,6 +1,8 @@
 """Selection baselines and the method comparison report."""
 
+import gc
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -367,8 +369,8 @@ def test_target_gram_is_built_once_per_comparison(monkeypatch):
 def _count_passes(monkeypatch, bundle) -> list:
     """Record ``(sample, function, detail)`` for every pass a call makes
     over the bundle's source or target predictions, through the module
-    globals the library calls: ``_sq_risks`` and ``compute_g_vector`` in
-    both modules, and ``compute_gram``."""
+    globals the library calls: ``_sq_risks`` in both modules, and
+    ``compute_gram`` and ``compute_g_vector``."""
     passes = []
     arrays = {id(bundle.source_preds): "source", id(bundle.target_preds): "target"}
 
@@ -389,7 +391,6 @@ def _count_passes(monkeypatch, bundle) -> list:
     spy(selection, "_sq_risks", weights)
     spy(aggregation, "compute_gram", lambda: None)
     spy(aggregation, "compute_g_vector", lambda labels, beta: None)
-    spy(selection, "compute_g_vector", lambda labels, beta: None)
     return passes
 
 
@@ -402,8 +403,9 @@ class TestBundleCache:
         passes = _count_passes(monkeypatch, bundle)
         compare_methods(bundle, beta)
         # Cold: G, g' and the true risks pass over the target; the plain
-        # source risk shares the IWV scores' pass.
-        assert ("source", "_sq_risks", (True, False)) in passes
+        # source risks and the IWV scores pass over the source once each.
+        assert ("source", "_sq_risks", (True,)) in passes
+        assert ("source", "_sq_risks", (False,)) in passes
         assert sum(kind == "target" for kind, *_ in passes) == 3
 
         passes.clear()
@@ -421,14 +423,14 @@ class TestBundleCache:
         select_iwv(bundle, beta)
         assert passes == [("source", "_sq_risks", (False,))]
 
-    def test_fresh_selection_shares_one_pass(self, monkeypatch):
+    def test_fresh_iwv_makes_one_weighted_pass(self, monkeypatch):
         bundle = build_bundle(m=3, n_s=8, n_t=5, seed=82)
         passes = _count_passes(monkeypatch, bundle)
         iwv = select_iwv(bundle, np.linspace(0.5, 1.5, 8))
-        assert passes == [("source", "_sq_risks", (True, False))]
+        assert passes == [("source", "_sq_risks", (False,))]
         passes.clear()
         select_source_risk(bundle)
-        assert passes == []
+        assert passes == [("source", "_sq_risks", (True,))]
         assert iwv.scores == select_iwv(replace(bundle), np.linspace(0.5, 1.5, 8)).scores
 
     @pytest.mark.parametrize("oracle", [True, False])
@@ -462,14 +464,33 @@ class TestBundleCache:
 
     def test_kept_arrays_are_read_only(self):
         bundle = build_bundle(m=3, n_s=6, n_t=5, with_oracle=True, seed=85)
+        fields = set(vars(bundle))
         compare_methods(bundle, np.ones(6))
-        kept = {k: v for k, v in vars(bundle).items() if k.startswith("_")}
-        assert set(kept) == {"_gram", "_target_moments", "_true_risk", "_source_risk"}
-        arrays = [kept["_gram"], kept["_true_risk"], kept["_source_risk"],
-                  kept["_target_moments"].oracle_moment]
+        added = set(vars(bundle)) - fields
+        assert added == {"_moments"}
+        moments = vars(bundle)["_moments"]
+        assert moments is aggregation.target_moments(bundle)
+        held = vars(moments)
+        assert {"gram", "oracle_moment", "true_risks", "source_risks"} <= set(held)
+        arrays = [v for v in held.values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 8
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
+                arr.flat[0] = 0.0
+        with pytest.raises(AttributeError):
+            moments.gram = moments.gram.copy()
+
+
+def test_moments_keep_no_dropped_bundle_alive():
+    bundle = build_bundle(m=3, n_s=6, n_t=5, with_oracle=True, seed=86)
+    gc.disable()
+    try:
+        compare_methods(bundle, np.ones(6))
+        ref = weakref.ref(bundle)
+        del bundle
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def reference_build_method_rows(bundle, beta_by_name, lam):
@@ -640,8 +661,9 @@ class TestMatchesReferenceBuilder:
 
 
 class TestFusedSourcePass:
-    """The source risk and every IWV score come from one pass over the
-    source predictions, bit for bit as separate selection calls."""
+    """A table's IWV scores come from one pass over the source predictions
+    for all its weights, bit for bit as separate selection calls, as does a
+    pass that also scores the plain source risk."""
 
     @pytest.mark.parametrize("d2", [1, 2])
     def test_rows_equal_separate_selection_calls(self, monkeypatch, d2):
