@@ -291,49 +291,53 @@ def aggregate_predict(preds, coefficients) -> np.ndarray:
 _RISK_BLOCK_VALUES = 80_000
 
 
-def _sq_risks(preds, labels, weight_sets) -> np.ndarray:
-    """Squared risks of the models stacked along ``preds``' first axis,
-    one row per entry of ``weight_sets``.
+def model_risks(preds, labels, weights=None) -> np.ndarray:
+    """Per-model risks, shape ``(m,)``: entry ``k`` is
+    ``(1/n) * sum_i w_i ||preds[k, i] - y_i||^2``, with ``w`` the given
+    weights or 1 where ``weights`` is None.
 
-    Entry ``[j, k]`` is ``(1/n) * sum_i w_i ||p[k, i] - y_i||^2`` with ``w``
-    the ``j``-th weight vector, or 1 where that entry is ``None``. Each block
-    of residuals is squared once and summed unweighted first; each weight
-    then multiplies the squares into a scratch buffer, the last one in
-    place. So every row sees the same operations, summed with ``np.sum`` in
-    the same order for every ``k``, as a call with that one weight set.
+    This is the one risk kernel: :func:`empirical_risk` and
+    :func:`importance_weighted_risk` are its one-model case. Shapes and
+    weights are checked once; weights must be finite and nonnegative. The
+    models are then scored in blocks of about 640 KB of predictions: one
+    residual buffer per call (so concurrent callers share nothing), squared
+    in place, weighted in place and reduced row by row. No ``m x n``
+    temporary is built. Each model sees the same elementwise operations and
+    the same ``np.sum`` reduction whatever the block size, so copied models
+    tie exactly. A risk that overflows float64 (or is NaN) is refused with
+    :class:`NonFiniteValue`, naming the first such model's index.
     """
     p = _as_pred_tensor(preds)
     y = as_label_matrix(labels)
     if y.ndim != 2 or p.shape[1:] != y.shape:
         raise DimensionMismatch(f"predictions {p.shape[1:]} vs labels {y.shape}")
     m, n, d2 = p.shape
-    ws = [w if w is None else _checked_weights(w, n) for w in weight_sets]
+    w = None if weights is None else _checked_weights(weights, n)
     if n == 0:
         raise EmptyInput("a risk needs at least one sample")
 
     step = max(1, _RISK_BLOCK_VALUES // max(1, n * d2))
-    order = sorted(range(len(ws)), key=lambda j: ws[j] is not None)
-    rows = min(step, m)
-    # One allocation holds the residuals and, when two or more weight sets
-    # need it, the scratch block: two buffers freed together can exceed
-    # glibc's heap trim threshold and be faulted in again on every call.
-    work = np.empty(rows * n * (d2 + (sum(w is not None for w in ws) > 1)))
-    buf = work[: rows * n * d2].reshape(rows, n, d2)
-    scratch = work[rows * n * d2 :].reshape(-1, n)
-    out = np.empty((len(ws), m))
-    for s in range(0, m, step):
-        e = min(s + step, m)
-        diff = np.subtract(p[s:e], y, out=buf[: e - s])
-        if d2 == 1:
-            row = np.multiply(diff, diff, out=diff)[:, :, 0]
-        else:
-            row = np.einsum("knd,knd->kn", diff, diff, optimize=False)
-        for j in order:
-            term = row
-            if ws[j] is not None:
-                dest = row if j == order[-1] else scratch[: e - s]
-                term = np.multiply(row, ws[j], out=dest)
-            out[j, s:e] = np.sum(term, axis=1) / n
+    buf = np.empty((min(step, m), n, d2))
+    out = np.empty(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, m, step):
+            e = min(s + step, m)
+            diff = np.subtract(p[s:e], y, out=buf[: e - s])
+            if d2 == 1:
+                row = np.multiply(diff, diff, out=diff)[:, :, 0]
+            else:
+                row = np.einsum("knd,knd->kn", diff, diff, optimize=False)
+            if w is not None:
+                np.multiply(row, w, out=row)
+            out[s:e] = np.sum(row, axis=1) / n
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        k = int(bad[0])
+        of = f" of model {k}" if m > 1 else ""
+        raise NonFiniteValue(
+            f"the risk{of} is {float(out[k])}, not a finite float64: the "
+            "predictions, labels or weights are too large"
+        )
     return out
 
 
@@ -350,8 +354,8 @@ def _checked_weights(weights, n: int) -> np.ndarray:
 
 
 def _weighted_sq_risk(preds, labels, weights) -> float:
-    """The one-model case of :func:`_sq_risks`, for ``(n, d2)`` predictions."""
-    return float(_sq_risks(as_label_matrix(preds)[None], labels, [weights])[0, 0])
+    """The one-model case of :func:`model_risks`, for ``(n, d2)`` predictions."""
+    return float(model_risks(as_label_matrix(preds)[None], labels, weights)[0])
 
 
 def empirical_risk(preds, labels) -> float:
@@ -368,37 +372,42 @@ def importance_weighted_risk(preds, labels, beta) -> float:
     return _weighted_sq_risk(preds, labels, beta)
 
 
-def model_risks(preds, labels, weights=None) -> np.ndarray:
-    """Per-model risks, shape ``(m,)``: :func:`empirical_risk`
-    (``weights=None``) or :func:`importance_weighted_risk` of every model.
-
-    Shapes and weights are checked once; weights must be finite and
-    nonnegative. The models are then scored in blocks of about 640 KB of
-    predictions: one residual buffer per call (so concurrent callers share
-    nothing), squared in place, weighted in place and reduced row by row.
-    No ``m x n`` temporary is built. Each model sees the same elementwise
-    operations and the same ``np.sum`` reduction as the single-model
-    evaluators, so every entry is bitwise equal to theirs whatever the
-    block size, and copied models tie exactly.
-    """
-    return _sq_risks(preds, labels, [weights])[0]
-
-
 def make_risk_report(
-    preds_tensor: np.ndarray,
-    labels: np.ndarray,
+    bundle: PredictionBundle,
     coefficients: np.ndarray,
     risk_kind: str,
     beta: np.ndarray | None = None,
 ) -> RiskReport:
-    """Risk table for every model plus the aggregated predictor."""
-    p = _as_pred_tensor(preds_tensor)
-    weights = None if risk_kind != "importance_weighted" else beta
-    agg = aggregate_predict(p, coefficients)
+    """Risk table for every model of ``bundle`` plus the predictor that
+    combines them with ``coefficients``, under ``risk_kind``.
+
+    ``target_oracle`` scores the target predictions against the oracle
+    labels, ``source`` and ``importance_weighted`` the source predictions
+    against the source labels, the latter weighted by the vector ``beta``.
+    The per-model true risks and plain source risks are the bundle's kept
+    :func:`target_moments`; only the weighted kind scores the models again
+    (:func:`model_risks`).
+    """
+    moments = target_moments(bundle)
+    preds, labels, weights = bundle.source_preds, bundle.source.labels, None
+    if risk_kind == "target_oracle":
+        if bundle.target.oracle_labels is None:
+            raise MissingOracleLabels("bundle carries no target oracle labels")
+        preds, labels = bundle.target_preds, bundle.target.oracle_labels
+        risks = moments.true_risks
+    elif risk_kind == "importance_weighted":
+        if beta is None:
+            raise ConfigInvalid("an importance_weighted report needs beta")
+        weights = beta
+        risks = model_risks(preds, labels, weights)
+    else:
+        risks = moments.source_risks
     return RiskReport(
         risk_kind=risk_kind,
-        per_model_risk=model_risks(p, labels, weights),
-        aggregated_risk=_weighted_sq_risk(agg, labels, weights),
+        per_model_risk=risks,
+        aggregated_risk=_weighted_sq_risk(
+            aggregate_predict(preds, coefficients), labels, weights
+        ),
     )
 
 

@@ -221,38 +221,26 @@ def cmd_aggregate(args) -> int:
         result.diagnostics["beta_saturation_fraction"] = saturation
         mode = "importance_weighted"
 
-    agg_target = aggregation.aggregate_predict(
-        bundle.target_preds, result.coefficients
-    )
-    d2 = bundle.label_dim
-    write_csv(
-        os.path.join(outdir, "aggregated_predictions.csv"),
-        ["id"] + [f"f_{j + 1}" for j in range(d2)],
-        agg_target,
-    )
-
     doc = result.to_json_dict()
     doc["mode"] = mode
-    reports = {}
-    reports["source"] = aggregation.make_risk_report(
-        bundle.source_preds, bundle.source.labels, result.coefficients, "source"
-    ).to_json_dict()
-    if beta is not None:
-        reports["importance_weighted"] = aggregation.make_risk_report(
-            bundle.source_preds,
-            bundle.source.labels,
-            result.coefficients,
-            "importance_weighted",
-            beta=beta,
+    # Every report is made before any file is written, so a refused risk
+    # writes none.
+    doc["risk_reports"] = {
+        kind: aggregation.make_risk_report(
+            bundle, result.coefficients, kind, beta
         ).to_json_dict()
-    if bundle.target.oracle_labels is not None:
-        reports["target_oracle"] = aggregation.make_risk_report(
-            bundle.target_preds,
-            bundle.target.oracle_labels,
-            result.coefficients,
-            "target_oracle",
-        ).to_json_dict()
-    doc["risk_reports"] = reports
+        for kind, wanted in (
+            ("source", True),
+            ("importance_weighted", beta is not None),
+            ("target_oracle", bundle.target.oracle_labels is not None),
+        )
+        if wanted
+    }
+    write_csv(
+        os.path.join(outdir, "aggregated_predictions.csv"),
+        ["id"] + [f"f_{j + 1}" for j in range(bundle.label_dim)],
+        aggregation.aggregate_predict(bundle.target_preds, result.coefficients),
+    )
     write_json(os.path.join(outdir, "result.json"), doc)
     print(
         f"aggregate: m={result.model_count} lambda={result.tikhonov:.6g} "

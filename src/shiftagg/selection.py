@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import (
-    _sq_risks,
     aggregate_predict,
     importance_weighted_risk,
     model_risks,
@@ -146,33 +145,27 @@ def build_method_rows(
 
     ``beta_by_name`` maps a suffix (e.g. ``"analytic"``, ``"ulsif"`` or
     ``""`` for unsuffixed rows) to a ratio model or weight vector; each
-    entry yields one IWV row and one aggregation row (:func:`run_aggregation`).
+    entry is resolved to weights once and yields one IWV row
+    (:func:`select_iwv`) and one aggregation row (:func:`run_aggregation`).
     Everything that depends on the bundle alone is read from its
-    :func:`target_moments` record: the per-model plain source risks and
-    true target risks, ``G``, and the oracle moments ``g'`` and
-    ``||y'||^2 / n_t``. So a later call on the same bundle does only the
-    ``beta``-dependent work: one :func:`model_risks`-equal pass over the
-    source predictions for every IWV score, and one ``g`` and solve per
-    aggregation. The oracle solve (:func:`oracle_aggregate`) is made first,
-    so its risk can scale every row as it is built. Each aggregation's true
+    :func:`target_moments` record: the per-model plain source risks
+    (:func:`select_source_risk`) and true target risks, ``G``, and the
+    oracle moments ``g'`` and ``||y'||^2 / n_t``. So a later call on the
+    same bundle does only the ``beta``-dependent work: one weighted
+    :func:`model_risks` pass, one ``g`` and one solve per weight source,
+    and the oracle solve (:func:`oracle_aggregate`). Each aggregation's true
     risk ``||y'||^2 / n_t - 2 c.g' + c'Gc`` comes from the moments too (0.0
-    if it is within a few ulps of its terms' size, or below zero).
+    if it is within a few ulps of its terms' size, or below zero). The rows
+    are collected as plain ``(method, estimated_score, true_risk, detail)``
+    tuples, sorted by method, and then every true risk is divided by the
+    oracle's.
     """
-    labels_t = bundle.target.oracle_labels
-    betas = {s: resolve_beta(bundle, ratio)[0] for s, ratio in beta_by_name.items()}
     moments = target_moments(bundle)
-    sel = SelectionOutcome(method="source_risk", scores=moments.source_risks)
-    iwv_scores = (
-        _sq_risks(bundle.source_preds, bundle.source.labels, list(betas.values()))
-        if betas
-        else []
-    )
-
-    true_risks = [None] * bundle.model_count
-    oracle_true = oracle_detail = None
+    true = moments.true_risks
+    true = None if true is None else true.tolist()
 
     def true_risk_of(c) -> float | None:
-        if labels_t is None:
+        if true is None:
             return None
         label_sq = moments.label_sq
         cross = 2.0 * float(c @ moments.oracle_moment)
@@ -181,70 +174,55 @@ def build_method_rows(
         noise = _RISK_NOISE * (label_sq + abs(cross) + abs(quad))
         return risk if risk > noise else 0.0
 
-    if labels_t is not None:
-        true_risks = moments.true_risks.tolist()
+    source = select_source_risk(bundle)
+    rows = [
+        (f"model:{name}", source.scores[k], None if true is None else true[k], None)
+        for k, name in enumerate(bundle.model_names)
+    ]
+    picks = [("select_source", source)]
+    oracle_true = None
+    if true is not None:
         try:
             oracle = oracle_aggregate(bundle)
         except IllConditioned as exc:
-            oracle_detail = {"error": str(exc)}
+            rows.append(("aggregate_oracle", None, None, {"error": str(exc)}))
         else:
             oracle_true = true_risk_of(oracle.coefficients)
-            oracle_detail = _solve_detail(oracle)
+            rows.append(("aggregate_oracle", None, oracle_true, _solve_detail(oracle)))
 
-    def row(method, true_target_risk, **fields) -> MethodRow:
-        scaled = (
-            true_target_risk is not None
-            and oracle_true is not None
-            and oracle_true > 0
-        )
-        return MethodRow(
-            method=method,
-            true_target_risk=true_target_risk,
-            risk_ratio_vs_oracle=true_target_risk / oracle_true if scaled else None,
-            **fields,
-        )
-
-    def pick_row(method, outcome: SelectionOutcome) -> MethodRow:
-        k = outcome.selected_index
-        return row(
-            method,
-            true_risks[k],
-            estimated_score=outcome.scores[k],
-            detail={"selected_index": k, "tie_broken": outcome.tie_broken},
-        )
-
-    rows = [
-        row(f"model:{name}", true_risks[k], estimated_score=sel.scores[k])
-        for k, name in enumerate(bundle.model_names)
-    ]
-    rows.append(pick_row("select_source", sel))
-    if oracle_detail is not None:
-        rows.append(row("aggregate_oracle", oracle_true, detail=oracle_detail))
-
-    for (suffix, beta), scores in zip(betas.items(), iwv_scores):
+    for suffix, ratio in beta_by_name.items():
         tag = f"_{suffix}" if suffix else ""
-        iwv = SelectionOutcome(method="importance_weighted", scores=scores)
-        rows.append(pick_row(f"select_iwv{tag}", iwv))
+        beta = resolve_beta(bundle, ratio)[0]
+        picks.append((f"select_iwv{tag}", select_iwv(bundle, beta)))
         result = run_aggregation(bundle, beta, lam)
         est = importance_weighted_risk(
             aggregate_predict(bundle.source_preds, result.coefficients),
             bundle.source.labels,
             beta,
         )
-        rows.append(
-            row(
-                f"aggregate{tag}",
-                true_risk_of(result.coefficients),
-                estimated_score=est,
-                detail={
-                    **_solve_detail(result),
-                    "lambda_escalations": result.diagnostics["lambda_escalations"],
-                },
-            )
-        )
+        detail = {
+            **_solve_detail(result),
+            "lambda_escalations": result.diagnostics["lambda_escalations"],
+        }
+        rows.append((f"aggregate{tag}", est, true_risk_of(result.coefficients), detail))
 
-    rows.sort(key=lambda r: r.method)
-    return rows
+    for method, outcome in picks:
+        k = outcome.selected_index
+        detail = {"selected_index": k, "tie_broken": outcome.tie_broken}
+        rows.append((method, outcome.scores[k], None if true is None else true[k], detail))
+
+    rows.sort(key=lambda r: r[0])
+    scaled = oracle_true is not None and oracle_true > 0
+    return [
+        MethodRow(
+            method=method,
+            estimated_score=score,
+            true_target_risk=risk,
+            risk_ratio_vs_oracle=risk / oracle_true if scaled and risk is not None else None,
+            detail=detail,
+        )
+        for method, score, risk, detail in rows
+    ]
 
 
 def compare_methods(

@@ -297,7 +297,7 @@ def generate_task(cfg: SynthTaskConfig) -> SynthTask:
     bayes = _make_bayes(cfg, _philox(children[2]))
 
     ys = bayes.predict(xs)
-    yt = bayes.predict(xt)
+    yt = bayes_t = bayes.predict(xt)  # noiseless, for the Bayes risk
     if cfg.noise_std > 0:
         ys = ys + cfg.noise_std * _philox(children[3]).standard_normal(ys.shape)
         yt = yt + cfg.noise_std * _philox(children[4]).standard_normal(yt.shape)
@@ -316,7 +316,7 @@ def generate_task(cfg: SynthTaskConfig) -> SynthTask:
         analytic_ratio=analytic_gaussian_ratio(
             cfg.source_mean, cfg.target_mean, cfg.shared_cov_scale, DEFAULT_BOUND
         ),
-        bayes_target_risk=empirical_risk(bayes.predict(xt), yt),
+        bayes_target_risk=empirical_risk(bayes_t, yt),
         predictors=predictors,
         bayes_model=bayes,
         config=cfg,

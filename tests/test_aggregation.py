@@ -1,5 +1,6 @@
 """Aggregation core against brute-force and dense linear-algebra oracles."""
 
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -38,6 +39,7 @@ from shiftagg.errors import (
     IllConditioned,
     MissingOracleLabels,
     NegativeWeight,
+    NonFiniteValue,
     NonSymmetric,
 )
 from shiftagg.ratio import RatioModel
@@ -602,6 +604,31 @@ class TestRiskKernelParity:
             model_risks(np.zeros((3, 0, 1)), np.zeros((0, 1)))
 
 
+class TestOverflowingRisk:
+    """A risk that overflows float64 is refused, never returned as inf."""
+
+    @pytest.mark.parametrize("d2", [1, 3])
+    def test_names_the_first_model_whose_risk_overflows(self, d2):
+        preds = np.zeros((3, 4, d2))
+        preds[1, 3, 0] = preds[2, 0, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="risk of model 1 is inf"):
+                model_risks(preds, np.zeros((4, d2)))
+
+    @pytest.mark.parametrize(
+        "weights, value",
+        [([1.0, 1.0, 1e300, 1.0], "inf"), ([1.0, 0.0, 1.0, 1.0], "nan")],
+        ids=["huge_weight", "zero_weight_on_overflow"],
+    )
+    def test_single_risk(self, weights, value):
+        preds = np.array([[1e10], [1e200], [1e10], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=f"the risk is {value}"):
+                importance_weighted_risk(preds, np.zeros((4, 1)), weights)
+
+
 class TestRiskReport:
     """The pick is derived from the per-model risks, never passed in."""
 
@@ -614,13 +641,37 @@ class TestRiskReport:
 
     def test_made_report_derives_its_pick(self):
         bundle = build_bundle(m=5, n_s=20, seed=46)
-        report = make_risk_report(
-            bundle.source_preds, bundle.source.labels, np.full(5, 0.2), "source"
-        )
+        report = make_risk_report(bundle, np.full(5, 0.2), "source")
         risks = model_risks(bundle.source_preds, bundle.source.labels)
         assert report.per_model_risk == tuple(risks.tolist())
         assert report.selected_index == int(np.argmin(risks))
         assert report.selected_risk == report.per_model_risk[report.selected_index]
+
+    def test_each_kind_scores_its_own_sample(self):
+        bundle = build_bundle(m=4, n_s=20, n_t=15, d2=2, with_oracle=True, seed=47)
+        c = np.array([0.4, -0.1, 0.3, 0.2])
+        beta = np.linspace(0.1, 2.0, 20)
+        cases = {
+            "source": (bundle.source_preds, bundle.source.labels, None),
+            "importance_weighted": (bundle.source_preds, bundle.source.labels, beta),
+            "target_oracle": (bundle.target_preds, bundle.target.oracle_labels, None),
+        }
+        for kind, (preds, labels, weights) in cases.items():
+            report = make_risk_report(bundle, c, kind, beta)
+            assert report.risk_kind == kind
+            assert report.per_model_risk == tuple(
+                model_risks(preds, labels, weights).tolist()
+            )
+            assert report.aggregated_risk == float(
+                model_risks(aggregate_predict(preds, c)[None], labels, weights)[0]
+            )
+
+    def test_missing_inputs_are_refused(self):
+        bundle = build_bundle(m=2, n_s=6, seed=48)
+        with pytest.raises(MissingOracleLabels):
+            make_risk_report(bundle, np.ones(2), "target_oracle")
+        with pytest.raises(ConfigInvalid, match="needs beta"):
+            make_risk_report(bundle, np.ones(2), "importance_weighted")
 
     @pytest.mark.parametrize("field", ["selected_index", "selected_risk"])
     def test_pick_is_not_a_parameter(self, field):

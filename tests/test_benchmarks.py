@@ -102,7 +102,8 @@ def test_against_pairs_alternating_runs(tmp_path):
     (pair,) = doc["comparison"]
     assert set(pair["summary"]) == {
         f"{name}_median_s"
-        for name in ("run_aggregation", "compare_methods", "pair_fresh", "pair_reused")
+        for name in ("run_aggregation", "compare_methods", "pair_fresh", "pair_reused",
+                     "rows_two_sources")
     }
     for stats in pair["summary"].values():
         assert sum(stats["wins"].values()) <= 2

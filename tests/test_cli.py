@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftagg import aggregation, cli
+from shiftagg import aggregation, cli, selection
 from shiftagg.cli import main
 from shiftagg.data import (
     PredictionBundle,
@@ -30,7 +30,7 @@ from shiftagg.data import (
 from shiftagg.serialize import read_csv, write_csv, write_json
 from shiftagg.synth import SynthTaskConfig, generate_task
 from shiftagg.ratio import RatioFitConfig, analytic_gaussian_ratio, fit_ratio
-from shiftagg.ratio import save_ratio_model
+from shiftagg.ratio import load_ratio_model, save_ratio_model
 
 from conftest import build_bundle
 
@@ -322,6 +322,95 @@ class TestAggregate:
              str(blocker / "sub"), "--analytic"]
         )
         assert code == 4
+
+
+def _overflowing_inputs(task_dir, tmp_path, case):
+    """The task's bundle with one source prediction of 1e200 ("prediction"),
+    or the task unchanged with a weight file whose sixth weight is 1e300
+    ("weight")."""
+    if case == "weight":
+        task = generate_task(SynthTaskConfig(n_s=80, n_t=80, family_size=3, seed=60))
+        beta = aggregation.resolve_beta(task.bundle, task.analytic_ratio)[0].copy()
+        beta[5] = 1e300
+        write_csv(tmp_path / "beta.csv", ["id", "beta"], beta[:, None])
+        return task_dir, ["--beta", str(tmp_path / "beta.csv")]
+    bundle = load_bundle(task_dir)
+    preds = bundle.source_preds.copy()
+    preds[1, 3, 0] = 1e200
+    write_bundle(replace(bundle, source_preds=preds), tmp_path / "b")
+    save_ratio_model(
+        load_ratio_model(task_dir / "analytic_ratio.json"),
+        tmp_path / "b" / "analytic_ratio.json",
+    )
+    return tmp_path / "b", []
+
+
+@pytest.mark.parametrize(
+    "case, args, message",
+    [
+        ("prediction", ["aggregate", "--analytic"], "risk of model 1 is inf"),
+        ("prediction", ["aggregate", "--oracle"], "risk of model 1 is inf"),
+        ("prediction", ["select", "--analytic"], "risk of model 1 is inf"),
+        ("weight", ["aggregate"], "the risk is inf"),
+        ("weight", ["select"], "the risk is inf"),
+    ],
+    ids=["aggregate_analytic", "aggregate_oracle", "select_analytic",
+         "aggregate_beta", "select_beta"],
+)
+def test_overflowing_risk_exit_2(case, args, message, task_dir, tmp_path):
+    # A squared residual past 1.8e308 makes a risk inf; it is refused in one
+    # line, before any output file is written.
+    bundle_dir, extra = _overflowing_inputs(task_dir, tmp_path, case)
+    src = pathlib.Path(__file__).parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "shiftagg.cli", *args, *extra,
+         "--input", str(bundle_dir), "--output", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert not any((tmp_path / "out").glob("*"))
+
+
+def test_aggregate_reports_agree_with_select_table(tmp_path):
+    """``aggregate --beta``'s risk reports and ``select --beta``'s table on one
+    dumped task carry the same per-model risks, bit for bit."""
+    cfg = tmp_path / "suite.json"
+    write_json(cfg, {"task": {"n_s": 60, "n_t": 60, "family_size": 4}})
+    assert main(["bench", "--config", str(cfg), "--trials", "1", "--output",
+                 str(tmp_path / "bench"), "--dump-tasks", "1"]) == 0
+    task_dir = tmp_path / "bench" / "task_000"
+    assert main(["estimate-ratio", "--input", str(task_dir), "--output",
+                 str(tmp_path / "ratio"), "--seed", "7"]) == 0
+    beta_csv = str(tmp_path / "ratio" / "beta.csv")
+    for command in ("aggregate", "select"):
+        assert main([command, "--input", str(task_dir), "--output",
+                     str(tmp_path / command), "--beta", beta_csv]) == 0
+    reports = json.loads((tmp_path / "aggregate" / "result.json").read_text())[
+        "risk_reports"
+    ]
+    table = {
+        row["method"]: row
+        for row in json.loads(
+            (tmp_path / "select" / "comparison.json").read_text()
+        )["rows"]
+    }
+    bundle = load_bundle(task_dir)
+    models = [table[f"model:{name}"] for name in bundle.model_names]
+    assert reports["source"]["per_model_risk"] == [
+        row["estimated_score"] for row in models
+    ]
+    assert reports["target_oracle"]["per_model_risk"] == [
+        row["true_target_risk"] for row in models
+    ]
+    iwv = selection.select_iwv(bundle, read_csv(beta_csv, 2)[1][:, 0])
+    weighted = reports["importance_weighted"]
+    assert weighted["per_model_risk"] == list(iwv.scores)
+    assert weighted["selected_index"] == table["select_iwv"]["detail"]["selected_index"]
+    assert weighted["selected_risk"] == table["select_iwv"]["estimated_score"]
+    assert weighted["aggregated_risk"] == table["aggregate"]["estimated_score"]
 
 
 class TestSelect:

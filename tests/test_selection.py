@@ -28,6 +28,7 @@ from shiftagg.errors import (
     DimensionMismatch,
     IllConditioned,
     NegativeWeight,
+    NonFiniteValue,
 )
 from shiftagg.ratio import RatioFitConfig, evaluate_ratio, fit_ratio
 from shiftagg.selection import (
@@ -369,8 +370,9 @@ def test_target_gram_is_built_once_per_comparison(monkeypatch):
 def _count_passes(monkeypatch, bundle) -> list:
     """Record ``(sample, function, detail)`` for every pass a call makes
     over the bundle's source or target predictions, through the module
-    globals the library calls: ``_sq_risks`` in both modules, and
-    ``compute_gram`` and ``compute_g_vector``."""
+    globals the library calls: ``model_risks`` in both modules (detail:
+    whether it is unweighted), and ``compute_gram`` and
+    ``compute_g_vector``."""
     passes = []
     arrays = {id(bundle.source_preds): "source", id(bundle.target_preds): "target"}
 
@@ -384,11 +386,11 @@ def _count_passes(monkeypatch, bundle) -> list:
 
         monkeypatch.setattr(module, name, counting)
 
-    def weights(labels, weight_sets):
-        return tuple(w is None for w in weight_sets)
+    def unweighted(labels, weights=None):
+        return weights is None
 
-    spy(aggregation, "_sq_risks", weights)
-    spy(selection, "_sq_risks", weights)
+    spy(aggregation, "model_risks", unweighted)
+    spy(selection, "model_risks", unweighted)
     spy(aggregation, "compute_gram", lambda: None)
     spy(aggregation, "compute_g_vector", lambda labels, beta: None)
     return passes
@@ -404,14 +406,17 @@ class TestBundleCache:
         compare_methods(bundle, beta)
         # Cold: G, g' and the true risks pass over the target; the plain
         # source risks and the IWV scores pass over the source once each.
-        assert ("source", "_sq_risks", (True,)) in passes
-        assert ("source", "_sq_risks", (False,)) in passes
+        assert [p for p in passes if p[1] == "model_risks"] == [
+            ("target", "model_risks", True),
+            ("source", "model_risks", True),
+            ("source", "model_risks", False),
+        ]
         assert sum(kind == "target" for kind, *_ in passes) == 3
 
         passes.clear()
         compare_methods(bundle, beta)
         assert passes == [
-            ("source", "_sq_risks", (False,)),
+            ("source", "model_risks", False),
             ("source", "compute_g_vector", None),
         ]
 
@@ -421,16 +426,16 @@ class TestBundleCache:
         select_source_risk(bundle)
         assert passes == []
         select_iwv(bundle, beta)
-        assert passes == [("source", "_sq_risks", (False,))]
+        assert passes == [("source", "model_risks", False)]
 
     def test_fresh_iwv_makes_one_weighted_pass(self, monkeypatch):
         bundle = build_bundle(m=3, n_s=8, n_t=5, seed=82)
         passes = _count_passes(monkeypatch, bundle)
         iwv = select_iwv(bundle, np.linspace(0.5, 1.5, 8))
-        assert passes == [("source", "_sq_risks", (False,))]
+        assert passes == [("source", "model_risks", False)]
         passes.clear()
         select_source_risk(bundle)
-        assert passes == [("source", "_sq_risks", (True,))]
+        assert passes == [("source", "model_risks", True)]
         assert iwv.scores == select_iwv(replace(bundle), np.linspace(0.5, 1.5, 8)).scores
 
     @pytest.mark.parametrize("oracle", [True, False])
@@ -661,9 +666,8 @@ class TestMatchesReferenceBuilder:
 
 
 class TestFusedSourcePass:
-    """A table's IWV scores come from one pass over the source predictions
-    for all its weights, bit for bit as separate selection calls, as does a
-    pass that also scores the plain source risk."""
+    """A table's selection rows equal separate selection calls, bit for bit,
+    with the models scored over several blocks."""
 
     @pytest.mark.parametrize("d2", [1, 2])
     def test_rows_equal_separate_selection_calls(self, monkeypatch, d2):
@@ -694,11 +698,28 @@ class TestFusedSourcePass:
         for k, name in enumerate(bundle.model_names):
             assert rows[f"model:{name}"].estimated_score == sel.scores[k]
 
-        fused = aggregation._sq_risks(
-            bundle.source_preds, bundle.source.labels, [None, *betas.values()]
-        )
-        for got, outcome in zip(fused, separate.values()):
-            assert got.tobytes() == np.array(outcome.scores).tobytes()
+
+class TestOverflowingRisks:
+    """A table refuses a risk that overflows float64 instead of showing inf,
+    or a silent 0.0 for the moment-formed aggregate risks."""
+
+    def test_oracle_label(self):
+        base = build_bundle(m=3, n_s=20, n_t=15, with_oracle=True, seed=55)
+        labels = base.target.oracle_labels.copy()
+        labels[2, 0] = 1e200
+        bundle = replace(base, target=replace(base.target, oracle_labels=labels))
+        with pytest.raises(NonFiniteValue, match="risk of model 0 is inf"):
+            compare_methods(bundle, np.ones(20))
+
+    def test_weight_that_overflows_the_aggregate(self):
+        # The weight makes g, and so the coefficients, about 1e300: the
+        # models' weighted risks stay finite, the aggregate's does not.
+        bundle = build_bundle(m=3, n_s=20, n_t=15, with_oracle=True, seed=56)
+        beta = np.ones(20)
+        beta[5] = 1e300
+        assert np.isfinite(select_iwv(bundle, beta).scores).all()
+        with pytest.raises(NonFiniteValue, match="the risk is inf"):
+            compare_methods(bundle, beta)
 
 
 def _bundle_with_oracle(m, n_s, n_t, d2, rng, copied=False):

@@ -132,9 +132,7 @@ def records():
     )
     out = {
         "AggregationResult": result,
-        "RiskReport": make_risk_report(
-            bundle.source_preds, bundle.source.labels, result.coefficients, "source"
-        ),
+        "RiskReport": make_risk_report(bundle, result.coefficients, "source"),
         "SelectionOutcome": select_source_risk(bundle),
         "MethodRow": comparison.rows[0],
         "ComparisonReport": comparison,
