@@ -5,7 +5,8 @@ at each size in ``SIZES`` on seeded synthetic inputs: source ``N(0, I)``
 and target ``N((0.5, 0, ...), I)`` in 5 dimensions, ``n_s = n_t = n``, as
 in the default bench suite. Before the fits, and so in a process whose
 heap no fit has grown, it times ``_median_pairwise_distance`` on the pooled
-sample at each pooled size in ``POOLED`` (above 1000 rows it draws 1000).
+sample at each pooled size in ``POOLED`` (above ``ratio._WIDTH_SAMPLE``,
+300 rows, it draws 300; the sizes 300 and 301 bracket that draw).
 Each point is timed ``REPEATS`` times after one untimed warm-up call, with
 BLAS pinned to one thread by ``_harness``; then ``REPEATS`` more untimed
 calls give the minor page faults per call, from this process's
@@ -18,7 +19,7 @@ same model bit for bit. The JSON output holds every time, the median, the
 faults, the chosen cells and digests, the CPU count and the numpy/BLAS
 build. Uses the standard library besides numpy and shiftagg itself.
 
-    PYTHONPATH=src python3 benchmarks/fit_ulsif_scaling.py --output BENCH_20.json
+    PYTHONPATH=src python3 benchmarks/fit_ulsif_scaling.py --output BENCH_25.json
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from shiftagg import ratio
 from shiftagg.ratio import RatioFitConfig, fit_ulsif
 
 SIZES = (500, 5000, 20000)
-POOLED = (1000, 10000)
+POOLED = (300, 301, 1000, 10000)
 REPEATS = 5
 SEED = 0
 DIM = 5
@@ -70,7 +71,7 @@ def _point(key: str, n: int, fn, *args) -> dict:
 
 
 def width_point(n: int) -> dict:
-    pooled = np.vstack(_inputs(n // 2))
+    pooled = np.vstack(_inputs((n + 1) // 2))[:n]
     rng = ratio._rng(SEED)  # each call draws on, as one fit's would
     return _point("width", n, ratio._median_pairwise_distance, pooled, rng)
 

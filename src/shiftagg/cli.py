@@ -11,6 +11,7 @@ thread count.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 from dataclasses import replace
@@ -24,6 +25,10 @@ from .serialize import config_from_dict, decode_value, read_json
 from .serialize import read_csv, write_csv, write_json, write_text
 
 SATURATION_WARN_LEVEL = 0.5
+# glibc's mallopt parameters M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, with the
+# values _pin_malloc gives them, and the settings that override the pin.
+_MALLOPT_PINS = ((-3, 32 << 20), (-1, 64 << 20))
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,6 +100,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_probe)
 
     return top
+
+
+def _pin_malloc() -> None:
+    """Keep freed blocks below 32 MiB on glibc's heap for the rest of the
+    process, and trim the heap only above 64 MiB of free top space.
+
+    glibc otherwise serves each block above its mmap threshold with a fresh
+    mapping and raises that threshold to the largest such block freed, so
+    whether a command's n x 100 kernel arrays are reused or faulted in anew
+    on every call depends on what happened to be freed before. A user's
+    ``MALLOC_*`` or ``GLIBC_TUNABLES`` setting wins; a libc without
+    ``mallopt`` is left as it is.
+    """
+    if any(name in os.environ for name in _MALLOC_ENV):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOPT_PINS:
+        mallopt(param, value)
 
 
 def _ensure_outdir(path: str) -> str:
@@ -200,8 +228,6 @@ def cmd_estimate_ratio(args) -> int:
 
 def cmd_aggregate(args) -> int:
     bundle = load_bundle(args.input)
-    outdir = _ensure_outdir(args.output)
-
     if args.oracle:
         result = aggregation.oracle_aggregate(
             bundle, 0.0 if args.lam is None else args.lam
@@ -223,8 +249,8 @@ def cmd_aggregate(args) -> int:
 
     doc = result.to_json_dict()
     doc["mode"] = mode
-    # Every report is made before any file is written, so a refused risk
-    # writes none.
+    # Every report is made before the output directory is made, so a refused
+    # weight file, solve or risk leaves nothing behind.
     doc["risk_reports"] = {
         kind: aggregation.make_risk_report(
             bundle, result.coefficients, kind, beta
@@ -236,6 +262,7 @@ def cmd_aggregate(args) -> int:
         )
         if wanted
     }
+    outdir = _ensure_outdir(args.output)
     write_csv(
         os.path.join(outdir, "aggregated_predictions.csv"),
         ["id"] + [f"f_{j + 1}" for j in range(bundle.label_dim)],
@@ -323,6 +350,7 @@ def cmd_probe(args) -> int:
 
 
 def main(argv=None) -> int:
+    _pin_malloc()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import pathlib
+import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -371,7 +373,7 @@ def test_overflowing_risk_exit_2(case, args, message, task_dir, tmp_path):
     assert done.returncode == 2, done.stderr
     (line,) = done.stderr.splitlines()
     assert line.startswith("error: ") and message in line
-    assert not any((tmp_path / "out").glob("*"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_aggregate_reports_agree_with_select_table(tmp_path):
@@ -660,6 +662,71 @@ def test_memory_error_exit_4(exc, message, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "cmd_bench", refuse)
     assert main(["bench", "--output", str(tmp_path / "out")]) == 4
     assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+
+
+class _FakeMallopt:
+    """Stands in for libc's ``mallopt`` and records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class TestMallocPin:
+    @staticmethod
+    def _estimate(task_dir, out):
+        return main(
+            ["estimate-ratio", "--input", str(task_dir), "--output", str(out)]
+        )
+
+    @pytest.mark.parametrize("setting", [None, *cli._MALLOC_ENV])
+    def test_pins_unless_a_malloc_setting_is_made(
+        self, setting, task_dir, tmp_path, monkeypatch
+    ):
+        for name in cli._MALLOC_ENV:
+            monkeypatch.delenv(name, raising=False)
+        if setting is not None:
+            monkeypatch.setenv(setting, "131072")
+        fake = _FakeMallopt()
+        monkeypatch.setattr(
+            cli.ctypes, "CDLL", lambda name: type("Lib", (), {"mallopt": fake})
+        )
+        assert self._estimate(task_dir, tmp_path / "out") == 0
+        want = [] if setting else [(-3, 32 << 20), (-1, 64 << 20)]
+        assert fake.calls == want
+
+    @pytest.mark.parametrize("missing", ["symbol", "library"])
+    def test_runs_without_mallopt(self, missing, task_dir, tmp_path, monkeypatch):
+        def cdll(name):
+            if missing == "library":
+                raise OSError("no such library")
+            return type("Lib", (), {})
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert self._estimate(task_dir, tmp_path / "out") == 0
+        assert (tmp_path / "out" / "ratio.json").is_file()
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="the pin is glibc's mallopt"
+    )
+    def test_repeated_estimate_reuses_the_heap(self, tmp_path, monkeypatch, capsys):
+        # Without the pin, each fit at n=5000 maps its n x 100 distance and
+        # kernel arrays afresh and faults in about 4000 pages.
+        for name in cli._MALLOC_ENV:
+            monkeypatch.delenv(name, raising=False)
+        task = generate_task(
+            SynthTaskConfig(n_s=5000, n_t=5000, family_size=3, seed=61)
+        )
+        write_bundle(task.bundle, tmp_path / "b")
+        faults = []
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert self._estimate(tmp_path / "b", tmp_path / "out") == 0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert faults[2] < 100, faults
 
 
 @pytest.mark.parametrize("command", ["aggregate", "select"])

@@ -148,8 +148,8 @@ def reference_kernel(x, c, width):
 def reference_median_pairwise_distance(x, rng):
     """The width heuristic as a gather of the upper triangle and ``np.median``."""
     n = x.shape[0]
-    if n > 1000:
-        x = x[rng.choice(n, 1000, replace=False)]
+    if n > ratio._WIDTH_SAMPLE:
+        x = x[rng.choice(n, ratio._WIDTH_SAMPLE, replace=False)]
     vals = reference_sq_dists(x, x)[np.triu_indices(len(x), k=1)]
     vals = vals[vals > 0]
     if vals.size == 0:
@@ -487,8 +487,8 @@ class TestUlsifFoldSums:
         assert cv["width_index"] == 2 and cv["on_grid_edge"] is True
         assert cv["width_on_edge"] is True
         # A suite task whose choice lies inside both grids.
-        xs, xt = suite_task_features(6)
-        cv = fit_ulsif(xs, xt, RatioFitConfig(seed=6)).cv
+        xs, xt = suite_task_features(13)
+        cv = fit_ulsif(xs, xt, RatioFitConfig(seed=13)).cv
         assert 0 < cv["width_index"] < 4 and 0 < cv["ridge_index"] < 3
         assert cv["on_grid_edge"] is False
         assert cv["width_on_edge"] is False and cv["ridge_on_edge"] is False
@@ -562,8 +562,9 @@ class TestWidthHeuristic:
         self.assert_bitwise(x)
 
     def test_traced_peak_at_1000_rows(self):
-        # The 1000 x 1000 product (7.6 MiB) holds the packed values too; with
-        # a full distance matrix, its temporaries and its masks it was 15.3 MiB.
+        # A 1000-row pool is cut to the drawn points, so the peak is their
+        # product (which holds the packed values too) plus at most 512 KiB for
+        # the draw, the block buffer and the masks.
         x = np.random.Generator(np.random.Philox(8)).standard_normal((1000, 5))
         tracemalloc.start()
         try:
@@ -571,7 +572,7 @@ class TestWidthHeuristic:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 9 * 2**20
+        assert peak < 8 * ratio._WIDTH_SAMPLE**2 + 2**19
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_odd_and_even_pair_counts(self, n):
@@ -590,12 +591,13 @@ class TestWidthHeuristic:
     def test_identical_points_give_one(self, n):
         assert self.assert_bitwise(np.full((n, 3), 4.25)) == 1.0
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_subsampled_above_1000_rows(self, seed):
-        rng = np.random.Generator(np.random.Philox(seed))
-        x = rng.standard_normal((1001 + 97 * seed, 5))
+    @pytest.mark.parametrize("extra", [0, 1, 98, 701])
+    def test_subsampled_above_sample_cap(self, extra):
+        # At the cap every point is used; one more and the cap is drawn.
+        rng = np.random.Generator(np.random.Philox(extra))
+        x = rng.standard_normal((ratio._WIDTH_SAMPLE + extra, 5))
         x[::7] = x[1::7][: len(x[::7])]  # some duplicate rows
-        self.assert_bitwise(x, seed)
+        self.assert_bitwise(x, extra)
 
 
 class TestCholeskySolve:
