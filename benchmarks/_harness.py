@@ -16,8 +16,9 @@ first on ``PYTHONPATH``; the two trees alternate, and so does which of them
 goes first in a round. Each run's ``*median_s`` values are divided by a
 calibration (``perfbench/calibrate.py``) taken right before and after the
 point in the same process, as perfbench does, so host-speed drift between
-runs cancels. Per point and value the output holds both trees' normalised
-medians and quartiles, and how many rounds each tree won:
+runs cancels; ``*median_mb`` values (memory sizes) are taken as they are.
+Per point and value the output holds both trees' medians and quartiles,
+and in how many rounds each tree's value was the lower:
 
     PYTHONPATH=src python3 benchmarks/comparison_scaling.py \\
         --output BENCH_22.json --against ../parent/src
@@ -122,14 +123,16 @@ def _pair(script: str, trees: dict, key: str, index: int) -> dict:
 
     from perfbench.calibrate import Calibrator
 
+    def value(run, name):
+        if name.endswith("median_mb"):  # a memory size, left as measured
+            return run["row"][name]
+        return Calibrator.normalised(run["row"][name], *run["calibration_s"])
+
     summary = {}
-    names = [k for k in runs["src"][0]["row"] if k.endswith("median_s")]
+    names = [k for k in runs["src"][0]["row"] if k.endswith(("median_s", "median_mb"))]
     for name in names:
         values = {
-            side: [
-                Calibrator.normalised(run["row"][name], *run["calibration_s"])
-                for run in side_runs
-            ]
+            side: [value(run, name) for run in side_runs]
             for side, side_runs in runs.items()
         }
         src_wins = sum(a < b for a, b in zip(values["src"], values["against"]))
@@ -138,10 +141,11 @@ def _pair(script: str, trees: dict, key: str, index: int) -> dict:
         for side, v in values.items():
             q1, median, q3 = statistics.quantiles(v, n=4, method="inclusive")
             summary[name][side] = {"median": median, "q1": q1, "q3": q3, "values": v}
+        unit = "MB" if name.endswith("_mb") else "s"
         print(
-            f"{key}[{index}] {name}: src {summary[name]['src']['median']:.4g} s, "
-            f"against {summary[name]['against']['median']:.4g} s (normalised "
-            f"medians), src faster in {src_wins} of {ROUNDS}",
+            f"{key}[{index}] {name}: src {summary[name]['src']['median']:.4g} "
+            f"{unit}, against {summary[name]['against']['median']:.4g} {unit} "
+            f"(medians), src lower in {src_wins} of {ROUNDS}",
             file=sys.stderr,
         )
     for side_runs in runs.values():

@@ -503,6 +503,20 @@ def resolve_beta(bundle: PredictionBundle, ratio) -> tuple[np.ndarray, float | N
     return beta, saturation
 
 
+def _effective_sample_size(beta: np.ndarray, beta_max: float) -> float:
+    """Kish's effective sample size ``(sum beta)^2 / sum beta^2`` of the
+    nonnegative weights ``beta`` whose largest entry is ``beta_max``; 0.0
+    when every weight is 0. It runs from 1 (one sample carries all the
+    weight) to ``len(beta)`` (equal weights). The weights are divided by
+    their largest first, which leaves the ratio as it is and keeps both
+    sums finite for any finite weights.
+    """
+    if beta_max == 0.0:
+        return 0.0
+    scaled = beta / beta_max
+    return float(np.sum(scaled)) ** 2 / float(np.dot(scaled, scaled))
+
+
 def solve_aggregation(G, g, lam: float | None = None) -> AggregationResult:
     """Solve ``(G + lam*I) c = g`` under the regularization policy.
 
@@ -583,10 +597,14 @@ def run_aggregation(
     G = target_moments(bundle).gram
     g = compute_g_vector(bundle.source_preds, bundle.source.labels, beta)
     result = solve_aggregation(G, g, lam)
+    beta_max = float(np.max(beta))
+    ess = _effective_sample_size(beta, beta_max)
     result.diagnostics.update(
         beta_mean=float(np.mean(beta)),
-        beta_max=float(np.max(beta)),
+        beta_max=beta_max,
         beta_saturation_fraction=saturation,
+        beta_effective_sample_size=ess,
+        beta_effective_fraction=ess / len(beta),
     )
     return result
 
@@ -609,5 +627,7 @@ def oracle_aggregate(bundle: PredictionBundle, lam: float = 0.0) -> AggregationR
         beta_mean=1.0,
         beta_max=1.0,
         beta_saturation_fraction=None,
+        beta_effective_sample_size=None,
+        beta_effective_fraction=None,
     )
     return result

@@ -24,11 +24,14 @@ coefficients stay exactly what the closed form / optimizer produced.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AllZeroWeights,
@@ -68,8 +71,46 @@ _WIDTH_SAMPLE = 300
 # Rows per block of the width heuristic's walk over the upper triangle: at
 # _WIDTH_SAMPLE points its float64 block buffer takes 77 KB.
 _WIDTH_BLOCK = 32
-# The LAPACK Cholesky routines behind scipy.linalg.cho_factor/cho_solve.
-_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+def _lapack_cholesky(linalg_dir: str | None):
+    """LAPACK ``dpotrf`` and ``dpotrs``: the very objects
+    ``scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)``
+    returns, taken from scipy's compiled ``_flapack`` module in
+    ``linalg_dir`` without importing the ``scipy.linalg`` package, whose
+    ``__init__`` loads ``scipy._lib``, ``numpy.f2py`` and ``numpy.testing``
+    besides, at a cost to every process's start-up and memory. The module is
+    registered as ``scipy.linalg._flapack``, so a later ``import
+    scipy.linalg`` reuses it (though, as for any submodule loaded before its
+    package, not as an attribute of the package). Where the file is missing
+    or does not load on its own (a frozen app, another wheel layout), the
+    package gives the pair as before.
+    """
+    if linalg_dir is not None:
+        finder = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec("scipy.linalg._flapack")
+        if spec is not None:
+            try:
+                module = importlib.util.module_from_spec(spec)
+            except ImportError:  # its libraries need the package's own set-up
+                pass
+            else:
+                spec.loader.exec_module(module)
+                sys.modules.setdefault(spec.name, module)
+                return module.dpotrf, module.dpotrs
+    import scipy.linalg
+
+    return tuple(scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64))
+
+
+# find_spec of a top-level name locates scipy without importing it.
+_SCIPY = importlib.util.find_spec("scipy")
+_POTRF, _POTRS = _lapack_cholesky(
+    None
+    if _SCIPY is None or not _SCIPY.submodule_search_locations
+    else os.path.join(_SCIPY.submodule_search_locations[0], "linalg")
+)
+
 # The parameters of an analytic model, and the keys of each kind of
 # ratio.json besides "kind" and "bound", in the order they are written, with
 # the types they decode to.

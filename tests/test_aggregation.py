@@ -801,11 +801,45 @@ class TestRunAggregation:
         ):
             assert key in res.diagnostics
 
+    @pytest.mark.parametrize(
+        "beta, ess",
+        [
+            (np.eye(10)[3] * 7.5, 1.0),  # one sample carries all the weight
+            (np.full(10, 0.25), 10.0),  # equal weights
+            (np.zeros(10), 0.0),
+        ],
+        ids=["one_hot", "equal", "all_zero"],
+    )
+    def test_kish_effective_sample_size(self, beta, ess):
+        bundle = build_bundle(m=2, n_s=10, n_t=10, seed=8)
+        diag = run_aggregation(bundle, beta).diagnostics
+        assert diag["beta_effective_sample_size"] == ess
+        assert diag["beta_effective_fraction"] == ess / 10
+        keys = list(diag)
+        at = keys.index("beta_saturation_fraction")
+        assert keys[at + 1 : at + 3] == [
+            "beta_effective_sample_size", "beta_effective_fraction"
+        ]
+
+    def test_effective_sample_size_of_huge_weights_is_finite(self):
+        # Their squares overflow; the ratio of the scaled weights does not.
+        beta = np.array([1e300, 1e300, 0.0, 5e299])
+        assert aggregation._effective_sample_size(beta, 1e300) == 2.5**2 / 2.25
+
 
 class TestOracleAggregate:
     def test_requires_oracle_labels(self):
         with pytest.raises(MissingOracleLabels):
             oracle_aggregate(build_bundle(with_oracle=False))
+
+    def test_has_no_weight_diagnostics(self):
+        diag = oracle_aggregate(build_bundle(with_oracle=True, seed=9)).diagnostics
+        for key in (
+            "beta_saturation_fraction",
+            "beta_effective_sample_size",
+            "beta_effective_fraction",
+        ):
+            assert diag[key] is None
 
     def test_single_model_projection(self):
         bundle = build_bundle(m=1, n_t=30, with_oracle=True, seed=9)

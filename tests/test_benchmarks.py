@@ -24,6 +24,7 @@ TINY = {
         {"SIZES": (40,), "POOLED": (80,)}, ["median_pairwise_distance", "fit_ulsif"]
     ),
     "gram_scaling": ({"MODEL_COUNTS": (2,), "SIZES": (40,)}, ["moments"]),
+    "startup_scaling": ({}, ["import_cli", "aggregate_ratio"]),
 }
 
 

@@ -308,13 +308,15 @@ class TestAggregate:
         )
         assert main(args) == 0
         assert len(calls) == 1
-        fraction = json.loads((out / "result.json").read_text())["diagnostics"][
-            "beta_saturation_fraction"
-        ]
+        diagnostics = json.loads((out / "result.json").read_text())["diagnostics"]
+        fraction = diagnostics["beta_saturation_fraction"]
         task = generate_task(SynthTaskConfig(n_s=80, n_t=80, family_size=3, seed=60))
         beta = real(model, task.bundle.source.features)
         assert fraction == float(np.mean(beta >= 1.0))
         assert 0.0 < fraction < 1.0
+        ess = float(np.sum(beta)) ** 2 / float(np.sum(beta**2))
+        assert diagnostics["beta_effective_sample_size"] == pytest.approx(ess, rel=1e-12)
+        assert diagnostics["beta_effective_fraction"] == pytest.approx(ess / 80, rel=1e-12)
 
     def test_output_under_file_exit_4(self, task_dir, tmp_path):
         blocker = tmp_path / "f.txt"

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from importlib.machinery import EXTENSION_SUFFIXES
 from unittest import mock
 
 import numpy as np
@@ -600,6 +601,21 @@ class TestWidthHeuristic:
         self.assert_bitwise(x, extra)
 
 
+def run_fresh(*lines: str) -> str:
+    """Run ``lines`` in a fresh interpreter with this package's sources on
+    the path, after ``import sys`` and ``import numpy as np``; return its
+    stdout."""
+    src = str(pathlib.Path(ratio.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "\n".join(["import sys", "import numpy as np", *lines])],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestCholeskySolve:
     def test_matches_scipy_bitwise(self):
         rng = np.random.Generator(np.random.Philox(41))
@@ -652,6 +668,46 @@ class TestCholeskySolve:
         monkeypatch.setattr(ratio, "_POTRF", lambda A, **kw: (A, -4))
         with pytest.raises(NumericalError, match="argument 4"):
             ratio._cho_solve_ridge(np.eye(3), np.ones(3), 0.1)
+
+    @pytest.mark.parametrize(
+        "imports",
+        ["import shiftagg, scipy.linalg", "import scipy.linalg, shiftagg"],
+        ids=["shiftagg_first", "scipy_first"],
+    )
+    def test_routines_are_scipys_own(self, imports):
+        """In either import order, the pair is the very objects
+        ``get_lapack_funcs`` returns, so every solve runs the same code."""
+        out = run_fresh(
+            imports,
+            "from shiftagg import ratio",
+            "pair = scipy.linalg.get_lapack_funcs(('potrf', 'potrs'), dtype=np.float64)",
+            "print(pair[0] is ratio._POTRF, pair[1] is ratio._POTRS)",
+        )
+        assert out == "True True\n"
+
+    @pytest.mark.parametrize("found", ["no_directory", "no_file", "unloadable_file"])
+    def test_missing_module_falls_back_to_scipy_linalg(self, found, tmp_path):
+        if found == "unloadable_file":
+            (tmp_path / f"_flapack{EXTENSION_SUFFIXES[0]}").write_bytes(b"not a library")
+        got = ratio._lapack_cholesky(None if found == "no_directory" else str(tmp_path))
+        want = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+        assert got[0] is want[0] and got[1] is want[1]
+
+    def test_process_loads_only_scipys_lapack_module(self):
+        """Importing the package and its CLI and fitting both ratio
+        estimators load one module of scipy, its compiled LAPACK wrappers:
+        no ``scipy.linalg`` package, no ``scipy._lib``, no ``scipy.special``,
+        whose imports every process would pay for."""
+        out = run_fresh(
+            "import shiftagg, shiftagg.cli",
+            "from shiftagg.ratio import RatioFitConfig, fit_logistic_ratio, fit_ulsif",
+            "rng = np.random.Generator(np.random.Philox(0))",
+            "xs, xt = rng.standard_normal((30, 2)), rng.normal(0.5, 1.0, (30, 2))",
+            "fit_logistic_ratio(xs, xt, RatioFitConfig())",
+            "fit_ulsif(xs, xt, RatioFitConfig())",
+            "print([m for m in sys.modules if m.startswith('scipy')])",
+        )
+        assert out == "['scipy.linalg._flapack']\n"
 
 
 class TestLogistic:
@@ -726,29 +782,6 @@ class TestLogistic:
         grad = X.T @ (1 / (1 + np.exp(-(X @ w))) - y) / 500
         grad[:-1] += ridge * w[:-1]
         assert float(np.linalg.norm(grad)) < 1e-6
-
-    def test_no_process_imports_scipy_special(self):
-        """Importing the package and its CLI and fitting a logistic ratio load
-        no ``scipy.special``, whose import every process would pay for."""
-        code = "\n".join(
-            [
-                "import sys",
-                "import numpy as np",
-                "import shiftagg, shiftagg.cli",
-                "from shiftagg.ratio import RatioFitConfig, fit_logistic_ratio",
-                "rng = np.random.Generator(np.random.Philox(0))",
-                "xs, xt = rng.standard_normal((30, 2)), rng.normal(0.5, 1.0, (30, 2))",
-                "fit_logistic_ratio(xs, xt, RatioFitConfig())",
-                "print([m for m in sys.modules if m.startswith('scipy.special')])",
-            ]
-        )
-        src = str(pathlib.Path(ratio.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("estimator", ["ulsif", "logistic"])
