@@ -8,6 +8,16 @@ seeded synthetic benchmark with analytic ground truth, and a probe for
 layer-embedding domain invariance.
 """
 
+import os
+
+# One BLAS thread unless the environment names a count, because the last bits
+# of the BLAS products, and so of the outputs, follow the BLAS thread count:
+# by default they then do not depend on the machine's core count. This takes
+# effect only if numpy has not been imported yet.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .aggregation import (
     AggregationResult,
     RiskReport,

@@ -12,7 +12,10 @@ minimizing target-sample squared error solves the normal equations
 Because near-duplicate models make ``G`` numerically singular, the solve
 supports Tikhonov regularization ``(G + lam*I) c = g`` with an automatic
 escalation policy, and every successful solve is held to the residual
-contract ``||(G + lam*I) c - g||_inf <= 1e-8 * max(1, ||g||_inf)``.
+contract ``||(G + lam*I) c - g||_inf <= 1e-8 * max(1, ||g||_inf)``. Each
+check runs once per solve: the system's shape, finiteness and symmetry in
+:func:`_checked_system`, the condition estimate and the residual in
+:func:`_solve_spd`. :class:`AggregationResult` repeats neither.
 
 ``G`` and ``g`` are one BLAS product each (``syrk`` and ``gemv``). Their
 bits depend on the BLAS build and its thread count, not on the run or on
@@ -20,16 +23,17 @@ how many Python threads call in, so outputs are byte-identical across runs
 and ``--threads`` values for a fixed BLAS build and BLAS thread count.
 Quantities that depend on the bundle alone live in one record per bundle
 object, :func:`target_moments`, which builds each on its first read and
-keeps it: ``G``, the oracle moments ``g'`` and ``||y'||^2/n_t``, and the
-per-model true target risks and plain source risks. Every reader goes
-through it, so only the ``beta``-dependent work is done again on each call.
+keeps it: ``G``, the oracle moments ``g'`` and ``||y'||^2/n_t``, the
+per-model true target risks and plain source risks, and the ``lam=0`` oracle
+solve (or its refusal). Every reader goes through it, so only the
+``beta``-dependent work is done again on each call.
 Per-model risks use no BLAS: :func:`model_risks` is the one risk kernel,
 and the single-model evaluators are its one-model case, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -94,19 +98,9 @@ class AggregationResult:
             raise DimensionMismatch(
                 f"inconsistent shapes: c {c.shape}, G {G.shape}, g {g.shape}"
             )
-        _check_symmetric(G)
-        if self.tikhonov < 0:
-            raise ConfigInvalid("tikhonov value must be nonnegative")
-        resid = _residual_inf(G, self.tikhonov, c, g)
-        if not resid <= RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(g), initial=0.0))):
-            raise IllConditioned(
-                f"solution violates residual contract: ||r||_inf = {resid:.3e}"
-            )
-        for arr in (c, G, g):
+        for name, arr in (("coefficients", c), ("gram", G), ("moment", g)):
             arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "gram", G)
-        object.__setattr__(self, "moment", g)
+            object.__setattr__(self, name, arr)
 
     @property
     def model_count(self) -> int:
@@ -229,9 +223,9 @@ def _check_symmetric(G: np.ndarray) -> None:
         raise NonSymmetric("gram matrix is not symmetric")
 
 
-def _residual_inf(G: np.ndarray, lam: float, c: np.ndarray, g: np.ndarray) -> float:
+def _residual(G, lam: float, c, g) -> tuple[np.ndarray, float]:
     r = np.einsum("ku,u->k", G, c, optimize=False) + lam * c - g
-    return float(np.max(np.abs(r), initial=0.0))
+    return r, float(np.max(np.abs(r), initial=0.0))
 
 
 def _solve_spd(G, g, lam: float) -> tuple[np.ndarray, float, float]:
@@ -255,18 +249,17 @@ def _solve_spd(G, g, lam: float) -> tuple[np.ndarray, float, float]:
 
     c = _cho_solve(L, g)
     tol = RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(g), initial=0.0)))
-    resid = _residual_inf(G, lam, c, g)
+    r, resid = _residual(G, lam, c, g)
     for _ in range(5):
         # One step of iterative refinement per pass; stop once the residual
         # is far inside the contract or no longer improving.
         if resid <= 1e-3 * tol:
             break
-        r = np.einsum("ku,u->k", G, c, optimize=False) + lam * c - g
         c_new = c - _cho_solve(L, r)
-        resid_new = _residual_inf(G, lam, c_new, g)
+        r_new, resid_new = _residual(G, lam, c_new, g)
         if not resid_new < resid:  # also stops on a NaN residual
             break
-        c, resid = c_new, resid_new
+        c, r, resid = c_new, r_new, resid_new
     if not resid <= tol:
         raise IllConditioned(
             f"residual {resid:.3e} exceeds contract at lam={lam!r}"
@@ -420,9 +413,14 @@ class Moments:
     * ``oracle_moment``: ``g'_k = (1/n_t) * sum_i <y'_i, f_k(x'_i)>``;
     * ``label_sq``: ``||y'||^2 / n_t``;
     * ``true_risks``: each model's :func:`model_risks` on the oracle labels;
-    * ``source_risks``: each model's plain :func:`model_risks` on the source.
+    * ``source_risks``: each model's plain :func:`model_risks` on the source;
+    * ``oracle_outcome``: the ``lam=0`` oracle solve of ``(G, g')`` with its
+      diagnostics (:func:`_oracle_outcome`, which also serves an explicit
+      ``lam``), or the text of its :class:`IllConditioned` refusal. The text
+      is kept, not the exception: raising one instance again keeps growing
+      its traceback.
 
-    The three oracle quantities are ``None`` when the bundle has no oracle
+    The four oracle quantities are ``None`` when the bundle has no oracle
     labels. Each is the expression a direct call evaluates, so its bits do
     not depend on which caller read it first; two threads that both build
     one get identical bits. The record holds the bundle's arrays, not the
@@ -459,6 +457,10 @@ class Moments:
     @cached_property
     def source_risks(self) -> np.ndarray:
         return _freeze(model_risks(self.source_preds, self.source_labels))
+
+    @cached_property
+    def oracle_outcome(self) -> AggregationResult | str | None:
+        return None if self.oracle_labels is None else _oracle_outcome(self, 0.0)
 
 
 def target_moments(bundle: PredictionBundle) -> Moments:
@@ -527,8 +529,10 @@ def solve_aggregation(G, g, lam: float | None = None) -> AggregationResult:
     :class:`ConfigInvalid`. An explicit ``lam`` -- including 0 -- is used
     exactly as given, and its refusal propagates unchanged. The system is
     checked once (:func:`_checked_system`) before any of this. The
-    diagnostics record the policy, the escalation count, the condition
-    estimate and the final residual.
+    diagnostics record the policy, the escalation count, each refused
+    ``(lam, reason)`` in order (``lambda_refusals``), the condition estimate
+    and the final residual; a refusal of every candidate names each with
+    its reason.
     """
     G, g = _checked_system(G, g)
     if lam is not None:
@@ -552,14 +556,14 @@ def solve_aggregation(G, g, lam: float | None = None) -> AggregationResult:
             attempts.append(attempts[-1] * 10.0)
         policy = "auto"
 
-    last_exc: IllConditioned | None = None
-    for escalations, lam_try in enumerate(attempts):
+    refusals: list[tuple[float, str]] = []
+    for lam_try in attempts:
         try:
             c, cond, resid = _solve_spd(G, g, lam_try)
         except IllConditioned as exc:
             if policy == "explicit":
                 raise
-            last_exc = exc
+            refusals.append((lam_try, str(exc)))
             continue
         return AggregationResult(
             coefficients=c,
@@ -569,13 +573,15 @@ def solve_aggregation(G, g, lam: float | None = None) -> AggregationResult:
             condition_estimate=cond,
             diagnostics={
                 "lambda_policy": policy,
-                "lambda_escalations": escalations,
+                "lambda_escalations": len(refusals),
+                "lambda_refusals": tuple(refusals),
                 "condition_estimate": cond,
                 "residual_inf": resid,
             },
         )
     raise IllConditioned(
-        f"solve failed for every candidate regularizer {attempts!r}: {last_exc}"
+        "solve failed for every candidate regularizer: "
+        + "; ".join(f"lam={lam!r}: {reason}" for lam, reason in refusals)
     )
 
 
@@ -615,13 +621,25 @@ def oracle_aggregate(bundle: PredictionBundle, lam: float = 0.0) -> AggregationR
     Both the Gram matrix and the moment vector are formed on the target
     sample (``g_k = (1/n_t) * sum_i <y'_i, f_k(x'_i)>``), so the solution
     is the exact least-squares minimizer over the span of the models'
-    target predictions. Both are kept in :func:`target_moments`. Benchmark-only:
-    requires oracle labels.
+    target predictions. Both are kept in :func:`target_moments`, and so is
+    the ``lam=0`` outcome, so at ``lam=0`` nothing is solved again. Each
+    call returns its own ``diagnostics`` dict, or raises a new
+    :class:`IllConditioned`. Benchmark-only: requires oracle labels.
     """
     if bundle.target.oracle_labels is None:
         raise MissingOracleLabels("bundle carries no target oracle labels")
     moments = target_moments(bundle)
-    result = solve_aggregation(moments.gram, moments.oracle_moment, lam)
+    outcome = moments.oracle_outcome if lam == 0.0 else _oracle_outcome(moments, lam)
+    if isinstance(outcome, str):
+        raise IllConditioned(outcome)
+    return replace(outcome, diagnostics=dict(outcome.diagnostics))
+
+
+def _oracle_outcome(moments: Moments, lam: float) -> AggregationResult | str:
+    try:
+        result = solve_aggregation(moments.gram, moments.oracle_moment, lam)
+    except IllConditioned as exc:
+        return str(exc)
     result.diagnostics.update(
         lambda_policy="oracle",
         beta_mean=1.0,

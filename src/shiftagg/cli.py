@@ -25,6 +25,9 @@ from .serialize import config_from_dict, decode_value, read_json
 from .serialize import read_csv, write_csv, write_json, write_text
 
 SATURATION_WARN_LEVEL = 0.5
+# Kish's effective sample size of the weights, as a fraction of the source
+# sample, below which the weighted estimates rest on few samples.
+EFFECTIVE_FRACTION_WARN_LEVEL = 0.1
 # glibc's mallopt parameters M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, with the
 # values _pin_malloc gives them, and the settings that override the pin.
 _MALLOPT_PINS = ((-3, 32 << 20), (-1, 64 << 20))
@@ -125,6 +128,18 @@ def _pin_malloc() -> None:
         mallopt(param, value)
 
 
+def _warn_few_effective_samples(fraction: float) -> None:
+    """Warn on stderr when Kish's effective sample size of the weights is
+    below :data:`EFFECTIVE_FRACTION_WARN_LEVEL` of the source sample."""
+    if fraction < EFFECTIVE_FRACTION_WARN_LEVEL:
+        print(
+            f"warning: beta effective sample size is {fraction:.3f} of the "
+            f"source sample, below {EFFECTIVE_FRACTION_WARN_LEVEL}; the weighted "
+            "estimates rest on few samples",
+            file=sys.stderr,
+        )
+
+
 def _ensure_outdir(path: str) -> str:
     try:
         os.makedirs(path, exist_ok=True)
@@ -208,6 +223,8 @@ def cmd_estimate_ratio(args) -> int:
             f"{SATURATION_WARN_LEVEL}; the bound B may be too small",
             file=sys.stderr,
         )
+    ess = aggregation._effective_sample_size(beta, float(np.max(beta)))
+    _warn_few_effective_samples(ess / len(beta))
     if model.cv is not None:
         # The lowest ridge winning is the common case and says little; a
         # width on either edge or the largest ridge may miss the optimum.
@@ -274,6 +291,8 @@ def cmd_aggregate(args) -> int:
         f"condition={result.condition_estimate:.3e}",
         file=sys.stderr,
     )
+    if beta is not None:
+        _warn_few_effective_samples(result.diagnostics["beta_effective_fraction"])
     return 0
 
 

@@ -18,13 +18,12 @@ from .aggregation import (
     aggregate_predict,
     importance_weighted_risk,
     model_risks,
-    oracle_aggregate,
     resolve_beta,
     run_aggregation,
     target_moments,
 )
 from .data import PredictionBundle
-from .errors import ConfigInvalid, IllConditioned
+from .errors import ConfigInvalid
 from .serialize import aligned_table, config_to_dict, fmt_float
 
 __all__ = [
@@ -149,11 +148,12 @@ def build_method_rows(
     (:func:`select_iwv`) and one aggregation row (:func:`run_aggregation`).
     Everything that depends on the bundle alone is read from its
     :func:`target_moments` record: the per-model plain source risks
-    (:func:`select_source_risk`) and true target risks, ``G``, and the
-    oracle moments ``g'`` and ``||y'||^2 / n_t``. So a later call on the
-    same bundle does only the ``beta``-dependent work: one weighted
-    :func:`model_risks` pass, one ``g`` and one solve per weight source,
-    and the oracle solve (:func:`oracle_aggregate`). Each aggregation's true
+    (:func:`select_source_risk`) and true target risks, ``G``, the oracle
+    moments ``g'`` and ``||y'||^2 / n_t``, and the ``lam=0`` oracle solve or
+    its refusal's text. So a later call on the same bundle does only the
+    ``beta``-dependent work: one weighted :func:`model_risks` pass, one
+    ``g`` and one solve per weight source. Each row's ``detail`` dict is
+    built afresh on every call. Each aggregation's true
     risk ``||y'||^2 / n_t - 2 c.g' + c'Gc`` comes from the moments too (0.0
     if it is within a few ulps of its terms' size, or below zero). The rows
     are collected as plain ``(method, estimated_score, true_risk, detail)``
@@ -181,14 +181,12 @@ def build_method_rows(
     ]
     picks = [("select_source", source)]
     oracle_true = None
-    if true is not None:
-        try:
-            oracle = oracle_aggregate(bundle)
-        except IllConditioned as exc:
-            rows.append(("aggregate_oracle", None, None, {"error": str(exc)}))
-        else:
-            oracle_true = true_risk_of(oracle.coefficients)
-            rows.append(("aggregate_oracle", None, oracle_true, _solve_detail(oracle)))
+    oracle = moments.oracle_outcome
+    if isinstance(oracle, str):
+        rows.append(("aggregate_oracle", None, None, {"error": oracle}))
+    elif oracle is not None:
+        oracle_true = true_risk_of(oracle.coefficients)
+        rows.append(("aggregate_oracle", None, oracle_true, _solve_detail(oracle)))
 
     for suffix, ratio in beta_by_name.items():
         tag = f"_{suffix}" if suffix else ""

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from shiftagg import aggregation
 from shiftagg.aggregation import (
-    AggregationResult,
     RiskReport,
     aggregate_predict,
     compute_g_vector,
@@ -279,19 +278,15 @@ class TestSolveCoefficients:
             assert resid <= 1e-8 * max(1.0, float(np.max(np.abs(g))))
 
     @pytest.mark.parametrize(
-        "coefficients, moment", [([np.nan], [1.0]), ([1.0], [np.nan])]
+        "solve", [solve_coefficients, solve_aggregation],
+        ids=["coefficients", "aggregation"],
     )
-    def test_result_with_nan_residual_is_refused(self, coefficients, moment):
-        # A NaN residual is no smaller than any tolerance.
-        with pytest.raises(IllConditioned, match="residual contract"):
-            AggregationResult(
-                coefficients=np.array(coefficients),
-                gram=np.eye(1),
-                moment=np.array(moment),
-                tikhonov=0.0,
-                condition_estimate=1.0,
-                diagnostics={},
-            )
+    def test_non_finite_residual_is_refused(self, solve):
+        # The solve holds every solution to the residual contract; the result
+        # record does not check it again. Here the solution overflows, and a
+        # NaN residual is no smaller than any tolerance.
+        with pytest.raises(IllConditioned, match="residual nan exceeds contract"):
+            solve(np.diag([1.0, 1e-300]), np.array([1.0, 1e10]), 1e-300)
 
 
 def reference_check_symmetric(G):
@@ -360,6 +355,41 @@ class TestAutoLambdaScale:
         assert run_aggregation(bundle, np.ones(8), lam=1.0).tikhonov == 1.0
 
 
+class TestLambdaRefusals:
+    def test_rank_deficient_gram_records_each_refusal(self):
+        # A rank-3 Gram of 20 models and a moment vector off its range: the
+        # solution grows like 1/lam, and the first lam's residual misses the
+        # contract.
+        rng = np.random.Generator(np.random.Philox(30))
+        A = rng.standard_normal((20, 3))
+        G = compute_gram(A[:, :, None])
+        g = 10.0 * rng.standard_normal(20)
+        assert np.linalg.matrix_rank(G) == 3
+        res = solve_aggregation(G, g)
+        refusals = res.diagnostics["lambda_refusals"]
+        assert res.diagnostics["lambda_escalations"] == len(refusals) >= 1
+        base = 1e-8 * float(np.trace(G)) / 20
+        ladder = [base]
+        for _ in refusals:
+            ladder.append(ladder[-1] * 10.0)
+        assert [lam for lam, _ in refusals] + [res.tikhonov] == ladder
+        for lam, reason in refusals:
+            assert reason.startswith("residual ") and f"at lam={lam!r}" in reason
+
+    def test_all_refused_names_every_lambda(self):
+        # Indefinite: G + lam*I has a negative pivot for every candidate.
+        G = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(IllConditioned) as info:
+            solve_aggregation(G, np.ones(3))
+        message = str(info.value)
+        ladder = [1e-8 / 3]
+        while ladder[-1] * 10.0 <= 1e-2 / 3:
+            ladder.append(ladder[-1] * 10.0)
+        assert message.count("factorization failed") == len(ladder) >= 6
+        for lam in ladder:
+            assert f"lam={lam!r}: factorization failed at lam={lam!r}" in message
+
+
 class TestCheckedSystem:
     @pytest.mark.parametrize("lam", [None, 0.0, 1.0], ids=["auto", "zero", "one"])
     @pytest.mark.parametrize(
@@ -367,8 +397,9 @@ class TestCheckedSystem:
         [
             (np.zeros((0, 0)), np.zeros(0), EmptyInput),
             (np.ones(3), np.zeros(3), DimensionMismatch),
+            (np.eye(2), np.array([1.0, np.nan]), ConfigInvalid),
         ],
-        ids=["empty", "one_dimensional"],
+        ids=["empty", "one_dimensional", "nan_moment"],
     )
     def test_malformed_system_raises_typed_error(self, G, g, error, lam):
         with pytest.raises(error):
@@ -797,9 +828,11 @@ class TestRunAggregation:
             "condition_estimate",
             "beta_saturation_fraction",
             "lambda_escalations",
+            "lambda_refusals",
             "residual_inf",
         ):
             assert key in res.diagnostics
+        assert res.diagnostics["lambda_refusals"] == ()
 
     @pytest.mark.parametrize(
         "beta, ess",

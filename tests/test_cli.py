@@ -209,6 +209,26 @@ class TestEstimateRatio:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("shift, warned", [(3.0, True), (0.0, False)],
+                         ids=["shifted", "default"])
+def test_effective_sample_size_warning(shift, warned, tmp_path, capsys):
+    # A target mean 3 standard deviations off puts the analytic and the
+    # logistic weights on a few source samples: Kish's fraction is about 0.05
+    # and 0.04. The unshifted task reads about 0.8 for both.
+    task = generate_task(SynthTaskConfig(
+        n_s=80, n_t=80, family_size=3, seed=60, target_mean=(shift, 0, 0, 0, 0)
+    ))
+    write_bundle(task.bundle, tmp_path / "task")
+    save_ratio_model(task.analytic_ratio, tmp_path / "task" / "analytic_ratio.json")
+    write_json(tmp_path / "cfg.json", {"estimator": "logistic"})
+    io_args = ["--input", str(tmp_path / "task"), "--output", str(tmp_path / "out")]
+    for args in (["estimate-ratio", "--config", str(tmp_path / "cfg.json")],
+                 ["aggregate", "--analytic"]):
+        assert main(args + io_args) == 0
+        err = capsys.readouterr().err
+        assert ("warning: beta effective sample size" in err) is warned, err
+
+
 class TestAggregate:
     def test_analytic_flag(self, task_dir, tmp_path):
         out = tmp_path / "out"
@@ -317,6 +337,20 @@ class TestAggregate:
         ess = float(np.sum(beta)) ** 2 / float(np.sum(beta**2))
         assert diagnostics["beta_effective_sample_size"] == pytest.approx(ess, rel=1e-12)
         assert diagnostics["beta_effective_fraction"] == pytest.approx(ess / 80, rel=1e-12)
+
+    def test_lambda_refusals_recorded(self, tmp_path):
+        # Twenty models seen on three target samples: G has rank 3, and the
+        # first automatic lam misses the residual contract.
+        write_bundle(build_bundle(m=20, n_s=40, n_t=3, seed=2), tmp_path / "b")
+        beta = tmp_path / "beta.csv"
+        beta.write_text("id,beta\n" + "".join(f"{i},1.0\n" for i in range(40)))
+        assert main(["aggregate", "--input", str(tmp_path / "b"), "--output",
+                     str(tmp_path / "out"), "--beta", str(beta)]) == 0
+        doc = json.loads((tmp_path / "out" / "result.json").read_text())
+        refusals = doc["diagnostics"]["lambda_refusals"]
+        assert len(refusals) == doc["diagnostics"]["lambda_escalations"] >= 1
+        for lam, reason in refusals:
+            assert lam < doc["tikhonov"] and f"at lam={lam!r}" in reason
 
     def test_output_under_file_exit_4(self, task_dir, tmp_path):
         blocker = tmp_path / "f.txt"
@@ -572,6 +606,24 @@ class TestBench:
         assert (tmp_path / "t1" / "suite.json").read_bytes() == (
             tmp_path / "t8" / "suite.json"
         ).read_bytes()
+
+    def test_blas_threads_default_to_one(self, tmp_path):
+        # The package sets the BLAS thread count to 1 where the environment
+        # names none, before numpy loads; an explicit setting wins.
+        src = pathlib.Path(__file__).parents[1] / "src"
+        unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        base = {k: v for k, v in os.environ.items() if k not in unset}
+        docs = []
+        for name, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            done = subprocess.run(
+                [sys.executable, "-m", "shiftagg.cli", "bench", "--trials", "3",
+                 "--seed", "42", "--output", str(tmp_path / name)],
+                env={**base, **extra, "PYTHONPATH": str(src)},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            docs.append((tmp_path / name / "suite.json").read_bytes())
+        assert docs[0] == docs[1]
 
     def test_zero_trials_exit_2(self, tmp_path):
         cfg = self._cfg(tmp_path, trials=0)

@@ -486,6 +486,95 @@ class TestBundleCache:
             moments.gram = moments.gram.copy()
 
 
+def _count_solves(monkeypatch) -> list:
+    """The ``lam`` of every ``_solve_spd`` call from here on, in order."""
+    lams = []
+    real = aggregation._solve_spd
+
+    def counting(G, g, lam):
+        lams.append(lam)
+        return real(G, g, lam)
+
+    monkeypatch.setattr(aggregation, "_solve_spd", counting)
+    return lams
+
+
+def _duplicated_models(seed):
+    """A two-model bundle whose models are one model twice: G is singular."""
+    base = build_bundle(m=1, n_s=6, n_t=5, with_oracle=True, seed=seed)
+    return replace(
+        base,
+        model_names=("a", "b"),
+        source_preds=np.repeat(base.source_preds, 2, axis=0),
+        target_preds=np.repeat(base.target_preds, 2, axis=0),
+    )
+
+
+class TestKeptOracleSolve:
+    """The ``lam=0`` oracle solve is bundle-only: made once, then read."""
+
+    def test_warm_op_makes_two_solves(self, monkeypatch):
+        lams = _count_solves(monkeypatch)
+        bundle = build_bundle(m=4, n_s=9, n_t=7, with_oracle=True, seed=87)
+        beta = np.linspace(0.5, 1.5, 9)
+        counts = []
+        for _ in range(3):
+            lams.clear()
+            aggregation.run_aggregation(bundle, beta)
+            compare_methods(bundle, beta)
+            counts.append(len(lams))
+        # The first op also solves the oracle system, at lam=0; later ops
+        # solve the two beta-dependent systems only.
+        assert counts == [3, 2, 2]
+        lams.clear()
+        oracle = aggregation.oracle_aggregate(bundle)
+        assert lams == []
+        # A replace() copy solves its own, to the same bits.
+        cold = aggregation.oracle_aggregate(replace(bundle))
+        assert oracle.coefficients.tobytes() == cold.coefficients.tobytes()
+        assert lams == [0.0]
+        # An explicit nonzero lam is solved on every call.
+        for _ in range(2):
+            assert aggregation.oracle_aggregate(bundle, 1e-3).tikhonov == 1e-3
+        assert lams == [0.0, 1e-3, 1e-3]
+
+    def test_refused_oracle_gives_one_error_row(self, monkeypatch):
+        lams = _count_solves(monkeypatch)
+        bundle = _duplicated_models(seed=47)
+        rows = [compare_methods(bundle, np.ones(6)).row("aggregate_oracle")
+                for _ in range(3)]
+        message = rows[0].detail["error"]
+        assert "lam=0" in message
+        assert rows[1] == rows[0] and rows[2] == rows[0]
+        assert rows[1].detail is not rows[0].detail
+        raised = []
+        for _ in range(2):
+            with pytest.raises(IllConditioned) as info:
+                aggregation.oracle_aggregate(bundle)
+            assert str(info.value) == message
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
+        assert lams.count(0.0) == 1
+
+    def test_callers_cannot_change_the_kept_record(self):
+        bundle = build_bundle(m=3, n_s=6, n_t=5, with_oracle=True, seed=88)
+        beta = np.linspace(0.5, 1.5, 6)
+        first = compare_methods(bundle, beta)
+        expected = dumps_canonical(first.to_json_dict())
+        detail = first.row("aggregate_oracle").detail
+        detail["coefficients"][0] = 99.0
+        detail["tikhonov"] = 1.0
+        detail["extra"] = True
+        result = aggregation.oracle_aggregate(bundle)
+        expected_diag = dict(result.diagnostics)
+        result.diagnostics["lambda_policy"] = "changed"
+        result.diagnostics.pop("residual_inf")
+        with pytest.raises(ValueError, match="read-only"):
+            result.coefficients[0] = 0.0
+        assert dumps_canonical(compare_methods(bundle, beta).to_json_dict()) == expected
+        assert aggregation.oracle_aggregate(bundle).diagnostics == expected_diag
+
+
 def test_moments_keep_no_dropped_bundle_alive():
     bundle = build_bundle(m=3, n_s=6, n_t=5, with_oracle=True, seed=86)
     gc.disable()
