@@ -234,12 +234,14 @@ def _solve_spd(G, g, lam: float) -> tuple[np.ndarray, float, float]:
     if not 0 <= lam < np.inf:
         raise ConfigInvalid(f"tikhonov value must be finite and nonnegative, got {lam}")
 
+    failed = f"factorization failed at lam={lam!r}; supply a larger value"
+    # G is checked finite: only its diagonal, shifted by lam, can overflow.
+    if not np.isfinite(np.diag(G) + lam).all():
+        raise IllConditioned(failed)
     try:
-        L = _cho_factor(G, lam)
-    except (NonFiniteValue, NumericalError) as exc:
-        raise IllConditioned(
-            f"factorization failed at lam={lam!r}; supply a larger value"
-        ) from exc
+        L = _cho_factor(G, lam, check_finite=False)
+    except NumericalError as exc:
+        raise IllConditioned(failed) from exc
     pivots = np.diag(L)  # all positive, as the factorization succeeded
     cond = (float(np.max(pivots)) / float(np.min(pivots))) ** 2
     if lam == 0.0 and cond >= CONDITION_LIMIT:

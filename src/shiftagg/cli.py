@@ -11,7 +11,6 @@ thread count.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import os
 import sys
 from dataclasses import replace
@@ -28,10 +27,6 @@ SATURATION_WARN_LEVEL = 0.5
 # Kish's effective sample size of the weights, as a fraction of the source
 # sample, below which the weighted estimates rest on few samples.
 EFFECTIVE_FRACTION_WARN_LEVEL = 0.1
-# glibc's mallopt parameters M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, with the
-# values _pin_malloc gives them, and the settings that override the pin.
-_MALLOPT_PINS = ((-3, 32 << 20), (-1, 64 << 20))
-_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,29 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_probe)
 
     return top
-
-
-def _pin_malloc() -> None:
-    """Keep freed blocks below 32 MiB on glibc's heap for the rest of the
-    process, and trim the heap only above 64 MiB of free top space.
-
-    glibc otherwise serves each block above its mmap threshold with a fresh
-    mapping and raises that threshold to the largest such block freed, so
-    whether a command's n x 100 kernel arrays are reused or faulted in anew
-    on every call depends on what happened to be freed before. A user's
-    ``MALLOC_*`` or ``GLIBC_TUNABLES`` setting wins; a libc without
-    ``mallopt`` is left as it is.
-    """
-    if any(name in os.environ for name in _MALLOC_ENV):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for param, value in _MALLOPT_PINS:
-        mallopt(param, value)
 
 
 def _warn_few_effective_samples(fraction: float) -> None:
@@ -369,7 +341,6 @@ def cmd_probe(args) -> int:
 
 
 def main(argv=None) -> int:
-    _pin_malloc()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

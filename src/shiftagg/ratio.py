@@ -71,6 +71,9 @@ _WIDTH_SAMPLE = 300
 # Rows per block of the width heuristic's walk over the upper triangle: at
 # _WIDTH_SAMPLE points its float64 block buffer takes 77 KB.
 _WIDTH_BLOCK = 32
+# Rows per block of _sq_dists: at 100 centers its float64 buffer takes 100 KB,
+# below glibc's default 128 KiB mmap threshold.
+_SQ_BLOCK = 128
 
 
 def _lapack_cholesky(linalg_dir: str | None):
@@ -273,14 +276,28 @@ def _check_xy(source_x, target_x) -> tuple[np.ndarray, np.ndarray]:
     return xs, xt
 
 
-def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (len(x), len(c))."""
+def _sq_dists(x: np.ndarray, c: np.ndarray, out=None) -> np.ndarray:
+    """Squared Euclidean distances, shape (len(x), len(c)), written into
+    ``out`` when it is given.
+
+    Each entry is ``(|x|^2 + |c|^2) - (2 x) . c``, clamped at 0. The product
+    is one BLAS call straight into ``out`` (a sub-block product need not
+    round each entry as the whole product does); the norm sums are then
+    formed ``_SQ_BLOCK`` rows at a time in one block-sized buffer, so no
+    temporary of the full size is made.
+    """
+    if out is None:
+        out = np.empty((x.shape[0], c.shape[0]))
     x2 = np.sum(x * x, axis=1)[:, None]
-    c2 = np.sum(c * c, axis=1)[None, :]
-    d2 = x2 + c2
-    d2 -= 2.0 * x @ c.T
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    c2 = np.sum(c * c, axis=1)
+    np.matmul(2.0 * x, c.T, out=out)
+    buf = np.empty((min(_SQ_BLOCK, x.shape[0]), c.shape[0]))
+    for s in range(0, x.shape[0], _SQ_BLOCK):
+        d2 = out[s : s + _SQ_BLOCK]
+        sums = np.add(x2[s : s + _SQ_BLOCK], c2, out=buf[: len(d2)])
+        np.subtract(sums, d2, out=d2)
+        np.maximum(d2, 0.0, out=d2)
+    return out
 
 
 def _gaussian_kernel(d2: np.ndarray, width: float, out=None) -> np.ndarray:
@@ -384,7 +401,8 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     distance matrix of that size). After the draws, both samples' rows are
     stably sorted by fold id, so each fold is a slice (a view) of the
     kernels. The distances to the centers are computed once per fit, and
-    each width refills two kernel buffers from them in place. ``H`` and
+    each width refills the kernels from them in place; distances and kernels
+    of both domains share one block. ``H`` and
     ``h`` are sums over samples: each width builds every fold's Gram
     ``K_s[f].T @ K_s[f]`` and column sum ``K_t[f].sum(0)`` once, and the
     whole sample's ``H_tot``/``h_tot`` are their sums over every fold
@@ -432,12 +450,17 @@ def fit_ulsif(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     )
     fold_scores = np.empty((len(ridges), n_scored))
     # Distances to the centers do not depend on the width: compute them once
-    # and refill two kernel buffers in place per width.
-    D_s, D_t = _sq_dists(xs, centers), _sq_dists(xt, centers)
-    K_s, K_t = np.empty_like(D_s), np.empty_like(D_t)
+    # and refill the kernels in place per width. Both domains' distances and
+    # kernels are views of one block: once a freed block has raised glibc's
+    # dynamic mmap threshold to its size (and its trim threshold to twice
+    # that), every later fit's block and temporaries stay on the heap.
+    n_s = xs.shape[0]
+    D, K = np.empty((2, n_s + xt.shape[0], n_c))
+    _sq_dists(xs, centers, out=D[:n_s])
+    _sq_dists(xt, centers, out=D[n_s:])
+    K_s, K_t = K[:n_s], K[n_s:]
     for i, width in enumerate(widths):
-        _gaussian_kernel(D_s, width, out=K_s)
-        _gaussian_kernel(D_t, width, out=K_t)
+        _gaussian_kernel(D, width, out=K)
         # The whole sample's sums add up every fold present, scored or not;
         # only the scored folds' parts are kept.
         H_tot, h_tot = np.zeros((n_c, n_c)), np.zeros(n_c)
@@ -693,7 +716,7 @@ def evaluate_ratio(model: RatioModel, x) -> np.ndarray:
         )
     if model.kind == "ulsif":
         d2 = _sq_dists(x, model.centers)
-        raw = _gaussian_kernel(d2, model.kernel_width) @ model.alpha
+        raw = _gaussian_kernel(d2, model.kernel_width, out=d2) @ model.alpha
     elif model.kind == "logistic":
         s = x @ model.classifier_weights[:-1] + model.classifier_weights[-1]
         with np.errstate(over="ignore"):

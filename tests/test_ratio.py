@@ -3,6 +3,7 @@
 import math
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -530,6 +531,25 @@ def _blocked_points(draw):
     return x
 
 
+class TestSqDists:
+    @pytest.mark.parametrize(
+        "rows", [1, ratio._SQ_BLOCK - 1, ratio._SQ_BLOCK, 2 * ratio._SQ_BLOCK + 1]
+    )
+    def test_out_matches_whole_arrays(self, rows):
+        # The width heuristic's squared distances are _sq_dists's bit for
+        # bit only while its row blocks of sums give what whole arrays give.
+        rng = np.random.Generator(np.random.Philox(rows))
+        x, c = rng.standard_normal((rows, 5)), rng.standard_normal((30, 5))
+        x[rows // 2] = c[3]  # a coincident pair, clamped to 0
+        block = np.full((2, rows + 7, 30), np.nan)
+        buf = block[1, 7:]
+        assert ratio._sq_dists(x, c, out=buf) is buf
+        want = reference_sq_dists(x, c)
+        assert buf.tobytes() == want.tobytes()
+        assert ratio._sq_dists(x, c).tobytes() == want.tobytes()
+        assert np.isnan(block[0]).all() and np.isnan(block[1, :7]).all()
+
+
 class TestWidthHeuristic:
     """``_median_pairwise_distance`` is bitwise the ``np.median`` body."""
 
@@ -614,6 +634,30 @@ def run_fresh(*lines: str) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="counts glibc's heap reuse"
+)
+@pytest.mark.parametrize("n", [500, 5000])
+def test_repeated_api_fit_does_not_fault(n):
+    # Each fit's distances and kernels are one block: once a freed block has
+    # raised glibc's dynamic mmap threshold, later fits reuse the heap with
+    # no process-wide allocator setting (the CLI is never imported).
+    out = run_fresh(
+        "import resource",
+        "from shiftagg.ratio import RatioFitConfig, evaluate_ratio, fit_ulsif",
+        "rng = np.random.Generator(np.random.Philox(0))",
+        f"xs, xt = rng.standard_normal(({n}, 5)), rng.normal(0.5, 1.0, ({n}, 5))",
+        "faults = []",
+        "for _ in range(3):",
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "    evaluate_ratio(fit_ulsif(xs, xt, RatioFitConfig()), xs)",
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        "assert 'shiftagg.cli' not in sys.modules",
+        "print(faults[2])",
+    )
+    assert int(out) < 100, out
 
 
 class TestCholeskySolve:
