@@ -14,8 +14,8 @@ supports Tikhonov regularization ``(G + lam*I) c = g`` with an automatic
 escalation policy, and every successful solve is held to the residual
 contract ``||(G + lam*I) c - g||_inf <= 1e-8 * max(1, ||g||_inf)``. Each
 check runs once per solve: the system's shape, finiteness and symmetry in
-:func:`_checked_system`, the condition estimate and the residual in
-:func:`_solve_spd`. :class:`AggregationResult` repeats neither.
+:func:`_checked_system`, the condition estimate in :func:`_factor` and the
+residual in :func:`_solve_spd`. :class:`AggregationResult` repeats neither.
 
 ``G`` and ``g`` are one BLAS product each (``syrk`` and ``gemv``). Their
 bits depend on the BLAS build and its thread count, not on the run or on
@@ -24,9 +24,15 @@ and ``--threads`` values for a fixed BLAS build and BLAS thread count.
 Quantities that depend on the bundle alone live in one record per bundle
 object, :func:`target_moments`, which builds each on its first read and
 keeps it: ``G``, the oracle moments ``g'`` and ``||y'||^2/n_t``, the
-per-model true target risks and plain source risks, and the ``lam=0`` oracle
-solve (or its refusal). Every reader goes through it, so only the
-``beta``-dependent work is done again on each call.
+per-model true target risks and plain source risks, the ``lam=0`` oracle
+solve (or its refusal), and the Cholesky factor of ``G + lam*I`` (or its
+refusal) at each rung of the automatic ladder tried, one ``m x m`` array
+each, about 0.7 MB at ``m = 300``. The record's solves check ``G`` once,
+not on every solve; ``g`` is checked, and the solve, refinement and
+residual run, on every call. Every reader goes through the record, so only
+the ``beta``-dependent work is done again on each call: a warm
+``run_aggregation`` factors nothing. A caller's own ``G`` and an explicit
+``lam`` are factored afresh on every solve.
 Per-model risks use no BLAS: :func:`model_risks` is the one risk kernel,
 and the single-model evaluators are its one-model case, bit for bit.
 """
@@ -191,22 +197,36 @@ def solve_coefficients(G, g, lam: float = 0.0) -> np.ndarray:
 
 
 def _checked_system(G, g) -> tuple[np.ndarray, np.ndarray]:
-    """``(G, g)`` as float64 arrays, checked once before any solve: ``G``
-    square with at least one row, ``g`` of matching length, both finite,
-    ``G`` symmetric."""
+    """``(G, g)`` as float64 arrays, checked once before any solve
+    (:func:`_checked_gram`, then :func:`_checked_moment`)."""
+    G = _checked_gram(G)
+    return G, _checked_moment(g, len(G))
+
+
+def _checked_gram(G) -> np.ndarray:
+    """``G`` as a float64 array: square with at least one row, finite and
+    symmetric. The bundle's record makes this check once
+    (:attr:`Moments.checked_gram`)."""
     G = np.asarray(G, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DimensionMismatch(f"gram matrix must be square, got {G.shape}")
-    m = G.shape[0]
-    if m == 0:
+    if G.shape[0] == 0:
         raise EmptyInput("an aggregation system needs at least one model")
-    if g.shape != (m,):
-        raise DimensionMismatch(f"moment vector has shape {g.shape}, expected ({m},)")
-    if not (np.isfinite(G).all() and np.isfinite(g).all()):
+    if not np.isfinite(G).all():
         raise ConfigInvalid("gram matrix and moment vector must be finite")
     _check_symmetric(G)
-    return G, g
+    return G
+
+
+def _checked_moment(g, m: int) -> np.ndarray:
+    """``g`` as a float64 array of ``m`` finite values, checked on every
+    solve."""
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != (m,):
+        raise DimensionMismatch(f"moment vector has shape {g.shape}, expected ({m},)")
+    if not np.isfinite(g).all():
+        raise ConfigInvalid("gram matrix and moment vector must be finite")
+    return g
 
 
 def _check_symmetric(G: np.ndarray) -> None:
@@ -228,12 +248,13 @@ def _residual(G, lam: float, c, g) -> tuple[np.ndarray, float]:
     return r, float(np.max(np.abs(r), initial=0.0))
 
 
-def _solve_spd(G, g, lam: float) -> tuple[np.ndarray, float, float]:
-    """Solve the :func:`_checked_system` ``(G + lam*I) c = g``."""
-    lam = float(lam)
+def _factor(G: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+    """The lower Cholesky factor ``L`` of the checked ``G + lam*I`` and its
+    pivot-ratio condition estimate ``(max(diag L) / min(diag L))^2``. A
+    failed factorization, or one at ``lam = 0`` whose estimate reaches 1e12,
+    is refused with :class:`IllConditioned`."""
     if not 0 <= lam < np.inf:
         raise ConfigInvalid(f"tikhonov value must be finite and nonnegative, got {lam}")
-
     failed = f"factorization failed at lam={lam!r}; supply a larger value"
     # G is checked finite: only its diagonal, shifted by lam, can overflow.
     if not np.isfinite(np.diag(G) + lam).all():
@@ -248,6 +269,16 @@ def _solve_spd(G, g, lam: float) -> tuple[np.ndarray, float, float]:
         raise IllConditioned(
             f"condition estimate {cond:.3e} >= 1e12 at lam=0; supply lam > 0"
         )
+    return L, cond
+
+
+def _solve_spd(G, g, lam: float, factor=None) -> tuple[np.ndarray, float, float]:
+    """Solve the :func:`_checked_system` ``(G + lam*I) c = g`` with the
+    ``(L, cond)`` that ``factor(lam)`` gives, or a fresh :func:`_factor` of
+    ``G`` where ``factor`` is None. The solve, its refinement and the
+    residual contract run on every call."""
+    lam = float(lam)
+    L, cond = _factor(G, lam) if factor is None else factor(lam)
 
     c = _cho_solve(L, g)
     tol = RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(g), initial=0.0)))
@@ -412,6 +443,8 @@ class Moments:
     bundle's arrays on its first read and kept, read-only, on this record:
 
     * ``gram``: the target Gram matrix ``G`` (:func:`compute_gram`);
+    * ``checked_gram``: ``gram`` once it has passed :func:`_checked_gram`
+      (finite and symmetric), so the record's solves check ``G`` once;
     * ``oracle_moment``: ``g'_k = (1/n_t) * sum_i <y'_i, f_k(x'_i)>``;
     * ``label_sq``: ``||y'||^2 / n_t``;
     * ``true_risks``: each model's :func:`model_risks` on the oracle labels;
@@ -420,7 +453,11 @@ class Moments:
       diagnostics (:func:`_oracle_outcome`, which also serves an explicit
       ``lam``), or the text of its :class:`IllConditioned` refusal. The text
       is kept, not the exception: raising one instance again keeps growing
-      its traceback.
+      its traceback;
+    * per rung ``lam`` of the automatic ladder tried (:meth:`factor`, at
+      most seven), the lower Cholesky factor of ``G + lam*I`` with its
+      condition estimate (:func:`_factor`), or the text of its refusal. Each
+      factor is an ``m x m`` array, about 0.7 MB at ``m = 300``.
 
     The four oracle quantities are ``None`` when the bundle has no oracle
     labels. Each is the expression a direct call evaluates, so its bits do
@@ -433,10 +470,15 @@ class Moments:
     source_preds: np.ndarray
     source_labels: np.ndarray
     oracle_labels: np.ndarray | None
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def gram(self) -> np.ndarray:
         return _freeze(compute_gram(self.target_preds))
+
+    @cached_property
+    def checked_gram(self) -> np.ndarray:
+        return _checked_gram(self.gram)
 
     @cached_property
     def oracle_moment(self) -> np.ndarray | None:
@@ -463,6 +505,31 @@ class Moments:
     @cached_property
     def oracle_outcome(self) -> AggregationResult | str | None:
         return None if self.oracle_labels is None else _oracle_outcome(self, 0.0)
+
+    def factor(self, lam: float) -> tuple[np.ndarray, float]:
+        """The kept :func:`_factor` of ``checked_gram`` at the automatic
+        rung ``lam``, made on first request, or a new
+        :class:`IllConditioned` with its refusal's kept text."""
+        entry = self._factors.get(lam)
+        if entry is None:
+            try:
+                L, cond = _factor(self.checked_gram, lam)
+            except IllConditioned as exc:
+                entry = str(exc)
+            else:
+                L.setflags(write=False)
+                entry = (L, cond)
+            entry = self._factors.setdefault(lam, entry)
+        if isinstance(entry, str):
+            raise IllConditioned(entry)
+        return entry
+
+    def solve(self, g, lam: float | None = None) -> AggregationResult:
+        """:func:`solve_aggregation` of ``(G, g)``: ``G`` is checked once,
+        ``g`` on every call, and each automatic rung's factor is kept
+        (:meth:`factor`); an explicit ``lam`` is factored afresh."""
+        G = self.checked_gram
+        return _solve_policy(G, _checked_moment(g, len(G)), lam, self.factor)
 
 
 def target_moments(bundle: PredictionBundle) -> Moments:
@@ -537,9 +604,17 @@ def solve_aggregation(G, g, lam: float | None = None) -> AggregationResult:
     its reason.
     """
     G, g = _checked_system(G, g)
+    return _solve_policy(G, g, lam, None)
+
+
+def _solve_policy(G, g, lam: float | None, factor) -> AggregationResult:
+    """The policy of :func:`solve_aggregation` on a checked system. Each
+    rung of the automatic ladder is solved with ``factor`` (see
+    :func:`_solve_spd`); an explicit ``lam`` is always factored afresh."""
     if lam is not None:
         attempts = [float(lam)]
         policy = "explicit"
+        factor = None
     else:
         scale = float(np.trace(G)) / len(G)
         if not np.isfinite(scale):
@@ -561,7 +636,7 @@ def solve_aggregation(G, g, lam: float | None = None) -> AggregationResult:
     refusals: list[tuple[float, str]] = []
     for lam_try in attempts:
         try:
-            c, cond, resid = _solve_spd(G, g, lam_try)
+            c, cond, resid = _solve_spd(G, g, lam_try, factor)
         except IllConditioned as exc:
             if policy == "explicit":
                 raise
@@ -594,17 +669,20 @@ def run_aggregation(
 ) -> AggregationResult:
     """Full pipeline: weights, Gram matrix, moment vector, solve.
 
-    The Gram matrix is the bundle's kept ``target_moments(bundle).gram``;
-    nothing else of the record is read.
+    The system is solved by the bundle's :func:`target_moments` record
+    (:meth:`Moments.solve`): its ``G`` is kept and checked once, and so is
+    the Cholesky factor of ``G + lam*I`` at each rung of the automatic
+    ladder tried, so a later call on the bundle factors nothing. ``g`` is
+    formed and checked, and the solve and its residual contract run, on
+    every call. An explicit ``lam`` is factored afresh on every call.
 
     ``ratio`` is a :class:`RatioModel` (evaluated on the source features)
     or a precomputed weight vector; ``lam`` follows the policy of
     :func:`solve_aggregation`.
     """
     beta, saturation = resolve_beta(bundle, ratio)
-    G = target_moments(bundle).gram
     g = compute_g_vector(bundle.source_preds, bundle.source.labels, beta)
-    result = solve_aggregation(G, g, lam)
+    result = target_moments(bundle).solve(g, lam)
     beta_max = float(np.max(beta))
     ess = _effective_sample_size(beta, beta_max)
     result.diagnostics.update(
@@ -639,7 +717,7 @@ def oracle_aggregate(bundle: PredictionBundle, lam: float = 0.0) -> AggregationR
 
 def _oracle_outcome(moments: Moments, lam: float) -> AggregationResult | str:
     try:
-        result = solve_aggregation(moments.gram, moments.oracle_moment, lam)
+        result = moments.solve(moments.oracle_moment, lam)
     except IllConditioned as exc:
         return str(exc)
     result.diagnostics.update(

@@ -200,9 +200,10 @@ def cmd_estimate_ratio(args) -> int:
     if model.cv is not None:
         # The lowest ridge winning is the common case and says little; a
         # width on either edge or the largest ridge may miss the optimum.
+        # A logistic fit has a ridge grid only.
         ridge = model.cv["ridges"][model.cv["ridge_index"]]
         edges = []
-        if model.cv["width_on_edge"]:
+        if model.cv.get("width_on_edge"):
             edges.append(f"kernel width {model.kernel_width:.6g}")
         if ridge == max(model.cv["ridges"]):
             edges.append(f"ridge {ridge:g}, the largest")

@@ -82,10 +82,12 @@ def _lapack_cholesky(linalg_dir: str | None):
     returns, taken from scipy's compiled ``_flapack`` module in
     ``linalg_dir`` without importing the ``scipy.linalg`` package, whose
     ``__init__`` loads ``scipy._lib``, ``numpy.f2py`` and ``numpy.testing``
-    besides, at a cost to every process's start-up and memory. The module is
-    registered as ``scipy.linalg._flapack``, so a later ``import
-    scipy.linalg`` reuses it (though, as for any submodule loaded before its
-    package, not as an attribute of the package). Where the file is missing
+    besides, at a cost to every process's start-up and memory. Loading the
+    extension registers it in ``sys.modules``; that entry is dropped again
+    (one that was there before is left), since a submodule found there when
+    its package is imported later is never bound as the package's
+    attribute. A later ``import scipy.linalg`` then loads ``_flapack`` as
+    usual and binds it, with these same routines. Where the file is missing
     or does not load on its own (a frozen app, another wheel layout), the
     package gives the pair as before.
     """
@@ -93,13 +95,15 @@ def _lapack_cholesky(linalg_dir: str | None):
         finder = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES))
         spec = finder.find_spec("scipy.linalg._flapack")
         if spec is not None:
+            registered = spec.name in sys.modules
             try:
                 module = importlib.util.module_from_spec(spec)
             except ImportError:  # its libraries need the package's own set-up
                 pass
             else:
                 spec.loader.exec_module(module)
-                sys.modules.setdefault(spec.name, module)
+                if not registered:
+                    sys.modules.pop(spec.name, None)
                 return module.dpotrf, module.dpotrs
     import scipy.linalg
 
@@ -129,7 +133,11 @@ _DOC_KEYS = {
         "alpha": np.ndarray,
         "cv": dict | None,
     },
-    "logistic": {"classifier_weights": np.ndarray, "ns_over_nt": float},
+    "logistic": {
+        "classifier_weights": np.ndarray,
+        "ns_over_nt": float,
+        "cv": dict | None,
+    },
     "analytic": {"params": dict},
 }
 
@@ -149,7 +157,13 @@ class RatioModel:
     and ``ridges`` grids, the ``scores`` grid (``None`` where a cell was
     refused), the chosen ``width_index`` and ``ridge_index``,
     ``width_on_edge`` and ``ridge_on_edge``, true when that index is first
-    or last in its grid, and ``on_grid_edge``, their OR.
+    or last in its grid, and ``on_grid_edge``, their OR. A fitted
+    ``logistic`` model's ``cv`` holds the ``ridges`` grid, the mean held-out
+    log-loss of each (``scores``, ``None`` where no fold was scored), the
+    chosen ``ridge_index`` and ``ridge_on_edge``, and the refit's Newton
+    step count (``newton_steps``) and final gradient norm
+    (``gradient_norm``). A model read from a file written without ``cv``
+    has ``None``.
     """
 
     kind: str
@@ -596,10 +610,13 @@ def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
 
     Features are standardized internally and stacked with a column of ones
     once. Each fold's split takes its rows once, and the ridge strength is
-    chosen from the config candidates by k-fold held-out log-loss, each fold fit by damped Newton to a gradient norm
-    below 1e-5. The refit runs until the gradient norm drops below 1e-6 (at
-    most 100 Newton steps, else :class:`NonConvergence`). The returned
-    weights are mapped back to the raw feature scale, bias last.
+    chosen from the config candidates by k-fold held-out log-loss, each fold
+    fit by damped Newton to a gradient norm below 1e-5. The refit runs until
+    the gradient norm drops below 1e-6 (at most 100 Newton steps, else
+    :class:`NonConvergence`). The returned weights are mapped back to the
+    raw feature scale, bias last; the model's ``cv`` block records the
+    ridge grid, each ridge's mean held-out log-loss, the chosen ridge and
+    the refit's step count and final gradient norm.
     """
     xs, xt = _check_xy(source_x, target_x)
     rng = _rng(cfg.seed)
@@ -626,22 +643,32 @@ def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
         X_tr, y_tr, z_va, y_va = X[tr], y[tr], z[va], y[va]
         row = []
         for ridge in ridges:
-            w = _logistic_newton(X_tr, y_tr, ridge, tol=1e-5, max_iter=100, strict=False)
+            w = _logistic_newton(X_tr, y_tr, ridge, tol=1e-5, max_iter=100, strict=False)[0]
             s = z_va @ w[:-1] + w[-1]
             row.append(float(np.mean(np.logaddexp(0.0, s) - y_va * s)))
         nlls.append(row)
     # The first ridge with the lowest mean held-out log-loss.
-    ridge = ridges[int(np.argmin(np.mean(nlls, axis=0)))] if nlls else ridges[0]
+    scores = np.mean(nlls, axis=0).tolist() if nlls else [None] * len(ridges)
+    j = int(np.argmin(scores)) if nlls else 0
 
-    w = _logistic_newton(X, y, ridge, tol=1e-6, max_iter=100, strict=True)
+    w, steps, gnorm = _logistic_newton(X, y, ridges[j], tol=1e-6, max_iter=100, strict=True)
     raw = np.empty(xs.shape[1] + 1)
     raw[:-1] = w[:-1] / sd
     raw[-1] = w[-1] - float(np.sum(w[:-1] * mu / sd))
+    cv = {
+        "ridges": list(ridges),
+        "scores": scores,
+        "ridge_index": j,
+        "ridge_on_edge": j in (0, len(ridges) - 1),
+        "newton_steps": steps,
+        "gradient_norm": gnorm,
+    }
     return RatioModel(
         kind="logistic",
         bound=cfg.bound,
         classifier_weights=raw,
         ns_over_nt=n_s / n_t,
+        cv=cv,
     )
 
 
@@ -652,12 +679,14 @@ def _logistic_newton(
     tol: float,
     max_iter: int,
     strict: bool,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int, float]:
     """Damped Newton (IRLS) on the mean negative log-likelihood of the
     design matrix ``X`` (features, then a column of ones) plus
     ``0.5 * ridge * ||w||^2``, the bias (last coefficient) unpenalized. Each
     step solves the Hessian ``X^T diag(p(1-p)) X / n + ridge*reg`` (or is the
     gradient, if Cholesky refuses it) and is halved until Armijo's test holds.
+    Returns ``(w, steps, gradient_norm)``: the coefficients, the number of
+    Newton steps taken and the gradient norm at ``w``.
     """
     n, d = X.shape[0], X.shape[1] - 1
     w = np.zeros(d + 1)
@@ -671,9 +700,10 @@ def _logistic_newton(
         return loss, p, X.T @ (p - y) / n + reg * w
 
     loss, p, g = loss_grad(w)
-    for _ in range(max_iter):
-        if np.linalg.norm(g) < tol:
-            return w
+    for steps in range(max_iter + 1):
+        gnorm = float(np.linalg.norm(g))
+        if gnorm < tol or steps == max_iter:
+            break
         H = (X.T * (p * (1.0 - p))) @ X / n
         H.reshape(-1)[:: d + 2] += reg  # its diagonal, as a view
         try:
@@ -686,9 +716,8 @@ def _logistic_newton(
             if loss_new <= loss - t * slope:
                 break
         w, loss, p, g = w - t * step, loss_new, p_new, g_new
-    gnorm = float(np.linalg.norm(g))
     if gnorm < tol or not strict:
-        return w
+        return w, steps, gnorm
     raise NonConvergence(
         f"logistic fit: gradient norm {gnorm:.3e} after {max_iter} iterations "
         f"(tolerance {tol:g})"

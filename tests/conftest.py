@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shiftagg import aggregation
 from shiftagg.data import PredictionBundle, SourceDataset, TargetDataset
 
 
@@ -37,3 +38,31 @@ def build_bundle(
 @pytest.fixture
 def bundle_factory():
     return build_bundle
+
+
+def count_solves(monkeypatch) -> list:
+    """The ``lam`` of every aggregation solve (``_solve_spd``) from here on,
+    in order."""
+    lams = []
+    real = aggregation._solve_spd
+
+    def counting(G, g, lam, *factor):
+        lams.append(lam)
+        return real(G, g, lam, *factor)
+
+    monkeypatch.setattr(aggregation, "_solve_spd", counting)
+    return lams
+
+
+def count_factorizations(monkeypatch) -> list:
+    """The ``lam`` of every Cholesky factorization of an aggregation system
+    from here on, in order."""
+    lams = []
+    real = aggregation._cho_factor
+
+    def counting(G, lam, check_finite=True):
+        lams.append(lam)
+        return real(G, lam, check_finite)
+
+    monkeypatch.setattr(aggregation, "_cho_factor", counting)
+    return lams

@@ -1,5 +1,6 @@
 """Aggregation core against brute-force and dense linear-algebra oracles."""
 
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -40,10 +41,11 @@ from shiftagg.errors import (
     NegativeWeight,
     NonFiniteValue,
     NonSymmetric,
+    SingularSystem,
 )
 from shiftagg.ratio import RatioModel
 
-from conftest import build_bundle
+from conftest import build_bundle, count_factorizations, count_solves
 
 
 def gram_loop(preds):
@@ -858,6 +860,144 @@ class TestRunAggregation:
         # Their squares overflow; the ratio of the scaled weights does not.
         beta = np.array([1e300, 1e300, 0.0, 5e299])
         assert aggregation._effective_sample_size(beta, 1e300) == 2.5**2 / 2.25
+
+
+def _rank_three_bundle():
+    """Twenty models whose target predictions span three directions, and a
+    source side that puts ``g`` off the range of ``G``: the base rung's
+    residual misses the contract (compare ``TestLambdaRefusals``)."""
+    rng = np.random.Generator(np.random.Philox(30))
+    return PredictionBundle(
+        model_names=tuple(f"m{k}" for k in range(20)),
+        source_preds=10.0 * rng.standard_normal((20, 1, 1)),
+        target_preds=rng.standard_normal((20, 3, 1)),
+        source=SourceDataset(labels=np.ones((1, 1))),
+        target=TargetDataset(n_samples_hint=3),
+    )
+
+
+class TestKeptFactors:
+    """Each automatic rung's factor of ``G + lam*I`` is kept on the
+    bundle's record; ``g``, the solve and the residual are per call."""
+
+    def test_second_call_factors_nothing_to_the_same_bits(self, monkeypatch):
+        lams = count_factorizations(monkeypatch)
+        bundle = build_bundle(m=5, n_s=12, n_t=9, seed=90)
+        beta = np.linspace(0.5, 1.5, 12)
+        first = run_aggregation(bundle, beta)
+        assert lams == [first.tikhonov]
+        second = run_aggregation(bundle, beta)
+        assert lams == [first.tikhonov]
+        assert second.coefficients.tobytes() == first.coefficients.tobytes()
+        assert second.diagnostics == first.diagnostics
+        # A new beta reuses the factor too.
+        run_aggregation(bundle, beta[::-1])
+        assert len(lams) == 1
+
+    def test_replace_copy_factors_its_own(self, monkeypatch):
+        bundle = build_bundle(m=5, n_s=12, n_t=9, seed=91)
+        beta = np.linspace(0.5, 1.5, 12)
+        warm = run_aggregation(bundle, beta)
+        lams = count_factorizations(monkeypatch)
+        copy = replace(bundle)
+        cold = run_aggregation(copy, beta)
+        assert lams == [warm.tikhonov]
+        assert cold.coefficients.tobytes() == warm.coefficients.tobytes()
+        L_warm, cond_warm = aggregation.target_moments(bundle).factor(warm.tikhonov)
+        L_cold, cond_cold = aggregation.target_moments(copy).factor(cold.tikhonov)
+        assert L_cold is not L_warm and cond_cold == cond_warm
+        assert L_cold.tobytes() == L_warm.tobytes()
+
+    def test_factorization_refusal_is_kept(self, monkeypatch):
+        bundle = build_bundle(m=4, n_s=10, n_t=8, seed=92)
+        base = 1e-8 * float(np.trace(compute_gram(bundle.target_preds))) / 4
+        lams = []
+        real = aggregation._cho_factor
+
+        def refuse_base(G, lam, check_finite=True):
+            lams.append(lam)
+            if lam == base:
+                raise SingularSystem("not positive definite")
+            return real(G, lam, check_finite)
+
+        monkeypatch.setattr(aggregation, "_cho_factor", refuse_base)
+        results = [run_aggregation(bundle, np.ones(10)) for _ in range(3)]
+        assert lams == [base, base * 10.0]
+        refused = ((base, f"factorization failed at lam={base!r}; supply a larger value"),)
+        for res in results:
+            assert res.tikhonov == base * 10.0
+            assert res.diagnostics["lambda_refusals"] == refused
+            assert res.diagnostics["lambda_escalations"] == 1
+
+    def test_residual_refusal_escalates_on_every_call(self, monkeypatch):
+        bundle = _rank_three_bundle()
+        factors = count_factorizations(monkeypatch)
+        solves = count_solves(monkeypatch)
+        first = run_aggregation(bundle, np.ones(1))
+        refusals = first.diagnostics["lambda_refusals"]
+        assert len(refusals) >= 1
+        assert all(reason.startswith("residual ") for _, reason in refusals)
+        ladder = [lam for lam, _ in refusals] + [first.tikhonov]
+        assert factors == solves == ladder
+        second = run_aggregation(bundle, np.ones(1))
+        assert factors == ladder and solves == ladder + ladder
+        assert second.diagnostics["lambda_refusals"] == refusals
+        assert second.coefficients.tobytes() == first.coefficients.tobytes()
+
+    def test_explicit_lambda_is_factored_on_every_call(self, monkeypatch):
+        lams = count_factorizations(monkeypatch)
+        bundle = build_bundle(m=3, n_s=10, n_t=8, seed=93)
+        for _ in range(2):
+            assert run_aggregation(bundle, np.ones(10), 1e-3).tikhonov == 1e-3
+        assert lams == [1e-3, 1e-3]
+        assert vars(aggregation.target_moments(bundle))["_factors"] == {}
+
+    def test_kept_gram_is_checked_once(self, monkeypatch):
+        bundle = build_bundle(m=3, n_s=10, n_t=8, seed=94)
+        checks = []
+        real = aggregation._check_symmetric
+        monkeypatch.setattr(
+            aggregation, "_check_symmetric", lambda G: checks.append(G) or real(G)
+        )
+        for lam in (None, None, 1e-3):
+            run_aggregation(bundle, np.ones(10), lam)
+        assert len(checks) == 1
+        # A caller's own G is checked on every solve.
+        G = compute_gram(bundle.target_preds)
+        for _ in range(2):
+            solve_aggregation(G, np.ones(3))
+        assert len(checks) == 3
+
+    def test_non_finite_kept_gram_is_refused_on_every_call(self):
+        # Finite predictions whose squares overflow: G holds inf.
+        bundle = build_bundle(m=2, n_s=4, n_t=3, seed=95)
+        bundle = replace(bundle, target_preds=bundle.target_preds * 1e200)
+        for _ in range(2):
+            with np.errstate(over="ignore"), pytest.raises(
+                ConfigInvalid, match="must be finite"
+            ):
+                run_aggregation(bundle, np.ones(4))
+
+    def test_concurrent_calls_on_a_new_bundle_are_byte_identical(self):
+        base = build_bundle(m=40, n_s=200, n_t=150, seed=96)
+        beta = np.linspace(0.2, 2.0, 200)
+        expected = run_aggregation(replace(base), beta)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                bundle = replace(base)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    results = list(pool.map(
+                        lambda _: run_aggregation(bundle, beta), range(16), timeout=120
+                    ))
+                for res in results:
+                    assert res.coefficients.tobytes() == expected.coefficients.tobytes()
+                    assert res.diagnostics == expected.diagnostics
+                kept = vars(aggregation.target_moments(bundle))["_factors"]
+                assert list(kept) == [expected.tikhonov]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestOracleAggregate:

@@ -134,6 +134,19 @@ class TestEstimateRatio:
         assert (cv["width_index"], cv["ridge_index"]) == (3, 1)
         assert cv["width_on_edge"] is False and cv["ridge_on_edge"] is True
         assert "ridge 0.01, the largest, on the edge of the grid" in err
+
+    def test_logistic_largest_ridge_warns_without_a_width(self, tmp_path, capsys):
+        # Equal source and target features: the heaviest ridge holds out
+        # best. The logistic cv block has a ridge grid and no width grid.
+        b = build_bundle(n_s=60, n_t=60, seed=9)
+        b = replace(b, target=replace(b.target, features=b.source.features))
+        write_bundle(b, tmp_path / "task")
+        cv, err = self._edge_run(
+            tmp_path / "task", tmp_path, capsys, {"estimator": "logistic"}
+        )
+        assert "width_on_edge" not in cv and cv["ridge_index"] == 3
+        assert "warning: cross-validation chose ridge 1, the largest, on the edge" in err
+        assert "kernel width" not in err
         assert "kernel width" not in err
 
     @pytest.mark.parametrize("domain", ["source", "target"])

@@ -739,9 +739,10 @@ class TestCholeskySolve:
 
     def test_process_loads_only_scipys_lapack_module(self):
         """Importing the package and its CLI and fitting both ratio
-        estimators load one module of scipy, its compiled LAPACK wrappers:
-        no ``scipy.linalg`` package, no ``scipy._lib``, no ``scipy.special``,
-        whose imports every process would pay for."""
+        estimators load one module of scipy, its compiled LAPACK wrappers,
+        and leave no ``scipy*`` entry in ``sys.modules``: no ``scipy.linalg``
+        package, no ``scipy._lib``, no ``scipy.special``, whose imports every
+        process would pay for."""
         out = run_fresh(
             "import shiftagg, shiftagg.cli",
             "from shiftagg.ratio import RatioFitConfig, fit_logistic_ratio, fit_ulsif",
@@ -749,9 +750,36 @@ class TestCholeskySolve:
             "xs, xt = rng.standard_normal((30, 2)), rng.normal(0.5, 1.0, (30, 2))",
             "fit_logistic_ratio(xs, xt, RatioFitConfig())",
             "fit_ulsif(xs, xt, RatioFitConfig())",
+            "from shiftagg import ratio",
             "print([m for m in sys.modules if m.startswith('scipy')])",
+            "print(type(ratio._POTRF).__name__, type(ratio._POTRS).__name__)",
         )
-        assert out == "['scipy.linalg._flapack']\n"
+        assert out == "[]\nfortran fortran\n"
+
+    def test_later_scipy_linalg_import_binds_flapack(self):
+        """A ``scipy.linalg`` imported after the package has its ``_flapack``
+        attribute, and that module holds the package's own routines."""
+        out = run_fresh(
+            "import shiftagg, scipy.linalg",
+            "from shiftagg import ratio",
+            "flapack = scipy.linalg._flapack",
+            "print(flapack is sys.modules['scipy.linalg._flapack'])",
+            "print(flapack.dpotrf is ratio._POTRF, flapack.dpotrs is ratio._POTRS)",
+        )
+        assert out == "True\nTrue True\n"
+
+    def test_an_earlier_registration_is_kept(self):
+        """Where ``scipy.linalg._flapack`` was registered before the load,
+        the entry stays as it was."""
+        out = run_fresh(
+            "import os, scipy.linalg",
+            "from shiftagg import ratio",
+            "before = sys.modules['scipy.linalg._flapack']",
+            "pair = ratio._lapack_cholesky(os.path.dirname(before.__file__))",
+            "print(sys.modules['scipy.linalg._flapack'] is before)",
+            "print(pair[0] is before.dpotrf, scipy.linalg._flapack is before)",
+        )
+        assert out == "True\nTrue True\n"
 
 
 class TestLogistic:
@@ -800,7 +828,7 @@ class TestLogistic:
         z = rng.standard_normal((200, 3))
         y = (rng.uniform(size=200) < 0.5 + 0.2 * np.tanh(z[:, 0])).astype(float)
         X = with_bias(z)
-        want = ratio._logistic_newton(X, y, 1e-2, tol=1e-9, max_iter=100, strict=True)
+        want = ratio._logistic_newton(X, y, 1e-2, tol=1e-9, max_iter=100, strict=True)[0]
         solve, calls = ratio._cho_solve_ridge, []
 
         def refuse_first(H, h, r):
@@ -810,7 +838,7 @@ class TestLogistic:
             return solve(H, h, r)
 
         monkeypatch.setattr(ratio, "_cho_solve_ridge", refuse_first)
-        got = ratio._logistic_newton(X, y, 1e-2, tol=1e-9, max_iter=100, strict=True)
+        got = ratio._logistic_newton(X, y, 1e-2, tol=1e-9, max_iter=100, strict=True)[0]
         assert len(calls) > 1
         np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9)
 
@@ -822,10 +850,82 @@ class TestLogistic:
         y = (rng.uniform(size=500) < 1 / (1 + np.exp(-2.0 * z[:, 1]))).astype(float)
         ridge = 1e-3
         X = with_bias(z)
-        w = ratio._logistic_newton(X, y, ridge, tol=1e-6, max_iter=100, strict=True)
+        w, _, gnorm = ratio._logistic_newton(X, y, ridge, tol=1e-6, max_iter=100, strict=True)
         grad = X.T @ (1 / (1 + np.exp(-(X @ w))) - y) / 500
         grad[:-1] += ridge * w[:-1]
         assert float(np.linalg.norm(grad)) < 1e-6
+        assert gnorm < 1e-6
+
+
+def reference_logistic_cv(xs, xt, cfg):
+    """Each ridge's mean held-out log-loss over the folds, and the refit's
+    ``(w, steps, gradient_norm)`` at ``ridge``-grid index ``j`` of its
+    lowest: the design, folds and fits of ``fit_logistic_ratio``, one fold
+    at a time."""
+    rng = ratio._rng(cfg.seed)
+    pooled = np.vstack([xs, xt])
+    sd = pooled.std(axis=0)
+    z = (pooled - pooled.mean(axis=0)) / np.where(sd == 0, 1.0, sd)
+    X, y = with_bias(z), np.repeat([0.0, 1.0], [len(xs), len(xt)])
+    fold = np.concatenate([ratio._fold_ids(len(x), cfg.cv_folds, rng) for x in (xs, xt)])
+    losses = []
+    for f in range(cfg.cv_folds):
+        tr, va = fold != f, fold == f
+        row = []
+        for ridge in cfg.ridge_strengths:
+            w = ratio._logistic_newton(X[tr], y[tr], ridge, 1e-5, 100, strict=False)[0]
+            s = z[va] @ w[:-1] + w[-1]
+            row.append(float(np.mean(np.logaddexp(0.0, s) - y[va] * s)))
+        losses.append(row)
+    scores = np.mean(losses, axis=0).tolist()
+    j = scores.index(min(scores))
+    return scores, j, ratio._logistic_newton(X, y, cfg.ridge_strengths[j], 1e-6, 100, True)
+
+
+class TestLogisticCV:
+    """The logistic model's ``cv`` block: ridge grid, held-out log-loss per
+    ridge, the chosen ridge and the refit's Newton steps and gradient."""
+
+    def test_interior_ridge_with_newton_steps(self):
+        rng = np.random.Generator(np.random.Philox(44))
+        xs, xt = rng.normal(0.0, 1.0, (300, 2)), rng.normal(0.7, 1.0, (300, 2))
+        cfg = RatioFitConfig(ridge_strengths=(1e-4, 1e-3, 1e-2, 1e-1, 1.0), seed=0)
+        cv = fit_logistic_ratio(xs, xt, cfg).cv
+        scores, j, (_, steps, gnorm) = reference_logistic_cv(xs, xt, cfg)
+        assert list(cv) == ["ridges", "scores", "ridge_index", "ridge_on_edge",
+                            "newton_steps", "gradient_norm"]
+        assert cv["ridges"] == [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
+        assert cv["scores"] == scores
+        assert cv["ridge_index"] == j and 0 < j < 4 and cv["ridge_on_edge"] is False
+        assert cv["newton_steps"] == steps >= 2
+        assert cv["gradient_norm"] == gnorm < 1e-6
+
+    def test_identical_samples_take_no_step_and_the_largest_ridge(self):
+        # Equal samples put the gradient at w = 0 at rounding level, and the
+        # heaviest penalty holds out best.
+        x = np.random.Generator(np.random.Philox(45)).standard_normal((200, 2))
+        cv = fit_logistic_ratio(x, x, RatioFitConfig(seed=4)).cv
+        assert cv["newton_steps"] == 0 and cv["gradient_norm"] < 1e-12
+        assert cv["ridge_index"] == 3 and cv["ridge_on_edge"] is True
+        assert min(cv["scores"]) == cv["scores"][3]
+
+    def test_no_scored_fold_keeps_the_first_ridge(self):
+        # One sample per domain: every fold's training side has one class.
+        cv = fit_logistic_ratio(np.zeros((1, 2)), np.ones((1, 2)), RatioFitConfig()).cv
+        assert cv["scores"] == [None] * 4
+        assert cv["ridge_index"] == 0 and cv["ridge_on_edge"] is True
+        assert cv["newton_steps"] >= 1 and cv["gradient_norm"] < 1e-6
+
+    def test_round_trip_and_a_file_without_cv(self, tmp_path):
+        xs, xt = gaussian_pair(n=200)
+        model = fit_logistic_ratio(xs, xt, RatioFitConfig(seed=2))
+        save_ratio_model(model, tmp_path / "ratio.json")
+        assert load_ratio_model(tmp_path / "ratio.json").cv == model.cv
+        doc = ratio_model_to_dict(model)
+        del doc["cv"]
+        old = ratio_model_from_dict(doc)
+        assert old.cv is None
+        assert np.array_equal(evaluate_ratio(old, GRID), evaluate_ratio(model, GRID))
 
 
 @pytest.mark.parametrize("estimator", ["ulsif", "logistic"])

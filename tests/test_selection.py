@@ -42,7 +42,7 @@ from shiftagg.selection import (
 from shiftagg.serialize import dumps_canonical
 from shiftagg.synth import SuiteConfig, SynthTaskConfig, generate_task, run_suite
 
-from conftest import build_bundle
+from conftest import build_bundle, count_factorizations, count_solves
 
 
 def bundle_with_perfect_model(idx=0, m=3, n_s=12, seed=31):
@@ -477,26 +477,17 @@ class TestBundleCache:
         assert moments is aggregation.target_moments(bundle)
         held = vars(moments)
         assert {"gram", "oracle_moment", "true_risks", "source_risks"} <= set(held)
+        assert held["checked_gram"] is moments.gram
+        factors = list(held["_factors"].values())
+        assert len(factors) == 1 and isinstance(factors[0][1], float)
         arrays = [v for v in held.values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 8
+        arrays.append(factors[0][0])  # the kept factor of G + lam*I
+        assert len(arrays) == 10
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 0.0
         with pytest.raises(AttributeError):
             moments.gram = moments.gram.copy()
-
-
-def _count_solves(monkeypatch) -> list:
-    """The ``lam`` of every ``_solve_spd`` call from here on, in order."""
-    lams = []
-    real = aggregation._solve_spd
-
-    def counting(G, g, lam):
-        lams.append(lam)
-        return real(G, g, lam)
-
-    monkeypatch.setattr(aggregation, "_solve_spd", counting)
-    return lams
 
 
 def _duplicated_models(seed):
@@ -514,7 +505,7 @@ class TestKeptOracleSolve:
     """The ``lam=0`` oracle solve is bundle-only: made once, then read."""
 
     def test_warm_op_makes_two_solves(self, monkeypatch):
-        lams = _count_solves(monkeypatch)
+        lams = count_solves(monkeypatch)
         bundle = build_bundle(m=4, n_s=9, n_t=7, with_oracle=True, seed=87)
         beta = np.linspace(0.5, 1.5, 9)
         counts = []
@@ -539,7 +530,7 @@ class TestKeptOracleSolve:
         assert lams == [0.0, 1e-3, 1e-3]
 
     def test_refused_oracle_gives_one_error_row(self, monkeypatch):
-        lams = _count_solves(monkeypatch)
+        lams = count_solves(monkeypatch)
         bundle = _duplicated_models(seed=47)
         rows = [compare_methods(bundle, np.ones(6)).row("aggregate_oracle")
                 for _ in range(3)]
@@ -573,6 +564,42 @@ class TestKeptOracleSolve:
             result.coefficients[0] = 0.0
         assert dumps_canonical(compare_methods(bundle, beta).to_json_dict()) == expected
         assert aggregation.oracle_aggregate(bundle).diagnostics == expected_diag
+
+
+class TestKeptFactorsInTables:
+    """A warm table factors nothing: each automatic rung's factor of
+    ``G + lam*I`` is kept on the bundle's record."""
+
+    def test_warm_op_factors_nothing(self, monkeypatch):
+        solves = count_solves(monkeypatch)
+        factors = count_factorizations(monkeypatch)
+        bundle = build_bundle(m=4, n_s=9, n_t=7, with_oracle=True, seed=97)
+        beta = np.linspace(0.5, 1.5, 9)
+        counts = []
+        for _ in range(3):
+            solves.clear()
+            factors.clear()
+            result = aggregation.run_aggregation(bundle, beta)
+            compare_methods(bundle, beta)
+            counts.append((len(factors), len(solves)))
+        # The first op factors the automatic rung and the lam=0 oracle system.
+        assert counts == [(2, 3), (0, 2), (0, 2)]
+        assert solves == [result.tikhonov, result.tikhonov]
+
+    def test_two_weight_sources_factor_once(self, monkeypatch):
+        solves = count_solves(monkeypatch)
+        factors = count_factorizations(monkeypatch)
+        bundle = build_bundle(m=6, n_s=20, n_t=15, seed=98)
+        betas = {"a": np.linspace(0.2, 2.0, 20), "b": np.ones(20)}
+        rows = build_method_rows(bundle, betas, None)
+        tikhonov = {r.detail["tikhonov"] for r in rows if r.method.startswith("aggregate")}
+        assert len(factors) == 1 and tikhonov == set(factors)
+        assert len(solves) == 2
+        # An explicit lam is factored for each source, on every table.
+        factors.clear()
+        build_method_rows(bundle, betas, 1e-3)
+        build_method_rows(bundle, betas, 1e-3)
+        assert factors == [1e-3] * 4
 
 
 def test_moments_keep_no_dropped_bundle_alive():
