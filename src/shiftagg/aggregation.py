@@ -40,7 +40,7 @@ and the single-model evaluators are its one-model case, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -192,7 +192,8 @@ def solve_coefficients(G, g, lam: float = 0.0) -> np.ndarray:
     condition estimate below 1e12), otherwise :class:`IllConditioned` asks
     the caller for regularization.
     """
-    c, _, _ = _solve_spd(*_checked_system(G, g), lam)
+    G, g = _checked_system(G, g)
+    c, _, _ = _solve_spd(G, g, lam, partial(_factor, G))
     return c
 
 
@@ -272,13 +273,13 @@ def _factor(G: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     return L, cond
 
 
-def _solve_spd(G, g, lam: float, factor=None) -> tuple[np.ndarray, float, float]:
+def _solve_spd(G, g, lam: float, factor) -> tuple[np.ndarray, float, float]:
     """Solve the :func:`_checked_system` ``(G + lam*I) c = g`` with the
-    ``(L, cond)`` that ``factor(lam)`` gives, or a fresh :func:`_factor` of
-    ``G`` where ``factor`` is None. The solve, its refinement and the
-    residual contract run on every call."""
+    ``(L, cond)`` that ``factor(lam)`` gives: a fresh :func:`_factor` of
+    ``G``, or the one a :class:`Moments` record keeps. The solve, its
+    refinement and the residual contract run on every call."""
     lam = float(lam)
-    L, cond = _factor(G, lam) if factor is None else factor(lam)
+    L, cond = factor(lam)
 
     c = _cho_solve(L, g)
     tol = RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(g), initial=0.0)))
@@ -454,8 +455,8 @@ class Moments:
       ``lam``), or the text of its :class:`IllConditioned` refusal. The text
       is kept, not the exception: raising one instance again keeps growing
       its traceback;
-    * per rung ``lam`` of the automatic ladder tried (:meth:`factor`, at
-      most seven), the lower Cholesky factor of ``G + lam*I`` with its
+    * per rung ``lam`` of the automatic ladder tried (:meth:`_kept_factor`,
+      at most seven), the lower Cholesky factor of ``G + lam*I`` with its
       condition estimate (:func:`_factor`), or the text of its refusal. Each
       factor is an ``m x m`` array, about 0.7 MB at ``m = 300``.
 
@@ -506,10 +507,12 @@ class Moments:
     def oracle_outcome(self) -> AggregationResult | str | None:
         return None if self.oracle_labels is None else _oracle_outcome(self, 0.0)
 
-    def factor(self, lam: float) -> tuple[np.ndarray, float]:
+    def _kept_factor(self, lam: float) -> tuple[np.ndarray, float]:
         """The kept :func:`_factor` of ``checked_gram`` at the automatic
         rung ``lam``, made on first request, or a new
-        :class:`IllConditioned` with its refusal's kept text."""
+        :class:`IllConditioned` with its refusal's kept text. Only
+        :meth:`solve` calls it, and only on the automatic ladder, so the
+        record keeps at most seven factors."""
         entry = self._factors.get(lam)
         if entry is None:
             try:
@@ -527,9 +530,10 @@ class Moments:
     def solve(self, g, lam: float | None = None) -> AggregationResult:
         """:func:`solve_aggregation` of ``(G, g)``: ``G`` is checked once,
         ``g`` on every call, and each automatic rung's factor is kept
-        (:meth:`factor`); an explicit ``lam`` is factored afresh."""
+        (:meth:`_kept_factor`); an explicit ``lam`` is factored afresh."""
         G = self.checked_gram
-        return _solve_policy(G, _checked_moment(g, len(G)), lam, self.factor)
+        factor = self._kept_factor if lam is None else partial(_factor, G)
+        return _solve_policy(G, _checked_moment(g, len(G)), lam, factor)
 
 
 def target_moments(bundle: PredictionBundle) -> Moments:
@@ -604,17 +608,16 @@ def solve_aggregation(G, g, lam: float | None = None) -> AggregationResult:
     its reason.
     """
     G, g = _checked_system(G, g)
-    return _solve_policy(G, g, lam, None)
+    return _solve_policy(G, g, lam, partial(_factor, G))
 
 
 def _solve_policy(G, g, lam: float | None, factor) -> AggregationResult:
     """The policy of :func:`solve_aggregation` on a checked system. Each
-    rung of the automatic ladder is solved with ``factor`` (see
-    :func:`_solve_spd`); an explicit ``lam`` is always factored afresh."""
+    ``lam`` tried is solved with the ``(L, cond)`` of ``factor(lam)`` (see
+    :func:`_solve_spd`)."""
     if lam is not None:
         attempts = [float(lam)]
         policy = "explicit"
-        factor = None
     else:
         scale = float(np.trace(G)) / len(G)
         if not np.isfinite(scale):

@@ -46,9 +46,9 @@ def count_solves(monkeypatch) -> list:
     lams = []
     real = aggregation._solve_spd
 
-    def counting(G, g, lam, *factor):
+    def counting(G, g, lam, factor):
         lams.append(lam)
-        return real(G, g, lam, *factor)
+        return real(G, g, lam, factor)
 
     monkeypatch.setattr(aggregation, "_solve_spd", counting)
     return lams

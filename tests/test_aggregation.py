@@ -903,8 +903,8 @@ class TestKeptFactors:
         cold = run_aggregation(copy, beta)
         assert lams == [warm.tikhonov]
         assert cold.coefficients.tobytes() == warm.coefficients.tobytes()
-        L_warm, cond_warm = aggregation.target_moments(bundle).factor(warm.tikhonov)
-        L_cold, cond_cold = aggregation.target_moments(copy).factor(cold.tikhonov)
+        kept = [vars(aggregation.target_moments(b))["_factors"] for b in (bundle, copy)]
+        (L_warm, cond_warm), (L_cold, cond_cold) = (k[warm.tikhonov] for k in kept)
         assert L_cold is not L_warm and cond_cold == cond_warm
         assert L_cold.tobytes() == L_warm.tobytes()
 
