@@ -252,6 +252,7 @@ def cmd_aggregate(args) -> int:
         )
         if wanted
     }
+    doc["inputs"] = dict(bundle.inputs)
     outdir = _ensure_outdir(args.output)
     write_csv(
         os.path.join(outdir, "aggregated_predictions.csv"),
@@ -273,8 +274,10 @@ def cmd_select(args) -> int:
     bundle = load_bundle(args.input)
     weight_source = _resolve_ratio_arg(args, bundle)
     report = selection.compare_methods(bundle, weight_source, args.lam)
+    doc = report.to_json_dict()
+    doc["inputs"] = dict(bundle.inputs)
     outdir = _ensure_outdir(args.output)
-    write_json(os.path.join(outdir, "comparison.json"), report.to_json_dict())
+    write_json(os.path.join(outdir, "comparison.json"), doc)
     sys.stdout.write(report.format_table())
     return 0
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
     NonFiniteValue,
 )
 from .serialize import decode_object, npz_writer, read_bytes, read_csv, read_json
-from .serialize import write_csv, write_json
+from .serialize import write_csvs, write_json
 
 __all__ = [
     "SourceDataset",
@@ -69,10 +69,11 @@ def as_label_matrix(arr) -> np.ndarray:
 
 def _fields_equal(a, b) -> bool:
     """Field-wise equality of two containers of one class: arrays compare
-    by value with ``np.array_equal``, and ``None`` equals only ``None``."""
+    by value with ``np.array_equal``, and ``None`` equals only ``None``; a
+    field declared with ``compare=False`` takes no part."""
     if type(a) is not type(b):
         return NotImplemented
-    for f in fields(a):
+    for f in filter(lambda f: f.compare, fields(a)):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
             if x is None or y is None or not np.array_equal(x, y):
@@ -190,6 +191,10 @@ class PredictionBundle:
     plain source risks) are kept in one record per bundle object,
     ``aggregation.target_moments(bundle)``, each built on its first read.
     So re-enabling writes on such an array and mutating it is unsupported.
+
+    ``inputs`` holds ``(file name, sha256 hex)`` of each CSV that
+    :func:`load_bundle` read, in manifest order, and is empty for a bundle
+    built in memory; it takes no part in equality.
     """
 
     model_names: tuple[str, ...]
@@ -198,6 +203,7 @@ class PredictionBundle:
     source: SourceDataset
     target: TargetDataset
     provenance: str = ""
+    inputs: tuple[tuple[str, str], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         names = tuple(str(n) for n in self.model_names)
@@ -420,14 +426,18 @@ def write_bundle(bundle: PredictionBundle, path) -> None:
         "target": [tgt.features, tgt.oracle_labels, *bundle.target_preds],
     }
     sides = {k: np.hstack([a for a in b if a is not None]) for k, b in blocks.items()}
-    digests = []
-    for name, side, header, cols in _csvs(manifest):
-        data = write_csv(os.path.join(path, name), header, sides[side][:, cols])
-        digests.append(hashlib.sha256(data).digest())
+    # Each side's CSVs split its matrix's columns, so one call writes them.
+    csvs = _csvs(manifest)
+    digests = {}
+    for side, matrix in sides.items():
+        mine = [(name, header) for name, s, header, _ in csvs if s == side]
+        found = write_csvs(matrix, [(os.path.join(path, n), h) for n, h in mine])
+        digests.update(zip([name for name, _ in mine], found))
     with npz_writer(os.path.join(path, _SIDECAR)) as add:
         for side, matrix in sides.items():
             add(side, matrix)
-        add("sha256", np.frombuffer(b"".join(digests), np.uint8).reshape(-1, 32))
+        table = b"".join(digests[name] for name, _, _, _ in csvs)
+        add("sha256", np.frombuffer(table, np.uint8).reshape(-1, 32))
 
 
 def _read_sidecar(path, csvs) -> dict[str, tuple[bytes, np.ndarray]]:
@@ -471,11 +481,12 @@ def _check_header(path, header: list[str], expected: list[str]) -> None:
 def load_bundle(path) -> PredictionBundle:
     """Load and fully validate a bundle directory.
 
-    Each CSV is read once. Where ``arrays.npz`` is valid, stores the sha256
-    of the CSV's bytes and the file starts with the header the manifest
-    implies, the CSV's columns of the stored matrix stand in for parsing
-    the text; otherwise the text is parsed and its header checked. Every
-    check after the parse runs either way.
+    Each CSV is read and hashed once; the bundle's ``inputs`` keeps each
+    digest. Where ``arrays.npz`` is valid, stores the sha256 of the CSV's
+    bytes and the file starts with the header the manifest implies, the
+    CSV's columns of the stored matrix stand in for parsing the text;
+    otherwise the text is parsed and its header checked. Every check after
+    the parse runs either way.
     """
     where = os.path.join(path, "manifest.json")
     manifest = read_json(where)
@@ -492,15 +503,17 @@ def load_bundle(path) -> PredictionBundle:
     n_tx = d1 if has_tx else 0
     csvs = _csvs(manifest)
     stored = _read_sidecar(path, csvs)
+    digests = {}
 
     def table(csv) -> np.ndarray:
         name, _, header, _ = csv
         fpath = os.path.join(path, name)
         data = read_bytes(fpath)
+        digests[name] = hashlib.sha256(data).digest()
         if (
             name in stored
             and data.startswith((",".join(header) + "\n").encode())
-            and hashlib.sha256(data).digest() == stored[name][0]
+            and digests[name] == stored[name][0]
         ):
             return stored[name][1]
         got, arr = read_csv(fpath, len(header), data)
@@ -534,6 +547,7 @@ def load_bundle(path) -> PredictionBundle:
         source=source,
         target=target,
         provenance=manifest["provenance"],
+        inputs=tuple((name, digest.hex()) for name, digest in digests.items()),
     )
 
 

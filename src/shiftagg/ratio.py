@@ -159,7 +159,7 @@ class RatioModel:
     ``width_on_edge`` and ``ridge_on_edge``, true when that index is first
     or last in its grid, and ``on_grid_edge``, their OR. A fitted
     ``logistic`` model's ``cv`` holds the ``ridges`` grid, the mean held-out
-    log-loss of each (``scores``, ``None`` where no fold was scored), the
+    log-loss of each (``scores``), the
     chosen ``ridge_index`` and ``ridge_on_edge``, and the refit's Newton
     step count (``newton_steps``) and final gradient norm
     (``gradient_norm``). A model read from a file written without ``cv``
@@ -611,8 +611,10 @@ def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
     Features are standardized internally and stacked with a column of ones
     once. Each fold's split takes its rows once, and the ridge strength is
     chosen from the config candidates by k-fold held-out log-loss, each fold
-    fit by damped Newton to a gradient norm below 1e-5. The refit runs until
-    the gradient norm drops below 1e-6 (at most 100 Newton steps, else
+    fit by damped Newton to a gradient norm below 1e-5; with no fold to
+    score (one sample per domain) the fit is refused with
+    :class:`ConfigInvalid`, as :func:`fit_ulsif` refuses it. The refit runs
+    until the gradient norm drops below 1e-6 (at most 100 Newton steps, else
     :class:`NonConvergence`). The returned weights are mapped back to the
     raw feature scale, bias last; the model's ``cv`` block records the
     ridge grid, each ridge's mean held-out log-loss, the chosen ridge and
@@ -647,9 +649,15 @@ def fit_logistic_ratio(source_x, target_x, cfg: RatioFitConfig) -> RatioModel:
             s = z_va @ w[:-1] + w[-1]
             row.append(float(np.mean(np.logaddexp(0.0, s) - y_va * s)))
         nlls.append(row)
+    if not nlls:
+        raise ConfigInvalid(
+            f"no cross-validation fold can be scored with n_s={n_s}, n_t={n_t} "
+            f"and cv_folds={cfg.cv_folds}; a fold is scored only when the "
+            "samples outside it hold both domains"
+        )
     # The first ridge with the lowest mean held-out log-loss.
-    scores = np.mean(nlls, axis=0).tolist() if nlls else [None] * len(ridges)
-    j = int(np.argmin(scores)) if nlls else 0
+    scores = np.mean(nlls, axis=0).tolist()
+    j = int(np.argmin(scores))
 
     w, steps, gnorm = _logistic_newton(X, y, ridges[j], tol=1e-6, max_iter=100, strict=True)
     raw = np.empty(xs.shape[1] + 1)

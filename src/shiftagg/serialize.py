@@ -11,13 +11,15 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import hashlib
+import itertools
 import json
 import math
 import numbers
 import reprlib
 import typing
 import zipfile
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
     "write_json",
     "read_json",
     "write_csv",
+    "write_csvs",
     "read_csv",
     "npz_writer",
     "aligned_table",
@@ -148,15 +151,52 @@ def read_json(path) -> Any:
 
 def write_csv(path, header: Sequence[str], rows) -> bytes:
     """Write the 2-D array ``rows`` as a comma-separated table after an
-    ``id`` column 0..n-1 (``%d``); returns the bytes written.
+    ``id`` column 0..n-1 (``%d``); returns the sha256 digest of the bytes
+    written.
 
     ``rows`` is taken as float64, and every value is written at 17
     significant digits, byte for byte as ``"%.17g" % x`` writes it (exact
-    round trip; a non-finite value raises ``ValueError``), by one NumPy
-    kernel (:func:`_array_lines`).
+    round trip; a non-finite value raises ``ValueError``). This is
+    :func:`write_csvs` with one table.
     """
-    head = (",".join(header) + "\n").encode("utf-8")
-    return _write_bytes(path, b"".join([head, *_array_lines(rows)]))
+    return write_csvs(rows, [(path, header)])[0]
+
+
+def write_csvs(rows, tables: Sequence[tuple[Any, Sequence[str]]]) -> list[bytes]:
+    """Write the columns of the 2-D array ``rows`` as several tables, each
+    as :func:`write_csv` writes it; returns the sha256 digest of each
+    file's bytes.
+
+    ``tables`` holds ``(path, header)`` pairs. Each table takes, in order,
+    as many columns of ``rows`` as its header names after ``id``; together
+    they take them all. Their cells are formatted together, a block of rows
+    at a time (:func:`_csv_blocks`), and each block's lines are written and
+    hashed before the next block is made, so the text in memory is one
+    block's.
+    """
+    rows = np.asarray(rows, np.float64)
+    if not np.isfinite(rows).all():
+        raise ValueError("refusing to serialize non-finite float")
+    widths = [len(header) - 1 for _, header in tables]
+    if rows.ndim != 2 or sum(widths) != rows.shape[1]:
+        raise ValueError(
+            f"tables of {sum(widths)} columns cannot split rows of shape {rows.shape}"
+        )
+    heads = [(",".join(header) + "\n").encode("utf-8") for _, header in tables]
+    hashes = [hashlib.sha256() for _ in tables]
+    path = None
+    try:
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path, _ in tables:
+                files.append(stack.enter_context(open(path, "wb")))
+            for chunks in itertools.chain([heads], _csv_blocks(rows, widths)):
+                for (path, _), fh, digest, chunk in zip(tables, files, hashes, chunks):
+                    fh.write(chunk)
+                    digest.update(chunk)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {exc.filename or path}: {exc}") from exc
+    return [digest.digest() for digest in hashes]
 
 
 # --- "%.17g" for a whole float64 array ---------------------------------------
@@ -183,11 +223,16 @@ def write_csv(path, header: Sequence[str], rows) -> bytes:
 # fixed notation for -4 <= e <= 16, else d.ddde+XX, trailing zeros stripped.
 #
 # Cells are built slot-major, one uint8 row per character slot of a cell
-# (0 where the cell has no character), in blocks of _FMT_BLOCK cells to
-# bound the temporaries; each block is transposed to row order once and
-# compacted by dropping its zero bytes.
+# (0 where the cell has no character), by uint8 arithmetic on whole rows,
+# in blocks of about _FMT_BLOCK cells to bound the temporaries. A block
+# holds the cells of a run of rows of every table written together; each
+# table's lines are transposed to row order once and compacted by deleting
+# their zero bytes. At 8192 cells a block's temporaries peak near 1.3 MB;
+# at 16384 (2.5 MB) glibc returned them to the system after each block of
+# a fresh process and faulted them in again, about 2400 pages per m=20,
+# n=5000 bundle write.
 
-_FMT_BLOCK = 1 << 14
+_FMT_BLOCK = 1 << 13
 _FMT_RANGE = (1e-180, 1e180)
 _FMT_TIE = 2.0**-24
 _POW_MIN, _POW_MAX = -170, 200  # the 10**k table: k = 16 - e, e within one of the range
@@ -196,13 +241,16 @@ _SPLIT = 2.0**27 + 1  # Veltkamp's splitter for float64
 # notation ("0.000" + 17 digits at most) or d.dddd (18) + "e-XXX" (5).
 _BODY = 23
 _CELL = _BODY + 2
-_J = np.arange(_BODY, dtype=np.int8)[:, None]
+_J = np.arange(_BODY, dtype=np.uint8)[:, None]
+# Index in "0000" + the 17 digits of each digit of the significand.
+_DIGIT_AT = np.arange(4, 21, dtype=np.uint8)[:, None]
 
 
 def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     big = a * _SPLIT
-    high = big - (big - a)
-    return high, a - high
+    high = big - a
+    np.subtract(big, high, out=high)
+    return high, np.subtract(a, high, out=big)
 
 
 @functools.cache
@@ -219,16 +267,13 @@ def _pow10() -> tuple[np.ndarray, ...]:
 
 
 @functools.cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     """For v in 0..9999: its four ASCII digits as a (4, 10000) array and
-    packed in a uint32, and how many digits are left once trailing zeros are
-    stripped (-99 for 0, so that it never wins a maximum)."""
+    packed in a uint32."""
     v = np.arange(10000)
     chars = (v // np.array([[1000], [100], [10], [1]]) % 10 + ord("0")).astype(np.uint8)
     packed = np.ascontiguousarray(chars.T).view(np.uint32).ravel()
-    kept = 4 - (v % 10 == 0) - (v % 100 == 0) - (v % 1000 == 0)
-    kept[0] = -99
-    return _frozen(chars, packed, kept.astype(np.int8))
+    return _frozen(chars, packed)
 
 
 def _frozen(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -240,12 +285,25 @@ def _frozen(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Floor (int64) and fraction of ``a * 10**(16 - e)``, to within 1e-14."""
-    hi, hi1, hi2, lo = (t[16 - _POW_MIN - e] for t in _pow10())
+    # In place, but rounded step by step as
+    # ((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2 + a * lo.
+    k = 16 - _POW_MIN - e
+    hi, hi1, hi2, lo = _pow10()
     a1, a2 = _veltkamp(a)
-    p = a * hi
-    rest = ((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2 + a * lo
-    floor = np.floor(rest)
-    return p.astype(np.int64) + floor.astype(np.int64), rest - floor
+    p = a * hi[k]
+    h1, h2 = hi1[k], hi2[k]
+    rest = a1 * h1
+    rest -= p
+    term = np.multiply(a1, h2, out=a1)
+    rest += term
+    rest += np.multiply(a2, h1, out=h1)
+    rest += np.multiply(a2, h2, out=h2)
+    rest += np.multiply(a, lo[k], out=term)
+    floor = np.floor(rest, out=a2)
+    rest -= floor
+    F = p.astype(np.int64)
+    F += floor.astype(np.int64)
+    return F, rest
 
 
 def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
@@ -256,64 +314,92 @@ def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
     zero = a == 0
     inside = (a >= _FMT_RANGE[0]) & (a <= _FMT_RANGE[1])
     a[~inside] = 1.0  # formatted as "1", then overwritten
+    D, e, tie = _significand(a)
+    digits = _digit_rows(D, zero)
+    # The index in "0000" + D's digits of the last nonzero digit (0 for a
+    # zero).
+    nonzero = digits[5:22] != ord("0")
+    last = np.max(np.multiply(nonzero, _DIGIT_AT, out=nonzero.view(np.uint8)), axis=0)
+
+    # Fixed notation: the point after character ``point`` of that string,
+    # the kept characters running from ``start`` to ``end`` of the body.
+    fixed = (e >= -4) & (e <= 16)
+    point = np.where(fixed, e + 4, 4).astype(np.uint8)
+    start = np.minimum(point, 4)
+    np.maximum(last, point, out=last)
+    end = last + (last > point)
+    # Slot j takes character j up to the point and j - 1 after it; in uint8
+    # arithmetic, whose wrap-around cancels. One mask buffer serves both
+    # masks.
+    body = out[1 : 1 + _BODY]
+    mask = np.less_equal(_J, point)
+    np.subtract(digits[1:], digits[:-1], out=body)
+    body *= mask
+    body += digits[:-1]
+    body.put((point.astype(np.intp) + 1) * n + np.arange(n), ord("."))
+    np.subtract(_J, start, out=mask.view(np.uint8))
+    # start <= j <= end, by wrap-around
+    body *= np.less_equal(mask.view(np.uint8), end - start, out=mask)
+    exp = np.flatnonzero(~fixed)
+    if exp.size:
+        body[:, exp] = _exp_body(digits[:, exp], e[exp], last[exp])
+    out[0] = np.signbit(x) * np.uint8(ord("-"))
+    for i in np.flatnonzero(~(inside | zero) | tie):
+        text = np.frombuffer(fmt_float(x[i]).encode(), np.uint8)
+        out[:-1, i] = 0
+        out[: text.size, i] = text
+
+
+def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each ``a`` in ``_FMT_RANGE``: the correctly rounded 17-digit
+    significand D (int64), the decimal exponent e, and whether the
+    fraction dropped lies within ``_FMT_TIE`` of one half."""
     e = np.floor(np.log10(a)).astype(np.int64)
     F, frac = _scaled(a, e)
     redo = np.flatnonzero((F < 10**16) | (F >= 10**17))
     if redo.size:
         e[redo] += np.where(F[redo] < 10**16, -1, 1)
         F[redo], frac[redo] = _scaled(a[redo], e[redo])
-    D = F + (frac > 0.5)
-    carry = D == 10**17
-    D[carry] = 10**16
+    F += frac > 0.5
+    carry = F == 10**17
+    F[carry] = 10**16
     e += carry
+    frac -= 0.5
+    return F, e, np.abs(frac, out=frac) < _FMT_TIE
 
-    # Row i + 1 of ``digits`` is character i of "0000" + D's 17 digits;
-    # rows 0, 22 and 23 are padding.
-    chars, packed, kept = _digit_tables()
+
+def _digit_rows(D: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """Row i + 1 is character i of "0000" + the 17 digits of D (a zero
+    where ``zero``); rows 0, 22 and 23 are padding (``(_BODY + 1, n)``)."""
+    # D's last 16 digits are four groups of four, split in int32 halves of
+    # eight.
+    _, packed = _digit_tables()
+    n = D.size
     digits = np.empty((_BODY + 1, n), np.uint8)
     digits[[0, 22, 23]] = 0
     digits[1:5] = ord("0")
-    lead = D // 10**16
+    high = D // 10**8
+    low = (D - high * 10**8).astype(np.int32)
+    high = high.astype(np.int32)
+    lead = high // 10**8
     digits[5] = lead + ord("0")
     digits[5, zero] = ord("0")
-    rest = D - lead * 10**16
-    last = np.full(n, 4, np.int8)  # index in that string of the last nonzero digit
+    high -= lead * 10**8
     groups = np.empty((4, n), np.uint32)
-    for q, scale in enumerate((10**12, 10**8, 10**4, 1)):
-        g = rest // scale
-        rest -= g * scale
-        np.take(packed, g, out=groups[q])
-        np.maximum(last, kept[g] + np.int8(4 + 4 * q), out=last)
+    for q, half in ((0, high), (2, low)):
+        top = half // 10**4
+        np.take(packed, top, out=groups[q])
+        np.take(packed, half - top * 10**4, out=groups[q + 1])
     digits[6:22].reshape(4, 4, n)[...] = (
         groups.view(np.uint8).reshape(4, n, 4).transpose(0, 2, 1)
     )
-
-    # Fixed notation: the point after character ``point`` of that string,
-    # the kept characters running from ``start`` to ``end`` of the body.
-    fixed = (e >= -4) & (e <= 16)
-    point = np.where(fixed, e + 4, 4).astype(np.int8)
-    start = np.where(fixed & (e < 0), point, 4).astype(np.int8)
-    np.maximum(last, point, out=last)
-    end = last + (last > point)
-    body = out[1 : 1 + _BODY]
-    body[...] = digits[:-1]
-    np.copyto(body, digits[1:], where=_J <= point)
-    body.put((point.astype(np.intp) + 1) * n + np.arange(n), ord("."))
-    np.copyto(body, 0, where=(_J < start) | (_J > end))
-    exp = np.flatnonzero(~fixed)
-    if exp.size:
-        body[:, exp] = _exp_body(digits[:, exp], e[exp], last[exp])
-    out[0] = np.signbit(x) * np.uint8(ord("-"))
-    for i in np.flatnonzero(~(inside | zero) | (np.abs(frac - 0.5) < _FMT_TIE)):
-        text = np.frombuffer(fmt_float(x[i]).encode(), np.uint8)
-        out[:-1, i] = 0
-        out[: text.size, i] = text
+    return digits
 
 
 def _exp_body(digits: np.ndarray, e: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Body slots ``d.ddde+XX`` of the cells whose digit rows are
     ``digits`` (as in :func:`_float_cells`) and exponents ``e``."""
-    chars, _, _ = _digit_tables()
+    chars, _ = _digit_tables()
     body = np.empty((_BODY, e.size), np.uint8)
     body[0] = digits[5]
     body[1] = ord(".")
@@ -328,41 +414,50 @@ def _exp_body(digits: np.ndarray, e: np.ndarray, last: np.ndarray) -> np.ndarray
     return body
 
 
-def _array_lines(rows: np.ndarray) -> list[bytes]:
-    """The lines ``i,%.17g,...,%.17g\\n`` of :func:`write_csv`'s table,
-    in blocks."""
-    rows = np.asarray(rows, np.float64)
-    if not np.isfinite(rows).all():
-        raise ValueError("refusing to serialize non-finite float")
+def _id_slots(r0: int, r1: int, width: int) -> np.ndarray:
+    """The ids r0..r1-1 as ``width`` uint8 characters each, right-aligned,
+    0 before an id's first digit (``(r1 - r0, width)``)."""
+    ids = np.arange(r0, r1)
+    words = -(-width // 4)
+    _, packed = _digit_tables()
+    text = np.empty((ids.size, words), np.uint32)
+    for q in range(words):
+        np.take(packed, ids // 10 ** (4 * (words - 1 - q)) % 10000, out=text[:, q])
+    slots = text.view(np.uint8)[:, 4 * words - width :]
+    for p in range(1, width):
+        slots[:, width - 1 - p] *= ids >= 10**p
+    return slots
+
+
+def _csv_blocks(rows: np.ndarray, widths: list[int]) -> Iterator[list[bytes]]:
+    """Yield, for one block of rows after another, the lines
+    ``i,%.17g,...,%.17g\\n`` of each table of :func:`write_csvs`; the
+    tables' columns ``widths`` split the columns of ``rows``."""
     n, c = rows.shape
     width = len(str(max(n - 1, 0)))  # of the id column
-    chars, _, _ = _digit_tables()
+    runs = [(w, len(list(same))) for w, same in itertools.groupby(widths)]
     per_block = max(1, _FMT_BLOCK // max(c, 1))
-    blocks = []
     for r0 in range(0, n, per_block):
         r1 = min(n, r0 + per_block)
-        ids = np.arange(r0, r1)
-        line = np.empty((ids.size, width + 1 + _CELL * c), np.uint8)
-        slots = np.empty((width + 1, ids.size), np.uint8)
-        for q in range(0, width, 4):
-            group = ids // 10**q % 10000
-            for k in range(max(0, q + 4 - width), 4):
-                np.take(chars[k], group, out=slots[width - q - 4 + k])
-        for p in range(1, width):
-            slots[width - 1 - p] *= ids >= 10**p
-        slots[width] = ord("," if c else "\n")
-        line[:, : width + 1] = slots.T
+        ids = _id_slots(r0, r1, width)
+        cells = np.empty((_CELL, c, r1 - r0), np.uint8)
         if c:
-            cells = np.empty((_CELL, c, ids.size), np.uint8)
             _float_cells(rows[r0:r1].T.ravel(), cells.reshape(_CELL, -1))
-            cells[-1] = ord(",")
-            cells[-1, -1] = ord("\n")
-            line[:, width + 1 :].reshape(ids.size, c, _CELL)[...] = cells.transpose(
-                2, 1, 0
+        cells[-1] = ord(",")
+        chunks, j = [], 0
+        for w, count in runs:  # tables of w columns each
+            lines = np.empty((count, r1 - r0, width + 1 + _CELL * w), np.uint8)
+            lines[:, :, :width] = ids
+            lines[:, :, width] = ord(",")
+            lines[:, :, width + 1 :].reshape(count, r1 - r0, w, _CELL)[...] = (
+                cells[:, j : j + count * w]
+                .reshape(_CELL, count, w, r1 - r0)
+                .transpose(1, 3, 2, 0)
             )
-        flat = line.reshape(-1)
-        blocks.append(np.compress(flat != 0, flat).tobytes())
-    return blocks
+            lines[:, :, -1] = ord("\n")
+            chunks += [table.tobytes().translate(None, b"\0") for table in lines]
+            j += count * w
+        yield chunks
 
 
 def read_csv(path, width: int, data: bytes | None = None):

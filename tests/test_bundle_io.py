@@ -247,6 +247,18 @@ def test_rows_that_balance_each_others_widths_are_rejected(tmp_path):
         read_csv(path, 3)
 
 
+def test_inputs_take_no_part_in_equality(tmp_path):
+    bundle = build_bundle(m=2, n_s=4, n_t=3)
+    write_bundle(bundle, tmp_path / "b")
+    loaded = load_bundle(tmp_path / "b")
+    assert bundle.inputs == () and loaded == bundle
+    assert dict(loaded.inputs) == {
+        name: hashlib.sha256((tmp_path / "b" / name).read_bytes()).hexdigest()
+        for name in os.listdir(tmp_path / "b")
+        if name.endswith(".csv")
+    }
+
+
 def test_crlf_blank_lines_and_loose_cells_load(tmp_path):
     bundle = build_bundle(m=1, n_s=3, n_t=2, with_features=False)
     write_bundle(bundle, tmp_path / "b")

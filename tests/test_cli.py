@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
 import functools
+import hashlib
 import io
 import json
 import os
@@ -188,6 +189,18 @@ class TestEstimateRatio:
         )
         assert code == 2
         assert "n_s=1" in capsys.readouterr().err
+
+    def test_logistic_one_sample_per_domain_exit_2(self, tmp_path, capsys):
+        write_bundle(build_bundle(n_s=1, n_t=1), tmp_path / "b")
+        write_json(tmp_path / "cfg.json", {"estimator": "logistic"})
+        code = main(
+            ["estimate-ratio", "--input", str(tmp_path / "b"), "--output",
+             str(tmp_path / "out"), "--config", str(tmp_path / "cfg.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_s=1, n_t=1 and cv_folds=5" in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_names_the_estimator(self, task_dir, tmp_path):
         write_json(tmp_path / "cfg.json", {"estimator": "logistic", "seed": 3})
@@ -487,6 +500,50 @@ class TestSelect:
         )
         assert code == 2
         assert "model_m01_target.csv: row 4 has id '5'" in capsys.readouterr().err
+
+
+class TestInputs:
+    """``result.json`` and ``comparison.json`` end with ``inputs``: the
+    sha256 of each bundle CSV, by file name in manifest order."""
+
+    def _inputs(self, task_dir, out) -> dict:
+        docs = []
+        for command, name in (("aggregate", "result.json"), ("select", "comparison.json")):
+            assert main(
+                [command, "--input", str(task_dir), "--output", str(out / command),
+                 "--analytic"]
+            ) == 0
+            docs.append(json.loads((out / command / name).read_text()))
+        assert [list(doc)[-1] for doc in docs] == ["inputs", "inputs"]
+        assert docs[0]["inputs"] == docs[1]["inputs"]
+        return docs[0]["inputs"]
+
+    def test_each_csv_file_sha256(self, task_dir, tmp_path):
+        names = ["source.csv", "target.csv"] + [
+            f"model_m{k:02d}_{side}.csv" for k in range(3) for side in ("source", "target")
+        ]
+        inputs = self._inputs(task_dir, tmp_path)
+        assert list(inputs) == names
+        assert inputs == {
+            name: hashlib.sha256((task_dir / name).read_bytes()).hexdigest()
+            for name in names
+        }
+
+    def test_one_changed_value_changes_its_file_only(self, task_dir, tmp_path):
+        before = self._inputs(task_dir, tmp_path / "before")
+        path = task_dir / "model_m01_source.csv"
+        lines = path.read_text().splitlines()
+        row, value = lines[3].split(",")
+        lines[3] = f"{row},{float(value) + 1.0!r}"
+        path.write_text("\n".join(lines) + "\n")
+        after = self._inputs(task_dir, tmp_path / "after")
+        assert [name for name in before if before[name] != after[name]] == [path.name]
+        assert after[path.name] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_parsed_csvs_give_the_same_digests(self, task_dir, tmp_path):
+        before = self._inputs(task_dir, tmp_path / "before")
+        (task_dir / "arrays.npz").unlink()
+        assert self._inputs(task_dir, tmp_path / "after") == before
 
 
 @functools.lru_cache(maxsize=1)

@@ -909,12 +909,19 @@ class TestLogisticCV:
         assert cv["ridge_index"] == 3 and cv["ridge_on_edge"] is True
         assert min(cv["scores"]) == cv["scores"][3]
 
-    def test_no_scored_fold_keeps_the_first_ridge(self):
+    @pytest.mark.parametrize("folds", [2, 5])
+    def test_no_scored_fold_is_config_invalid(self, folds):
         # One sample per domain: every fold's training side has one class.
-        cv = fit_logistic_ratio(np.zeros((1, 2)), np.ones((1, 2)), RatioFitConfig()).cv
-        assert cv["scores"] == [None] * 4
-        assert cv["ridge_index"] == 0 and cv["ridge_on_edge"] is True
-        assert cv["newton_steps"] >= 1 and cv["gradient_norm"] < 1e-6
+        with pytest.raises(
+            ConfigInvalid, match=f"n_s=1, n_t=1 and cv_folds={folds}; a fold"
+        ):
+            fit_logistic_ratio(
+                np.zeros((1, 2)), np.ones((1, 2)), RatioFitConfig(cv_folds=folds)
+            )
+
+    def test_one_sample_of_one_domain_still_scores(self):
+        cv = fit_logistic_ratio(np.zeros((1, 2)), np.ones((3, 2)), RatioFitConfig()).cv
+        assert None not in cv["scores"]
 
     def test_round_trip_and_a_file_without_cv(self, tmp_path):
         xs, xt = gaussian_pair(n=200)
