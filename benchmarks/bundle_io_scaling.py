@@ -10,7 +10,10 @@ untimed warm-up call, with BLAS pinned to one thread by ``_harness``. Each
 load is checked to equal the written bundle. ``write_csv`` alone is timed
 the same way on an ``(n, COLUMNS)`` standard normal float table at each
 size in ``CSV_SIZES``, and the file is checked to parse back to the same
-bits; its rate counts every cell written, ids included. The JSON output
+bits; its rate counts every cell written, ids included. The write alone
+is also timed on the wide bundle ``WIDE`` (``(family_size, n)``, many
+one-column model files), and that bundle is checked to load back equal.
+The JSON output
 holds every time, the medians, the directory's size on disk with and
 without ``arrays.npz``, the cells per second, the CPU count and the
 numpy/BLAS build. Uses the standard library besides numpy and shiftagg
@@ -39,6 +42,7 @@ SIZES = (5000, 20000)
 CSV_SIZES = (5000, 20000)
 COLUMNS = 7
 M = 20
+WIDE = (300, 10000)
 REPEATS = 5
 SEED = 0
 SIDECAR = "arrays.npz"
@@ -94,6 +98,28 @@ def _time_io(n: int, path: str) -> dict:
     }
 
 
+def time_write_wide(m: int, n: int) -> dict:
+    bundle = generate_task(
+        SynthTaskConfig(n_s=n, n_t=n, family_size=m, seed=SEED)
+    ).bundle
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, f"bundle_{m}_{n}")
+        times, median = _harness.median_time(
+            write_bundle, bundle, path, repeats=REPEATS
+        )
+        if load_bundle(path) != bundle:
+            raise SystemExit(f"m={m} n={n}: the loaded bundle differs from the written one")
+        size = _dir_bytes(path)
+    print(f"bundle m={m} n={n}: write {median:.4f} s (median)", file=sys.stderr)
+    return {
+        "m": m,
+        "n": n,
+        "bytes": size,
+        "write_times_s": times,
+        "write_median_s": median,
+    }
+
+
 def time_write_csv(n: int) -> dict:
     x = np.random.Generator(np.random.Philox(SEED)).standard_normal((n, COLUMNS))
     header = ["id"] + [f"x_{j + 1}" for j in range(COLUMNS)]
@@ -126,6 +152,7 @@ def curves() -> dict:
     return {
         "bundle_io": [partial(time_io, n) for n in SIZES],
         "write_csv": [partial(time_write_csv, n) for n in CSV_SIZES],
+        "bundle_write_wide": [partial(time_write_wide, *WIDE)],
     }
 
 
@@ -134,8 +161,9 @@ if __name__ == "__main__":
         _harness.main(
             __doc__.splitlines()[0],
             "write_bundle and load_bundle, with and without arrays.npz, of a "
-            "default synthetic task; write_csv of a standard normal table",
-            {"m": M, "seed": SEED, "csv_columns": COLUMNS},
+            "default synthetic task; write_csv of a standard normal table; "
+            "write_bundle of a wide task",
+            {"m": M, "seed": SEED, "csv_columns": COLUMNS, "wide": list(WIDE)},
             REPEATS,
             curves,
         )

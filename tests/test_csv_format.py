@@ -8,8 +8,10 @@ the traced memory of the ``%`` formatter it replaced.
 """
 
 import hashlib
+import os
 import tracemalloc
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shiftagg import serialize
-from shiftagg.data import write_bundle
+from shiftagg.data import load_bundle, write_bundle
 from shiftagg.serialize import write_csv, write_csvs
 from shiftagg.synth import SynthTaskConfig, generate_task
 
@@ -135,9 +137,10 @@ _SPECIAL = np.array([
     st.sampled_from([1, 9, 10, 99, 100, 16385]),
     st.lists(st.integers(0, 3), min_size=1, max_size=4),
     st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
 )
 @settings(max_examples=40, deadline=None)
-def test_tables_of_one_pass_match_format(tmp_path_factory, n, widths, seed):
+def test_tables_of_one_pass_match_format(tmp_path_factory, n, widths, seed, group):
     rng = np.random.Generator(np.random.Philox(seed))
     pool = np.concatenate([_SPECIAL, _finite(rng.integers(0, 2**64, 64, np.uint64))])
     rows = rng.choice(np.concatenate([pool, -pool]), (n, sum(widths)))
@@ -145,12 +148,44 @@ def test_tables_of_one_pass_match_format(tmp_path_factory, n, widths, seed):
     root = tmp_path_factory.mktemp("tables")
     headers = [["id"] + [f"t{k}_{j}" for j in range(w)] for k, w in enumerate(widths)]
     tables = [(root / f"t{k}.csv", header) for k, header in enumerate(headers)]
+    with mock.patch.object(serialize, "_CSV_GROUP", group):
+        digests = write_csvs(rows, tables)
+    stops = np.cumsum(widths)
+    for (path, header), digest, stop, w in zip(tables, digests, stops, widths):
+        written = path.read_bytes()
+        assert digest == hashlib.sha256(written).digest()
+        assert written == reference(header, rows[:, stop - w : stop])
+
+
+def test_more_tables_than_a_group_match_format(tmp_path):
+    rows = np.random.Generator(np.random.Philox(5)).standard_normal((300, 41))
+    widths = [3] + [1] * 38 + [0]
+    headers = [["id"] + [f"t{k}_{j}" for j in range(w)] for k, w in enumerate(widths)]
+    tables = [(tmp_path / f"t{k}.csv", header) for k, header in enumerate(headers)]
+    assert len(tables) > serialize._CSV_GROUP
     digests = write_csvs(rows, tables)
     stops = np.cumsum(widths)
     for (path, header), digest, stop, w in zip(tables, digests, stops, widths):
         written = path.read_bytes()
         assert digest == hashlib.sha256(written).digest()
         assert written == reference(header, rows[:, stop - w : stop])
+
+
+def test_bundle_of_more_models_than_open_files(tmp_path):
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    lowest_free = os.open(os.devnull, os.O_RDONLY)
+    os.close(lowest_free)
+    limit = lowest_free + 2 * serialize._CSV_GROUP
+    if hard != resource.RLIM_INFINITY and limit > hard:
+        pytest.skip(f"the hard limit of open files ({hard}) is too low")
+    bundle = build_bundle(m=limit + 1, n_s=3, n_t=4)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+    try:
+        write_bundle(bundle, tmp_path / "b")
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    assert load_bundle(tmp_path / "b") == bundle
 
 
 def test_tables_must_split_the_columns(tmp_path):
