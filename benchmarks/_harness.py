@@ -97,11 +97,17 @@ def _run_point(curves, key: str, index: str) -> int:
     return 0
 
 
-def _run_in_child(script: str, src: pathlib.Path, key: str, index: int) -> dict:
+def tree_env(src: pathlib.Path) -> dict:
+    """The environment of a child process that imports ``shiftagg`` from the
+    tree ``src``: this one's, with ``src`` first on ``PYTHONPATH``."""
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run_in_child(script: str, src: pathlib.Path, key: str, index: int) -> dict:
     done = subprocess.run(
         [sys.executable, script, "--point", key, str(index)],
-        env={**os.environ, "PYTHONPATH": path},
+        env=tree_env(src),
         capture_output=True,
         text=True,
     )

@@ -33,6 +33,12 @@ residual run, on every call. Every reader goes through the record, so only
 the ``beta``-dependent work is done again on each call: a warm
 ``run_aggregation`` factors nothing. A caller's own ``G`` and an explicit
 ``lam`` are factored afresh on every solve.
+The weights ``beta`` of one weight source live in one :class:`Weights`
+record, which :func:`resolve_beta` makes: it is the one place where
+``beta`` is checked finite and nonnegative and where its diagnostics (mean,
+maximum, saturation, Kish's effective sample size) are derived. Every
+function that takes weights also takes the record and then checks only its
+length, so a caller that resolves a weight source once scans it once.
 Per-model risks use no BLAS: :func:`model_risks` is the one risk kernel,
 and the single-model evaluators are its one-model case, bit for bit.
 """
@@ -63,6 +69,7 @@ __all__ = [
     "AggregationResult",
     "Moments",
     "RiskReport",
+    "Weights",
     "compute_gram",
     "compute_g_vector",
     "solve_coefficients",
@@ -146,6 +153,53 @@ class RiskReport:
     to_json_dict = config_to_dict
 
 
+@dataclass(frozen=True, eq=False)
+class Weights:
+    """One weight source's source-sample weights, checked once.
+
+    ``beta`` is a read-only float64 copy of the given vector, checked finite
+    and nonnegative (:func:`_checked_weights`) when the record is made, so
+    later writes to the caller's array do not reach it. ``saturation`` is the
+    fraction of weights at the ratio model's bound, or ``None`` when the
+    bound is unknown (a precomputed vector). The record unpacks as
+    ``(beta, saturation)``.
+    """
+
+    beta: np.ndarray
+    saturation: float | None = None
+
+    def __post_init__(self):
+        beta = np.array(self.beta, dtype=np.float64)
+        if beta.size == 0:
+            raise EmptyInput("a weight vector needs at least one sample")
+        object.__setattr__(self, "beta", _freeze(_checked_weights(beta, beta.size)))
+
+    def __iter__(self):
+        return iter((self.beta, self.saturation))
+
+    @cached_property
+    def diagnostics(self) -> dict:
+        """The ``beta_*`` keys of :attr:`AggregationResult.diagnostics`.
+        Kish's effective sample size ``(sum beta)^2 / sum beta^2`` runs from
+        1 (one sample carries all the weight) to ``n`` (equal weights), and
+        is 0.0 when every weight is 0. The weights are divided by their
+        largest first, which leaves the ratio as it is and keeps both sums
+        finite for any finite weights."""
+        beta = self.beta
+        beta_max = float(np.max(beta))
+        ess = 0.0
+        if beta_max != 0.0:
+            scaled = beta / beta_max
+            ess = float(np.sum(scaled)) ** 2 / float(np.dot(scaled, scaled))
+        return {
+            "beta_mean": float(np.mean(beta)),
+            "beta_max": beta_max,
+            "beta_saturation_fraction": self.saturation,
+            "beta_effective_sample_size": ess,
+            "beta_effective_fraction": ess / len(beta),
+        }
+
+
 # --- estimator pieces ---------------------------------------------------
 
 
@@ -171,17 +225,14 @@ def compute_gram(target_preds) -> np.ndarray:
 
 
 def compute_g_vector(source_preds, source_labels, beta) -> np.ndarray:
-    """Ratio-weighted moments ``(1/n_s) * sum_i beta_i * <y_i, f_k(x_i)>``."""
+    """Ratio-weighted moments ``(1/n_s) * sum_i beta_i * <y_i, f_k(x_i)>``;
+    ``beta`` is a weight vector or a :class:`Weights` record."""
     p = _as_pred_tensor(source_preds)
     y = as_label_matrix(source_labels)
-    b = np.asarray(beta, dtype=np.float64)
     m, n, d2 = p.shape
     if y.shape != (n, d2):
         raise DimensionMismatch(f"labels {y.shape} do not match predictions {p.shape}")
-    if b.shape != (n,):
-        raise DimensionMismatch(f"beta has shape {b.shape}, expected ({n},)")
-    if np.any(b < 0):
-        raise NegativeWeight("beta contains negative entries")
+    b = _checked_weights(beta, n)
     return p.reshape(m, -1) @ (b[:, None] * y).ravel() / n
 
 
@@ -325,7 +376,8 @@ def model_risks(preds, labels, weights=None) -> np.ndarray:
 
     This is the one risk kernel: :func:`empirical_risk` and
     :func:`importance_weighted_risk` are its one-model case. Shapes and
-    weights are checked once; weights must be finite and nonnegative. The
+    weights are checked once; weights, a vector or a :class:`Weights`
+    record, must be finite and nonnegative. The
     models are then scored in blocks of about 640 KB of predictions: one
     residual buffer per call (so concurrent callers share nothing), squared
     in place, weighted in place and reduced row by row. No ``m x n``
@@ -369,10 +421,15 @@ def model_risks(preds, labels, weights=None) -> np.ndarray:
 
 
 def _checked_weights(weights, n: int) -> np.ndarray:
-    """``weights`` as ``n`` finite, nonnegative float64 values."""
-    w = np.asarray(weights, dtype=np.float64)
+    """``weights`` as ``n`` finite, nonnegative float64 values. This is the
+    one scan of a weight vector; a :class:`Weights` record was scanned when
+    it was made, so only its length is checked here."""
+    record = isinstance(weights, Weights)
+    w = weights.beta if record else np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise DimensionMismatch(f"weights have shape {w.shape}, expected ({n},)")
+    if record:
+        return w
     if not np.isfinite(w).all():
         raise ConfigInvalid("weights contain non-finite entries")
     if np.any(w < 0):
@@ -403,17 +460,17 @@ def make_risk_report(
     bundle: PredictionBundle,
     coefficients: np.ndarray,
     risk_kind: str,
-    beta: np.ndarray | None = None,
+    beta=None,
 ) -> RiskReport:
     """Risk table for every model of ``bundle`` plus the predictor that
     combines them with ``coefficients``, under ``risk_kind``.
 
     ``target_oracle`` scores the target predictions against the oracle
     labels, ``source`` and ``importance_weighted`` the source predictions
-    against the source labels, the latter weighted by the vector ``beta``.
-    The per-model true risks and plain source risks are the bundle's kept
-    :func:`target_moments`; only the weighted kind scores the models again
-    (:func:`model_risks`).
+    against the source labels, the latter weighted by ``beta``, resolved
+    once by :func:`resolve_beta`. The per-model true risks and plain source
+    risks are the bundle's kept :func:`target_moments`; only the weighted
+    kind scores the models again (:func:`model_risks`).
     """
     moments = target_moments(bundle)
     preds, labels, weights = bundle.source_preds, bundle.source.labels, None
@@ -425,7 +482,7 @@ def make_risk_report(
     elif risk_kind == "importance_weighted":
         if beta is None:
             raise ConfigInvalid("an importance_weighted report needs beta")
-        weights = beta
+        weights = resolve_beta(bundle, beta)
         risks = model_risks(preds, labels, weights)
     else:
         risks = moments.source_risks
@@ -549,12 +606,15 @@ def target_moments(bundle: PredictionBundle) -> Moments:
 # --- pipeline entry points ------------------------------------------------
 
 
-def resolve_beta(bundle: PredictionBundle, ratio) -> tuple[np.ndarray, float | None]:
-    """Materialize source-sample weights from a ratio model or a vector.
+def resolve_beta(bundle: PredictionBundle, ratio) -> Weights:
+    """The bundle's source-sample weights as a checked :class:`Weights`
+    record, from a ratio model, a vector or a record.
 
-    Returns ``(beta, saturation_fraction)``; the fraction is ``None`` when
-    the truncation bound is unknown (precomputed weight vectors). Either
-    way ``beta`` must be finite and nonnegative.
+    A ratio model is evaluated on the source features, and the record's
+    saturation is the fraction of weights at its bound; a vector's is
+    ``None``. A record is returned as it is once its length is checked.
+    A ratio model or a vector gives a new record, scanned once, on every
+    call: nothing is cached on the weights.
     """
     if isinstance(ratio, RatioModel):
         if bundle.source.features is None:
@@ -563,33 +623,11 @@ def resolve_beta(bundle: PredictionBundle, ratio) -> tuple[np.ndarray, float | N
                 "evaluated; pass precomputed weights instead"
             )
         beta = evaluate_ratio(ratio, bundle.source.features)
-        saturation = float(np.mean(beta >= ratio.bound))
+        weights = Weights(beta, float(np.mean(beta >= ratio.bound)))
     else:
-        beta = np.asarray(ratio, dtype=np.float64)
-        saturation = None
-        if beta.shape != (bundle.source.n_samples,):
-            raise DimensionMismatch(
-                f"beta has shape {beta.shape}, expected ({bundle.source.n_samples},)"
-            )
-    if not np.isfinite(beta).all():
-        raise ConfigInvalid("beta contains non-finite entries")
-    if np.any(beta < 0):
-        raise NegativeWeight("beta contains negative entries")
-    return beta, saturation
-
-
-def _effective_sample_size(beta: np.ndarray, beta_max: float) -> float:
-    """Kish's effective sample size ``(sum beta)^2 / sum beta^2`` of the
-    nonnegative weights ``beta`` whose largest entry is ``beta_max``; 0.0
-    when every weight is 0. It runs from 1 (one sample carries all the
-    weight) to ``len(beta)`` (equal weights). The weights are divided by
-    their largest first, which leaves the ratio as it is and keeps both
-    sums finite for any finite weights.
-    """
-    if beta_max == 0.0:
-        return 0.0
-    scaled = beta / beta_max
-    return float(np.sum(scaled)) ** 2 / float(np.dot(scaled, scaled))
+        weights = ratio if isinstance(ratio, Weights) else Weights(ratio)
+    _checked_weights(weights, bundle.source.n_samples)
+    return weights
 
 
 def solve_aggregation(G, g, lam: float | None = None) -> AggregationResult:
@@ -679,22 +717,15 @@ def run_aggregation(
     formed and checked, and the solve and its residual contract run, on
     every call. An explicit ``lam`` is factored afresh on every call.
 
-    ``ratio`` is a :class:`RatioModel` (evaluated on the source features)
-    or a precomputed weight vector; ``lam`` follows the policy of
-    :func:`solve_aggregation`.
+    ``ratio`` is a :class:`RatioModel` (evaluated on the source features),
+    a precomputed weight vector or a :class:`Weights` record, resolved once
+    by :func:`resolve_beta`; the diagnostics gain the record's. ``lam``
+    follows the policy of :func:`solve_aggregation`.
     """
-    beta, saturation = resolve_beta(bundle, ratio)
-    g = compute_g_vector(bundle.source_preds, bundle.source.labels, beta)
+    weights = resolve_beta(bundle, ratio)
+    g = compute_g_vector(bundle.source_preds, bundle.source.labels, weights)
     result = target_moments(bundle).solve(g, lam)
-    beta_max = float(np.max(beta))
-    ess = _effective_sample_size(beta, beta_max)
-    result.diagnostics.update(
-        beta_mean=float(np.mean(beta)),
-        beta_max=beta_max,
-        beta_saturation_fraction=saturation,
-        beta_effective_sample_size=ess,
-        beta_effective_fraction=ess / len(beta),
-    )
+    result.diagnostics.update(weights.diagnostics)
     return result
 
 

@@ -175,7 +175,8 @@ def cmd_estimate_ratio(args) -> int:
     model = ratio.fit_ratio(
         bundle.source.features, bundle.target.features, cfg, estimator
     )
-    beta, saturation = aggregation.resolve_beta(bundle, model)
+    weights = aggregation.resolve_beta(bundle, model)
+    beta, saturation = weights
 
     outdir = _ensure_outdir(args.output)
     ratio.save_ratio_model(model, os.path.join(outdir, "ratio.json"))
@@ -186,7 +187,8 @@ def cmd_estimate_ratio(args) -> int:
     )
     print(
         f"estimate-ratio: kind={model.kind} bound={model.bound:g} "
-        f"beta mean={float(np.mean(beta)):.6g} saturation={saturation:.3f}",
+        f"beta mean={weights.diagnostics['beta_mean']:.6g} "
+        f"saturation={saturation:.3f}",
         file=sys.stderr,
     )
     if saturation > SATURATION_WARN_LEVEL:
@@ -195,8 +197,7 @@ def cmd_estimate_ratio(args) -> int:
             f"{SATURATION_WARN_LEVEL}; the bound B may be too small",
             file=sys.stderr,
         )
-    ess = aggregation._effective_sample_size(beta, float(np.max(beta)))
-    _warn_few_effective_samples(ess / len(beta))
+    _warn_few_effective_samples(weights.diagnostics["beta_effective_fraction"])
     if model.cv is not None:
         # The lowest ridge winning is the common case and says little; a
         # width on either edge or the largest ridge may miss the optimum.
@@ -223,18 +224,16 @@ def cmd_aggregate(args) -> int:
             bundle, 0.0 if args.lam is None else args.lam
         )
         mode = "oracle"
-        beta = None
+        weights = None
     else:
         weight_source = _resolve_ratio_arg(args, bundle)
         if weight_source is None:
             raise ConfigInvalid(
                 "aggregate needs one of --beta, --ratio, --analytic, or --oracle"
             )
-        # Evaluate a ratio model once; run_aggregation sees only the vector,
-        # so the saturation comes from this call.
-        beta, saturation = aggregation.resolve_beta(bundle, weight_source)
-        result = aggregation.run_aggregation(bundle, beta, args.lam)
-        result.diagnostics["beta_saturation_fraction"] = saturation
+        # One record serves the solve and the weighted risk report.
+        weights = aggregation.resolve_beta(bundle, weight_source)
+        result = aggregation.run_aggregation(bundle, weights, args.lam)
         mode = "importance_weighted"
 
     doc = result.to_json_dict()
@@ -243,11 +242,11 @@ def cmd_aggregate(args) -> int:
     # weight file, solve or risk leaves nothing behind.
     doc["risk_reports"] = {
         kind: aggregation.make_risk_report(
-            bundle, result.coefficients, kind, beta
+            bundle, result.coefficients, kind, weights
         ).to_json_dict()
         for kind, wanted in (
             ("source", True),
-            ("importance_weighted", beta is not None),
+            ("importance_weighted", weights is not None),
             ("target_oracle", bundle.target.oracle_labels is not None),
         )
         if wanted
@@ -265,8 +264,8 @@ def cmd_aggregate(args) -> int:
         f"condition={result.condition_estimate:.3e}",
         file=sys.stderr,
     )
-    if beta is not None:
-        _warn_few_effective_samples(result.diagnostics["beta_effective_fraction"])
+    if weights is not None:
+        _warn_few_effective_samples(weights.diagnostics["beta_effective_fraction"])
     return 0
 
 

@@ -73,10 +73,11 @@ def select_source_risk(bundle: PredictionBundle) -> SelectionOutcome:
 def select_iwv(bundle: PredictionBundle, beta) -> SelectionOutcome:
     """Importance-weighted validation: argmin of ratio-weighted source risk.
 
-    ``beta`` is a ratio model or a weight vector, checked by
+    ``beta`` is a ratio model, a weight vector or a
+    :class:`~shiftagg.aggregation.Weights` record, resolved once by
     :func:`resolve_beta`.
     """
-    weights = resolve_beta(bundle, beta)[0]
+    weights = resolve_beta(bundle, beta)
     return SelectionOutcome(
         method="importance_weighted",
         scores=model_risks(bundle.source_preds, bundle.source.labels, weights),
@@ -143,9 +144,10 @@ def build_method_rows(
     """Rows for all models, selection rules, and aggregations.
 
     ``beta_by_name`` maps a suffix (e.g. ``"analytic"``, ``"ulsif"`` or
-    ``""`` for unsuffixed rows) to a ratio model or weight vector; each
-    entry is resolved to weights once and yields one IWV row
-    (:func:`select_iwv`) and one aggregation row (:func:`run_aggregation`).
+    ``""`` for unsuffixed rows) to a ratio model, weight vector or
+    :class:`~shiftagg.aggregation.Weights` record; each entry is resolved
+    once to one record, which yields one IWV row (:func:`select_iwv`) and
+    one aggregation row (:func:`run_aggregation`).
     Everything that depends on the bundle alone is read from its
     :func:`target_moments` record: the per-model plain source risks
     (:func:`select_source_risk`) and true target risks, ``G``, the oracle
@@ -190,13 +192,13 @@ def build_method_rows(
 
     for suffix, ratio in beta_by_name.items():
         tag = f"_{suffix}" if suffix else ""
-        beta = resolve_beta(bundle, ratio)[0]
-        picks.append((f"select_iwv{tag}", select_iwv(bundle, beta)))
-        result = run_aggregation(bundle, beta, lam)
+        weights = resolve_beta(bundle, ratio)
+        picks.append((f"select_iwv{tag}", select_iwv(bundle, weights)))
+        result = run_aggregation(bundle, weights, lam)
         est = importance_weighted_risk(
             aggregate_predict(bundle.source_preds, result.coefficients),
             bundle.source.labels,
-            beta,
+            weights,
         )
         detail = {
             **_solve_detail(result),
@@ -228,7 +230,8 @@ def compare_methods(
 ) -> ComparisonReport:
     """Tabulate single models, both selection rules, and aggregations.
 
-    ``ratio`` is a ratio model or precomputed weight vector; without it the
+    ``ratio`` is a ratio model, a precomputed weight vector or a
+    :class:`~shiftagg.aggregation.Weights` record; without it the
     ratio-dependent rows (IWV selection, aggregation) are omitted. True
     target risks appear whenever the bundle carries oracle labels.
     """

@@ -66,3 +66,19 @@ def count_factorizations(monkeypatch) -> list:
 
     monkeypatch.setattr(aggregation, "_cho_factor", counting)
     return lams
+
+
+def count_weight_scans(monkeypatch) -> list:
+    """The length of every weight vector scanned in full for finiteness and
+    sign (``_checked_weights`` given a vector, not a ``Weights`` record,
+    whose length alone it checks) from here on, in order."""
+    lengths = []
+    real = aggregation._checked_weights
+
+    def counting(weights, n):
+        if not isinstance(weights, aggregation.Weights):
+            lengths.append(n)
+        return real(weights, n)
+
+    monkeypatch.setattr(aggregation, "_checked_weights", counting)
+    return lengths

@@ -3,7 +3,7 @@
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -43,9 +43,14 @@ from shiftagg.errors import (
     NonSymmetric,
     SingularSystem,
 )
-from shiftagg.ratio import RatioModel
+from shiftagg.ratio import RatioModel, evaluate_ratio
 
-from conftest import build_bundle, count_factorizations, count_solves
+from conftest import (
+    build_bundle,
+    count_factorizations,
+    count_solves,
+    count_weight_scans,
+)
 
 
 def gram_loop(preds):
@@ -622,6 +627,7 @@ class TestRiskKernelParity:
             lambda: model_risks(preds, labels, [bad] * 6),
             lambda: model_risks(preds, labels, weights),
             lambda: importance_weighted_risk(preds[0], labels, weights),
+            lambda: compute_g_vector(preds, labels, weights),
         ):
             with pytest.raises(ConfigInvalid, match="non-finite"):
                 call()
@@ -859,7 +865,87 @@ class TestRunAggregation:
     def test_effective_sample_size_of_huge_weights_is_finite(self):
         # Their squares overflow; the ratio of the scaled weights does not.
         beta = np.array([1e300, 1e300, 0.0, 5e299])
-        assert aggregation._effective_sample_size(beta, 1e300) == 2.5**2 / 2.25
+        diag = aggregation.Weights(beta).diagnostics
+        assert diag["beta_effective_sample_size"] == 2.5**2 / 2.25
+
+
+class TestWeights:
+    """One checked :class:`aggregation.Weights` record per weight source."""
+
+    def test_each_public_call_scans_a_vector_once(self, monkeypatch):
+        bundle = build_bundle(m=4, n_s=12, n_t=9, seed=70)
+        beta = np.linspace(0.1, 2.0, 12)
+        scans = count_weight_scans(monkeypatch)
+        run_aggregation(bundle, beta)
+        assert scans == [12]
+        make_risk_report(bundle, np.full(4, 0.25), "importance_weighted", beta)
+        assert scans == [12, 12]
+        weights = resolve_beta(bundle, beta)
+        assert scans == [12, 12, 12]
+        # A record is only length-checked.
+        run_aggregation(bundle, weights)
+        make_risk_report(bundle, np.full(4, 0.25), "importance_weighted", weights)
+        assert resolve_beta(bundle, weights) is weights
+        assert scans == [12, 12, 12]
+
+    def test_record_of_wrong_length_is_refused(self):
+        bundle = build_bundle(m=2, n_s=6, seed=71)
+        weights = aggregation.Weights(np.ones(5))
+        preds, labels = bundle.source_preds, bundle.source.labels
+        for call in (
+            lambda: resolve_beta(bundle, weights),
+            lambda: run_aggregation(bundle, weights),
+            lambda: make_risk_report(bundle, np.ones(2), "importance_weighted", weights),
+            lambda: compute_g_vector(preds, labels, weights),
+            lambda: model_risks(preds, labels, weights),
+        ):
+            with pytest.raises(DimensionMismatch, match=r"\(5,\), expected \(6,\)"):
+                call()
+
+    def test_record_keeps_its_own_read_only_copy(self):
+        bundle = build_bundle(m=2, n_s=6, seed=72)
+        beta = np.linspace(0.5, 1.5, 6)
+        expected = beta.copy()
+        weights = resolve_beta(bundle, beta)
+        assert beta.flags.writeable and not weights.beta.flags.writeable
+        beta[:] = -1.0
+        assert weights.beta.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            weights.beta[0] = 2.0
+        with pytest.raises(FrozenInstanceError):
+            weights.saturation = 0.5
+
+    def test_empty_vector_is_refused(self):
+        # Its diagnostics would have no maximum and no mean.
+        with pytest.raises(EmptyInput):
+            aggregation.Weights(np.array([]))
+
+    def test_ratio_model_vector_and_record_solve_alike(self):
+        bundle = build_bundle(m=3, n_s=10, n_t=8, seed=73)
+        model = RatioModel(
+            kind="ulsif",
+            bound=1.5,
+            centers=bundle.target.features,
+            alpha=np.full(8, 0.5),
+            kernel_width=1.0,
+        )
+        weights = resolve_beta(bundle, model)
+        beta, saturation = weights
+        assert beta is weights.beta
+        evaluated = evaluate_ratio(model, bundle.source.features)
+        assert beta.tobytes() == evaluated.tobytes()
+        assert saturation == float(np.mean(evaluated >= 1.5))
+        assert 0.0 < saturation < 1.0
+        by_model, by_vector, by_record = (
+            run_aggregation(bundle, w) for w in (model, evaluated, weights)
+        )
+        assert by_vector.diagnostics["beta_saturation_fraction"] is None
+        assert by_model.diagnostics == by_record.diagnostics == {
+            **by_vector.diagnostics, "beta_saturation_fraction": saturation
+        }
+        assert by_model.diagnostics.items() >= weights.diagnostics.items()
+        for res in (by_vector, by_record):
+            assert res.coefficients.tobytes() == by_model.coefficients.tobytes()
 
 
 def _rank_three_bundle():

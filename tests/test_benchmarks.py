@@ -49,6 +49,66 @@ def test_every_script_has_a_tiny_run():
     assert sorted(p.stem for p in BENCHMARKS.glob("*_scaling.py")) == sorted(TINY)
 
 
+def _bytes_against(code: list[str], *args) -> object:
+    """Run ``code`` with ``bytes_against`` imported as ``bench`` and its
+    ``bench`` runs shrunk to two trials; return what it prints, as JSON."""
+    lines = ["import json, pathlib, sys", "import bytes_against as bench",
+             "bench.TRIALS = 2", *code]
+    done = subprocess.run(
+        [sys.executable, "-c", "\n".join(lines), *map(str, args)],
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_bytes_against_finds_the_tree_identical_to_itself(tmp_path):
+    src = ROOT / "src"
+    report = _bytes_against(
+        ["p = pathlib.Path",
+         "print(json.dumps(bench.run(p(sys.argv[1]), p(sys.argv[1]), p(sys.argv[2]))))"],
+        src, tmp_path,
+    )
+    names = [name for name, _, _ in report]
+    for name in ("bench_1/suite.json", "bench_2/task_001/arrays.npz",
+                 "ratio_logistic/ratio.json", "aggregate_oracle/result.json",
+                 "select_none.stdout", "probe.json"):
+        assert name in names
+    assert {status for _, status, _ in report} == {"identical"}
+
+    # One changed coefficient digit, one removed key and one cut CSV.
+    other = tmp_path / "against"
+    result = other / "aggregate_ratio" / "result.json"
+    text = result.read_text()
+    digits = repr(json.loads(text)["coefficients"][1])
+    assert text.count(digits) == 1 and digits[-1].isdigit()
+    result.write_text(text.replace(digits, digits[:-1] + str(9 - int(digits[-1]))))
+    comparison = other / "select_none" / "comparison.json"
+    doc = json.loads(comparison.read_text())
+    del doc["inputs"]
+    comparison.write_text(json.dumps(doc))
+    beta = other / "ratio_ulsif" / "beta.csv"
+    beta.write_bytes(beta.read_bytes()[:-2])
+    report = _bytes_against(
+        ["p = pathlib.Path",
+         "print(json.dumps(bench.compare(p(sys.argv[1]), p(sys.argv[2]))))"],
+        tmp_path / "src", other,
+    )
+    changed = {name: (status, detail) for name, status, detail in report
+               if status != "identical"}
+    assert set(changed) == {
+        "aggregate_ratio/result.json", "select_none/comparison.json",
+        "ratio_ulsif/beta.csv",
+    }
+    status, detail = changed["aggregate_ratio/result.json"]
+    assert status == "values" and detail.startswith("coefficients[1]; largest")
+    assert changed["select_none/comparison.json"] == ("keys", "+inputs")
+    assert changed["ratio_ulsif/beta.csv"][0] == "bytes"
+
+
 @pytest.mark.parametrize("script", sorted(TINY))
 def test_curves_run_at_a_tiny_size(script, tmp_path):
     code = "\n".join(

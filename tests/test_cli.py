@@ -35,7 +35,7 @@ from shiftagg.synth import SynthTaskConfig, generate_task
 from shiftagg.ratio import RatioFitConfig, analytic_gaussian_ratio, fit_ratio
 from shiftagg.ratio import load_ratio_model, save_ratio_model
 
-from conftest import build_bundle
+from conftest import build_bundle, count_weight_scans
 
 
 @pytest.fixture
@@ -48,13 +48,15 @@ def task_dir(tmp_path):
 
 
 class TestEstimateRatio:
-    def test_writes_model_and_weights(self, task_dir, tmp_path, capsys):
+    def test_writes_model_and_weights(self, task_dir, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
+        scans = count_weight_scans(monkeypatch)
         code = main(
             ["estimate-ratio", "--input", str(task_dir), "--output", str(out),
              "--seed", "5"]
         )
         assert code == 0
+        assert scans == [80]  # one record serves the file and the warnings
         assert (out / "ratio.json").is_file()
         header, rows = read_csv(out / "beta.csv", 2)
         assert header == ["id", "beta"]
@@ -352,8 +354,10 @@ class TestAggregate:
             [flag] if flag == "--analytic"
             else [flag, str(task_dir / "analytic_ratio.json")]
         )
+        scans = count_weight_scans(monkeypatch)
         assert main(args) == 0
         assert len(calls) == 1
+        assert scans == [80]  # the solve and the weighted report share one record
         diagnostics = json.loads((out / "result.json").read_text())["diagnostics"]
         fraction = diagnostics["beta_saturation_fraction"]
         task = generate_task(SynthTaskConfig(n_s=80, n_t=80, family_size=3, seed=60))
@@ -394,7 +398,7 @@ def _overflowing_inputs(task_dir, tmp_path, case):
     ("weight")."""
     if case == "weight":
         task = generate_task(SynthTaskConfig(n_s=80, n_t=80, family_size=3, seed=60))
-        beta = aggregation.resolve_beta(task.bundle, task.analytic_ratio)[0].copy()
+        beta = aggregation.resolve_beta(task.bundle, task.analytic_ratio).beta.copy()
         beta[5] = 1e300
         write_csv(tmp_path / "beta.csv", ["id", "beta"], beta[:, None])
         return task_dir, ["--beta", str(tmp_path / "beta.csv")]

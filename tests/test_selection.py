@@ -42,7 +42,12 @@ from shiftagg.selection import (
 from shiftagg.serialize import dumps_canonical
 from shiftagg.synth import SuiteConfig, SynthTaskConfig, generate_task, run_suite
 
-from conftest import build_bundle, count_factorizations, count_solves
+from conftest import (
+    build_bundle,
+    count_factorizations,
+    count_solves,
+    count_weight_scans,
+)
 
 
 def bundle_with_perfect_model(idx=0, m=3, n_s=12, seed=31):
@@ -190,6 +195,7 @@ class TestSelectIwv:
             ([1.0, 1.0, np.inf, 1.0, 1.0, 1.0], ConfigInvalid),
             ([1.0, -1.0, 1.0, 1.0, 1.0, 1.0], NegativeWeight),
             (np.ones(5), DimensionMismatch),
+            (aggregation.Weights(np.ones(5)), DimensionMismatch),
         ],
     )
     def test_bad_weights_raise_typed_errors(self, weights, error):
@@ -394,6 +400,51 @@ def _count_passes(monkeypatch, bundle) -> list:
     spy(aggregation, "compute_gram", lambda: None)
     spy(aggregation, "compute_g_vector", lambda labels, beta: None)
     return passes
+
+
+class TestOneRecordPerWeightSource:
+    """Each weight source is resolved to one record, scanned once, and the
+    record serves the IWV scores, ``g`` and the aggregate's weighted risk."""
+
+    def test_warm_comparison_scans_the_weights_once(self, monkeypatch):
+        bundle = build_bundle(m=4, n_s=9, n_t=7, with_oracle=True, seed=85)
+        beta = np.linspace(0.5, 1.5, 9)
+        compare_methods(bundle, beta)
+        scans = count_weight_scans(monkeypatch)
+        compare_methods(bundle, beta)
+        assert scans == [9]
+        weights = resolve_beta(bundle, beta)
+        compare_methods(bundle, weights)
+        select_iwv(bundle, weights)
+        assert scans == [9, 9]
+
+    def test_ratio_model_is_evaluated_and_scanned_once(self, monkeypatch):
+        task = generate_task(SynthTaskConfig(n_s=60, n_t=60, family_size=3, seed=86))
+        betas = {"analytic": task.analytic_ratio, "uniform": np.ones(60)}
+        build_method_rows(task.bundle, betas, None)
+        calls = []
+        real = aggregation.evaluate_ratio
+        monkeypatch.setattr(
+            aggregation, "evaluate_ratio", lambda *a: calls.append(1) or real(*a)
+        )
+        scans = count_weight_scans(monkeypatch)
+        build_method_rows(task.bundle, betas, None)
+        assert len(calls) == 1
+        assert scans == [60, 60]
+
+    def test_ratio_model_vector_and_record_give_equal_rows(self):
+        task = generate_task(SynthTaskConfig(n_s=60, n_t=60, family_size=3, seed=87))
+        model = task.analytic_ratio
+        sources = (
+            model,
+            evaluate_ratio(model, task.bundle.source.features),
+            resolve_beta(task.bundle, model),
+        )
+        docs = set()
+        for w in sources:
+            rows = build_method_rows(replace(task.bundle), {"": w}, None)
+            docs.add(dumps_canonical([r.to_json_dict() for r in rows]))
+        assert len(docs) == 1
 
 
 class TestBundleCache:
