@@ -14,13 +14,13 @@ supports Tikhonov regularization ``(G + lam*I) c = g`` with an automatic
 escalation policy, and every successful solve is held to the residual
 contract ``||(G + lam*I) c - g||_inf <= 1e-8 * max(1, ||g||_inf)``. Each
 check runs once per solve: the system's shape, finiteness and symmetry in
-:func:`_checked_system`, the condition estimate in :func:`_factor` and the
-residual in :func:`_solve_spd`. :class:`AggregationResult` repeats neither.
+:func:`_checked_gram` and :func:`_checked_moment`, the condition estimate in
+:func:`_factor` and the residual in :func:`_solve_spd`; no result repeats them.
 
 ``G`` and ``g`` are one BLAS product each (``syrk`` and ``gemv``). Their
 bits depend on the BLAS build and its thread count, not on the run or on
 how many Python threads call in, so outputs are byte-identical across runs
-and ``--threads`` values for a fixed BLAS build and BLAS thread count.
+for a fixed BLAS build and BLAS thread count.
 Quantities that depend on the bundle alone live in one record per bundle
 object, :func:`target_moments`, which builds each on its first read and
 keeps it: ``G``, the oracle moments ``g'`` and ``||y'||^2/n_t``, the
@@ -112,7 +112,9 @@ class AggregationResult:
                 f"inconsistent shapes: c {c.shape}, G {G.shape}, g {g.shape}"
             )
         for name, arr in (("coefficients", c), ("gram", G), ("moment", g)):
-            arr.setflags(write=False)
+            if arr.flags.writeable:
+                arr = arr.view()  # freeze a view, not the caller's array
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -237,28 +239,17 @@ def compute_g_vector(source_preds, source_labels, beta) -> np.ndarray:
 
 
 def solve_coefficients(G, g, lam: float = 0.0) -> np.ndarray:
-    """Solve ``(G + lam*I) c = g`` via a symmetric PD factorization.
-
-    At ``lam = 0`` the matrix must be numerically nonsingular (pivot-ratio
-    condition estimate below 1e12), otherwise :class:`IllConditioned` asks
-    the caller for regularization.
-    """
-    G, g = _checked_system(G, g)
-    c, _, _ = _solve_spd(G, g, lam, partial(_factor, G))
-    return c
-
-
-def _checked_system(G, g) -> tuple[np.ndarray, np.ndarray]:
-    """``(G, g)`` as float64 arrays, checked once before any solve
-    (:func:`_checked_gram`, then :func:`_checked_moment`)."""
-    G = _checked_gram(G)
-    return G, _checked_moment(g, len(G))
+    """The read-only coefficients of :func:`solve_aggregation` at the
+    explicit ``lam``: at ``lam = 0`` the matrix must be numerically
+    nonsingular (pivot-ratio condition estimate below 1e12), otherwise
+    :class:`IllConditioned` asks the caller for regularization."""
+    return solve_aggregation(G, g, float(lam)).coefficients
 
 
 def _checked_gram(G) -> np.ndarray:
     """``G`` as a float64 array: square with at least one row, finite and
-    symmetric. The bundle's record makes this check once
-    (:attr:`Moments.checked_gram`)."""
+    symmetric. The bundle's record makes this check once, when it builds
+    :attr:`Moments.gram`."""
     G = np.asarray(G, dtype=np.float64)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DimensionMismatch(f"gram matrix must be square, got {G.shape}")
@@ -300,13 +291,18 @@ def _residual(G, lam: float, c, g) -> tuple[np.ndarray, float]:
     return r, float(np.max(np.abs(r), initial=0.0))
 
 
+def _check_tikhonov(lam: float) -> None:
+    """Refuse a negative, NaN or infinite Tikhonov value."""
+    if not 0 <= lam < np.inf:
+        raise ConfigInvalid(f"tikhonov value must be finite and nonnegative, got {lam}")
+
+
 def _factor(G: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     """The lower Cholesky factor ``L`` of the checked ``G + lam*I`` and its
     pivot-ratio condition estimate ``(max(diag L) / min(diag L))^2``. A
     failed factorization, or one at ``lam = 0`` whose estimate reaches 1e12,
     is refused with :class:`IllConditioned`."""
-    if not 0 <= lam < np.inf:
-        raise ConfigInvalid(f"tikhonov value must be finite and nonnegative, got {lam}")
+    _check_tikhonov(lam)
     failed = f"factorization failed at lam={lam!r}; supply a larger value"
     # G is checked finite: only its diagonal, shifted by lam, can overflow.
     if not np.isfinite(np.diag(G) + lam).all():
@@ -325,11 +321,10 @@ def _factor(G: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
 
 
 def _solve_spd(G, g, lam: float, factor) -> tuple[np.ndarray, float, float]:
-    """Solve the :func:`_checked_system` ``(G + lam*I) c = g`` with the
+    """Solve the checked system ``(G + lam*I) c = g`` with the
     ``(L, cond)`` that ``factor(lam)`` gives: a fresh :func:`_factor` of
     ``G``, or the one a :class:`Moments` record keeps. The solve, its
     refinement and the residual contract run on every call."""
-    lam = float(lam)
     L, cond = factor(lam)
 
     c = _cho_solve(L, g)
@@ -500,9 +495,8 @@ class Moments:
     """The quantities that depend on one bundle alone, each built from the
     bundle's arrays on its first read and kept, read-only, on this record:
 
-    * ``gram``: the target Gram matrix ``G`` (:func:`compute_gram`);
-    * ``checked_gram``: ``gram`` once it has passed :func:`_checked_gram`
-      (finite and symmetric), so the record's solves check ``G`` once;
+    * ``gram``: the target Gram matrix ``G`` (:func:`compute_gram`), checked
+      once by :func:`_checked_gram`, so the record's solves do not check it;
     * ``oracle_moment``: ``g'_k = (1/n_t) * sum_i <y'_i, f_k(x'_i)>``;
     * ``label_sq``: ``||y'||^2 / n_t``;
     * ``true_risks``: each model's :func:`model_risks` on the oracle labels;
@@ -532,11 +526,7 @@ class Moments:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return _freeze(compute_gram(self.target_preds))
-
-    @cached_property
-    def checked_gram(self) -> np.ndarray:
-        return _checked_gram(self.gram)
+        return _checked_gram(_freeze(compute_gram(self.target_preds)))
 
     @cached_property
     def oracle_moment(self) -> np.ndarray | None:
@@ -565,7 +555,7 @@ class Moments:
         return None if self.oracle_labels is None else _oracle_outcome(self, 0.0)
 
     def _kept_factor(self, lam: float) -> tuple[np.ndarray, float]:
-        """The kept :func:`_factor` of ``checked_gram`` at the automatic
+        """The kept :func:`_factor` of ``gram`` at the automatic
         rung ``lam``, made on first request, or a new
         :class:`IllConditioned` with its refusal's kept text. Only
         :meth:`solve` calls it, and only on the automatic ladder, so the
@@ -573,7 +563,7 @@ class Moments:
         entry = self._factors.get(lam)
         if entry is None:
             try:
-                L, cond = _factor(self.checked_gram, lam)
+                L, cond = _factor(self.gram, lam)
             except IllConditioned as exc:
                 entry = str(exc)
             else:
@@ -588,9 +578,8 @@ class Moments:
         """:func:`solve_aggregation` of ``(G, g)``: ``G`` is checked once,
         ``g`` on every call, and each automatic rung's factor is kept
         (:meth:`_kept_factor`); an explicit ``lam`` is factored afresh."""
-        G = self.checked_gram
-        factor = self._kept_factor if lam is None else partial(_factor, G)
-        return _solve_policy(G, _checked_moment(g, len(G)), lam, factor)
+        factor = self._kept_factor if lam is None else partial(_factor, self.gram)
+        return _solve_policy(self.gram, g, lam, factor)
 
 
 def target_moments(bundle: PredictionBundle) -> Moments:
@@ -639,20 +628,21 @@ def solve_aggregation(G, g, lam: float | None = None) -> AggregationResult:
     once with :class:`IllConditioned`; a trace that overflows with
     :class:`ConfigInvalid`. An explicit ``lam`` -- including 0 -- is used
     exactly as given, and its refusal propagates unchanged. The system is
-    checked once (:func:`_checked_system`) before any of this. The
-    diagnostics record the policy, the escalation count, each refused
-    ``(lam, reason)`` in order (``lambda_refusals``), the condition estimate
-    and the final residual; a refusal of every candidate names each with
-    its reason.
+    checked once (:func:`_checked_gram`, :func:`_checked_moment`) before any
+    of this. The diagnostics record the policy, the escalation count, each
+    refused ``(lam, reason)`` in order (``lambda_refusals``), the condition
+    estimate and the final residual; a refusal of every candidate names
+    each with its reason.
     """
-    G, g = _checked_system(G, g)
+    G = _checked_gram(G)
     return _solve_policy(G, g, lam, partial(_factor, G))
 
 
 def _solve_policy(G, g, lam: float | None, factor) -> AggregationResult:
-    """The policy of :func:`solve_aggregation` on a checked system. Each
-    ``lam`` tried is solved with the ``(L, cond)`` of ``factor(lam)`` (see
-    :func:`_solve_spd`)."""
+    """The policy of :func:`solve_aggregation` on a checked ``G``; ``g`` is
+    checked here. Each ``lam`` tried is solved with the ``(L, cond)`` of
+    ``factor(lam)`` (see :func:`_solve_spd`)."""
+    g = _checked_moment(g, len(G))
     if lam is not None:
         attempts = [float(lam)]
         policy = "explicit"

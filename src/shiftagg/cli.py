@@ -4,8 +4,7 @@ Exit codes are a stable scripting contract: 0 success, 2 input or config
 error, 3 numerical failure, 4 I/O failure or memory refused. Randomness
 comes only from explicit ``--seed`` flags or config files, never from the
 environment, and fixed seeds plus fixed inputs produce byte-identical
-output files for any ``--threads`` value on a fixed BLAS build and BLAS
-thread count.
+output files on a fixed BLAS build and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -78,7 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output directory")
     p.add_argument("--trials", type=int, help="override trial count")
     p.add_argument("--seed", type=int, help="override the base seed")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="must be >= 1; no longer changes how trials run",
+    )
     p.add_argument(
         "--dump-tasks",
         type=int,
@@ -282,6 +284,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.threads < 1:
+        raise ConfigInvalid(f"threads must be >= 1, got {args.threads}")
     if args.dump_tasks < 0:
         raise ConfigInvalid(f"--dump-tasks must be >= 0, got {args.dump_tasks}")
     doc = read_json(args.config) if args.config else {}
@@ -293,7 +297,7 @@ def cmd_bench(args) -> int:
     trials = args.trials if args.trials is not None else trials
     seed = args.seed if args.seed is not None else seed
 
-    report = synth.run_suite(cfg, trials, seed, threads=args.threads)
+    report = synth.run_suite(cfg, trials, seed)
     outdir = _ensure_outdir(args.output)
     doc_out = report.to_json_dict()
     doc_out["seed"] = seed

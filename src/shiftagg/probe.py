@@ -7,7 +7,8 @@ representation vectors at that layer,
     d_sem = min_l  max_{(z_p, z_q)} || z_p^l - z_q^l ||_2 .
 
 When the dump declares which samples are semantically equivalent, the max
-runs over those pairs only; otherwise it runs over the full cross product.
+runs over those pairs only; otherwise over the full cross product, one
+``h_p x h_q`` array from the uLSIF fit's kernel ``ratio._sq_dists``.
 Two domains are epsilon-close when ``d_sem <= eps`` (boundary inclusive),
 and if the layers above the minimizing one are Lipschitz with constants
 ``K_l+1 .. K_L``, the last-layer representation gap is bounded by
@@ -31,6 +32,7 @@ from .errors import (
     NonFiniteValue,
     NonPositiveConstant,
 )
+from .ratio import _sq_dists
 from .serialize import config_to_dict
 
 __all__ = [
@@ -93,11 +95,7 @@ def _max_pair_distance(p: np.ndarray, q: np.ndarray, pairing) -> float:
         j = np.fromiter((b for _, b in pairing), dtype=np.intp)
         diff = p[i] - q[j]
         return float(np.sqrt(np.max(np.einsum("nd,nd->n", diff, diff))))
-    # Full cross product, evaluated without materializing all pairs at once.
-    p2 = np.sum(p * p, axis=1)[:, None]
-    q2 = np.sum(q * q, axis=1)[None, :]
-    d2 = p2 + q2 - 2.0 * (p @ q.T)
-    return float(np.sqrt(max(float(np.max(d2)), 0.0)))
+    return float(np.sqrt(np.max(_sq_dists(p, q))))
 
 
 def semantic_distance(emb: LayerEmbeddingSet) -> ProbeReport:

@@ -15,12 +15,11 @@ config seed; identical configs produce bitwise-identical tasks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aggregation import empirical_risk, target_moments
+from .aggregation import _check_tikhonov, empirical_risk, target_moments
 from .data import PredictionBundle, SourceDataset, TargetDataset
 from .errors import ConfigInvalid, SingularFit, SingularSystem
 from .ratio import DEFAULT_BOUND, RatioFitConfig, RatioModel, analytic_gaussian_ratio
@@ -342,6 +341,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.estimator not in (None, "ulsif", "logistic"):
             raise ConfigInvalid(f"unknown estimator {self.estimator!r}")
+        if self.lam is not None:
+            _check_tikhonov(self.lam)
 
 
 @dataclass(frozen=True)
@@ -414,26 +415,18 @@ def _run_trial(cfg: SuiteConfig, trial: int, task_seed: int, ratio_seed: int):
     )
 
 
-def run_suite(cfg: SuiteConfig, trials: int, seeds, threads: int = 1) -> SuiteReport:
+def run_suite(cfg: SuiteConfig, trials: int, seeds) -> SuiteReport:
     """Monte Carlo comparison of aggregation against selection baselines.
 
     ``seeds`` is either a single integer (per-trial seeds are derived from
-    it) or an explicit sequence of one seed per trial. Trials are
-    independent and run on a pool of ``threads`` threads;
-    records are assembled in trial order, so the report is identical for
-    any thread count, and a failed trial cancels those not yet started.
+    it) or an explicit sequence of one seed per trial. Trials run in order,
+    one at a time; a failed trial raises before the next one starts.
     """
     if trials < 1:
         raise ConfigInvalid("trials must be >= 1")
-    if threads < 1:
-        raise ConfigInvalid(f"threads must be >= 1, got {threads}")
     _refuse_oversized({"trials": trials}, ("trials", 2))  # two seeds a trial
     pairs = _trial_seed_pairs(seeds, trials)
-    pool = ThreadPoolExecutor(max_workers=threads)
-    try:
-        records = list(pool.map(lambda i: _run_trial(cfg, i, *pairs[i]), range(trials)))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    records = [_run_trial(cfg, i, *pair) for i, pair in enumerate(pairs)]
     return SuiteReport(
         config=cfg,
         trials=trials,

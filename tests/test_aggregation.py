@@ -250,6 +250,18 @@ class TestSolveCoefficients:
             ref = np.linalg.solve(G + 1e-6 * np.eye(m), g)
             assert np.linalg.norm(c - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    def test_is_the_explicit_lam_solve_read_only(self):
+        rng = np.random.Generator(np.random.Philox(17))
+        A = rng.standard_normal((4, 12))
+        G, g = A @ A.T / 12, rng.standard_normal(4)
+        for lam in (0.0, 1e-6):
+            c = solve_coefficients(G, g, lam)
+            assert c.tobytes() == solve_aggregation(G, g, lam).coefficients.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                c[0] = 0.0
+        # The result freezes views: the caller's arrays stay writable.
+        assert G.flags.writeable and g.flags.writeable
+
     def test_nonsymmetric_rejected(self):
         with pytest.raises(NonSymmetric):
             solve_coefficients(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2))

@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftagg import aggregation, cli, selection
+from shiftagg import aggregation, cli, selection, synth
 from shiftagg.cli import main
 from shiftagg.data import (
     PredictionBundle,
@@ -680,6 +681,35 @@ class TestBench:
         assert (tmp_path / "t1" / "suite.json").read_bytes() == (
             tmp_path / "t8" / "suite.json"
         ).read_bytes()
+
+    def test_threads_flag_starts_no_thread(self, tmp_path, monkeypatch):
+        # Trials run one after another whatever --threads says.
+        cfg = self._cfg(tmp_path)
+        assert main(["bench", "--config", str(cfg), "--output",
+                     str(tmp_path / "t1"), "--threads", "1"]) == 0
+
+        def refuse(thread):
+            raise AssertionError(f"bench started the thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert main(["bench", "--config", str(cfg), "--output",
+                     str(tmp_path / "t4"), "--threads", "4"]) == 0
+        for name in ("suite.json", "suite.txt"):
+            assert (tmp_path / "t1" / name).read_bytes() == (
+                tmp_path / "t4" / name
+            ).read_bytes()
+
+    def test_bad_lambda_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "suite.json"
+        write_json(cfg, {"lambda": -1, "task": {"n_s": 60, "n_t": 60}})
+        tasks = []
+        monkeypatch.setattr(synth, "generate_task", tasks.append)
+        assert main(["bench", "--config", str(cfg), "--output",
+                     str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: tikhonov value must be finite and nonnegative, got -1.0\n"
+        )
+        assert tasks == [] and not (tmp_path / "out").exists()
 
     def test_blas_threads_default_to_one(self, tmp_path):
         # The package sets the BLAS thread count to 1 where the environment

@@ -1,5 +1,7 @@
 """Semantic-distance probe: exact small cases and structural properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,16 @@ def layer(l, p, q):
 
 def embset(layers, pairing=None):
     return LayerEmbeddingSet(layers=tuple(layers), pairing=pairing)
+
+
+def reference_cross_max(p, q):
+    """The largest cross-product distance by the expansion
+    ``|p|^2 + |q|^2 - 2 p.q`` over three full ``h_p x h_q`` arrays, its
+    maximum clamped at zero."""
+    p2 = np.sum(p * p, axis=1)[:, None]
+    q2 = np.sum(q * q, axis=1)[None, :]
+    d2 = p2 + q2 - 2.0 * (p @ q.T)
+    return float(np.sqrt(max(float(np.max(d2)), 0.0)))
 
 
 class TestSemanticDistance:
@@ -125,6 +137,43 @@ class TestSemanticDistance:
         s = 3.25
         scaled = semantic_distance(embset([layer(1, s * p, s * q)])).d_sem
         np.testing.assert_allclose(scaled, s * base, rtol=1e-12)
+
+
+class TestCrossProductKernel:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h_p=st.integers(1, 300),
+        h_q=st.integers(1, 300),
+        d=st.integers(1, 12),
+        log_scale=st.floats(-3.0, 3.0),
+        shared=st.integers(0, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_the_expansion(self, seed, h_p, h_q, d, log_scale, shared):
+        rng = np.random.Generator(np.random.Philox(seed))
+        scale = 10.0**log_scale
+        p = scale * rng.standard_normal((h_p, d))
+        q = scale * rng.standard_normal((h_q, d))
+        k = min(shared, h_p, h_q)
+        q[:k] = p[:k]  # coincident rows, whose distance rounds near zero
+        if shared == 3:  # every row one point: the maximum itself rounds near zero
+            p, q = p[:1].repeat(h_p, axis=0), p[:1].repeat(h_q, axis=0)
+        report = semantic_distance(embset([layer(1, p, q)]))
+        assert report.d_sem == reference_cross_max(p, q)
+
+    def test_peak_memory_is_one_distance_array(self):
+        # The kernel writes the distances into one h_p x h_q array and adds
+        # the norms a block of rows at a time.
+        rng = np.random.Generator(np.random.Philox(53))
+        p, q = rng.standard_normal((1000, 16)), rng.standard_normal((1000, 16))
+        emb = embset([layer(1, p, q)])
+        tracemalloc.start()
+        try:
+            semantic_distance(emb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * p.shape[0] * q.shape[0] * 8
 
 
 class TestEpsilonClose:

@@ -528,12 +528,11 @@ class TestBundleCache:
         assert moments is aggregation.target_moments(bundle)
         held = vars(moments)
         assert {"gram", "oracle_moment", "true_risks", "source_risks"} <= set(held)
-        assert held["checked_gram"] is moments.gram
         factors = list(held["_factors"].values())
         assert len(factors) == 1 and isinstance(factors[0][1], float)
         arrays = [v for v in held.values() if isinstance(v, np.ndarray)]
         arrays.append(factors[0][0])  # the kept factor of G + lam*I
-        assert len(arrays) == 10
+        assert len(arrays) == 9
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 0.0

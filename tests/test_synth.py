@@ -189,12 +189,6 @@ class TestRunSuite:
         b = run_suite(cfg, 1, 21)
         assert dumps_canonical(a.to_json_dict()) == dumps_canonical(b.to_json_dict())
 
-    def test_thread_schedule_independence(self):
-        cfg = SuiteConfig(task=SynthTaskConfig(n_s=60, n_t=60), estimator=None)
-        a = run_suite(cfg, 8, 22, threads=1)
-        b = run_suite(cfg, 8, 22, threads=4)
-        assert dumps_canonical(a.to_json_dict()) == dumps_canonical(b.to_json_dict())
-
     def test_both_aggregation_rows_present_with_estimator(self):
         cfg = SuiteConfig(task=SynthTaskConfig(n_s=80, n_t=80))
         rep = run_suite(cfg, 2, 23)
@@ -217,6 +211,17 @@ class TestRunSuite:
             for t in rep.per_trial
         ]
         assert float(np.median(diffs)) >= 0.0
+
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+    def test_bad_lambda_refused_by_the_config(self, lam):
+        with pytest.raises(
+            ConfigInvalid, match="^tikhonov value must be finite and nonnegative"
+        ):
+            SuiteConfig(lam=lam)
+
+    @pytest.mark.parametrize("lam", [None, 0.0, 1e-6, 1e300])
+    def test_good_lambda_kept(self, lam):
+        assert SuiteConfig(lam=lam).lam == lam
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ConfigInvalid):
