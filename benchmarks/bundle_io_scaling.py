@@ -1,5 +1,5 @@
 """Scaling curves of ``shiftagg.data.write_bundle`` and ``load_bundle``,
-and of ``shiftagg.serialize.write_csv`` alone.
+of ``shiftagg.serialize.write_csv`` alone, and of ``estimate-ratio``.
 
 Writes and loads the bundle of one default synthetic task (``generate_task``
 with ``family_size=M``: d1=5, d2=1, features on both samples, oracle target
@@ -13,7 +13,10 @@ size in ``CSV_SIZES``, and the file is checked to parse back to the same
 bits; its rate counts every cell written, ids included. The write alone
 is also timed on the wide bundle ``WIDE`` (``(family_size, n)``, many
 one-column model files), and that bundle is checked to load back equal.
-The JSON output
+``shiftagg estimate-ratio`` is timed in-process (``cli.main``) on the
+written bundle of each ``(family_size, n)`` of ``ESTIMATES``, with and without
+``arrays.npz``; the two runs must write the same ``ratio.json`` and
+``beta.csv``. The JSON output
 holds every time, the medians, the directory's size on disk with and
 without ``arrays.npz``, the cells per second, the CPU count and the
 numpy/BLAS build. Uses the standard library besides numpy and shiftagg
@@ -25,7 +28,10 @@ the CSVs.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import pathlib
 import sys
 import tempfile
 from functools import partial
@@ -34,6 +40,7 @@ import _harness  # first: pins BLAS to one thread before numpy loads
 
 import numpy as np
 
+from shiftagg import cli
 from shiftagg.data import load_bundle, write_bundle
 from shiftagg.serialize import read_csv, write_csv
 from shiftagg.synth import SynthTaskConfig, generate_task
@@ -43,6 +50,7 @@ CSV_SIZES = (5000, 20000)
 COLUMNS = 7
 M = 20
 WIDE = (300, 10000)
+ESTIMATES = ((M, SIZES[0]), WIDE)  # (family_size, n) of each estimate-ratio point
 REPEATS = 5
 SEED = 0
 SIDECAR = "arrays.npz"
@@ -120,6 +128,43 @@ def time_write_wide(m: int, n: int) -> dict:
     }
 
 
+def time_estimate(m: int, n: int) -> dict:
+    bundle = generate_task(
+        SynthTaskConfig(n_s=n, n_t=n, family_size=m, seed=SEED)
+    ).bundle
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "bundle")
+        write_bundle(bundle, path)
+
+        def estimate(out):
+            argv = ["estimate-ratio", "--input", path, "--output", out,
+                    "--seed", str(SEED)]
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"m={m} n={n}: estimate-ratio: {err.getvalue()}")
+
+        outs = [os.path.join(workdir, side) for side in ("sidecar", "csv")]
+        times, median = _harness.median_time(estimate, outs[0], repeats=REPEATS)
+        os.remove(os.path.join(path, SIDECAR))
+        csv_times, csv_median = _harness.median_time(estimate, outs[1], repeats=REPEATS)
+        for name in ("ratio.json", "beta.csv"):
+            if len({pathlib.Path(out, name).read_bytes() for out in outs}) != 1:
+                raise SystemExit(f"m={m} n={n}: {name} differs without {SIDECAR}")
+    print(
+        f"estimate-ratio m={m} n={n}: {median:.4f} s, CSV-only {csv_median:.4f} s "
+        "(medians)",
+        file=sys.stderr,
+    )
+    return {
+        "m": m,
+        "n": n,
+        "times_s": times,
+        "csv_times_s": csv_times,
+        "median_s": median,
+        "csv_median_s": csv_median,
+    }
+
+
 def time_write_csv(n: int) -> dict:
     x = np.random.Generator(np.random.Philox(SEED)).standard_normal((n, COLUMNS))
     header = ["id"] + [f"x_{j + 1}" for j in range(COLUMNS)]
@@ -153,6 +198,7 @@ def curves() -> dict:
         "bundle_io": [partial(time_io, n) for n in SIZES],
         "write_csv": [partial(time_write_csv, n) for n in CSV_SIZES],
         "bundle_write_wide": [partial(time_write_wide, *WIDE)],
+        "estimate_ratio": [partial(time_estimate, *mn) for mn in ESTIMATES],
     }
 
 
@@ -162,8 +208,10 @@ if __name__ == "__main__":
             __doc__.splitlines()[0],
             "write_bundle and load_bundle, with and without arrays.npz, of a "
             "default synthetic task; write_csv of a standard normal table; "
-            "write_bundle of a wide task",
-            {"m": M, "seed": SEED, "csv_columns": COLUMNS, "wide": list(WIDE)},
+            "write_bundle of a wide task; estimate-ratio in-process on the "
+            "estimates' bundles, with and without arrays.npz",
+            {"m": M, "seed": SEED, "csv_columns": COLUMNS, "wide": list(WIDE),
+             "estimates": [list(mn) for mn in ESTIMATES]},
             REPEATS,
             curves,
         )

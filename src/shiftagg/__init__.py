@@ -38,6 +38,7 @@ from .data import (
     TargetDataset,
     load_bundle,
     load_embeddings,
+    load_samples,
     write_bundle,
     write_embeddings,
 )
@@ -112,6 +113,7 @@ __all__ = [
     "lipschitz_propagated_bound",
     "load_bundle",
     "load_embeddings",
+    "load_samples",
     "oracle_aggregate",
     "run_aggregation",
     "run_suite",

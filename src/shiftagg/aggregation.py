@@ -50,7 +50,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .data import PredictionBundle, _freeze, as_label_matrix
+from .data import PredictionBundle, SourceDataset, _freeze, as_label_matrix
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -595,9 +595,10 @@ def target_moments(bundle: PredictionBundle) -> Moments:
 # --- pipeline entry points ------------------------------------------------
 
 
-def resolve_beta(bundle: PredictionBundle, ratio) -> Weights:
-    """The bundle's source-sample weights as a checked :class:`Weights`
-    record, from a ratio model, a vector or a record.
+def resolve_beta(bundle: PredictionBundle | SourceDataset, ratio) -> Weights:
+    """The source-sample weights of a bundle, or of its source sample
+    alone, as a checked :class:`Weights` record, from a ratio model, a
+    vector or a record.
 
     A ratio model is evaluated on the source features, and the record's
     saturation is the fraction of weights at its bound; a vector's is
@@ -605,17 +606,18 @@ def resolve_beta(bundle: PredictionBundle, ratio) -> Weights:
     A ratio model or a vector gives a new record, scanned once, on every
     call: nothing is cached on the weights.
     """
+    source = bundle.source if isinstance(bundle, PredictionBundle) else bundle
     if isinstance(ratio, RatioModel):
-        if bundle.source.features is None:
+        if source.features is None:
             raise ConfigInvalid(
                 "bundle has no source features, so the ratio model cannot be "
                 "evaluated; pass precomputed weights instead"
             )
-        beta = evaluate_ratio(ratio, bundle.source.features)
+        beta = evaluate_ratio(ratio, source.features)
         weights = Weights(beta, float(np.mean(beta >= ratio.bound)))
     else:
         weights = ratio if isinstance(ratio, Weights) else Weights(ratio)
-    _checked_weights(weights, bundle.source.n_samples)
+    _checked_weights(weights, source.n_samples)
     return weights
 
 

@@ -10,6 +10,7 @@ output files on a fixed BLAS build and BLAS thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -17,7 +18,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import aggregation, probe, ratio, selection, synth
-from .data import load_bundle, load_embeddings, write_bundle
+from .data import load_bundle, load_embeddings, load_samples, read_manifest
+from .data import write_bundle
 from .errors import ConfigInvalid, IoFailure, NumericalError, ValidationError
 from .serialize import config_from_dict, decode_value, read_json
 from .serialize import read_csv, write_csv, write_json, write_text
@@ -28,7 +30,11 @@ SATURATION_WARN_LEVEL = 0.5
 EFFECTIVE_FRACTION_WARN_LEVEL = 0.1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first :func:`main` call.
+    It binds no handler: :func:`main` looks ``cmd_<command>`` up by name
+    on each call."""
     top = argparse.ArgumentParser(
         prog="shiftagg",
         description=(
@@ -43,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output directory")
     p.add_argument("--config", help="ratio config JSON (ratio.json)")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.set_defaults(func=cmd_estimate_ratio)
 
     p = sub.add_parser("aggregate", help="solve aggregation coefficients")
     p.add_argument("--input", required=True, help="bundle directory")
@@ -61,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="aggregate against oracle target labels instead of weights",
     )
     p.add_argument("--lambda", dest="lam", type=float, help="Tikhonov value")
-    p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("select", help="compare selection and aggregation")
     p.add_argument("--input", required=True, help="bundle directory")
@@ -70,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", help="fitted ratio model JSON")
     p.add_argument("--analytic", action="store_true")
     p.add_argument("--lambda", dest="lam", type=float)
-    p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("bench", help="run the synthetic benchmark suite")
     p.add_argument("--config", help="suite config JSON")
@@ -87,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         help="write the first N task bundles in the bundle directory format",
     )
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("probe", help="semantic distance over an embedding dump")
     p.add_argument("--input", required=True, help="embedding dump JSON")
@@ -97,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--lipschitz",
         help="comma-separated Lipschitz constants of the layers above",
     )
-    p.set_defaults(func=cmd_probe)
 
     return top
 
@@ -156,16 +157,21 @@ def _resolve_ratio_arg(args, bundle):
 
 
 def cmd_estimate_ratio(args) -> int:
-    bundle = load_bundle(args.input)
-    if bundle.source.features is None or bundle.target.features is None:
-        missing = []
-        if bundle.source.features is None:
-            missing.append("source.csv has no x_1..x_d1 columns")
-        if bundle.target.features is None:
-            missing.append("target.csv has no x_1..x_d1 columns")
+    # A fit needs the two samples only: no model CSV is read.
+    manifest = read_manifest(args.input)
+    missing = [
+        f"{name} has no x_1..x_d1 columns"
+        for name, key in (
+            ("source.csv", "has_source_features"),
+            ("target.csv", "has_target_features"),
+        )
+        if not manifest[key]
+    ]
+    if missing:
         raise ConfigInvalid(
             "ratio estimation needs features on both samples: " + "; ".join(missing)
         )
+    source, target = load_samples(args.input)
     doc = read_json(args.config) if args.config else {}
     # estimator sits beside the ratio config's fields in the same file.
     doc = dict(decode_value(dict, doc, "ratio config"))
@@ -174,10 +180,8 @@ def cmd_estimate_ratio(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
 
-    model = ratio.fit_ratio(
-        bundle.source.features, bundle.target.features, cfg, estimator
-    )
-    weights = aggregation.resolve_beta(bundle, model)
+    model = ratio.fit_ratio(source.features, target.features, cfg, estimator)
+    weights = aggregation.resolve_beta(source, model)
     beta, saturation = weights
 
     outdir = _ensure_outdir(args.output)
@@ -348,10 +352,10 @@ def cmd_probe(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -44,6 +44,8 @@ __all__ = [
     "PredictionBundle",
     "LayerEmbeddings",
     "LayerEmbeddingSet",
+    "read_manifest",
+    "load_samples",
     "load_bundle",
     "write_bundle",
     "load_embeddings",
@@ -351,7 +353,7 @@ class LayerEmbeddingSet:
 #                "sha256": the raw sha256 of each CSV's bytes, (k, 32) uint8,
 #                in the order of _csvs
 # Every CSV's id column runs 0..n-1 in order, and its header is exactly the
-# one above; load_bundle rejects any other.
+# one above; load_bundle and load_samples reject any other.
 
 _MANIFEST_KEYS = {
     "model_names": tuple[str, ...],
@@ -478,61 +480,107 @@ def _check_header(path, header: list[str], expected: list[str]) -> None:
             )
 
 
-def load_bundle(path) -> PredictionBundle:
-    """Load and fully validate a bundle directory.
-
-    Each CSV is read and hashed once; the bundle's ``inputs`` keeps each
-    digest. Where ``arrays.npz`` is valid, stores the sha256 of the CSV's
-    bytes and the file starts with the header the manifest implies, the
-    CSV's columns of the stored matrix stand in for parsing the text;
-    otherwise the text is parsed and its header checked. Every check after
-    the parse runs either way.
-    """
+def read_manifest(path) -> dict:
+    """The decoded ``manifest.json`` of the bundle directory ``path``, its
+    keys those of ``_MANIFEST_KEYS`` (``provenance`` defaults to ``""``);
+    :class:`MalformedFile` when ``d1`` is missing for declared features or
+    a width is not positive. No CSV is read."""
     where = os.path.join(path, "manifest.json")
     manifest = read_json(where)
     manifest = decode_object(_MANIFEST_KEYS, manifest, where, {"provenance": ""})
-    names, d1, d2 = manifest["model_names"], manifest["d1"], manifest["d2"]
-    has_sx = manifest["has_source_features"]
-    has_tx = manifest["has_target_features"]
-    has_ty = manifest["has_target_labels"]
-    if (has_sx or has_tx) and d1 is None:
+    d1, d2 = manifest["d1"], manifest["d2"]
+    has_x = manifest["has_source_features"] or manifest["has_target_features"]
+    if has_x and d1 is None:
         raise MalformedFile(f"{where}: features declared but d1 missing")
-    if d2 < 1 or (has_sx or has_tx) and d1 < 1:
+    if d2 < 1 or has_x and d1 < 1:
         raise MalformedFile(f"{where}: d1 and d2 must be positive")
-    n_sx = d1 if has_sx else 0
-    n_tx = d1 if has_tx else 0
-    csvs = _csvs(manifest)
-    stored = _read_sidecar(path, csvs)
-    digests = {}
+    return manifest
 
-    def table(csv) -> np.ndarray:
+
+class _BundleReader:
+    """Reads the CSVs of the bundle directory ``path`` one at a time, each
+    once: ``table(csv)`` gives the numbers of one entry of :func:`_csvs`
+    and records the sha256 of its bytes in ``digests``, in the order read.
+
+    Where ``arrays.npz`` is valid, stores the sha256 of the CSV's bytes and
+    the file starts with the header the manifest implies, the CSV's columns
+    of the stored matrix stand in for parsing the text; otherwise the text
+    is parsed and its header checked.
+    """
+
+    def __init__(self, path, manifest: dict):
+        self.path = path
+        self.manifest = manifest
+        self.csvs = _csvs(manifest)
+        self.stored = _read_sidecar(path, self.csvs)
+        self.digests: dict[str, bytes] = {}
+
+    def table(self, csv) -> np.ndarray:
         name, _, header, _ = csv
-        fpath = os.path.join(path, name)
+        fpath = os.path.join(self.path, name)
         data = read_bytes(fpath)
-        digests[name] = hashlib.sha256(data).digest()
+        self.digests[name] = digest = hashlib.sha256(data).digest()
+        stored = self.stored.get(name)
         if (
-            name in stored
+            stored is not None
             and data.startswith((",".join(header) + "\n").encode())
-            and digests[name] == stored[name][0]
+            and digest == stored[0]
         ):
-            return stored[name][1]
+            return stored[1]
         got, arr = read_csv(fpath, len(header), data)
         _check_header(fpath, got, header)
         return arr
 
-    src, tgt = table(csvs[0]), table(csvs[1])
-    source = SourceDataset(
-        labels=src[:, n_sx:], features=src[:, :n_sx] if has_sx else None
-    )
-    target = TargetDataset(
-        features=tgt[:, :n_tx] if has_tx else None,
-        oracle_labels=tgt[:, n_tx:] if has_ty else None,
-        n_samples_hint=len(tgt),
-    )
-    preds = {side: np.empty((len(names), len(t), d2))
-             for side, t in (("source", src), ("target", tgt))}
-    for i, csv in enumerate(csvs[2:]):  # each model's source, then target file
-        arr, dest = table(csv), preds[csv[1]]
+    def samples(self) -> tuple[SourceDataset, TargetDataset]:
+        """The source and target samples, from ``source.csv`` and
+        ``target.csv`` alone."""
+        manifest = self.manifest
+        has_sx = manifest["has_source_features"]
+        has_tx = manifest["has_target_features"]
+        n_sx = manifest["d1"] if has_sx else 0
+        n_tx = manifest["d1"] if has_tx else 0
+        src, tgt = self.table(self.csvs[0]), self.table(self.csvs[1])
+        source = SourceDataset(
+            labels=src[:, n_sx:], features=src[:, :n_sx] if has_sx else None
+        )
+        target = TargetDataset(
+            features=tgt[:, :n_tx] if has_tx else None,
+            oracle_labels=tgt[:, n_tx:] if manifest["has_target_labels"] else None,
+            n_samples_hint=len(tgt),
+        )
+        return source, target
+
+
+def load_samples(path) -> tuple[SourceDataset, TargetDataset]:
+    """The source and target samples of the bundle directory ``path``.
+
+    Reads ``manifest.json``, ``source.csv`` and ``target.csv``, and
+    ``arrays.npz`` when present, exactly as :func:`load_bundle` does, with
+    the same checks and typed errors. No model CSV is opened, so a missing
+    or broken one goes unnoticed here.
+    """
+    return _BundleReader(path, read_manifest(path)).samples()
+
+
+def load_bundle(path) -> PredictionBundle:
+    """Load and fully validate a bundle directory.
+
+    The samples are read as :func:`load_samples` reads them, then each
+    model's source and target CSV in manifest order. Each CSV is read and
+    hashed once; the bundle's ``inputs`` keeps each digest. Every check
+    after a parse runs whether the numbers came from the text or from
+    ``arrays.npz``.
+    """
+    manifest = read_manifest(path)
+    reader = _BundleReader(path, manifest)
+    source, target = reader.samples()
+    names = manifest["model_names"]
+    preds = {
+        side: np.empty((len(names), sample.n_samples, manifest["d2"]))
+        for side, sample in (("source", source), ("target", target))
+    }
+    for i, csv in enumerate(reader.csvs[2:]):  # each model's source, then target file
+        arr, dest = reader.table(csv), preds[csv[1]]
         if len(arr) != dest.shape[1]:
             raise DimensionMismatch(
                 f"{os.path.join(path, csv[0])}: {len(arr)} rows, expected "
@@ -547,7 +595,7 @@ def load_bundle(path) -> PredictionBundle:
         source=source,
         target=target,
         provenance=manifest["provenance"],
-        inputs=tuple((name, digest.hex()) for name, digest in digests.items()),
+        inputs=tuple((name, digest.hex()) for name, digest in reader.digests.items()),
     )
 
 

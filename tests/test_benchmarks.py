@@ -16,8 +16,9 @@ BENCHMARKS = ROOT / "benchmarks"
 # keys of the curves its ``curves()`` returns.
 TINY = {
     "bundle_io_scaling": (
-        {"SIZES": (40,), "CSV_SIZES": (40,), "M": 2, "WIDE": (3, 40)},
-        ["bundle_io", "write_csv", "bundle_write_wide"],
+        {"SIZES": (40,), "CSV_SIZES": (40,), "M": 2, "WIDE": (3, 40),
+         "ESTIMATES": ((2, 40),)},
+        ["bundle_io", "write_csv", "bundle_write_wide", "estimate_ratio"],
     ),
     "comparison_scaling": ({"MODEL_COUNTS": (2,), "N": 40}, ["comparison"]),
     "fit_logistic_scaling": ({"SIZES": (40,)}, ["fit_logistic_ratio"]),

@@ -23,11 +23,13 @@ from shiftagg.data import (
     SourceDataset,
     TargetDataset,
     load_bundle,
+    load_samples,
     write_bundle,
 )
 from shiftagg.errors import (
     DimensionMismatch,
     MalformedFile,
+    MissingFile,
     NonFiniteValue,
     ShiftAggError,
 )
@@ -551,3 +553,56 @@ def test_manifest_widths_fail_alike_with_and_without_sidecar(tmp_path, edits):
         _load_without_sidecar(bdir)
     assert type(with_sidecar.value) is type(without.value)
     assert str(with_sidecar.value) == str(without.value)
+
+
+# --- the samples alone ----------------------------------------------------
+
+
+@pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no sidecar"])
+def test_samples_read_only_the_sample_csvs(tmp_path, monkeypatch, sidecar):
+    bundle, bdir = _sidecar_bundle(tmp_path)
+    if not sidecar:
+        os.remove(bdir / "arrays.npz")
+    for name in _ORDER:
+        if name.startswith("model_"):
+            os.remove(bdir / name)
+    parsed = _count_parses(monkeypatch)
+    assert load_samples(bdir) == (bundle.source, bundle.target)
+    assert parsed == ([] if sidecar else ["source.csv", "target.csv"])
+    with pytest.raises(MissingFile, match="model_m0_source.csv"):
+        load_bundle(bdir)
+
+
+def test_samples_take_an_edited_csv_over_a_stale_sidecar(tmp_path, monkeypatch):
+    bundle, bdir = _sidecar_bundle(tmp_path)
+    path = bdir / "source.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[1] = repr(float(cells[1]) + 1.0)  # x_1 of row 1
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    parsed = _count_parses(monkeypatch)
+    source, target = load_samples(bdir)
+    assert parsed == ["source.csv"]
+    assert source.features[1, 0] == bundle.source.features[1, 0] + 1.0
+    assert target == bundle.target
+    assert source == load_bundle(bdir).source == _load_without_sidecar(bdir).source
+
+
+@pytest.mark.parametrize(
+    "fname, body, error",
+    [
+        ("manifest.json", "{", MalformedFile),
+        ("source.csv", "id,x_1,x_2,y_1\n0,1,2\n", DimensionMismatch),
+        ("target.csv", "id,x_1,x_2,y_1\n0,1,oops,2\n", MalformedFile),
+    ],
+    ids=["manifest", "source", "target"],
+)
+def test_samples_fail_like_the_bundle(tmp_path, fname, body, error):
+    _, bdir = _sidecar_bundle(tmp_path)
+    (bdir / fname).write_text(body)
+    with pytest.raises(error, match=fname) as samples:
+        load_samples(bdir)
+    with pytest.raises(error) as bundle:
+        load_bundle(bdir)
+    assert str(samples.value) == str(bundle.value)

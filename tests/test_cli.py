@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftagg import aggregation, cli, selection, synth
+from shiftagg import aggregation, cli, data, selection, synth
 from shiftagg.cli import main
 from shiftagg.data import (
     PredictionBundle,
@@ -236,6 +236,102 @@ class TestEstimateRatio:
         ) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+
+def _estimate(task_dir, out) -> int:
+    return main(
+        ["estimate-ratio", "--input", str(task_dir), "--output", str(out),
+         "--seed", "3"]
+    )
+
+
+def _same_fit(a, b) -> bool:
+    return all(
+        (a / name).read_bytes() == (b / name).read_bytes()
+        for name in ("ratio.json", "beta.csv")
+    )
+
+
+class TestEstimateRatioReadsSamplesOnly:
+    """estimate-ratio reads manifest.json, source.csv and target.csv (and
+    arrays.npz), never a model CSV."""
+
+    BROKEN = "model_m01_source.csv"
+
+    @pytest.mark.parametrize("how", ["garbled", "truncated", "deleted"])
+    def test_broken_model_csv_fails_only_the_commands_that_read_it(
+        self, how, task_dir, tmp_path, capsys
+    ):
+        intact = tmp_path / "intact"
+        assert _estimate(task_dir, intact) == 0
+        path = task_dir / self.BROKEN
+        if how == "garbled":
+            path.write_text(path.read_text().replace("\n0,", "\n0,oops", 1))
+        elif how == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            path.unlink()
+        assert _estimate(task_dir, tmp_path / "broken") == 0
+        assert _same_fit(intact, tmp_path / "broken")
+        capsys.readouterr()
+        for command, flag in (("aggregate", ["--ratio", intact / "ratio.json"]),
+                              ("select", ["--beta", intact / "beta.csv"])):
+            out = tmp_path / command
+            assert main([command, "--input", str(task_dir), "--output", str(out),
+                         *map(str, flag)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and self.BROKEN in err, err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fname, body",
+        [("manifest.json", "{"), ("source.csv", "id,x_1\n0,1\n"),
+         ("target.csv", "")],
+    )
+    def test_malformed_sample_file_exit_2(self, fname, body, task_dir, tmp_path, capsys):
+        (task_dir / fname).write_text(body)
+        assert _estimate(task_dir, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fname in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_features_reported_before_any_csv(self, tmp_path, capsys):
+        write_bundle(build_bundle(m=2, with_features=False), tmp_path / "b")
+        for name in ("source.csv", "target.csv", "arrays.npz"):
+            os.remove(tmp_path / "b" / name)
+        assert _estimate(tmp_path / "b", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            "error: ratio estimation needs features on both samples: source.csv "
+            "has no x_1..x_d1 columns; target.csv has no x_1..x_d1 columns\n"
+        )
+
+    def test_edited_source_under_stale_sidecar_is_fitted(self, task_dir, tmp_path):
+        assert _estimate(task_dir, tmp_path / "before") == 0
+        path = task_dir / "source.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[1] = repr(float(cells[1]) + 0.5)  # x_1 of row 4
+        lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert _estimate(task_dir, tmp_path / "edited") == 0
+        (task_dir / "arrays.npz").unlink()
+        assert _estimate(task_dir, tmp_path / "parsed") == 0
+        assert _same_fit(tmp_path / "edited", tmp_path / "parsed")
+        assert not _same_fit(tmp_path / "before", tmp_path / "edited")
+
+    def test_without_sidecar_parses_the_two_sample_csvs(
+        self, task_dir, tmp_path, monkeypatch
+    ):
+        (task_dir / "arrays.npz").unlink()
+        parsed = []
+
+        def spy(path, *args):
+            parsed.append(os.path.basename(path))
+            return read_csv(path, *args)
+
+        monkeypatch.setattr(data, "read_csv", spy)
+        assert _estimate(task_dir, tmp_path / "out") == 0
+        assert parsed == ["source.csv", "target.csv"]
 
 
 @pytest.mark.parametrize("shift, warned", [(3.0, True), (0.0, False)],
