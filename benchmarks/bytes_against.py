@@ -10,7 +10,9 @@ The set: ``bench --trials 100 --seed 42 --dump-tasks 2`` with ``--threads
 1`` and ``2``; on the first dumped task, ``estimate-ratio --seed 7`` (uLSIF
 and logistic), ``aggregate`` with ``--ratio``, ``--beta``, ``--analytic``
 and ``--oracle``, and ``select`` with ``--beta``, ``--ratio``,
-``--analytic`` and no ratio; and ``probe`` on a fixed embedding dump.
+``--analytic`` and no ratio; ``aggregate --beta`` and ``select --beta``
+on a bundle with no target labels and no ``arrays.npz``
+(:func:`write_inputs`); and ``probe`` on a fixed embedding dump.
 
 Each file of either side is reported as one of:
 
@@ -67,14 +69,33 @@ def commands(inputs: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("select_analytic", ["select", *task, "--analytic"]),
         ("select_none", ["select", *task]),
     ]
+    unlabelled = ["--input", str(inputs / "unlabelled"),
+                  "--beta", str(inputs / "unlabelled_beta.csv")]
+    runs += [
+        ("aggregate_unlabelled", ["aggregate", *unlabelled]),
+        ("select_unlabelled", ["select", *unlabelled]),
+    ]
     probe = ["probe", "--input", str(inputs / "embeddings.json"), "--epsilon", "0.5"]
     return [(name, [*argv, "--output", name]) for name, argv in runs] + [
         ("probe", [*probe, "--output", "probe.json"])
     ]
 
 
+def _write_table(path: pathlib.Path, header: list[str], rows: np.ndarray) -> None:
+    """A bundle-style CSV: ``header``, then ``id`` and ``%.17g`` cells."""
+    lines = [",".join(header)] + [
+        ",".join([str(i), *(format(float(x), ".17g") for x in row)])
+        for i, row in enumerate(rows)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_inputs(inputs: pathlib.Path) -> None:
-    """The logistic ratio config and a seeded three-layer embedding dump."""
+    """The logistic ratio config, a seeded three-layer embedding dump, and
+    a seeded bundle with no target labels and no ``arrays.npz``
+    (``unlabelled``) with its weights (``unlabelled_beta.csv``). The bundle
+    is written with numpy and ``format`` alone, so both sides read the same
+    files; its CSVs are parsed, and its risk reports have no oracle rule."""
     (inputs / "logistic.json").write_text(json.dumps({"estimator": "logistic"}))
     rng = np.random.Generator(np.random.Philox(21))
     layers = [
@@ -83,6 +104,25 @@ def write_inputs(inputs: pathlib.Path) -> None:
         for layer in range(3)
     ]
     (inputs / "embeddings.json").write_text(json.dumps({"layers": layers}))
+
+    bundle = inputs / "unlabelled"
+    bundle.mkdir()
+    n_s, n_t, names = 40, 30, ["a", "b", "c"]
+    (bundle / "manifest.json").write_text(json.dumps({
+        "model_names": names, "d1": 2, "d2": 1, "has_source_features": True,
+        "has_target_features": True, "has_target_labels": False,
+    }))
+    xs, xt = rng.standard_normal((n_s, 2)), rng.standard_normal((n_t, 2)) + 0.3
+    ys = xs[:, :1] - 0.5 * xs[:, 1:] + 0.1 * rng.standard_normal((n_s, 1))
+    _write_table(bundle / "source.csv", ["id", "x_1", "x_2", "y_1"], np.hstack([xs, ys]))
+    _write_table(bundle / "target.csv", ["id", "x_1", "x_2"], xt)
+    for k, name in enumerate(names):
+        w = np.array([1.0, -0.5]) + 0.2 * (k + 1) * rng.standard_normal(2)
+        for side, x in (("source", xs), ("target", xt)):
+            f = x @ w[:, None] + 0.1 * rng.standard_normal((len(x), 1))
+            _write_table(bundle / f"model_{name}_{side}.csv", ["id", "f_1"], f)
+    beta = np.exp(0.3 * xs[:, 0])
+    _write_table(inputs / "unlabelled_beta.csv", ["id", "beta"], beta[:, None])
 
 
 def run_side(src: pathlib.Path, inputs: pathlib.Path, workdir: pathlib.Path) -> None:

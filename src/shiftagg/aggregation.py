@@ -80,7 +80,7 @@ __all__ = [
     "model_risks",
     "run_aggregation",
     "oracle_aggregate",
-    "make_risk_report",
+    "risk_reports",
     "resolve_beta",
     "target_moments",
 ]
@@ -451,43 +451,39 @@ def importance_weighted_risk(preds, labels, beta) -> float:
     return _weighted_sq_risk(preds, labels, beta)
 
 
-def make_risk_report(
-    bundle: PredictionBundle,
-    coefficients: np.ndarray,
-    risk_kind: str,
-    beta=None,
-) -> RiskReport:
-    """Risk table for every model of ``bundle`` plus the predictor that
-    combines them with ``coefficients``, under ``risk_kind``.
+def risk_reports(
+    bundle: PredictionBundle, coefficients: np.ndarray, weights=None
+) -> dict[str, RiskReport]:
+    """Risk tables for every model of ``bundle`` plus the predictor that
+    combines them with ``coefficients``, one per rule the inputs allow, in
+    this order: ``source`` always, ``importance_weighted`` when ``weights``
+    is given (resolved once by :func:`resolve_beta`) and ``target_oracle``
+    when the bundle has oracle labels.
 
-    ``target_oracle`` scores the target predictions against the oracle
-    labels, ``source`` and ``importance_weighted`` the source predictions
-    against the source labels, the latter weighted by ``beta``, resolved
-    once by :func:`resolve_beta`. The per-model true risks and plain source
-    risks are the bundle's kept :func:`target_moments`; only the weighted
-    kind scores the models again (:func:`model_risks`).
+    Both source rules score the one combined source prediction. The
+    per-model true risks and plain source risks are the bundle's kept
+    :func:`target_moments`; only the weighted rule scores the models again
+    (:func:`model_risks`).
     """
     moments = target_moments(bundle)
-    preds, labels, weights = bundle.source_preds, bundle.source.labels, None
-    if risk_kind == "target_oracle":
-        if bundle.target.oracle_labels is None:
-            raise MissingOracleLabels("bundle carries no target oracle labels")
-        preds, labels = bundle.target_preds, bundle.target.oracle_labels
-        risks = moments.true_risks
-    elif risk_kind == "importance_weighted":
-        if beta is None:
-            raise ConfigInvalid("an importance_weighted report needs beta")
-        weights = resolve_beta(bundle, beta)
-        risks = model_risks(preds, labels, weights)
-    else:
-        risks = moments.source_risks
-    return RiskReport(
-        risk_kind=risk_kind,
-        per_model_risk=risks,
-        aggregated_risk=_weighted_sq_risk(
-            aggregate_predict(preds, coefficients), labels, weights
-        ),
-    )
+    preds, labels = bundle.source_preds, bundle.source.labels
+    combined = aggregate_predict(preds, coefficients)
+    rules = {"source": (moments.source_risks, None)}
+    if weights is not None:
+        weights = resolve_beta(bundle, weights)
+        rules["importance_weighted"] = (model_risks(preds, labels, weights), weights)
+    reports = {
+        kind: RiskReport(kind, risks, _weighted_sq_risk(combined, labels, w))
+        for kind, (risks, w) in rules.items()
+    }
+    if moments.true_risks is not None:
+        combined = aggregate_predict(bundle.target_preds, coefficients)
+        reports["target_oracle"] = RiskReport(
+            "target_oracle",
+            moments.true_risks,
+            _weighted_sq_risk(combined, bundle.target.oracle_labels, None),
+        )
+    return reports
 
 
 @dataclass(frozen=True, eq=False)

@@ -135,13 +135,16 @@ def _load_beta_csv(path, n_expected: int) -> np.ndarray:
 
 
 def _resolve_ratio_arg(args, bundle):
-    """Turn --beta/--ratio/--analytic into a weight source, or None."""
+    """Turn --beta/--ratio/--analytic into a weight source, or None. At
+    most one of them, or ``aggregate``'s --oracle, may be given; the check
+    runs before any weight file is read."""
     picked = [
         name
         for name, flag in (
             ("--beta", args.beta),
             ("--ratio", args.ratio),
             ("--analytic", getattr(args, "analytic", False)),
+            ("--oracle", getattr(args, "oracle", False)),
         )
         if flag
     ]
@@ -225,38 +228,27 @@ def cmd_estimate_ratio(args) -> int:
 
 def cmd_aggregate(args) -> int:
     bundle = load_bundle(args.input)
+    weight_source = _resolve_ratio_arg(args, bundle)
+    weights = None
     if args.oracle:
         result = aggregation.oracle_aggregate(
             bundle, 0.0 if args.lam is None else args.lam
         )
-        mode = "oracle"
-        weights = None
+    elif weight_source is None:
+        raise ConfigInvalid(
+            "aggregate needs one of --beta, --ratio, --analytic, or --oracle"
+        )
     else:
-        weight_source = _resolve_ratio_arg(args, bundle)
-        if weight_source is None:
-            raise ConfigInvalid(
-                "aggregate needs one of --beta, --ratio, --analytic, or --oracle"
-            )
         # One record serves the solve and the weighted risk report.
         weights = aggregation.resolve_beta(bundle, weight_source)
         result = aggregation.run_aggregation(bundle, weights, args.lam)
-        mode = "importance_weighted"
 
     doc = result.to_json_dict()
-    doc["mode"] = mode
+    doc["mode"] = "oracle" if weights is None else "importance_weighted"
     # Every report is made before the output directory is made, so a refused
     # weight file, solve or risk leaves nothing behind.
-    doc["risk_reports"] = {
-        kind: aggregation.make_risk_report(
-            bundle, result.coefficients, kind, weights
-        ).to_json_dict()
-        for kind, wanted in (
-            ("source", True),
-            ("importance_weighted", weights is not None),
-            ("target_oracle", bundle.target.oracle_labels is not None),
-        )
-        if wanted
-    }
+    reports = aggregation.risk_reports(bundle, result.coefficients, weights)
+    doc["risk_reports"] = {kind: r.to_json_dict() for kind, r in reports.items()}
     doc["inputs"] = dict(bundle.inputs)
     outdir = _ensure_outdir(args.output)
     write_csv(

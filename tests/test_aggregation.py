@@ -18,10 +18,10 @@ from shiftagg.aggregation import (
     compute_gram,
     empirical_risk,
     importance_weighted_risk,
-    make_risk_report,
     model_risks,
     oracle_aggregate,
     resolve_beta,
+    risk_reports,
     run_aggregation,
     solve_aggregation,
     solve_coefficients,
@@ -692,7 +692,7 @@ class TestRiskReport:
 
     def test_made_report_derives_its_pick(self):
         bundle = build_bundle(m=5, n_s=20, seed=46)
-        report = make_risk_report(bundle, np.full(5, 0.2), "source")
+        report = risk_reports(bundle, np.full(5, 0.2))["source"]
         risks = model_risks(bundle.source_preds, bundle.source.labels)
         assert report.per_model_risk == tuple(risks.tolist())
         assert report.selected_index == int(np.argmin(risks))
@@ -707,8 +707,10 @@ class TestRiskReport:
             "importance_weighted": (bundle.source_preds, bundle.source.labels, beta),
             "target_oracle": (bundle.target_preds, bundle.target.oracle_labels, None),
         }
+        reports = risk_reports(bundle, c, beta)
+        assert list(reports) == list(cases)
         for kind, (preds, labels, weights) in cases.items():
-            report = make_risk_report(bundle, c, kind, beta)
+            report = reports[kind]
             assert report.risk_kind == kind
             assert report.per_model_risk == tuple(
                 model_risks(preds, labels, weights).tolist()
@@ -717,12 +719,18 @@ class TestRiskReport:
                 model_risks(aggregate_predict(preds, c)[None], labels, weights)[0]
             )
 
-    def test_missing_inputs_are_refused(self):
-        bundle = build_bundle(m=2, n_s=6, seed=48)
-        with pytest.raises(MissingOracleLabels):
-            make_risk_report(bundle, np.ones(2), "target_oracle")
-        with pytest.raises(ConfigInvalid, match="needs beta"):
-            make_risk_report(bundle, np.ones(2), "importance_weighted")
+    @pytest.mark.parametrize(
+        "with_oracle, weighted, kinds",
+        [
+            (False, False, ["source"]),
+            (False, True, ["source", "importance_weighted"]),
+            (True, False, ["source", "target_oracle"]),
+        ],
+    )
+    def test_kinds_follow_the_inputs(self, with_oracle, weighted, kinds):
+        bundle = build_bundle(m=2, n_s=6, with_oracle=with_oracle, seed=48)
+        weights = np.linspace(0.5, 1.5, 6) if weighted else None
+        assert list(risk_reports(bundle, np.ones(2), weights)) == kinds
 
     @pytest.mark.parametrize("field", ["selected_index", "selected_risk"])
     def test_pick_is_not_a_parameter(self, field):
@@ -890,13 +898,13 @@ class TestWeights:
         scans = count_weight_scans(monkeypatch)
         run_aggregation(bundle, beta)
         assert scans == [12]
-        make_risk_report(bundle, np.full(4, 0.25), "importance_weighted", beta)
+        risk_reports(bundle, np.full(4, 0.25), beta)
         assert scans == [12, 12]
         weights = resolve_beta(bundle, beta)
         assert scans == [12, 12, 12]
         # A record is only length-checked.
         run_aggregation(bundle, weights)
-        make_risk_report(bundle, np.full(4, 0.25), "importance_weighted", weights)
+        risk_reports(bundle, np.full(4, 0.25), weights)
         assert resolve_beta(bundle, weights) is weights
         assert scans == [12, 12, 12]
 
@@ -907,7 +915,7 @@ class TestWeights:
         for call in (
             lambda: resolve_beta(bundle, weights),
             lambda: run_aggregation(bundle, weights),
-            lambda: make_risk_report(bundle, np.ones(2), "importance_weighted", weights),
+            lambda: risk_reports(bundle, np.ones(2), weights),
             lambda: compute_g_vector(preds, labels, weights),
             lambda: model_risks(preds, labels, weights),
         ):

@@ -76,6 +76,7 @@ def test_bytes_against_finds_the_tree_identical_to_itself(tmp_path):
     names = [name for name, _, _ in report]
     for name in ("bench_1/suite.json", "bench_2/task_001/arrays.npz",
                  "ratio_logistic/ratio.json", "aggregate_oracle/result.json",
+                 "aggregate_unlabelled/result.json", "select_unlabelled.stdout",
                  "select_none.stdout", "probe.json"):
         assert name in names
     assert {status for _, status, _ in report} == {"identical"}

@@ -479,6 +479,49 @@ class TestAggregate:
         for lam, reason in refusals:
             assert lam < doc["tikhonov"] and f"at lam={lam!r}" in reason
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--beta", "absent.csv"], "['--beta', '--oracle']"),
+            (["--ratio", "absent.json"], "['--ratio', '--oracle']"),
+            (["--analytic"], "['--analytic', '--oracle']"),
+            (["--ratio", "absent.json", "--beta", "absent.csv"],
+             "['--beta', '--ratio', '--oracle']"),
+        ],
+        ids=["beta", "ratio", "analytic", "ratio_and_beta"],
+    )
+    def test_oracle_with_a_weight_flag_exit_2(
+        self, flags, named, task_dir, tmp_path, capsys
+    ):
+        # The weight files do not exist: the refusal comes before any read.
+        out = tmp_path / "out"
+        code = main(["aggregate", "--input", str(task_dir), "--output", str(out),
+                     "--oracle", *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: flags {named} are mutually exclusive\n"
+        assert not out.exists()
+
+    def test_combines_each_prediction_set_once(self, task_dir, tmp_path, monkeypatch):
+        """One ``aggregate --ratio`` on a labelled bundle combines the source
+        predictions once, for both source reports, and the target
+        predictions twice: the oracle report and the CSV."""
+        calls = []
+        real = aggregation.aggregate_predict
+        monkeypatch.setattr(
+            aggregation,
+            "aggregate_predict",
+            lambda preds, c: calls.append(1) or real(preds, c),
+        )
+        ratio_json = str(task_dir / "analytic_ratio.json")
+        assert main(["aggregate", "--input", str(task_dir), "--output",
+                     str(tmp_path / "out"), "--ratio", ratio_json]) == 0
+        doc = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert list(doc["risk_reports"]) == [
+            "source", "importance_weighted", "target_oracle"
+        ]
+        assert len(calls) == 3
+
     def test_output_under_file_exit_4(self, task_dir, tmp_path):
         blocker = tmp_path / "f.txt"
         blocker.write_text("x")
@@ -540,42 +583,51 @@ def test_overflowing_risk_exit_2(case, args, message, task_dir, tmp_path):
 
 
 def test_aggregate_reports_agree_with_select_table(tmp_path):
-    """``aggregate --beta``'s risk reports and ``select --beta``'s table on one
-    dumped task carry the same per-model risks, bit for bit."""
-    cfg = tmp_path / "suite.json"
-    write_json(cfg, {"task": {"n_s": 60, "n_t": 60, "family_size": 4}})
-    assert main(["bench", "--config", str(cfg), "--trials", "1", "--output",
-                 str(tmp_path / "bench"), "--dump-tasks", "1"]) == 0
-    task_dir = tmp_path / "bench" / "task_000"
-    assert main(["estimate-ratio", "--input", str(task_dir), "--output",
-                 str(tmp_path / "ratio"), "--seed", "7"]) == 0
-    beta_csv = str(tmp_path / "ratio" / "beta.csv")
-    for command in ("aggregate", "select"):
-        assert main([command, "--input", str(task_dir), "--output",
-                     str(tmp_path / command), "--beta", beta_csv]) == 0
-    reports = json.loads((tmp_path / "aggregate" / "result.json").read_text())[
+    """On the benchmark's ``cli_pipeline`` inputs (m=20, n=5000, seed-0 task
+    and uLSIF fit; ``aggregate --ratio`` and ``select --beta``), every
+    per-model risk, both picks and the weighted aggregated risk agree bit
+    for bit. The aggregate's true target risk is evaluated sample by sample
+    in ``result.json`` and from the moments in ``comparison.json``, so those
+    two agree to rounding only."""
+    task = generate_task(SynthTaskConfig(n_s=5000, n_t=5000, family_size=20, seed=0))
+    bundle_dir, ratio_dir = tmp_path / "bundle", tmp_path / "ratio"
+    write_bundle(task.bundle, bundle_dir)
+    beta_csv = ratio_dir / "beta.csv"
+    for argv in (
+        ["estimate-ratio", "--output", str(ratio_dir), "--seed", "0"],
+        ["aggregate", "--output", str(tmp_path / "agg"),
+         "--ratio", str(ratio_dir / "ratio.json")],
+        ["select", "--output", str(tmp_path / "sel"), "--beta", str(beta_csv)],
+    ):
+        assert main([*argv, "--input", str(bundle_dir)]) == 0
+    reports = json.loads((tmp_path / "agg" / "result.json").read_text())[
         "risk_reports"
     ]
     table = {
         row["method"]: row
-        for row in json.loads(
-            (tmp_path / "select" / "comparison.json").read_text()
-        )["rows"]
+        for row in json.loads((tmp_path / "sel" / "comparison.json").read_text())[
+            "rows"
+        ]
     }
-    bundle = load_bundle(task_dir)
-    models = [table[f"model:{name}"] for name in bundle.model_names]
-    assert reports["source"]["per_model_risk"] == [
-        row["estimated_score"] for row in models
-    ]
+    models = [table[f"model:{name}"] for name in task.bundle.model_names]
+    iwv = selection.select_iwv(task.bundle, read_csv(beta_csv, 2)[1][:, 0])
+    for kind, per_model, pick in (
+        ("source", [row["estimated_score"] for row in models], "select_source"),
+        ("importance_weighted", list(iwv.scores), "select_iwv"),
+    ):
+        report = reports[kind]
+        assert report["per_model_risk"] == per_model
+        assert report["selected_index"] == table[pick]["detail"]["selected_index"]
+        assert report["selected_risk"] == table[pick]["estimated_score"]
     assert reports["target_oracle"]["per_model_risk"] == [
         row["true_target_risk"] for row in models
     ]
-    iwv = selection.select_iwv(bundle, read_csv(beta_csv, 2)[1][:, 0])
-    weighted = reports["importance_weighted"]
-    assert weighted["per_model_risk"] == list(iwv.scores)
-    assert weighted["selected_index"] == table["select_iwv"]["detail"]["selected_index"]
-    assert weighted["selected_risk"] == table["select_iwv"]["estimated_score"]
-    assert weighted["aggregated_risk"] == table["aggregate"]["estimated_score"]
+    aggregate = table["aggregate"]
+    assert reports["importance_weighted"]["aggregated_risk"] == (
+        aggregate["estimated_score"]
+    )
+    true_risk = reports["target_oracle"]["aggregated_risk"]
+    assert abs(true_risk - aggregate["true_target_risk"]) <= 1e-12 * true_risk
 
 
 class TestSelect:
@@ -1037,6 +1089,18 @@ class TestProbe:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"bad --lipschitz list {constants!r}" in err
+        assert not out.exists()
+
+    def test_lipschitz_without_epsilon_exit_2(self, tmp_path, capsys):
+        emb = LayerEmbeddingSet(
+            layers=(LayerEmbeddings(1, np.zeros((1, 2)), np.array([[0.0, 2.0]])),)
+        )
+        write_embeddings(emb, tmp_path / "emb.json")
+        out = tmp_path / "report.json"
+        code = main(["probe", "--input", str(tmp_path / "emb.json"),
+                     "--output", str(out), "--lipschitz", "2,3"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --lipschitz requires --epsilon\n"
         assert not out.exists()
 
     def test_malformed_dump_exit_2(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftagg.aggregation import make_risk_report, run_aggregation
+from shiftagg.aggregation import risk_reports, run_aggregation
 from shiftagg.ratio import RatioFitConfig
 from shiftagg.selection import compare_methods, select_source_risk
 from shiftagg.serialize import (
@@ -132,7 +132,7 @@ def records():
     )
     out = {
         "AggregationResult": result,
-        "RiskReport": make_risk_report(bundle, result.coefficients, "source"),
+        "RiskReport": risk_reports(bundle, result.coefficients)["source"],
         "SelectionOutcome": select_source_risk(bundle),
         "MethodRow": comparison.rows[0],
         "ComparisonReport": comparison,
